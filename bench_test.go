@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -46,6 +47,10 @@ func benchSuite() *expr.Suite {
 func benchDocs(n int, seed int64) []stream.Document {
 	cfg := twitgen.Default()
 	cfg.Seed = seed
+	return benchDocsFrom(cfg, n)
+}
+
+func benchDocsFrom(cfg twitgen.Config, n int) []stream.Document {
 	g, err := twitgen.New(cfg, tagset.NewDictionary())
 	if err != nil {
 		panic(err)
@@ -301,9 +306,55 @@ func BenchmarkPartitionBuild(b *testing.B) {
 func BenchmarkCounterObserve(b *testing.B) {
 	docs := benchDocs(4096, 9)
 	ct := jaccard.NewCounterTable()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ct.Observe(docs[i%len(docs)].Tags)
+	}
+}
+
+// BenchmarkCounterCoefficients times the period flush alone: one reporting
+// period (3 900 documents) of up to N tags per document, lengths uniform,
+// is observed once and Coefficients is called on the unchanged table.
+func BenchmarkCounterCoefficients(b *testing.B) {
+	for _, n := range []int{2, 4, 6, 8, 10} {
+		b.Run(fmt.Sprintf("tags=%d", n), func(b *testing.B) {
+			cfg := twitgen.Default()
+			cfg.Seed = 9
+			cfg.TagsPerTopic = 16
+			cfg.MaxTags = n
+			cfg.LengthSkew = 0
+			ct := jaccard.NewCounterTable()
+			for _, d := range benchDocsFrom(cfg, 3900) {
+				ct.Observe(d.Tags)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			coeffs := 0
+			for i := 0; i < b.N; i++ {
+				coeffs = len(ct.Coefficients(1))
+			}
+			b.ReportMetric(float64(coeffs), "coeffs")
+			b.ReportMetric(float64(ct.Counters()), "counters")
+		})
+	}
+}
+
+// BenchmarkSetCompare times the tie-break of every coefficient ordering on
+// pairs that share their first tags, as neighbours in a sort do.
+func BenchmarkSetCompare(b *testing.B) {
+	docs := benchDocs(4096, 9)
+	b.ReportAllocs()
+	b.ResetTimer()
+	less := 0
+	for i := 0; i < b.N; i++ {
+		s := docs[i%len(docs)].Tags
+		if tagset.Compare(s, s[:len(s)-1]) < 0 {
+			less++
+		}
+	}
+	if less != 0 {
+		b.Fatalf("%d sets sorted before their own proper prefix", less)
 	}
 }
 

@@ -226,9 +226,47 @@ func TestCompactorCrashLeftovers(t *testing.T) {
 	}
 }
 
+// TestSegmentRawDeletedBetweenStatAndRead forces the interleaving the
+// concurrent test below only meets by chance: the Reader stats a raw
+// segment, the compactor folds and deletes it, then the Reader opens it. The
+// period must be served from the compacted tier, identical to what the raw
+// file held, not fail with the vanished file's ENOENT.
+func TestSegmentRawDeletedBetweenStatAndRead(t *testing.T) {
+	dir := t.TempDir()
+	populateArchive(t, dir, 4)
+	_, want := readAll(t, OpenReader(dir))
+
+	rd := OpenReader(dir)
+	c := NewCompactor(dir, CompactorConfig{FanIn: 4})
+	compacted := false
+	rd.afterRawStat = func() {
+		if compacted {
+			return
+		}
+		compacted = true
+		if err := c.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, segmentName(2))); !os.IsNotExist(err) {
+			t.Fatalf("raw segment 2 survived compaction (err=%v)", err)
+		}
+	}
+	seg, err := rd.Segment(2)
+	if err != nil || seg == nil {
+		t.Fatalf("Segment(2) across the delete: seg=%v err=%v", seg, err)
+	}
+	if !compacted {
+		t.Fatal("hook never ran: the raw tier was not consulted")
+	}
+	if !reflect.DeepEqual(seg, want[2]) {
+		t.Errorf("period 2 differs across the delete:\nraw       %+v\ncompacted %+v", want[2], seg)
+	}
+}
+
 // TestConcurrentReaderCompactor runs a live Writer, a Compactor driven by an
-// advancing seal watermark, and concurrent Readers together (the -race
-// configuration of the live/compacted boundary). The invariant: a period at
+// advancing seal watermark, and concurrent Readers together: the -race smoke
+// of the live/compacted boundary (the stat-then-read window itself is forced
+// by TestSegmentRawDeletedBetweenStatAndRead). The invariant: a period at
 // or below the watermark observed before the query must always be served,
 // from whichever tier currently holds it.
 func TestConcurrentReaderCompactor(t *testing.T) {

@@ -2,7 +2,9 @@ package archive
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -83,6 +85,11 @@ type Reader struct {
 	man    *manifest
 	manGen fileGen
 	manOK  bool
+
+	// afterRawStat, when set by a test, runs between Segment's stat of a
+	// raw segment file and its read, the window a compactor can delete the
+	// file in.
+	afterRawStat func()
 }
 
 type cachedSegment struct {
@@ -219,17 +226,27 @@ func (r *Reader) Segment(period int64) (*Segment, error) {
 		if seg := r.lookupCache(period, path, gen); seg != nil {
 			return seg, nil
 		}
-		seg, size, err := decodeSegmentFile(path, period)
-		if err != nil {
-			return nil, err
+		if r.afterRawStat != nil {
+			r.afterRawStat()
 		}
-		// Re-derive the generation from the byte count actually read: if
-		// the file grew between stat and read, caching the pre-read gen
-		// would wrongly serve the longer decode as the shorter
-		// generation's answer. Size mismatch → cache under what was read.
-		gen.size = size
-		r.storeCache(period, &cachedSegment{seg: seg, src: path, gen: gen})
-		return seg, nil
+		seg, size, err := decodeSegmentFile(path, period)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			// The compactor deleted the raw file between the stat and the
+			// read. It published the manifest covering the period first,
+			// so the period is not in the raw tier any more: fall through.
+		case err != nil:
+			return nil, err
+		default:
+			// Re-derive the generation from the byte count actually read:
+			// if the file grew between stat and read, caching the pre-read
+			// gen would wrongly serve the longer decode as the shorter
+			// generation's answer. Size mismatch → cache under what was
+			// read.
+			gen.size = size
+			r.storeCache(period, &cachedSegment{seg: seg, src: path, gen: gen})
+			return seg, nil
+		}
 	}
 	return r.compactedSegment(period, true)
 }
@@ -395,7 +412,7 @@ func (a *segAccum) finish() *Segment {
 		if x.CN != y.CN {
 			return x.CN > y.CN
 		}
-		return x.Tags.Key() < y.Tags.Key()
+		return tagset.Compare(x.Tags, y.Tags) < 0
 	})
 	seg.Trends = make([]trend.Event, 0, len(a.trends))
 	for _, ev := range a.trends {
@@ -406,7 +423,7 @@ func (a *segAccum) finish() *Segment {
 		if x.Score != y.Score {
 			return x.Score > y.Score
 		}
-		return x.Tags.Key() < y.Tags.Key()
+		return tagset.Compare(x.Tags, y.Tags) < 0
 	})
 	return seg
 }

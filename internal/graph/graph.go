@@ -98,7 +98,7 @@ func Components(sets []stream.WeightedSet) []Component {
 		// keep the map-iteration order they were gathered in, making the
 		// downstream partition packing — and with it every coefficient the
 		// pipeline reports — differ between runs over identical input.
-		return out[i].Tags.Key() < out[j].Tags.Key()
+		return tagset.Compare(out[i].Tags, out[j].Tags) < 0
 	})
 	return out
 }

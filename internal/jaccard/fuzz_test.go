@@ -1,19 +1,29 @@
 package jaccard
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/tagset"
 )
 
+// wideTags is a small tag universe (so co-occurrence is dense) whose ids
+// straddle every byte boundary of the little-endian key encoding, where key
+// order and numeric tag order disagree.
+var wideTags = [16]tagset.Tag{
+	0, 1, 2, 255, 256, 257, 511, 512,
+	65535, 65536, 65537, 1 << 24, 1<<24 + 1, 1<<24 + 256, 1<<32 - 2, 1<<32 - 1,
+}
+
 // decodeDocs turns fuzz bytes into a deterministic document stream: each
-// byte contributes one tag (from a small universe, so co-occurrence is
-// dense) and a high bit that ends the current document.
+// byte contributes one tag of wideTags and a high bit that ends the current
+// document.
 func decodeDocs(data []byte) [][]tagset.Tag {
 	var docs [][]tagset.Tag
 	var cur []tagset.Tag
 	for _, b := range data {
-		cur = append(cur, tagset.Tag(b&0x0f))
+		cur = append(cur, wideTags[b&0x0f])
 		if b&0x80 != 0 || len(cur) >= 6 {
 			docs = append(docs, cur)
 			cur = nil
@@ -25,13 +35,37 @@ func decodeDocs(data []byte) [][]tagset.Tag {
 	return docs
 }
 
+// referenceCoefficients is the definitional report Coefficients must equal:
+// Eq. 2 evaluated one counter at a time through Count and UnionCount over
+// every counter of at least two tags, ordered by descending J and then by
+// the tagset key itself.
+func referenceCoefficients(ct *CounterTable, minCN int64) []Coefficient {
+	out := []Coefficient{}
+	for k := range ct.index {
+		s := k.Set()
+		cn, union := ct.Count(s), ct.UnionCount(s)
+		if s.Len() < 2 || cn < minCN || union <= 0 {
+			continue
+		}
+		out = append(out, Coefficient{Tags: s, J: float64(cn) / float64(union), CN: cn})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].J != out[j].J {
+			return out[i].J > out[j].J
+		}
+		return out[i].Tags.Key() < out[j].Tags.Key()
+	})
+	return out
+}
+
 // FuzzCounterTableCoefficients feeds arbitrary document streams into a
 // CounterTable and checks the invariants of the Calculator's report: the
 // coefficient list is ordered (descending J, ties by ascending tagset
 // key), every coefficient is internally consistent with the table's
 // counters (CN = intersection count, J = CN / inclusion–exclusion union,
-// J in (0, 1]), and the per-set Jaccard query round-trips to the same
-// value.
+// J in (0, 1]), the per-set Jaccard query round-trips to the same value,
+// and the list is complete and duplicate-free (it equals
+// referenceCoefficients element for element).
 func FuzzCounterTableCoefficients(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x82})
@@ -57,6 +91,9 @@ func FuzzCounterTableCoefficients(f *testing.F) {
 		}
 
 		coeffs := ct.Coefficients(1)
+		if want := referenceCoefficients(ct, 1); !reflect.DeepEqual(coeffs, want) {
+			t.Fatalf("Coefficients(1) = %v\nreference      = %v", coeffs, want)
+		}
 		for i, c := range coeffs {
 			if c.Tags.Len() < 2 {
 				t.Fatalf("coefficient %d over %d tags", i, c.Tags.Len())

@@ -10,12 +10,22 @@
 // subsets, which exist by construction because every received document
 // increments every subset of its (partition-restricted) tagset.
 //
+// The periodic report (Coefficients) does not evaluate Eq. 2 once per
+// tagset: it runs one signed subset-sum transform per maximal tagset, which
+// yields the union count of every subset of that tagset at once, and reports
+// each counter exactly once. Count, UnionCount and Jaccard are the
+// single-set definitional path the report is tested against. Counter keys
+// are built in a reused buffer, so counting an already seen subset and
+// looking one up allocate nothing.
+//
 // The same table fed with unrestricted tagsets is the exact centralized
 // baseline of Section 8.2.3.
 package jaccard
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"repro/internal/tagset"
 )
@@ -33,24 +43,55 @@ type Coefficient struct {
 // of observations containing that subset. It is not safe for concurrent use;
 // each Calculator owns one.
 type CounterTable struct {
-	counts map[tagset.Key]int64
-	docs   int64
+	// index maps a subset's key to its slot in counts. The indirection
+	// keeps the map value-typed while Coefficients marks counters by slot.
+	index  map[tagset.Key]int
+	counts []int64
+	// roots holds the key of every counter that was created as a
+	// document's whole tagset: a superset of the maximal counters, which
+	// are the roots of Coefficients' transforms.
+	roots []tagset.Key
+	// multi is the number of counters of at least two tags: the most
+	// coefficients a flush can report.
+	multi int
+	docs  int64
+
+	// Scratch reused across calls: the key under construction, and
+	// Coefficients' per-counter marks and per-root 2ⁿ arrays.
+	key  []byte
+	done []bool
+	slot []int
+	sum  []int64
 }
 
 // NewCounterTable returns an empty table.
 func NewCounterTable() *CounterTable {
-	return &CounterTable{counts: make(map[tagset.Key]int64)}
+	return &CounterTable{index: make(map[tagset.Key]int)}
 }
 
 // Observe records one document carrying tagset s, incrementing the counter
-// of every non-empty subset of s. Empty sets are ignored.
+// of every non-empty subset of s. Empty sets are ignored. A key string is
+// allocated only when a subset is seen for the first time.
 func (ct *CounterTable) Observe(s tagset.Set) {
 	if s.IsEmpty() {
 		return
 	}
 	ct.docs++
 	s.Subsets(1, func(sub tagset.Set) {
-		ct.counts[sub.Key()]++
+		ct.key = sub.AppendKey(ct.key[:0])
+		if i, ok := ct.index[tagset.Key(ct.key)]; ok {
+			ct.counts[i]++
+			return
+		}
+		k := tagset.Key(ct.key)
+		ct.index[k] = len(ct.counts)
+		ct.counts = append(ct.counts, 1)
+		if len(sub) >= 2 {
+			ct.multi++
+		}
+		if len(sub) == len(s) {
+			ct.roots = append(ct.roots, k)
+		}
 	})
 }
 
@@ -63,15 +104,21 @@ func (ct *CounterTable) Counters() int { return len(ct.counts) }
 // Count returns the number of observed documents containing all tags of s
 // (zero if the combination was never seen).
 func (ct *CounterTable) Count(s tagset.Set) int64 {
-	return ct.counts[s.Key()]
+	if i, ok := ct.index[s.Key()]; ok {
+		return ct.counts[i]
+	}
+	return 0
 }
 
 // UnionCount returns the number of observed documents containing any tag of
-// s, by inclusion–exclusion over the subset counters (Eq. 2).
+// s, by inclusion–exclusion over the subset counters (Eq. 2). Together with
+// Count and Jaccard it is the definitional single-set path; Coefficients
+// computes the same numbers for a whole period at once and is tested
+// against it.
 func (ct *CounterTable) UnionCount(s tagset.Set) int64 {
 	var total int64
 	s.Subsets(1, func(sub tagset.Set) {
-		c := ct.counts[sub.Key()]
+		c := ct.Count(sub)
 		if sub.Len()%2 == 1 {
 			total += c
 		} else {
@@ -87,7 +134,7 @@ func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
 	if s.Len() < 2 {
 		return 0, false
 	}
-	inter := ct.counts[s.Key()]
+	inter := ct.Count(s)
 	if inter == 0 {
 		return 0, false
 	}
@@ -102,35 +149,91 @@ func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
 // at least two tags whose intersection counter is at least minCN. This is
 // the Calculator's periodic report (Section 6.2): the "maximum possible
 // number of Jaccard coefficients" from the current counters. Results are
-// sorted by descending J, ties broken by the tagset key for determinism.
+// sorted by descending J, ties broken by tagset.Compare (the tagset-key
+// order) for determinism.
+//
+// Eq. 2 is not evaluated per tagset. Every counter is a subset of a maximal
+// counter M, a document's whole tagset, all of whose 2ⁿ−1 subsets have
+// counters because Observe created them together. With the subsets of M
+// indexed by bitmask and g(T) = (−1)^(|T|+1)·count(T), the union count of
+// every S ⊆ M is the subset sum Σ_{T⊆S} g(T), and one in-place zeta
+// transform (n·2ⁿ additions) yields all 2ⁿ of them from 2ⁿ lookups. Roots
+// are visited largest first, so a counter still unmarked when its turn
+// comes has no superset in the table; each counter is marked by the first
+// root that covers it and reported from that root only.
+//
+// The two scratch arrays hold 2ⁿ words for the largest tagset seen, fewer
+// than the 2ⁿ counters Observe already created for it, so the n ≤ 30 limit
+// of tagset.Set.Subsets is the only size limit here too.
 func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
 	if minCN < 1 {
 		minCN = 1
 	}
-	out := make([]Coefficient, 0, len(ct.counts)/2)
-	for k, cn := range ct.counts {
-		if cn < minCN || k.Len() < 2 {
+	slices.SortFunc(ct.roots, func(a, b tagset.Key) int { return b.Len() - a.Len() })
+	ct.done = resized(ct.done, len(ct.counts))
+	clear(ct.done)
+	out := make([]Coefficient, 0, ct.multi)
+	for _, rk := range ct.roots {
+		if ct.done[ct.index[rk]] {
 			continue
 		}
-		s := k.Set()
-		union := ct.UnionCount(s)
-		if union <= 0 {
-			continue
+		root := rk.Set()
+		n := len(root)
+		size := 1 << n
+		ct.slot, ct.sum = resized(ct.slot, size), resized(ct.sum, size)
+		slot, sum := ct.slot, ct.sum
+		sum[0] = 0
+		for mask := 1; mask < size; mask++ {
+			ct.key = root.AppendSubsetKey(ct.key[:0], uint(mask))
+			i := ct.index[tagset.Key(ct.key)]
+			slot[mask] = i
+			if bits.OnesCount(uint(mask))%2 == 1 {
+				sum[mask] = ct.counts[i]
+			} else {
+				sum[mask] = -ct.counts[i]
+			}
 		}
-		out = append(out, Coefficient{Tags: s, J: float64(cn) / float64(union), CN: cn})
+		for bit := 1; bit < size; bit <<= 1 {
+			for mask := bit; mask < size; mask = (mask + 1) | bit {
+				sum[mask] += sum[mask^bit]
+			}
+		}
+		for mask := 1; mask < size; mask++ {
+			i := slot[mask]
+			if ct.done[i] {
+				continue
+			}
+			ct.done[i] = true
+			cn, union := ct.counts[i], sum[mask]
+			if mask&(mask-1) == 0 || cn < minCN || union <= 0 {
+				continue
+			}
+			tags := make(tagset.Set, 0, bits.OnesCount(uint(mask)))
+			for m := mask; m != 0; m &= m - 1 {
+				tags = append(tags, root[bits.TrailingZeros(uint(m))])
+			}
+			out = append(out, Coefficient{Tags: tags, J: float64(cn) / float64(union), CN: cn})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].J != out[j].J {
-			return out[i].J > out[j].J
+	slices.SortFunc(out, func(a, b Coefficient) int {
+		if a.J != b.J {
+			return cmp.Compare(b.J, a.J)
 		}
-		return out[i].Tags.Key() < out[j].Tags.Key()
+		return tagset.Compare(a.Tags, b.Tags)
 	})
 	return out
 }
 
+// resized returns s with length n and unspecified contents, reusing its
+// array when that is large enough.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // Reset deletes all counters, as the Calculator does after each report.
 func (ct *CounterTable) Reset() {
-	ct.counts = make(map[tagset.Key]int64)
+	clear(ct.index)
+	ct.counts = ct.counts[:0]
+	ct.roots = ct.roots[:0]
+	ct.multi = 0
 	ct.docs = 0
 }
 

@@ -3,6 +3,7 @@ package jaccard
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/tagset"
@@ -219,5 +220,91 @@ func TestQuickJaccardAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCoefficientsDifferential checks the period flush against the
+// definitional path on seeded random streams of 1–10 tags per document
+// drawn from wideTags: Coefficients must report exactly the coefficients
+// referenceCoefficients derives counter by counter — none missing, none
+// twice, same CN, same J, same order — whatever order the maximal tagsets
+// are visited in, and must do so again when asked twice.
+func TestCoefficientsDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ct := NewCounterTable()
+		for i := 0; i < 40; i++ {
+			tags := make([]tagset.Tag, 1+r.Intn(10))
+			for j := range tags {
+				tags[j] = wideTags[r.Intn(len(wideTags))]
+			}
+			ct.Observe(tagset.New(tags...))
+		}
+		for _, minCN := range []int64{1, 2, 5} {
+			want := referenceCoefficients(ct, minCN)
+			if minCN == 1 && len(want) < 100 {
+				t.Fatalf("seed %d: only %d reference coefficients, stream too thin", seed, len(want))
+			}
+			for pass := 0; pass < 2; pass++ {
+				if got := ct.Coefficients(minCN); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d minCN %d pass %d: %d coefficients, reference %d; first difference at %d",
+						seed, minCN, pass, len(got), len(want), firstDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []Coefficient) int {
+	for i := range a {
+		if i >= len(b) || !reflect.DeepEqual(a[i], b[i]) {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// TestCoefficientsAfterReset checks that nothing of a flushed period —
+// counters, transform roots or exactly-once marks — reaches the next one:
+// the same documents report the same coefficients again, and documents
+// over other tags report only their own.
+func TestCoefficientsAfterReset(t *testing.T) {
+	ct := NewCounterTable()
+	first := []tagset.Set{tagset.New(1, 2, 3), tagset.New(1, 2), tagset.New(256, 1)}
+	for _, s := range first {
+		ct.Observe(s)
+	}
+	want := ct.Coefficients(1)
+	if len(want) != 5 {
+		t.Fatalf("first period: %v", want)
+	}
+	ct.Reset()
+	if got := ct.Coefficients(1); len(got) != 0 {
+		t.Fatalf("empty period after Reset reports %v", got)
+	}
+	for _, s := range first {
+		ct.Observe(s)
+	}
+	if got := ct.Coefficients(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("same documents after Reset: %v, want %v", got, want)
+	}
+	ct.Reset()
+	ct.Observe(tagset.New(7, 8))
+	got := ct.Coefficients(1)
+	if len(got) != 1 || !got[0].Tags.Equal(tagset.New(7, 8)) || got[0].CN != 1 || got[0].J != 1 {
+		t.Fatalf("third period: %v", got)
+	}
+}
+
+// TestObserveAllocations guards the allocation-free counter keys: on a warm
+// table (every subset already has its counter) Observe allocates once per
+// document (Subsets' scratch set), not once or twice per subset.
+func TestObserveAllocations(t *testing.T) {
+	ct := NewCounterTable()
+	s := tagset.New(1, 255, 256, 257, 65536, 70000, 1<<24, 1<<31)
+	ct.Observe(s)
+	if got := testing.AllocsPerRun(100, func() { ct.Observe(s) }); got > 1 {
+		t.Errorf("Observe of %d tags (%d subsets) on a warm table: %.0f allocations, want at most 1",
+			s.Len(), s.CountSubsets(1), got)
 	}
 }

@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -222,6 +223,27 @@ func TestCoeffKeyRoutesBatchesAndSinglesAlike(t *testing.T) {
 				t.Fatalf("tasks=%d: %v routes single to %d, batch to %d",
 					tasks, set, CoeffKey(single)%tasks, CoeffKey(batch)%tasks)
 			}
+		}
+	}
+}
+
+// TestRouteHashSetEqualsKeyHash pins routeHashSet to routeHash over the
+// set's key — the hash the Tracker's shards are indexed by, and the FNV-1a
+// the fields groupings used before — on random sets, including the empty
+// set and tags in every byte of the encoding: placement must not move.
+func TestRouteHashSetEqualsKeyHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 2000; i++ {
+		tags := make([]tagset.Tag, rng.Intn(11))
+		for j := range tags {
+			tags[j] = tagset.Tag(rng.Uint32() >> (8 * rng.Intn(4)))
+		}
+		set := tagset.New(tags...)
+		want := fnv.New64a()
+		want.Write([]byte(set.Key()))
+		if got := routeHashSet(set); got != routeHash(set.Key()) || got != want.Sum64() {
+			t.Fatalf("routeHashSet(%v) = %#x, routeHash(Key) = %#x, fnv.New64a = %#x",
+				set, got, routeHash(set.Key()), want.Sum64())
 		}
 	}
 }

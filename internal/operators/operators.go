@@ -13,7 +13,6 @@ package operators
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/flight"
@@ -435,10 +434,7 @@ func NewStages() *Stages {
 // TagsetKey hashes a document's full tagset for fields grouping, so equal
 // tagsets always reach the same Partitioner instance (Section 6.2).
 func TagsetKey(t storm.Tuple) uint64 {
-	msg := t.Values[0].(DocMsg)
-	h := fnv.New64a()
-	h.Write([]byte(msg.Tags.Key()))
-	return h.Sum64()
+	return routeHashSet(t.Values[0].(DocMsg).Tags)
 }
 
 // CoeffKey routes Calculator→Tracker tuples for fields grouping with
@@ -452,7 +448,7 @@ func CoeffKey(t storm.Tuple) uint64 {
 	case CoeffBatch:
 		return msg.Route
 	case CoeffMsg:
-		return routeHash(msg.Coeff.Tags.Key())
+		return routeHashSet(msg.Coeff.Tags)
 	}
 	return 0
 }
@@ -460,14 +456,12 @@ func CoeffKey(t storm.Tuple) uint64 {
 // routeHash is the FNV-1a tagset-key hash shared by the Tracker's shard
 // routing and the Calculator's per-Tracker-task sub-batch grouping, so one
 // tagset always maps to one Tracker task and one shard.
-func routeHash(k tagset.Key) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k); i++ {
-		h ^= uint64(k[i])
-		h *= 1099511628211
-	}
-	return h
-}
+func routeHash(k tagset.Key) uint64 { return k.Hash() }
+
+// routeHashSet is routeHash(s.Key()) without building the key, so the
+// fields groupings and the Calculator's sub-batch grouping place every
+// tagset where the Tracker's key-indexed shard routing expects it.
+func routeHashSet(s tagset.Set) uint64 { return s.KeyHash() }
 
 // Source adapts any document iterator (generator, slice, JSONL reader) to a
 // storm spout. The next function returns false when the stream ends.

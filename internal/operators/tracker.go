@@ -879,7 +879,7 @@ func coeffBefore(a, b jaccard.Coefficient) bool {
 	if a.CN != b.CN {
 		return a.CN > b.CN
 	}
-	return a.Tags.Key() < b.Tags.Key()
+	return tagset.Compare(a.Tags, b.Tags) < 0
 }
 
 // sortCoefficients orders by descending J, then descending CN, then the

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/jaccard"
+	"repro/internal/tagset"
 )
 
 // TrackerArchive receives the Tracker's durable-log stream: every accepted
@@ -107,7 +108,7 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 			s.mu.Unlock()
 		}
 		sort.Slice(pc.Coeffs, func(i, j int) bool {
-			return pc.Coeffs[i].Tags.Key() < pc.Coeffs[j].Tags.Key()
+			return tagset.Compare(pc.Coeffs[i].Tags, pc.Coeffs[j].Tags) < 0
 		})
 		st.Periods = append(st.Periods, pc)
 	}

@@ -1,7 +1,6 @@
 package operators
 
 import (
-	"hash/fnv"
 	"sync/atomic"
 
 	"repro/internal/flight"
@@ -54,8 +53,5 @@ func (tb *Trend) Execute(t storm.Tuple, _ storm.Collector) {
 // TrendKey hashes a TrendMsg's tagset for fields grouping, so every report
 // of one tagset reaches the same Trend task.
 func TrendKey(t storm.Tuple) uint64 {
-	msg := t.Values[0].(TrendMsg)
-	h := fnv.New64a()
-	h.Write([]byte(msg.Coeff.Tags.Key()))
-	return h.Sum64()
+	return routeHashSet(t.Values[0].(TrendMsg).Coeff.Tags)
 }

@@ -117,6 +117,7 @@ func TestDebugEndpointsDuringRun(t *testing.T) {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()
+			wasReady := false
 			for time.Now().Before(until) {
 				resp, err := ts.Client().Get(ts.URL + path)
 				if err != nil {
@@ -124,9 +125,19 @@ func TestDebugEndpointsDuringRun(t *testing.T) {
 					return
 				}
 				resp.Body.Close()
-				// /debug/traces/1 may 404 until doc 1 finalizes; everything
-				// else must answer 200 throughout the run.
-				if resp.StatusCode != http.StatusOK && path != "/debug/traces/1" {
+				// /debug/traces/1 may 404 until doc 1 finalizes. /readyz
+				// answers 503 until the first document is processed and
+				// 200 from then on, never 503 again. Everything else must
+				// answer 200 throughout the run.
+				ok := resp.StatusCode == http.StatusOK
+				switch path {
+				case "/debug/traces/1":
+					ok = true
+				case "/readyz":
+					ok = ok || resp.StatusCode == http.StatusServiceUnavailable && !wasReady
+					wasReady = wasReady || resp.StatusCode == http.StatusOK
+				}
+				if !ok {
 					errc <- &http.ProtocolError{ErrorString: path + " status " + resp.Status}
 					return
 				}

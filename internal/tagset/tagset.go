@@ -12,6 +12,7 @@ package tagset
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -325,11 +326,82 @@ func (s Set) Clone() Set {
 // Key returns a compact byte-string usable as a map key. Two sets have the
 // same Key iff they are Equal.
 func (s Set) Key() Key {
-	buf := make([]byte, 4*len(s))
-	for i, t := range s {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(t))
+	return Key(s.AppendKey(make([]byte, 0, 4*len(s))))
+}
+
+// AppendKey appends the bytes of s.Key() to dst and returns the extended
+// slice. With a reused dst, m[Key(dst)] looks a set up in a Key-indexed
+// map without allocating. It is the one encoder of the key format: four
+// little-endian bytes per tag, in set order.
+func (s Set) AppendKey(dst []byte) []byte {
+	for _, t := range s {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(t))
 	}
-	return Key(buf)
+	return dst
+}
+
+// AppendSubsetKey appends the key bytes of the subset of s selected by
+// mask — bit i set keeps s[i], the numbering Subsets enumerates in — and
+// returns the extended slice, without materialising the subset.
+func (s Set) AppendSubsetKey(dst []byte, mask uint) []byte {
+	for ; mask != 0; mask &= mask - 1 {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s[bits.TrailingZeros(mask)]))
+	}
+	return dst
+}
+
+// Hash returns the 64-bit FNV-1a hash of the key's bytes.
+func (k Key) Hash() uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * fnvPrime64
+	}
+	return h
+}
+
+// KeyHash returns s.Key().Hash() without building the key.
+func (s Set) KeyHash() uint64 {
+	h := uint64(fnvOffset64)
+	var b [4]byte
+	for _, t := range s {
+		binary.LittleEndian.PutUint32(b[:], uint32(t))
+		for _, c := range b {
+			h = (h ^ uint64(c)) * fnvPrime64
+		}
+	}
+	return h
+}
+
+// FNV-1a, 64 bit.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Compare orders a and b exactly as their Keys compare as strings, without
+// building either key: -1 if a.Key() < b.Key(), 0 if the sets are Equal, +1
+// otherwise. That order is bytewise over the little-endian tag encoding —
+// the first differing tags decide by their byte-reversed values, so tag 256
+// (bytes 00 01 00 00) sorts before tag 1 (01 00 00 00) — with a proper
+// prefix first. It is not numeric tag order; every persisted and served tie
+// order (/topk, checkpoints, archived segments) depends on it staying so.
+func Compare(a, b Set) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			if bits.ReverseBytes32(uint32(a[i])) < bits.ReverseBytes32(uint32(b[i])) {
+				return -1
+			}
+			return 1
+		}
+	}
+	switch {
+	case len(a) < len(b):
+		return -1
+	case len(a) > len(b):
+		return 1
+	}
+	return 0
 }
 
 // Key is the map-key form of a Set, produced by Set.Key.
@@ -367,7 +439,9 @@ func (s Set) String() string {
 // calls; fn must Clone it if it retains it. Enumeration uses bitmask
 // iteration and therefore requires s.Len() <= 30; larger sets panic, which
 // in this system cannot happen because documents carry few tags (the paper
-// observes <10 and the parser enforces a cap).
+// observes <10 and the parser enforces a cap). The same limit covers
+// jaccard.CounterTable.Coefficients, whose 2ⁿ-entry scratch per maximal
+// tagset is smaller than the 2ⁿ counters this enumeration made it create.
 func (s Set) Subsets(minSize int, fn func(Set)) {
 	n := len(s)
 	if n > 30 {
@@ -378,7 +452,7 @@ func (s Set) Subsets(minSize int, fn func(Set)) {
 	}
 	buf := make(Set, 0, n)
 	for mask := 1; mask < 1<<n; mask++ {
-		if popcount(uint32(mask)) < minSize {
+		if bits.OnesCount32(uint32(mask)) < minSize {
 			continue
 		}
 		buf = buf[:0]
@@ -399,15 +473,6 @@ func (s Set) CountSubsets(minSize int) int {
 		total += binomial(n, size)
 	}
 	return total
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 func binomial(n, k int) int {

@@ -1,9 +1,11 @@
 package tagset
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -292,5 +294,92 @@ func TestDictionarySnapshotRoundTrip(t *testing.T) {
 		if !ok || got != want {
 			t.Errorf("rebuilt id for %q = %d (ok=%v), want %d", s, got, ok, want)
 		}
+	}
+}
+
+// TestCompareMatchesKeyOrder checks that Compare orders sets exactly as
+// their Keys compare as strings: on tags around every byte boundary of the
+// little-endian encoding (where that order and numeric tag order disagree),
+// on proper prefixes, on equal sets and on random pairs.
+func TestCompareMatchesKeyOrder(t *testing.T) {
+	sign := func(x int) int {
+		switch {
+		case x < 0:
+			return -1
+		case x > 0:
+			return 1
+		}
+		return 0
+	}
+	check := func(a, b Set) {
+		t.Helper()
+		want := strings.Compare(string(a.Key()), string(b.Key()))
+		if got := Compare(a, b); sign(got) != want {
+			t.Errorf("Compare(%v, %v) = %d, keys compare %d", a, b, got, want)
+		}
+		if got := Compare(b, a); sign(got) != -want {
+			t.Errorf("Compare(%v, %v) = %d, keys compare %d", b, a, got, -want)
+		}
+	}
+	if Compare(New(256), New(1)) >= 0 {
+		t.Error("tag 256 (bytes 00 01 00 00) must sort before tag 1 (01 00 00 00)")
+	}
+	edges := []Tag{0, 1, 2, 255, 256, 257, 511, 512, 65535, 65536, 65537, 1 << 24, 1<<24 + 1, 1<<32 - 1}
+	r := rand.New(rand.NewSource(5))
+	randomWide := func() Set {
+		tags := make([]Tag, r.Intn(7))
+		for i := range tags {
+			tags[i] = edges[r.Intn(len(edges))]
+		}
+		return New(tags...)
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := randomWide(), randomWide()
+		check(a, b)
+		check(a, a[:r.Intn(len(a)+1)]) // proper prefix, or a itself
+		check(randomSet(r), randomSet(r))
+	}
+}
+
+// TestCompareAllocations guards the point of Compare: it builds no key.
+func TestCompareAllocations(t *testing.T) {
+	a, b := New(1, 256, 70000, 1<<24), New(1, 256, 70000, 1<<24+1)
+	sink := 0
+	if got := testing.AllocsPerRun(100, func() { sink += Compare(a, b) }); got != 0 {
+		t.Errorf("Compare allocates %.0f times per call", got)
+	}
+	if sink >= 0 {
+		t.Errorf("Compare(%v, %v) sums to %d over the runs, want negative", a, b, sink)
+	}
+}
+
+// TestKeyForms checks every form of the key against Key itself on sets with
+// tags in every byte of the encoding: AppendKey appends Key's bytes after
+// what dst already holds, AppendSubsetKey(mask) is the Key of the subset
+// Subsets enumerates for that mask, and KeyHash is Key.Hash, the FNV-1a of
+// hash/fnv.
+func TestKeyForms(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 300; i++ {
+		tags := make([]Tag, r.Intn(7))
+		for j := range tags {
+			tags[j] = Tag(r.Uint32() >> (8 * r.Intn(4)))
+		}
+		s := New(tags...)
+		if got := string(s.AppendKey([]byte("x"))); got != "x"+string(s.Key()) {
+			t.Fatalf("AppendKey(%v) = %q, want x + %q", s, got, s.Key())
+		}
+		want := fnv.New64a()
+		want.Write([]byte(s.Key()))
+		if got := s.KeyHash(); got != s.Key().Hash() || got != want.Sum64() {
+			t.Fatalf("KeyHash(%v) = %#x, Key.Hash = %#x, fnv.New64a = %#x", s, got, s.Key().Hash(), want.Sum64())
+		}
+		mask := uint(0) // Subsets visits masks 1, 2, … in order
+		s.Subsets(1, func(sub Set) {
+			mask++
+			if got := Key(s.AppendSubsetKey(nil, mask)); got != sub.Key() {
+				t.Fatalf("AppendSubsetKey(%v, %b) = %v, want %v", s, mask, got.Set(), sub)
+			}
+		})
 	}
 }

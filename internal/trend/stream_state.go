@@ -114,7 +114,7 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 		sh.mu.Unlock()
 	}
 	sort.Slice(st.Predictors, func(i, j int) bool {
-		return st.Predictors[i].Tags.Key() < st.Predictors[j].Tags.Key()
+		return tagset.Compare(st.Predictors[i].Tags, st.Predictors[j].Tags) < 0
 	})
 
 	for _, p := range periods {
@@ -127,7 +127,7 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 			sh.mu.Unlock()
 		}
 		sort.Slice(pe.Events, func(i, j int) bool {
-			return pe.Events[i].Tags.Key() < pe.Events[j].Tags.Key()
+			return tagset.Compare(pe.Events[i].Tags, pe.Events[j].Tags) < 0
 		})
 		st.Periods = append(st.Periods, pe)
 	}

@@ -118,7 +118,7 @@ func (d *Detector) Feed(period int64, report []jaccard.Coefficient) []Event {
 		if events[i].Score != events[j].Score {
 			return events[i].Score > events[j].Score
 		}
-		return events[i].Tags.Key() < events[j].Tags.Key()
+		return tagset.Compare(events[i].Tags, events[j].Tags) < 0
 	})
 	d.evict(period)
 	return events
