@@ -111,8 +111,32 @@ func appendTags(buf []byte, s tagset.Set) []byte {
 	return buf
 }
 
-// readTags decodes a tagset written by appendTags.
-func readTags(payload []byte) (tagset.Set, []byte, error) {
+// tagArena hands out the tag slices of one decode from large chunks, so a
+// segment costs an allocation per chunk instead of one per record. Every
+// slice is cut with cap == len: an append by a caller reallocates instead
+// of writing into the next record's tags. The nil arena allocates each
+// slice on its own.
+type tagArena struct{ free []tagset.Tag }
+
+// arenaChunk is the arena's chunk size in tags (16 KiB): small against a
+// segment's tens of thousands of records, so the unused end of the last
+// chunk is noise, and large enough that chunks are few.
+const arenaChunk = 4096
+
+func (a *tagArena) alloc(n int) []tagset.Tag {
+	if a == nil {
+		return make([]tagset.Tag, n)
+	}
+	if n > len(a.free) {
+		a.free = make([]tagset.Tag, max(n, arenaChunk))
+	}
+	tags := a.free[:n:n]
+	a.free = a.free[n:]
+	return tags
+}
+
+// readTags decodes a tagset written by appendTags into a slice from arena.
+func readTags(payload []byte, arena *tagArena) (tagset.Set, []byte, error) {
 	if len(payload) < 2 {
 		return nil, nil, fmt.Errorf("archive: short tagset header")
 	}
@@ -121,7 +145,7 @@ func readTags(payload []byte) (tagset.Set, []byte, error) {
 	if len(payload) < 4*n {
 		return nil, nil, fmt.Errorf("archive: short tagset body")
 	}
-	tags := make([]tagset.Tag, n)
+	tags := arena.alloc(n)
 	for i := range tags {
 		tags[i] = tagset.Tag(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
@@ -136,9 +160,15 @@ func encodeCoeff(buf []byte, c jaccard.Coefficient) []byte {
 	return buf
 }
 
-// decodeCoeff parses a coefficient record payload.
+// decodeCoeff parses a coefficient record payload into a coefficient that
+// owns its tags.
 func decodeCoeff(payload []byte) (jaccard.Coefficient, error) {
-	tags, rest, err := readTags(payload)
+	return decodeCoeffIn(payload, nil)
+}
+
+// decodeCoeffIn is decodeCoeff with the tags placed in arena.
+func decodeCoeffIn(payload []byte, arena *tagArena) (jaccard.Coefficient, error) {
+	tags, rest, err := readTags(payload, arena)
 	if err != nil {
 		return jaccard.Coefficient{}, err
 	}
@@ -169,9 +199,14 @@ func encodeTrend(buf []byte, ev trend.Event) []byte {
 }
 
 // decodeTrend parses a trend-event record payload into an Event for the
-// given period.
+// given period that owns its tags.
 func decodeTrend(payload []byte, period int64) (trend.Event, error) {
-	tags, rest, err := readTags(payload)
+	return decodeTrendIn(payload, period, nil)
+}
+
+// decodeTrendIn is decodeTrend with the tags placed in arena.
+func decodeTrendIn(payload []byte, period int64, arena *tagArena) (trend.Event, error) {
+	tags, rest, err := readTags(payload, arena)
 	if err != nil {
 		return trend.Event{}, err
 	}

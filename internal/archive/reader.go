@@ -7,7 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,20 +29,25 @@ const maxCachedSegments = 16
 // Segment is one decoded period: the deduplicated coefficients (last
 // record wins per tagset, mirroring the Tracker's CN-upgrade semantics)
 // and the scored trend deviations. Torn reports that decoding stopped at
-// an invalid record — the tail a crash left unflushed.
+// an invalid record — the tail a crash left unflushed. The Tags of its
+// coefficients and events are cut from arenas the segment owns (cap ==
+// len each); like every tagset.Set they must not be written to.
 type Segment struct {
 	Period int64
 	Coeffs []jaccard.Coefficient // sorted by descending J (report order)
 	Trends []trend.Event         // sorted by descending score
 	Torn   bool
 
-	byKey map[tagset.Key]jaccard.Coefficient
+	byKey map[tagset.Key]int32 // position in Coeffs
 }
 
 // Coefficient returns the period's coefficient for one tagset key.
 func (s *Segment) Coefficient(k tagset.Key) (jaccard.Coefficient, bool) {
-	c, ok := s.byKey[k]
-	return c, ok
+	i, ok := s.byKey[k]
+	if !ok {
+		return jaccard.Coefficient{}, false
+	}
+	return s.Coeffs[i], true
 }
 
 // fileGen identifies one on-disk generation of a file: compaction replaces
@@ -129,7 +134,7 @@ func (r *Reader) rawPeriods() ([]int64, error) {
 		}
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -162,7 +167,7 @@ func (r *Reader) Periods() ([]int64, error) {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -289,7 +294,7 @@ func (r *Reader) compactedSegment(period int64, retry bool) (*Segment, error) {
 			// The manifest lists the period (its raw segment existed,
 			// possibly empty of records) but the compacted file holds no
 			// records for it: an empty period is still a period.
-			seg = &Segment{Period: p, byKey: map[tagset.Key]jaccard.Coefficient{}}
+			seg = &Segment{Period: p, byKey: map[tagset.Key]int32{}}
 		}
 		r.storeCache(p, &cachedSegment{seg: seg, src: cpath, gen: gen})
 		if p == period {
@@ -382,50 +387,106 @@ func decodeSegmentFile(path string, period int64) (*Segment, int64, error) {
 // segAccum accumulates one period's records during a decode, applying the
 // last-record-wins rule for both coefficients (CN upgrades) and trend
 // events (corrections), then finishes into a deterministically sorted
-// Segment.
+// Segment. It owns the arena the records' tags are decoded into, so the
+// tags live exactly as long as the segment that references them.
 type segAccum struct {
-	seg    *Segment
-	trends map[tagset.Key]trend.Event
+	seg *Segment
+	// Until finish, seg.byKey and trendIdx hold positions in coeffs and
+	// seg.Trends, both in first-report order: a re-report overwrites its
+	// slot.
+	coeffs   []reportedCoeff
+	trendIdx map[tagset.Key]int32
+	arena    tagArena
+	key      []byte // reused: a map lookup by string(key) does not allocate
 }
 
-func newSegAccum(period int64) *segAccum {
+// reportedCoeff is a coefficient with its first-report position, which is
+// how finish finds where sorting moved what byKey points at.
+type reportedCoeff struct {
+	jaccard.Coefficient
+	first int32
+}
+
+// newSegAccum returns an accumulator for period sized for about records
+// records (0: unknown).
+func newSegAccum(period int64, records int) *segAccum {
 	return &segAccum{
-		seg:    &Segment{Period: period, byKey: make(map[tagset.Key]jaccard.Coefficient)},
-		trends: make(map[tagset.Key]trend.Event),
+		seg:      &Segment{Period: period, Trends: []trend.Event{}, byKey: make(map[tagset.Key]int32, records)},
+		coeffs:   make([]reportedCoeff, 0, records),
+		trendIdx: make(map[tagset.Key]int32),
 	}
 }
 
-func (a *segAccum) coeff(c jaccard.Coefficient) { a.seg.byKey[c.Tags.Key()] = c }
-func (a *segAccum) trend(ev trend.Event)        { a.trends[ev.Tags.Key()] = ev }
+// coeff decodes one coefficient payload into the period. The key becomes
+// a string only for a tagset's first report.
+func (a *segAccum) coeff(payload []byte) error {
+	c, err := decodeCoeffIn(payload, &a.arena)
+	if err != nil {
+		return err
+	}
+	a.key = c.Tags.AppendKey(a.key[:0])
+	if i, ok := a.seg.byKey[tagset.Key(a.key)]; ok {
+		a.coeffs[i].Coefficient = c
+		return nil
+	}
+	first := int32(len(a.coeffs))
+	a.seg.byKey[tagset.Key(a.key)] = first
+	a.coeffs = append(a.coeffs, reportedCoeff{c, first})
+	return nil
+}
+
+// trend is coeff for a trend-event payload.
+func (a *segAccum) trend(payload []byte) error {
+	ev, err := decodeTrendIn(payload, a.seg.Period, &a.arena)
+	if err != nil {
+		return err
+	}
+	a.key = ev.Tags.AppendKey(a.key[:0])
+	if i, ok := a.trendIdx[tagset.Key(a.key)]; ok {
+		a.seg.Trends[i] = ev
+		return nil
+	}
+	a.trendIdx[tagset.Key(a.key)] = int32(len(a.seg.Trends))
+	a.seg.Trends = append(a.seg.Trends, ev)
+	return nil
+}
 
 func (a *segAccum) finish() *Segment {
 	seg := a.seg
-	seg.Coeffs = make([]jaccard.Coefficient, 0, len(seg.byKey))
-	for _, c := range seg.byKey {
-		seg.Coeffs = append(seg.Coeffs, c)
-	}
-	sort.Slice(seg.Coeffs, func(i, j int) bool {
-		x, y := seg.Coeffs[i], seg.Coeffs[j]
-		if x.J != y.J {
-			return x.J > y.J
+	slices.SortFunc(a.coeffs, func(x, y reportedCoeff) int {
+		switch {
+		case x.J != y.J:
+			return descending(x.J > y.J)
+		case x.CN != y.CN:
+			return descending(x.CN > y.CN)
 		}
-		if x.CN != y.CN {
-			return x.CN > y.CN
-		}
-		return tagset.Compare(x.Tags, y.Tags) < 0
+		return tagset.Compare(x.Tags, y.Tags)
 	})
-	seg.Trends = make([]trend.Event, 0, len(a.trends))
-	for _, ev := range a.trends {
-		seg.Trends = append(seg.Trends, ev)
+	seg.Coeffs = make([]jaccard.Coefficient, len(a.coeffs))
+	sorted := make([]int32, len(a.coeffs)) // first-report position → position in Coeffs
+	for i, c := range a.coeffs {
+		seg.Coeffs[i] = c.Coefficient
+		sorted[c.first] = int32(i)
 	}
-	sort.Slice(seg.Trends, func(i, j int) bool {
-		x, y := seg.Trends[i], seg.Trends[j]
+	for k, first := range seg.byKey {
+		seg.byKey[k] = sorted[first]
+	}
+	slices.SortFunc(seg.Trends, func(x, y trend.Event) int {
 		if x.Score != y.Score {
-			return x.Score > y.Score
+			return descending(x.Score > y.Score)
 		}
-		return tagset.Compare(x.Tags, y.Tags) < 0
+		return tagset.Compare(x.Tags, y.Tags)
 	})
 	return seg
+}
+
+// descending is the comparator result for two unequal values of which the
+// first is the greater (or not).
+func descending(firstGreater bool) int {
+	if firstGreater {
+		return -1
+	}
+	return 1
 }
 
 // decodeSegment decodes a segment's raw bytes. It accepts arbitrary input
@@ -433,7 +494,11 @@ func (a *segAccum) finish() *Segment {
 // never fails: undecodable content only flips Torn and bounds what is
 // returned.
 func decodeSegment(data []byte, period int64) *Segment {
-	acc := newSegAccum(period)
+	// A coefficient record of the smallest tagset worth correlating, a pair,
+	// takes 35 bytes; sizing for that many spares the map and the slice
+	// their growth steps on the coefficient-only bulk of a segment.
+	const pairRecord = 5 + 2 + 2*4 + 16 + 4
+	acc := newSegAccum(period, len(data)/pairRecord)
 	if len(data) < 16 || string(data[:8]) != segMagic ||
 		int64(binary.LittleEndian.Uint64(data[8:16])) != period {
 		seg := acc.finish()
@@ -449,15 +514,11 @@ func decodeSegment(data []byte, period int64) *Segment {
 		}
 		switch kind {
 		case recCoeff:
-			if c, err := decodeCoeff(payload); err == nil {
-				acc.coeff(c)
-			} else {
+			if acc.coeff(payload) != nil {
 				acc.seg.Torn = true
 			}
 		case recTrend:
-			if ev, err := decodeTrend(payload, period); err == nil {
-				acc.trend(ev)
-			} else {
+			if acc.trend(payload) != nil {
 				acc.seg.Torn = true
 			}
 		}
@@ -485,7 +546,7 @@ func decodeCompactFile(path string) (map[int64]*Segment, error) {
 	acc := func(p int64) *segAccum {
 		a := accs[p]
 		if a == nil {
-			a = newSegAccum(p)
+			a = newSegAccum(p, 0)
 			accs[p] = a
 		}
 		return a
@@ -505,19 +566,14 @@ func decodeCompactFile(path string) (map[int64]*Segment, error) {
 		}
 		switch kind {
 		case recCoeffP:
-			c, err := decodeCoeff(payload[8:])
-			if err != nil {
-				return nil, fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
-			}
-			acc(p).coeff(c)
+			err = acc(p).coeff(payload[8:])
 		case recTrendP:
-			ev, err := decodeTrend(payload[8:], p)
-			if err != nil {
-				return nil, fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
-			}
-			acc(p).trend(ev)
+			err = acc(p).trend(payload[8:])
 		default:
 			return nil, fmt.Errorf("archive: %s: unknown record kind %d", filepath.Base(path), kind)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
 		}
 		off = next
 	}

@@ -128,7 +128,7 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 			Msg:  e.Msg,
 		}
 	}
-	writeJSON(w, map[string]interface{}{
+	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"count":  len(out),
 		"events": out,
 	})
@@ -150,7 +150,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	st := rec.Snapshot()
-	writeJSON(w, map[string]interface{}{
+	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"docs_seen":       st.DocsSeen,
 		"traces_started":  st.TracesStarted,
 		"retained_sample": st.KeptSample,
@@ -200,7 +200,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 			Count:   sp.Count,
 		}
 	}
-	writeJSON(w, map[string]interface{}{
+	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"id":          t.ID,
 		"sampled":     t.Sampled,
 		"retained":    t.Retained,

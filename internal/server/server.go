@@ -12,7 +12,8 @@
 // only briefly), so it returns point data fresher than the cache without
 // scanning the full coefficient table.
 //
-// Endpoints (all GET, all JSON unless noted):
+// Endpoints (all GET; all compact one-line JSON unless noted — pipe to
+// `jq .` to read one):
 //
 //	/topk?k=N             top-N coefficients so far (N capped at Config.TopK)
 //	/pairs/{tagA}/{tagB}  latest coefficient reported for the pair
@@ -53,10 +54,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/archive"
@@ -154,16 +157,13 @@ type Server struct {
 	dict   *tagset.Dictionary
 	cfg    Config
 
-	mu   sync.RWMutex
-	snap *core.Snapshot
+	// cur is what every snapshot route serves from; RefreshNow swaps it
+	// whole, which is the only invalidation the rendered bodies have.
+	cur atomic.Pointer[rendered]
 
-	// /stats response cache: the static remainder of the payload is
-	// encoded once per snapshot and re-served until the refresh loop swaps
-	// a new snapshot in; only the dynamic head (snapshot_age_ms,
-	// rss_bytes) is rendered per request.
-	statsMu   sync.Mutex
-	statsSnap *core.Snapshot
-	statsBody []byte
+	// now is the clock /stats measures the snapshot's age against; tests
+	// replace it to advance time by hand.
+	now func() time.Time
 
 	// reg backs /metrics; routeHists and routeCounters are the per-route
 	// middleware series, wired once in New.
@@ -220,6 +220,7 @@ func New(pipe *core.Pipeline, handle *core.Handle, dict *tagset.Dictionary, cfg 
 		dict:     dict,
 		cfg:      cfg.withDefaults(),
 		started:  time.Now(),
+		now:      time.Now,
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
@@ -310,12 +311,70 @@ func (s *Server) refreshLoop() {
 }
 
 // RefreshNow re-snapshots the pipeline immediately. Handlers keep serving
-// the previous snapshot until the new one is swapped in.
+// the previous snapshot until the new one is swapped in; the bodies
+// rendered from the previous one go with it.
 func (s *Server) RefreshNow() {
-	snap := s.pipe.Snapshot(s.cfg.TopK)
-	s.mu.Lock()
-	s.snap = snap
-	s.mu.Unlock()
+	s.cur.Store(&rendered{snap: s.pipe.Snapshot(s.cfg.TopK), rss: procstat.RSSBytes()})
+}
+
+// rendered is what the serving layer holds between two refreshes: one
+// snapshot, the process RSS sampled beside it, and the encoded response
+// bodies of the routes that are pure functions of the two (/topk, /trends,
+// /partition and the static part of /stats). A body is encoded by the
+// first request that asks for it — never eagerly, so a deployment nobody
+// queries encodes nothing — and served as bytes from then on. Handlers
+// clamp k to Config.TopK before it becomes part of a key, so a rendered
+// snapshot holds at most TopK bodies per route however clients vary k.
+// Because the bodies hang off the value that holds the snapshot, a response
+// is always rendered from exactly one snapshot and a refresh drops them
+// without any bookkeeping.
+type rendered struct {
+	snap *core.Snapshot
+	rss  int64
+
+	mu      sync.Mutex
+	bodies  map[bodyKey]*renderedBody
+	encodes atomic.Int64 // bodies encoded; the cache tests hold it to len(bodies)
+}
+
+// bodyKey names one cached body: the route pattern and the clamped k (0 on
+// routes without one).
+type bodyKey struct {
+	route string
+	k     int
+}
+
+// renderedBody is one cache entry. The Once makes clients that arrive
+// together after a refresh encode once, not each.
+type renderedBody struct {
+	once sync.Once
+	data []byte
+}
+
+// body returns the encoded response for key, calling build and encoding its
+// result on the first request for that key.
+func (r *rendered) body(key bodyKey, build func() interface{}) []byte {
+	r.mu.Lock()
+	b := r.bodies[key]
+	if b == nil {
+		if r.bodies == nil {
+			r.bodies = make(map[bodyKey]*renderedBody)
+		}
+		b = new(renderedBody)
+		r.bodies[key] = b
+	}
+	r.mu.Unlock()
+	b.once.Do(func() {
+		r.encodes.Add(1)
+		data, err := json.Marshal(build())
+		if err != nil {
+			// The response types hold nothing unencodable; keep the route
+			// answering valid JSON regardless.
+			data = []byte(`{"error":"encode failed"}`)
+		}
+		b.data = append(data, '\n')
+	})
+	return b.data
 }
 
 // Close stops the watchdog and the refresh loop (after a final refresh)
@@ -332,11 +391,7 @@ func (s *Server) Close() {
 func (s *Server) Watchdog() *flight.Watchdog { return s.watchdog }
 
 // Snapshot returns the currently cached snapshot.
-func (s *Server) Snapshot() *core.Snapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snap
-}
+func (s *Server) Snapshot() *core.Snapshot { return s.cur.Load().snap }
 
 // Handler returns the route multiplexer serving all endpoints. Every route
 // runs behind the instrumentation middleware (latency histogram + status
@@ -446,30 +501,44 @@ type TopKResponse struct {
 	Top           []Coefficient `json:"top"`
 }
 
+// queryK parses the optional ?k=N of the ranking routes (default 20),
+// writing the 400 itself when it is not a positive integer.
+func queryK(w http.ResponseWriter, q url.Values) (k int, ok bool) {
+	v := q.Get("k")
+	if v == "" {
+		return 20, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		httpError(w, http.StatusBadRequest, "k must be a positive integer")
+		return 0, false
+	}
+	return n, true
+}
+
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	snap := s.Snapshot()
-	k := 20
-	if q := r.URL.Query().Get("k"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "k must be a positive integer")
-			return
-		}
-		k = n
+	k, ok := queryK(w, r.URL.Query())
+	if !ok {
+		return
 	}
-	if k > s.cfg.TopK {
-		k = s.cfg.TopK
-	}
+	k = min(k, s.cfg.TopK)
+	cur := s.cur.Load()
+	writeBody(w, cur.body(bodyKey{route: "/topk", k: k}, func() interface{} { return s.topKResponse(cur.snap, k) }))
+}
+
+// topKResponse builds the /topk payload of one snapshot; k is already
+// clamped.
+func (s *Server) topKResponse(snap *core.Snapshot, k int) TopKResponse {
 	top := snap.TopK
 	if len(top) > k {
 		top = top[:k]
 	}
-	writeJSON(w, TopKResponse{
+	return TopKResponse{
 		DocsProcessed: snap.DocsProcessed,
 		Periods:       len(snap.Periods),
 		K:             k,
 		Top:           s.coefficients(top),
-	})
+	}
 }
 
 // PairResponse is the /pairs/{tagA}/{tagB} payload. Evicted marks answers
@@ -506,7 +575,7 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no coefficient reported for pair")
 		return
 	}
-	writeJSON(w, PairResponse{Tags: s.dict.Strings(c.Tags), J: c.J, CN: c.CN, Period: period, Evicted: evicted})
+	writeJSON(w, http.StatusOK, PairResponse{Tags: s.dict.Strings(c.Tags), J: c.J, CN: c.CN, Period: period, Evicted: evicted})
 }
 
 // TrendEvent is the JSON rendering of one scored trend deviation, shared by
@@ -560,25 +629,21 @@ func (s *Server) handleTrends(w http.ResponseWriter, r *http.Request) {
 	if det == nil {
 		return
 	}
-	snap := s.Snapshot()
-	k := 20
-	if q := r.URL.Query().Get("k"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "k must be a positive integer")
-			return
-		}
-		k = n
-	}
-	if k > s.cfg.TopK {
-		k = s.cfg.TopK
+	k, ok := queryK(w, r.URL.Query())
+	if !ok {
+		return
 	}
 	// The cached view holds at most the detector's maintained heap bound;
 	// clamp K so the response never claims a larger ranking than it can
 	// carry.
-	if bound := det.Config().TopK; k > bound {
-		k = bound
-	}
+	k = min(k, s.cfg.TopK, det.Config().TopK)
+	cur := s.cur.Load()
+	writeBody(w, cur.body(bodyKey{route: "/trends", k: k}, func() interface{} { return s.trendsResponse(cur.snap, det, k) }))
+}
+
+// trendsResponse builds the /trends payload of one snapshot; k is already
+// clamped.
+func (s *Server) trendsResponse(snap *core.Snapshot, det *trend.Stream, k int) TrendsResponse {
 	v := snap.Trends
 	top := v.Top
 	if len(top) > k {
@@ -591,12 +656,12 @@ func (s *Server) handleTrends(w http.ResponseWriter, r *http.Request) {
 		Tracked:      v.Stats.Tracked,
 		Scored:       v.Stats.Scored,
 		Published:    v.Stats.Published,
-		Threshold:    s.pipe.Trends().Config().Threshold,
+		Threshold:    det.Config().Threshold,
 	}
 	for i, e := range top {
 		resp.Top[i] = s.trendEvent(e)
 	}
-	writeJSON(w, resp)
+	return resp
 }
 
 // TrendLookupResponse is the /trends/{tags...} payload: the live EWMA
@@ -634,7 +699,7 @@ func (s *Server) handleTrendLookup(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no predictor for tagset")
 		return
 	}
-	writeJSON(w, TrendLookupResponse{
+	writeJSON(w, http.StatusOK, TrendLookupResponse{
 		Tags:        s.dict.Strings(set),
 		Expectation: p.Expectation,
 		Base:        p.Base,
@@ -744,7 +809,7 @@ func (s *Server) handleHistoryPeriods(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, HistoryPeriodsResponse{Periods: periods, Count: len(periods)})
+	writeJSON(w, http.StatusOK, HistoryPeriodsResponse{Periods: periods, Count: len(periods)})
 }
 
 // HistoryTopKResponse is the /history/topk payload: one archived period's
@@ -771,14 +836,9 @@ func (s *Server) handleHistoryTopK(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "period must be an integer")
 		return
 	}
-	k := 20
-	if v := q.Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "k must be a positive integer")
-			return
-		}
-		k = n
+	k, ok := queryK(w, q)
+	if !ok {
+		return
 	}
 	seg, err := rd.Segment(period)
 	if err != nil {
@@ -793,7 +853,7 @@ func (s *Server) handleHistoryTopK(w http.ResponseWriter, r *http.Request) {
 	if len(top) > k {
 		top = top[:k]
 	}
-	writeJSON(w, HistoryTopKResponse{
+	writeJSON(w, http.StatusOK, HistoryTopKResponse{
 		Period:      period,
 		K:           k,
 		Torn:        seg.Torn,
@@ -863,15 +923,13 @@ func (s *Server) handleHistoryPair(w http.ResponseWriter, r *http.Request) {
 		// the newest HistoryPairScan periods; older ones were not
 		// scanned" (true) — without it, a pair older than the scan bound
 		// would 404 exactly like a pair that never existed.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		writeJSON(w, map[string]interface{}{
+		writeJSON(w, http.StatusNotFound, map[string]interface{}{
 			"error":     "no archived coefficient for pair",
 			"truncated": truncated,
 		})
 		return
 	}
-	writeJSON(w, HistoryPairResponse{Tags: s.dict.Names(c.Tags), J: c.J, CN: c.CN, Period: period})
+	writeJSON(w, http.StatusOK, HistoryPairResponse{Tags: s.dict.Names(c.Tags), J: c.J, CN: c.CN, Period: period})
 }
 
 // HistoryTrendsResponse is the /history/trends payload: one archived
@@ -898,14 +956,9 @@ func (s *Server) handleHistoryTrends(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "period must be an integer")
 		return
 	}
-	k := 20
-	if v := q.Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "k must be a positive integer")
-			return
-		}
-		k = n
+	k, ok := queryK(w, q)
+	if !ok {
+		return
 	}
 	seg, err := rd.Segment(period)
 	if err != nil {
@@ -930,7 +983,7 @@ func (s *Server) handleHistoryTrends(w http.ResponseWriter, r *http.Request) {
 	for i, e := range top {
 		resp.Top[i] = s.historyTrendEvent(e)
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // historyTrendEvent renders an archived trend event. Like
@@ -964,7 +1017,12 @@ type PartitionResponse struct {
 }
 
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	snap := s.Snapshot()
+	cur := s.cur.Load()
+	writeBody(w, cur.body(bodyKey{route: "/partition"}, func() interface{} { return s.partitionResponse(cur.snap) }))
+}
+
+// partitionResponse builds the /partition payload of one snapshot.
+func (s *Server) partitionResponse(snap *core.Snapshot) PartitionResponse {
 	resp := PartitionResponse{
 		Epoch:      snap.Epoch,
 		Merges:     snap.Merges,
@@ -974,7 +1032,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	for i, p := range snap.Partitions {
 		resp.Partitions[i] = s.partitionInfo(i, p)
 	}
-	writeJSON(w, resp)
+	return resp
 }
 
 func (s *Server) partitionInfo(i int, p partition.Partition) PartitionInfo {
@@ -982,24 +1040,26 @@ func (s *Server) partitionInfo(i int, p partition.Partition) PartitionInfo {
 }
 
 // StatsResponse is the /stats payload: the full snapshot with tag sets
-// rendered to strings. The two head fields are rendered per request; the
-// embedded remainder is encoded once per snapshot and served from a cache
-// until the refresh loop swaps a new snapshot in.
+// rendered to strings. Only the head field is rendered per request; the
+// embedded remainder is encoded once per snapshot and served from the
+// rendered snapshot until the refresh loop swaps a new one in.
 type StatsResponse struct {
 	// SnapshotAgeMS is how old the served snapshot is (milliseconds since
 	// its consistent Tracker pass, monotonic clock). Under CPU saturation
 	// the refresh loop can stall on operator locks; this surfaces it.
 	SnapshotAgeMS int64 `json:"snapshot_age_ms"`
-	// RSSBytes is the process resident set size (0 on platforms without
-	// /proc), read per request rather than per snapshot.
-	RSSBytes int64 `json:"rss_bytes"`
 
 	statsStatic
 }
 
-// statsStatic is the snapshot-derived remainder of the /stats payload —
-// everything that only changes when the cached snapshot does.
+// statsStatic is the remainder of the /stats payload — everything that
+// only changes when the cached snapshot does.
 type statsStatic struct {
+	// RSSBytes is the process resident set size (0 on platforms without
+	// /proc), sampled when the snapshot was taken: as old as every other
+	// field here, at most Config.Refresh.
+	RSSBytes int64 `json:"rss_bytes"`
+
 	DocsProcessed     int64 `json:"docs_processed"`
 	DocsBeforeInstall int64 `json:"docs_before_install"`
 	NotifiedDocs      int64 `json:"notified_docs"`
@@ -1096,48 +1156,20 @@ type TrackerStats struct {
 	Late            int64 `json:"late_reports"`
 }
 
-// handleStats serves the dynamic head (snapshot age, RSS) per request and
-// splices in the cached encoding of the snapshot-derived remainder. The
-// cache is keyed on the snapshot pointer, so a refresh invalidates it
-// without any extra bookkeeping.
+// handleStats renders the one per-request field (the snapshot's age) and
+// splices the rendered snapshot's encoding of the remainder in behind it.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.Snapshot()
-	body := s.statsBodyFor(snap)
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\n  \"snapshot_age_ms\": %d,\n  \"rss_bytes\": %d,",
-		time.Since(snap.TakenAt).Milliseconds(), procstat.RSSBytes())
-	w.Write(body) //nolint:errcheck // best effort; the client is gone on error
-	fmt.Fprintln(w)
+	cur := s.cur.Load()
+	static := cur.body(bodyKey{route: "/stats"}, func() interface{} { return buildStatsStatic(cur.snap, cur.rss) })
+	var buf [48]byte
+	head := append(buf[:0], `{"snapshot_age_ms":`...)
+	head = strconv.AppendInt(head, s.now().Sub(cur.snap.TakenAt).Milliseconds(), 10)
+	head = append(head, ',')
+	writeBody(w, head)
+	w.Write(static[1:]) //nolint:errcheck // static's own "{" is the head's
 }
 
-// statsBodyFor returns the encoded statsStatic for snap, rebuilding the
-// cache when the snapshot changed since the last request. The returned
-// bytes start after the payload's opening brace (the dynamic head supplies
-// it plus the two leading fields).
-func (s *Server) statsBodyFor(snap *core.Snapshot) []byte {
-	s.statsMu.Lock()
-	if s.statsSnap == snap && s.statsBody != nil {
-		body := s.statsBody
-		s.statsMu.Unlock()
-		return body
-	}
-	s.statsMu.Unlock()
-
-	enc, err := json.MarshalIndent(s.buildStatsStatic(snap), "", "  ")
-	if err != nil {
-		// statsStatic holds no unencodable types; keep the route alive
-		// regardless.
-		enc = []byte("{\n  \"error\": \"encode failed\"\n}")
-	}
-	body := enc[1:] // strip "{"; the head printed it
-
-	s.statsMu.Lock()
-	s.statsSnap, s.statsBody = snap, body
-	s.statsMu.Unlock()
-	return body
-}
-
-func (s *Server) buildStatsStatic(snap *core.Snapshot) statsStatic {
+func buildStatsStatic(snap *core.Snapshot, rss int64) statsStatic {
 	var trends *TrendStats
 	if v := snap.Trends; v != nil {
 		trends = &TrendStats{
@@ -1158,6 +1190,8 @@ func (s *Server) buildStatsStatic(snap *core.Snapshot) statsStatic {
 		}
 	}
 	return statsStatic{
+		RSSBytes: rss,
+
 		DocsProcessed:     snap.DocsProcessed,
 		DocsBeforeInstall: snap.DocsBeforeInstall,
 		NotifiedDocs:      snap.NotifiedDocs,
@@ -1230,7 +1264,7 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, HealthResponse{
+	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:        "ok",
 		Running:       s.handle.Running(),
 		DocsProcessed: s.Snapshot().DocsProcessed,
@@ -1269,24 +1303,28 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		UptimeMS:      time.Since(s.started).Milliseconds(),
 		Watchdog:      s.watchdog.Verdict(),
 	}
+	status := http.StatusOK
 	if !resp.Ready {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(resp) //nolint:errcheck
-		return
+		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, resp)
+	writeJSON(w, status, resp)
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
+// writeJSON answers status with v as one line of compact JSON. It is the
+// one place a response is encoded per request; the snapshot routes go
+// through writeBody with bytes encoded once per snapshot.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best effort; the client is gone on error
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // best effort; the client is gone on error
+}
+
+// writeBody answers 200 with an already encoded JSON body.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body) //nolint:errcheck // best effort; the client is gone on error
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg}) //nolint:errcheck
+	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -253,46 +253,3 @@ func TestMetricsScrapeDuringSaturatedRun(t *testing.T) {
 	stop()
 	h.Wait()
 }
-
-// TestStatsCache pins the /stats encoding cache: the static remainder is
-// encoded once per snapshot and re-served byte-identical until a refresh
-// swaps the snapshot, while the dynamic head (snapshot_age_ms) keeps
-// moving between requests.
-func TestStatsCache(t *testing.T) {
-	srv, ts := drainedServer(t)
-
-	snap := srv.Snapshot()
-	b1 := srv.statsBodyFor(snap)
-	b2 := srv.statsBodyFor(snap)
-	if &b1[0] != &b2[0] {
-		t.Error("statsBodyFor re-encoded an unchanged snapshot")
-	}
-
-	// The spliced payload is valid JSON with the dynamic head present.
-	var st1 StatsResponse
-	getJSON(t, ts.Client(), ts.URL+"/stats", &st1)
-	if st1.DocsProcessed == 0 {
-		t.Fatal("cached /stats payload lost docs_processed")
-	}
-	time.Sleep(20 * time.Millisecond)
-	var st2 StatsResponse
-	getJSON(t, ts.Client(), ts.URL+"/stats", &st2)
-	if st2.SnapshotAgeMS <= st1.SnapshotAgeMS {
-		t.Errorf("snapshot_age_ms static across requests: %d then %d — head no longer dynamic",
-			st1.SnapshotAgeMS, st2.SnapshotAgeMS)
-	}
-	if st2.DocsProcessed != st1.DocsProcessed {
-		t.Errorf("static remainder changed without a refresh: %d then %d docs",
-			st1.DocsProcessed, st2.DocsProcessed)
-	}
-
-	// A refresh invalidates the cache: new snapshot, new encoding.
-	srv.RefreshNow()
-	b3 := srv.statsBodyFor(srv.Snapshot())
-	if srv.Snapshot() == snap {
-		t.Fatal("RefreshNow did not swap the snapshot")
-	}
-	if &b3[0] == &b1[0] {
-		t.Error("stats cache not invalidated by refresh")
-	}
-}

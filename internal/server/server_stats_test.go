@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -41,36 +42,41 @@ func drainedServer(t *testing.T) (*Server, *httptest.Server) {
 }
 
 // TestStatsSnapshotAge pins the /stats staleness signal: snapshot_age_ms
-// is present and non-negative, grows while no refresh happens, and drops
-// back after RefreshNow re-snapshots the pipeline.
+// is the clock's distance from the served snapshot's consistent pass — it
+// grows while no refresh happens and drops back after RefreshNow
+// re-snapshots the pipeline. The test owns the clock; nothing sleeps.
 func TestStatsSnapshotAge(t *testing.T) {
-	srv, ts := drainedServer(t)
+	srv, _ := drainedServer(t)
+	h := srv.Handler()
+	clock := srv.Snapshot().TakenAt
+	srv.now = func() time.Time { return clock }
+	stats := func() (st StatsResponse) {
+		t.Helper()
+		if err := json.Unmarshal(serve(t, h, "/stats"), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 
-	var st StatsResponse
-	getJSON(t, ts.Client(), ts.URL+"/stats", &st)
-	if st.SnapshotAgeMS < 0 {
-		t.Fatalf("snapshot_age_ms = %d, want >= 0", st.SnapshotAgeMS)
+	st := stats()
+	if st.SnapshotAgeMS != 0 {
+		t.Fatalf("snapshot_age_ms = %d at the snapshot's own instant, want 0", st.SnapshotAgeMS)
 	}
 	if st.DocsProcessed == 0 {
 		t.Fatal("drained pipeline reports 0 docs_processed")
 	}
 
-	// With the refresh loop effectively off, age must accumulate.
-	time.Sleep(60 * time.Millisecond)
-	var aged StatsResponse
-	getJSON(t, ts.Client(), ts.URL+"/stats", &aged)
-	if aged.SnapshotAgeMS < 50 {
-		t.Fatalf("snapshot_age_ms = %d after 60ms without refresh, want >= 50", aged.SnapshotAgeMS)
-	}
-	if aged.SnapshotAgeMS < st.SnapshotAgeMS {
-		t.Fatalf("snapshot_age_ms went backwards without a refresh: %d then %d",
-			st.SnapshotAgeMS, aged.SnapshotAgeMS)
+	// With the refresh loop effectively off, age accumulates with the clock.
+	clock = clock.Add(time.Hour)
+	aged := stats()
+	if want := time.Hour.Milliseconds(); aged.SnapshotAgeMS != want {
+		t.Fatalf("snapshot_age_ms = %d an hour on without a refresh, want %d", aged.SnapshotAgeMS, want)
 	}
 
-	// A refresh resets the age to "just taken".
+	// A refresh measures from the new snapshot: taken after the old one, so
+	// against the same clock it is strictly younger.
 	srv.RefreshNow()
-	var fresh StatsResponse
-	getJSON(t, ts.Client(), ts.URL+"/stats", &fresh)
+	fresh := stats()
 	if fresh.SnapshotAgeMS < 0 || fresh.SnapshotAgeMS >= aged.SnapshotAgeMS {
 		t.Fatalf("snapshot_age_ms = %d after RefreshNow, want in [0, %d)",
 			fresh.SnapshotAgeMS, aged.SnapshotAgeMS)
