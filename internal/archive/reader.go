@@ -494,17 +494,17 @@ func descending(firstGreater bool) int {
 // never fails: undecodable content only flips Torn and bounds what is
 // returned.
 func decodeSegment(data []byte, period int64) *Segment {
+	if len(data) < 16 || string(data[:8]) != segMagic ||
+		int64(binary.LittleEndian.Uint64(data[8:16])) != period {
+		seg := newSegAccum(period, 0).finish()
+		seg.Torn = len(data) > 0
+		return seg
+	}
 	// A coefficient record of the smallest tagset worth correlating, a pair,
 	// takes 35 bytes; sizing for that many spares the map and the slice
 	// their growth steps on the coefficient-only bulk of a segment.
 	const pairRecord = 5 + 2 + 2*4 + 16 + 4
 	acc := newSegAccum(period, len(data)/pairRecord)
-	if len(data) < 16 || string(data[:8]) != segMagic ||
-		int64(binary.LittleEndian.Uint64(data[8:16])) != period {
-		seg := acc.finish()
-		seg.Torn = len(data) > 0
-		return seg
-	}
 	off := 16
 	for off < len(data) {
 		kind, payload, next, ok := readRecord(data, off)
