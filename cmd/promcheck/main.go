@@ -2,12 +2,10 @@
 // 0.0.4): it parses the file (or stdin) with the same parser the test
 // suite uses, optionally requires named metric families to be present,
 // and exits non-zero on a malformed exposition or a missing family. CI
-// uses it to assert a mid-run /metrics scrape of a live tagcorrd; it is
-// equally handy against the METRICS_<suite>.prom dumps loadgen's
-// -metrics-out writes.
+// uses it to assert a mid-run /metrics scrape of a live tagcorrd.
 //
 //	curl -s localhost:8080/metrics | promcheck
-//	promcheck -require tagcorr_dissem_docs_total,tagcorr_http_request_seconds METRICS_smoke.prom
+//	promcheck -require tagcorr_dissem_docs_total,tagcorr_http_request_seconds METRICS_midrun.prom
 package main
 
 import (

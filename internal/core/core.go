@@ -267,15 +267,11 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 		if p.arch != nil {
 			det.SetArchive(p.arch)
 		}
-		tasks := cfg.TrendTasks
-		if tasks == 0 {
-			tasks = 1
-		}
 		b.Bolt("trend", func() storm.Bolt {
 			tb := operators.NewTrend(det)
 			tb.SetFlight(cfg.Flight)
 			return tb
-		}, tasks).Fields("tracker", operators.TrendKey)
+		}, 1).Fields("tracker", operators.TrendKey)
 	}
 
 	topo, err := b.Build()

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/jaccard"
-	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/quality"
 	"repro/internal/stream"
 	"repro/internal/tagset"
 	"repro/internal/twitgen"
@@ -410,7 +410,7 @@ func TestPipelineMultiDisseminatorAggregatedMetrics(t *testing.T) {
 		t.Errorf("Communication = %g, want %g aggregated over both instances",
 			res.Communication, wantComm)
 	}
-	if wantGini := metrics.GiniInts(per); res.LoadGini != wantGini {
+	if wantGini := quality.GiniInts(per); res.LoadGini != wantGini {
 		t.Errorf("LoadGini = %g, want %g aggregated over both instances",
 			res.LoadGini, wantGini)
 	}

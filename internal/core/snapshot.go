@@ -35,32 +35,8 @@ type Snapshot struct {
 	// staleness observable instead of silently serving old data as fresh.
 	TakenAt time.Time
 
-	// DocsProcessed counts parsed documents seen by the Disseminators; it
-	// is monotone over the lifetime of a run. DocsBeforeInstall counts the
-	// prefix that arrived before the first partitions were installed.
-	DocsProcessed     int64
-	DocsBeforeInstall int64
-	NotifiedDocs      int64
-	Notifications     int64
-	UncoveredDocs     int64
-
-	// Communication is notifications per notified document so far
-	// (Section 8.2.1); LoadGini the Gini coefficient of cumulative
-	// per-Calculator notifications so far (Section 8.2.2).
-	Communication float64
-	LoadGini      float64
-	PerCalculator []int64
-
-	// Epoch is the highest installed partition epoch (0 before bootstrap);
-	// RepartitionPending reports an outstanding repartition request.
-	Epoch              int
-	RepartitionPending bool
-	Repartitions       int
-	RepartitionsComm   int
-	RepartitionsLoad   int
-	RepartitionsBoth   int
-	SingleAdditions    int
-	Merges             int
+	// Stats holds the scalar statistics and structural counters.
+	Stats
 
 	// Partitions is the Merger's current tag-to-Calculator assignment
 	// (nil before the first merge).
@@ -68,25 +44,58 @@ type Snapshot struct {
 
 	// TopK holds the highest-Jaccard coefficients reported so far across
 	// all reporting periods, ordered by descending J (ties: descending CN,
-	// then tagset key). Periods lists the period ids seen so far.
-	TopK    []jaccard.Coefficient
-	Periods []int64
+	// then tagset key).
+	TopK []jaccard.Coefficient
 
+	// Trends is the streaming trend detector's live view (nil unless
+	// Config.Trend is set): the top deviations of the newest scored
+	// period. The detector's structural counters are Stats.TrendStats.
+	Trends *TrendsView
+}
+
+// Stats is the part of a Snapshot that /stats serves, in the order and
+// under the names it serves it: the json tags here are the one definition
+// of that payload, so a new statistic is one field, set in Snapshot.
+type Stats struct {
+	// DocsProcessed counts parsed documents seen by the Disseminators; it
+	// is monotone over the lifetime of a run. DocsBeforeInstall counts the
+	// prefix that arrived before the first partitions were installed.
+	DocsProcessed     int64 `json:"docs_processed"`
+	DocsBeforeInstall int64 `json:"docs_before_install"`
+	NotifiedDocs      int64 `json:"notified_docs"`
+	Notifications     int64 `json:"notifications"`
+	UncoveredDocs     int64 `json:"uncovered_docs"`
+
+	// Communication is notifications per notified document so far
+	// (Section 8.2.1); LoadGini the Gini coefficient of cumulative
+	// per-Calculator notifications so far (Section 8.2.2).
+	Communication float64 `json:"communication"`
+	LoadGini      float64 `json:"load_gini"`
+	PerCalculator []int64 `json:"per_calculator"`
+
+	// Epoch is the highest installed partition epoch (0 before bootstrap);
+	// RepartitionPending reports an outstanding repartition request.
+	Epoch              int  `json:"epoch"`
+	RepartitionPending bool `json:"repartition_pending"`
+	Repartitions       int  `json:"repartitions"`
+	RepartitionsComm   int  `json:"repartitions_comm"`
+	RepartitionsLoad   int  `json:"repartitions_load"`
+	RepartitionsBoth   int  `json:"repartitions_both"`
+	SingleAdditions    int  `json:"single_additions"`
+	Merges             int  `json:"merges"`
+
+	// Periods lists the reporting period ids seen so far;
 	// CoefficientsReceived / CoefficientsDuplicate are the Tracker's raw
 	// intake counters.
-	CoefficientsReceived  int64
-	CoefficientsDuplicate int64
-
-	// Tracker describes the Tracker's internal structure: shard count, the
-	// incrementally maintained top-k heaps, retention pruning, and the
-	// evicted-coefficient LRU.
-	Tracker operators.TrackerStats
+	Periods               []int64 `json:"periods"`
+	CoefficientsReceived  int64   `json:"coefficients_received"`
+	CoefficientsDuplicate int64   `json:"coefficients_duplicate"`
 
 	// TrackerTasks and NotifyBatch echo the pipeline's hot-path fan-out
 	// configuration: the Tracker operator's parallelism (>= 1) and the
 	// Disseminator→Calculator notification batch size (0: per-document).
-	TrackerTasks int
-	NotifyBatch  int
+	TrackerTasks int `json:"tracker_tasks"`
+	NotifyBatch  int `json:"notify_batch"`
 
 	// Checkpoints / CheckpointStallMS / CheckpointWriteMS meter the
 	// durability path: completed checkpoint writes, the cumulative hot-path
@@ -94,39 +103,42 @@ type Snapshot struct {
 	// Tracker task's goroutine; the encode + fsync happen on a dedicated
 	// writer goroutine), and the cumulative background write milliseconds.
 	// Zero with archiving off.
-	Checkpoints       int64
-	CheckpointStallMS int64
-	CheckpointWriteMS int64
+	Checkpoints       int64 `json:"checkpoints"`
+	CheckpointStallMS int64 `json:"checkpoint_stall_ms"`
+	CheckpointWriteMS int64 `json:"checkpoint_write_ms"`
 
 	// ArchiveCompactions / ArchiveCompactedPeriods / ArchiveAgedOutPeriods
 	// / ArchiveBytes meter the archive's background compaction: compacted
 	// files written, raw period segments folded into them, periods deleted
 	// under the disk budget, and the archive directory's size after the
 	// compactor's last pass. Zero without archiving + retention.
-	ArchiveCompactions      int64
-	ArchiveCompactedPeriods int64
-	ArchiveAgedOutPeriods   int64
-	ArchiveBytes            int64
+	ArchiveCompactions      int64 `json:"archive_compactions"`
+	ArchiveCompactedPeriods int64 `json:"archive_compacted_periods"`
+	ArchiveAgedOutPeriods   int64 `json:"archive_aged_out_periods"`
+	ArchiveBytes            int64 `json:"archive_bytes"`
 
 	// StageDocPartition / StageDocCoefficient / StageDocTrackerAccept
 	// summarise the end-to-end stage-latency histograms: the time from a
 	// document's ingest stamp at the Source until it reaches a
 	// Partitioner's window, until its triggered coefficient flush leaves a
 	// Calculator, and until the Tracker accepts that flush. Counts stay
-	// zero on runs that inject tuples without ingest stamps.
-	StageDocPartition     StageLatency
-	StageDocCoefficient   StageLatency
-	StageDocTrackerAccept StageLatency
+	// zero on runs that inject tuples without ingest stamps. Full bucket
+	// detail is on /metrics.
+	StageDocPartition     StageLatency `json:"stage_doc_partition"`
+	StageDocCoefficient   StageLatency `json:"stage_doc_coefficient"`
+	StageDocTrackerAccept StageLatency `json:"stage_doc_tracker_accept"`
 
-	// Trends is the streaming trend detector's live view (nil unless
-	// Config.Trend is set): the top deviations of the newest scored period
-	// plus the detector's structural counters.
-	Trends *TrendsView
+	// Tracker describes the Tracker's internal structure: shard count, the
+	// incrementally maintained top-k heaps, retention pruning, and the
+	// evicted-coefficient LRU. TrendStats is the same for the streaming
+	// trend detector (nil, and absent from /stats, unless Config.Trend).
+	Tracker    operators.TrackerStats `json:"tracker"`
+	TrendStats *trend.StreamStats     `json:"trends,omitempty"`
 
 	// EmittedByComponent / ReceivedByComponent are the storm substrate's
 	// per-component dataflow counters.
-	EmittedByComponent  map[string]int64
-	ReceivedByComponent map[string]int64
+	EmittedByComponent  map[string]int64 `json:"emitted_by_component"`
+	ReceivedByComponent map[string]int64 `json:"received_by_component"`
 }
 
 // Snapshot returns a live view of the pipeline with the given top-k size
@@ -147,13 +159,15 @@ func (p *Pipeline) Snapshot(k int) *Snapshot {
 	// staleness the ROADMAP documented).
 	top, periods, tstats := p.tracker.ConsistentView(k)
 	s := &Snapshot{
-		TakenAt:      time.Now(),
-		TopK:         top,
-		Periods:      periods,
-		Merges:       p.merger.MergeCount(),
-		Tracker:      tstats,
-		TrackerTasks: p.cfg.TrackerTasks,
-		NotifyBatch:  p.cfg.NotifyBatch,
+		TakenAt: time.Now(),
+		TopK:    top,
+		Stats: Stats{
+			Periods:      periods,
+			Merges:       p.merger.MergeCount(),
+			Tracker:      tstats,
+			TrackerTasks: p.cfg.TrackerTasks,
+			NotifyBatch:  p.cfg.NotifyBatch,
+		},
 	}
 	if s.TrackerTasks == 0 {
 		s.TrackerTasks = 1
@@ -210,7 +224,9 @@ func (p *Pipeline) Snapshot(k int) *Snapshot {
 	s.StageDocTrackerAccept = stageLatencyFrom(p.stages.DocTrackerAccept)
 
 	if p.trends != nil {
-		v := &TrendsView{Stats: p.trends.StatsSnapshot()}
+		st := p.trends.StatsSnapshot()
+		s.TrendStats = &st
+		v := &TrendsView{}
 		// Check the latest-period sentinel itself, not Scored: the first
 		// Observe bumps the scored counter before publishing its period.
 		if latest := p.trends.LatestPeriod(); latest != math.MinInt64 {
@@ -251,13 +267,12 @@ func stageLatencyFrom(h *telemetry.Histogram) StageLatency {
 
 // TrendsView is the Snapshot's rendering of the streaming trend detector:
 // the highest-scoring deviations of the newest period a deviation was
-// scored in, plus the detector's structural counters. LatestPeriod is 0
-// until the first event is scored (reporting periods start at 1), and Top
-// carries at most the detector's TrendTopK events (the maintained bound).
+// scored in. LatestPeriod is 0 until the first event is scored (reporting
+// periods start at 1), and Top carries at most the detector's TrendTopK
+// events (the maintained bound).
 type TrendsView struct {
 	LatestPeriod int64
 	Top          []trend.Event
-	Stats        trend.StreamStats
 }
 
 // Trends exposes the streaming trend detector (nil unless Config.Trend).

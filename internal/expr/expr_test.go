@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/quality"
 	"repro/internal/stream"
 	"repro/internal/twitgen"
 )
@@ -155,9 +155,9 @@ func TestFig3And4ShapeOnFastStream(t *testing.T) {
 }
 
 func TestDecimate(t *testing.T) {
-	pts := make([]metrics.Point, 100)
+	pts := make([]quality.Point, 100)
 	for i := range pts {
-		pts[i] = metrics.Point{X: float64(i)}
+		pts[i] = quality.Point{X: float64(i)}
 	}
 	out := decimate(pts, 10)
 	if len(out) != 10 {

@@ -5,8 +5,8 @@ import (
 	"sync"
 
 	"repro/internal/flight"
-	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/quality"
 	"repro/internal/storm"
 	"repro/internal/tagset"
 	"repro/internal/telemetry"
@@ -59,7 +59,7 @@ type DissemStats struct {
 	// CommSeries records the batch average communication over processed
 	// documents; LoadSeries records, per batch, the per-Calculator shares
 	// (sorted descending). Marks on CommSeries are repartition positions.
-	CommSeries metrics.Series
+	CommSeries quality.Series
 	LoadSeries []LoadSample
 }
 
@@ -81,7 +81,7 @@ func (s *DissemStats) Communication() float64 {
 
 // LoadGini returns the Gini coefficient of cumulative per-Calculator
 // notifications — the paper's Processing Load metric (Section 8.2.2).
-func (s *DissemStats) LoadGini() float64 { return metrics.GiniInts(s.PerCalculator) }
+func (s *DissemStats) LoadGini() float64 { return quality.GiniInts(s.PerCalculator) }
 
 // Disseminator forwards parsed documents to the Calculators holding their
 // tags (via an inverted tag index and direct grouping), requests Single
@@ -104,10 +104,9 @@ type Disseminator struct {
 	epoch     int
 	awaiting  bool // a repartition was requested and not yet installed
 
-	refAvgCom   float64
-	refMaxLoad  float64
-	hasRef      bool
-	calibrating bool // first batch after an install re-measures the refs
+	refAvgCom  float64
+	refMaxLoad float64
+	hasRef     bool
 
 	batchDocs  int64
 	batchMsgs  int64
@@ -143,7 +142,7 @@ func (d *Disseminator) SnapshotStats() DissemStats {
 	defer d.mu.Unlock()
 	s := d.Stats
 	s.PerCalculator = append([]int64(nil), d.Stats.PerCalculator...)
-	s.CommSeries = metrics.Series{}
+	s.CommSeries = quality.Series{}
 	s.LoadSeries = nil
 	return s
 }
@@ -159,7 +158,7 @@ func (d *Disseminator) Epoch() (epoch int, awaiting bool) {
 // QualityRefs returns the reference quality values the Disseminator
 // monitors against (ok=false before the first install) — checkpointed so
 // a restored Disseminator resumes degradation monitoring with the same
-// baseline instead of re-calibrating from scratch.
+// baseline.
 func (d *Disseminator) QualityRefs() (avgCom, maxLoad float64, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -187,7 +186,6 @@ func (d *Disseminator) RestorePartitions(epoch int, parts []partition.Partition,
 	d.refAvgCom = avgCom
 	d.refMaxLoad = maxLoad
 	d.hasRef = hasRef
-	d.calibrating = false
 	d.uncovered = make(map[tagset.Key]int)
 	d.pendingAdd = make(map[tagset.Key]bool)
 }
@@ -275,13 +273,13 @@ func (d *Disseminator) install(msg PartitionsMsg, out storm.Collector) {
 	d.awaiting = false
 	// The Merger's reference values are computed over the merged partials
 	// (whole partitions treated as tagsets) — the quality "as computed
-	// immediately after their creation" (Section 7.2). With CalibrateRefs
-	// they are instead re-measured from the first statistics batch over
-	// live traffic.
+	// immediately after their creation" (Section 7.2). They are optimistic
+	// for the set-cover algorithms (every merged pseudo-tagset is fully
+	// covered by its own partition) and therefore trip repartitions
+	// readily, matching the high repartition counts of Figure 6.
 	d.refAvgCom = msg.Quality.AvgCom
 	d.refMaxLoad = msg.Quality.MaxLoad
 	d.hasRef = true
-	d.calibrating = d.cfg.CalibrateRefs
 	d.resetBatch()
 	d.uncovered = make(map[tagset.Key]int)
 	d.pendingAdd = make(map[tagset.Key]bool)
@@ -406,7 +404,7 @@ func (d *Disseminator) subsetFor(s tagset.Set, c int) tagset.Set {
 // (1+thr) of its reference (Section 7.2).
 func (d *Disseminator) evaluateBatch(out storm.Collector) {
 	avgCom := float64(d.batchMsgs) / float64(d.batchDocs)
-	maxLoad := metrics.MaxShareInts(d.batchCalc)
+	maxLoad := quality.MaxShareInts(d.batchCalc)
 	x := float64(d.Stats.Docs)
 	if !d.cfg.NoSeries {
 		d.Stats.CommSeries.Record(x, avgCom)
@@ -424,11 +422,7 @@ func (d *Disseminator) evaluateBatch(out storm.Collector) {
 		d.Stats.LoadSeries = append(d.Stats.LoadSeries, LoadSample{X: x, Shares: shares})
 	}
 
-	if d.calibrating {
-		d.refAvgCom = avgCom
-		d.refMaxLoad = maxLoad
-		d.calibrating = false
-	} else if d.hasRef && !d.awaiting {
+	if d.hasRef && !d.awaiting {
 		commBad := avgCom > d.refAvgCom*(1+d.cfg.Thr)
 		loadBad := maxLoad > d.refMaxLoad*(1+d.cfg.Thr)
 		if commBad || loadBad {

@@ -238,15 +238,12 @@ type Config struct {
 	// intersection counter (0: default 5); TrendTopK bounds the maintained
 	// per-period top-trends heaps (0: default 64); TrendThreshold is the
 	// minimum score pushed to event subscribers (0 publishes every scored
-	// event); TrendShards is the detector's lock shard count (0: default
-	// 8); TrendTasks is the Trend operator's parallelism (0: default 1).
-	// The detector's per-period state obeys KeepPeriods like the Tracker.
+	// event). The detector's per-period state obeys KeepPeriods like the
+	// Tracker.
 	TrendAlpha      float64
 	TrendMinSupport int64
 	TrendTopK       int
 	TrendThreshold  float64
-	TrendShards     int
-	TrendTasks      int
 
 	// ArchiveDir enables the durability subsystem (internal/archive): the
 	// Tracker and the trend detector stream accepted state into per-period
@@ -285,15 +282,6 @@ type Config struct {
 	// operational events (repartitions, retention prunes). nil — the
 	// default — records nothing; every recording call is nil-safe.
 	Flight *flight.Recorder //vet:ok configparity -- optional observability sink; nil and any non-nil recorder are valid
-
-	// CalibrateRefs replaces the Merger's partition-level reference
-	// quality with the first statistics batch measured on live traffic
-	// after each install. The paper's design (and the default) uses the
-	// Merger's values, which are optimistic for the set-cover algorithms —
-	// every merged pseudo-tagset is fully covered by its own partition —
-	// and therefore trip repartitions readily, matching the high
-	// repartition counts of Figure 6.
-	CalibrateRefs bool //vet:ok configparity -- free toggle; both values are valid
 }
 
 // DefaultConfig returns the paper's default parameter setting: P=10, k=10,
@@ -367,10 +355,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("operators: trendTopK = %d", c.TrendTopK)
 	case c.TrendThreshold < 0 || c.TrendThreshold > 1 || math.IsNaN(c.TrendThreshold):
 		return fmt.Errorf("operators: trendThreshold = %g", c.TrendThreshold)
-	case c.TrendShards < 0:
-		return fmt.Errorf("operators: trendShards = %d", c.TrendShards)
-	case c.TrendTasks < 0:
-		return fmt.Errorf("operators: trendTasks = %d", c.TrendTasks)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("operators: checkpointEvery = %d", c.CheckpointEvery)
 	case c.CheckpointEvery > 0 && c.ArchiveDir == "":
@@ -398,7 +382,6 @@ func (c Config) TrendStreamConfig() trend.StreamConfig {
 		MaxTracked:  1 << 18,
 		TopK:        c.TrendTopK,
 		Threshold:   c.TrendThreshold,
-		Shards:      c.TrendShards,
 		KeepPeriods: c.KeepPeriods,
 	}
 	if sc.Alpha == 0 {

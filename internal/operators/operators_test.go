@@ -80,8 +80,6 @@ func TestConfigValidate(t *testing.T) {
 		{"NaN thr", func(c *Config) { c.Thr = math.NaN() }, false},
 		{"NaN trendAlpha", func(c *Config) { c.TrendAlpha = math.NaN() }, false},
 		{"NaN trendThreshold", func(c *Config) { c.TrendThreshold = math.NaN() }, false},
-		{"negative trendShards", func(c *Config) { c.TrendShards = -1 }, false},
-		{"negative trendTasks", func(c *Config) { c.TrendTasks = -1 }, false},
 		{"negative checkpointEvery", func(c *Config) { c.CheckpointEvery = -1 }, false},
 
 		// Cross-field combinations: each knob is in range on its own, but
@@ -128,7 +126,6 @@ func TestConfigValidate(t *testing.T) {
 		{"defaulted zeros", func(c *Config) {
 			c.TrackerShards = 0
 			c.TrackerTasks = 0
-			c.TrendShards = 0
 			c.CheckpointEvery = 0
 		}, true},
 	}
@@ -535,13 +532,13 @@ func TestDisseminatorQualityTriggersRepartition(t *testing.T) {
 		partition.Partition{Tags: tagset.New(1)},
 		partition.Partition{Tags: tagset.New(2)},
 	)
-	// First batch: balanced docs alternating between the calculators set
-	// the measured reference (calibration): avgCom'=1, maxLoad'=0.5.
+	// First batch: balanced docs alternating between the calculators
+	// measure exactly the reference: avgCom'=1, maxLoad'=0.5.
 	for i := 0; i < 10; i++ {
 		d.Execute(docTuple(stream.Millis(i), tagset.Tag(1+i%2)), out)
 	}
 	if len(out.byStream(StreamRepartition)) != 0 {
-		t.Fatal("calibration batch triggered a repartition")
+		t.Fatal("a batch at the reference quality triggered a repartition")
 	}
 	// Second batch: every doc touches both calculators: avgCom'=2 > 1*1.5
 	// while maxLoad'=0.5 stays fine → communication-caused repartition.

@@ -458,25 +458,27 @@ func (tr *Tracker) Counts() (received, duplicates int64) {
 
 // TrackerStats is a point-in-time view of the Tracker's internal structure
 // (shards, maintained heaps, retention, evicted LRU), exposed through
-// Pipeline.Snapshot and the /stats endpoint.
+// Pipeline.Snapshot; the json tags are its /stats rendering ("tracker").
 type TrackerStats struct {
-	Shards    int // shard count
-	TopKBound int // per-shard incremental top-k bound
+	Shards    int `json:"shards"`     // shard count
+	TopKBound int `json:"topk_bound"` // per-shard incremental top-k bound
 
-	Retained        int   // retained coefficients across all shards
-	RetainedPeriods int   // retained period count
-	HeapEntries     int   // entries currently held in the shard heaps
-	Rebuilds        int64 // heap rebuilds (prunes, demotions, bound changes)
-	PrunedPeriods   int64 // periods evicted by retention so far
+	Retained        int   `json:"retained_coefficients"` // retained coefficients across all shards
+	RetainedPeriods int   `json:"retained_periods"`      // retained period count
+	HeapEntries     int   `json:"heap_entries"`          // entries currently held in the shard heaps
+	Rebuilds        int64 `json:"heap_rebuilds"`         // heap rebuilds (prunes, demotions, bound changes)
+	PrunedPeriods   int64 `json:"pruned_periods"`        // periods evicted by retention so far
 
-	EvictedLen    int   // pairs currently in the evicted LRU
-	EvictedCap    int   // LRU capacity (0: disabled)
-	EvictedHits   int64 // lookups answered from the LRU
-	EvictedMisses int64 // LRU lookups that found nothing
+	EvictedLen    int   `json:"evicted_pairs"`       // pairs currently in the evicted LRU
+	EvictedCap    int   `json:"evicted_pairs_cap"`   // LRU capacity (0: disabled)
+	EvictedHits   int64 `json:"evicted_pair_hits"`   // lookups answered from the LRU
+	EvictedMisses int64 `json:"evicted_pair_misses"` // LRU lookups that found nothing
 
-	Received   int64
-	Duplicates int64
-	Late       int64
+	// Received and Duplicates are on /stats' top level, as
+	// coefficients_received and coefficients_duplicate.
+	Received   int64 `json:"-"`
+	Duplicates int64 `json:"-"`
+	Late       int64 `json:"late_reports"`
 }
 
 // StatsSnapshot gathers the structural counters under the shard locks.

@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/metrics"
+	"repro/internal/quality"
 	"repro/internal/stream"
 	"repro/internal/tagset"
 )
@@ -259,8 +259,8 @@ func Evaluate(r *Result, sets []stream.WeightedSet) Quality {
 	if notified > 0 {
 		q.AvgCom = float64(totalMsgs) / float64(notified)
 	}
-	q.MaxLoad = metrics.MaxShareInts(perPart)
-	q.Gini = metrics.GiniInts(perPart)
+	q.MaxLoad = quality.MaxShareInts(perPart)
+	q.Gini = quality.GiniInts(perPart)
 	if total > 0 {
 		q.Coverage = float64(covered) / float64(total)
 	}

@@ -1,4 +1,4 @@
-package metrics
+package quality
 
 import (
 	"math"
@@ -10,14 +10,14 @@ import (
 func approx(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestGiniBalanced(t *testing.T) {
-	if g := Gini([]float64{5, 5, 5, 5}); !approx(g, 0, 1e-12) {
+	if g := gini([]float64{5, 5, 5, 5}); !approx(g, 0, 1e-12) {
 		t.Errorf("Gini balanced = %g, want 0", g)
 	}
 }
 
 func TestGiniAllOnOne(t *testing.T) {
 	// One node has everything: G = 1 - 1/n.
-	g := Gini([]float64{0, 0, 0, 10})
+	g := gini([]float64{0, 0, 0, 10})
 	if !approx(g, 0.75, 1e-12) {
 		t.Errorf("Gini = %g, want 0.75", g)
 	}
@@ -26,17 +26,17 @@ func TestGiniAllOnOne(t *testing.T) {
 func TestGiniKnownValue(t *testing.T) {
 	// {1,3}: mean abs diff = 2, mean = 2, G = 2/(2*2*2) ... use direct formula:
 	// G for {1,3} = (2*(1*1+2*3))/(2*4) - 3/2 = 14/8 - 1.5 = 0.25.
-	if g := Gini([]float64{1, 3}); !approx(g, 0.25, 1e-12) {
-		t.Errorf("Gini({1,3}) = %g, want 0.25", g)
+	if g := gini([]float64{1, 3}); !approx(g, 0.25, 1e-12) {
+		t.Errorf("gini({1,3}) = %g, want 0.25", g)
 	}
 }
 
 func TestGiniEdgeCases(t *testing.T) {
-	if Gini(nil) != 0 {
-		t.Error("Gini(nil) != 0")
+	if gini(nil) != 0 {
+		t.Error("gini(nil) != 0")
 	}
-	if Gini([]float64{0, 0}) != 0 {
-		t.Error("Gini(zeros) != 0")
+	if gini([]float64{0, 0}) != 0 {
+		t.Error("gini(zeros) != 0")
 	}
 	if g := GiniInts([]int64{1, 3}); !approx(g, 0.25, 1e-12) {
 		t.Errorf("GiniInts = %g", g)
@@ -50,13 +50,13 @@ func TestGiniScaleInvariant(t *testing.T) {
 		for j := range vals {
 			vals[j] = r.Float64() * 100
 		}
-		g1 := Gini(vals)
+		g1 := gini(vals)
 		scaled := make([]float64, len(vals))
 		for j := range vals {
 			scaled[j] = vals[j] * 7.5
 		}
-		if !approx(g1, Gini(scaled), 1e-9) {
-			t.Fatalf("Gini not scale invariant: %g vs %g", g1, Gini(scaled))
+		if !approx(g1, gini(scaled), 1e-9) {
+			t.Fatalf("Gini not scale invariant: %g vs %g", g1, gini(scaled))
 		}
 		if g1 < 0 || g1 >= 1 {
 			t.Fatalf("Gini out of range: %g", g1)
@@ -64,66 +64,15 @@ func TestGiniScaleInvariant(t *testing.T) {
 	}
 }
 
-func TestLorenz(t *testing.T) {
-	l := Lorenz([]float64{1, 1, 2})
-	want := []float64{0.25, 0.5, 1}
-	for i := range want {
-		if !approx(l[i], want[i], 1e-12) {
-			t.Fatalf("Lorenz = %v, want %v", l, want)
-		}
-	}
-	if Lorenz(nil) != nil {
-		t.Error("Lorenz(nil) != nil")
-	}
-}
-
-func TestMeanVariance(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); !approx(m, 2, 1e-12) {
-		t.Errorf("Mean = %g", m)
-	}
-	if v := Variance([]float64{1, 2, 3}); !approx(v, 2.0/3.0, 1e-12) {
-		t.Errorf("Variance = %g", v)
-	}
-	if Mean(nil) != 0 || Variance([]float64{5}) != 0 {
-		t.Error("edge cases wrong")
-	}
-}
-
 func TestMaxShare(t *testing.T) {
-	if s := MaxShare([]float64{1, 1, 2}); !approx(s, 0.5, 1e-12) {
+	if s := maxShare([]float64{1, 1, 2}); !approx(s, 0.5, 1e-12) {
 		t.Errorf("MaxShare = %g, want 0.5", s)
 	}
-	if MaxShare([]float64{0, 0}) != 0 {
+	if maxShare([]float64{0, 0}) != 0 {
 		t.Error("MaxShare zeros != 0")
 	}
 	if s := MaxShareInts([]int64{3, 1}); !approx(s, 0.75, 1e-12) {
 		t.Errorf("MaxShareInts = %g", s)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	vals := make([]float64, 1000)
-	var w Welford
-	for i := range vals {
-		vals[i] = r.NormFloat64()*3 + 10
-		w.Add(vals[i])
-	}
-	if !approx(w.Mean(), Mean(vals), 1e-9) {
-		t.Errorf("Welford mean %g vs batch %g", w.Mean(), Mean(vals))
-	}
-	if !approx(w.Variance(), Variance(vals), 1e-9) {
-		t.Errorf("Welford var %g vs batch %g", w.Variance(), Variance(vals))
-	}
-	if w.N() != 1000 {
-		t.Errorf("N = %d", w.N())
-	}
-	if !approx(w.Stddev()*w.Stddev(), w.Variance(), 1e-9) {
-		t.Error("Stddev inconsistent")
-	}
-	w.Reset()
-	if w.N() != 0 || w.Mean() != 0 {
-		t.Error("Reset incomplete")
 	}
 }
 
@@ -139,14 +88,11 @@ func TestSeries(t *testing.T) {
 	if !approx(s.MeanY(), 12, 1e-12) {
 		t.Errorf("MeanY = %g", s.MeanY())
 	}
-	if s.MinY() != 6 || s.MaxY() != 20 {
-		t.Errorf("MinY/MaxY = %g/%g", s.MinY(), s.MaxY())
-	}
 	if len(s.Marks) != 1 || s.Marks[0] != 2.5 {
 		t.Errorf("Marks = %v", s.Marks)
 	}
 	var empty Series
-	if empty.MeanY() != 0 || empty.MinY() != 0 || empty.MaxY() != 0 {
+	if empty.MeanY() != 0 {
 		t.Error("empty series stats wrong")
 	}
 }
@@ -159,7 +105,7 @@ func TestQuickGiniBounds(t *testing.T) {
 		for i, v := range raw {
 			vals[i] = float64(v)
 		}
-		g := Gini(vals)
+		g := gini(vals)
 		if g < 0 || g >= 1 {
 			return false
 		}
@@ -168,7 +114,7 @@ func TestQuickGiniBounds(t *testing.T) {
 		for i := range vals {
 			scaled[i] = vals[i] * s
 		}
-		return math.Abs(Gini(scaled)-g) < 1e-9
+		return math.Abs(gini(scaled)-g) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -188,7 +134,7 @@ func TestQuickMaxShare(t *testing.T) {
 			vals[i] = float64(v)
 			total += vals[i]
 		}
-		s := MaxShare(vals)
+		s := maxShare(vals)
 		if total == 0 {
 			return s == 0
 		}

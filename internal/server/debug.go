@@ -17,6 +17,11 @@ import (
 	"repro/internal/telemetry"
 )
 
+// checkpointOverdueAfter: the checkpoint_overdue verdict fires when an
+// archiving pipeline has not completed a checkpoint for this long while
+// running.
+const checkpointOverdueAfter = 2 * time.Minute
+
 // watchdogChecks builds the standard stall probes over the pipeline's
 // existing counters. Every probe is cheap (atomic loads, the cached
 // snapshot) and runs on the watchdog goroutine.
@@ -84,10 +89,10 @@ func (s *Server) watchdogChecks() []flight.Check {
 					// pipeline that never checkpoints still trips.
 					age = time.Since(s.started)
 				}
-				if age <= s.cfg.CheckpointOverdueAfter {
+				if age <= checkpointOverdueAfter {
 					return false, ""
 				}
-				return true, fmt.Sprintf("last checkpoint %s ago (threshold %s)", age.Round(time.Second), s.cfg.CheckpointOverdueAfter)
+				return true, fmt.Sprintf("last checkpoint %s ago (threshold %s)", age.Round(time.Second), checkpointOverdueAfter)
 			},
 		},
 		{

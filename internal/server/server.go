@@ -101,10 +101,6 @@ type Config struct {
 	// snapshot's age exceeds this while the run is live. Default
 	// max(10s, 4×Refresh).
 	SnapshotStaleAfter time.Duration
-	// CheckpointOverdueAfter: the checkpoint_overdue verdict fires when an
-	// archiving pipeline has not completed a checkpoint for this long
-	// while running. Default 2m.
-	CheckpointOverdueAfter time.Duration
 	// LogRequests emits one slog debug line per HTTP request (route
 	// pattern, status, latency) through the statusWriter middleware.
 	LogRequests bool
@@ -132,9 +128,6 @@ func (c Config) withDefaults() Config {
 		if v := 4 * c.Refresh; v > c.SnapshotStaleAfter {
 			c.SnapshotStaleAfter = v
 		}
-	}
-	if c.CheckpointOverdueAfter <= 0 {
-		c.CheckpointOverdueAfter = 2 * time.Minute
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()

@@ -153,7 +153,14 @@ func checkRendered(t *testing.T, srv *Server) {
 			srv.trendsResponse(cur.snap, det, min(k, topK, det.Config().TopK)))
 	}
 	equal("/partition", new(PartitionResponse), srv.partitionResponse(cur.snap))
-	equal("/stats", new(StatsResponse), StatsResponse{SnapshotAgeMS: 7, statsStatic: buildStatsStatic(cur.snap, cur.rss)})
+	// The Tracker's intake counters are served once, at the top level.
+	stats := cur.snap.Stats
+	if stats.CoefficientsReceived != stats.Tracker.Received || stats.CoefficientsDuplicate != stats.Tracker.Duplicates {
+		t.Errorf("snapshot intake counters %d/%d differ from the Tracker's %d/%d",
+			stats.CoefficientsReceived, stats.CoefficientsDuplicate, stats.Tracker.Received, stats.Tracker.Duplicates)
+	}
+	stats.Tracker.Received, stats.Tracker.Duplicates = 0, 0
+	equal("/stats", new(StatsResponse), StatsResponse{SnapshotAgeMS: 7, statsBody: statsBody{cur.rss, stats}})
 
 	if srv.cur.Load() != cur {
 		t.Fatal("the snapshot was swapped under the differential")

@@ -82,8 +82,8 @@ func TestStatsSnapshotAge(t *testing.T) {
 			fresh.SnapshotAgeMS, aged.SnapshotAgeMS)
 	}
 
-	// The durability and process gauges the loadgen sampler scrapes ride
-	// the same payload: absent subsystems read zero, never negative.
+	// The durability and process gauges ride the same payload: absent
+	// subsystems read zero, never negative.
 	if fresh.Checkpoints < 0 || fresh.CheckpointStallMS < 0 {
 		t.Fatalf("negative durability counters: %d ckpts, %d ms stall",
 			fresh.Checkpoints, fresh.CheckpointStallMS)

@@ -192,11 +192,11 @@ func TestTrendLiveService(t *testing.T) {
 	// The final /stats exposes the detector's structure.
 	var stats StatsResponse
 	getJSON(t, ts.Client(), ts.URL+"/stats", &stats)
-	if stats.Trends == nil {
+	if stats.TrendStats == nil {
 		t.Fatal("/stats has no trends section with the detector enabled")
 	}
-	if stats.Trends.Scored < 1 || stats.Trends.Tracked < 1 {
-		t.Errorf("final trend stats = %+v", stats.Trends)
+	if stats.TrendStats.Scored < 1 || stats.TrendStats.Tracked < 1 {
+		t.Errorf("final trend stats = %+v", stats.TrendStats)
 	}
 }
 
@@ -239,7 +239,7 @@ func TestTrendEndpointsDisabled(t *testing.T) {
 	// /stats omits the trends section.
 	var stats StatsResponse
 	getJSON(t, ts.Client(), ts.URL+"/stats", &stats)
-	if stats.Trends != nil {
-		t.Errorf("stats.Trends = %+v without the detector", stats.Trends)
+	if stats.TrendStats != nil {
+		t.Errorf("stats.TrendStats = %+v without the detector", stats.TrendStats)
 	}
 }

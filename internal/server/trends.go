@@ -89,9 +89,9 @@ func (s *Server) trendsResponse(snap *core.Snapshot, det *trend.Stream, k int) T
 		LatestPeriod: v.LatestPeriod,
 		K:            k,
 		Top:          make([]TrendEvent, len(top)),
-		Tracked:      v.Stats.Tracked,
-		Scored:       v.Stats.Scored,
-		Published:    v.Stats.Published,
+		Tracked:      snap.TrendStats.Tracked,
+		Scored:       snap.TrendStats.Scored,
+		Published:    snap.TrendStats.Published,
 		Threshold:    det.Config().Threshold,
 	}
 	for i, e := range top {

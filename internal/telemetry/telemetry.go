@@ -2,7 +2,7 @@
 // zero-dependency metrics registry (atomic counters, callback gauges, and
 // concurrent log-bucketed latency histograms) with Prometheus text-format
 // exposition (text/plain; version=0.0.4) and a matching parser for tests
-// and the load harness.
+// and cmd/promcheck.
 //
 // Naming convention: tagcorr_<subsystem>_<name>_<unit>, e.g.
 // tagcorr_tracker_heap_entries or tagcorr_stage_doc_coefficient_seconds.

@@ -92,25 +92,26 @@ type PredictorState struct {
 }
 
 // StreamStats is a point-in-time view of the streaming detector's internal
-// structure, exposed through core.Snapshot and /stats-style surfaces.
+// structure, exposed through core.Snapshot; the json tags are its /stats
+// rendering ("trends").
 type StreamStats struct {
-	Shards    int // lock shard count
-	TopKBound int // per-period maintained heap bound
+	Shards    int `json:"shards"`     // lock shard count
+	TopKBound int `json:"topk_bound"` // per-period maintained heap bound
 
-	Tracked         int   // live predictors across all shards
-	RetainedPeriods int   // periods with live trend state
-	HeapEntries     int   // entries currently held across the period heaps
-	Rebuilds        int64 // heap rebuilds (demotions while entries excluded)
-	PrunedPeriods   int64 // periods evicted by KeepPeriods so far
+	Tracked         int   `json:"tracked_predictors"` // live predictors across all shards
+	RetainedPeriods int   `json:"retained_periods"`   // periods with live trend state
+	HeapEntries     int   `json:"heap_entries"`       // entries currently held across the period heaps
+	Rebuilds        int64 `json:"heap_rebuilds"`      // heap rebuilds (demotions while entries excluded)
+	PrunedPeriods   int64 `json:"pruned_periods"`     // periods evicted by KeepPeriods so far
 
-	Scored     int64 // deviation events scored (including corrections)
-	Filtered   int64 // observations below MinSupport
-	OutOfOrder int64 // observations older than their predictor's period
-	Late       int64 // observations for periods already pruned by retention
-	Published  int64 // events delivered to at least one subscriber
-	Dropped    int64 // per-subscriber deliveries lost to full buffers
+	Scored     int64 `json:"events_scored"`    // deviation events scored (including corrections)
+	Filtered   int64 `json:"filtered"`         // observations below MinSupport
+	OutOfOrder int64 `json:"out_of_order"`     // observations older than their predictor's period
+	Late       int64 `json:"late"`             // observations for periods already pruned by retention
+	Published  int64 `json:"events_published"` // events delivered to at least one subscriber
+	Dropped    int64 `json:"subscriber_drops"` // per-subscriber deliveries lost to full buffers
 
-	Subscribers int // live event subscribers
+	Subscribers int `json:"subscribers"` // live event subscribers
 }
 
 // Stream is the concurrent streaming detector: the same EWMA scoring as the
