@@ -84,7 +84,7 @@ func main() {
 
 	// Confirm the burst pairs got coefficients after their Single Addition.
 	found := 0
-	for _, c := range res.Coefficients {
+	for _, c := range res.Coefficients() {
 		if c.Tags.Len() >= 2 && dict.String(c.Tags[0])[:2] == "br" {
 			found++
 		}

@@ -48,7 +48,7 @@ func main() {
 	// Print the ten strongest pairwise correlations with enough support.
 	fmt.Println("top correlated tag pairs (J = |docs with all| / |docs with any|):")
 	shown := 0
-	for _, c := range res.Coefficients {
+	for _, c := range res.Coefficients() {
 		if c.Tags.Len() != 2 || c.CN < 25 {
 			continue
 		}

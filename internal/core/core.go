@@ -9,7 +9,7 @@
 //	cfg.Algorithm = partition.DS
 //	p, err := core.NewPipeline(cfg, core.GeneratorSource(gen, 100000))
 //	res := p.Run()
-//	for _, c := range res.Coefficients { ... }
+//	for _, c := range res.Coefficients() { ... }
 package core
 
 import (
@@ -267,6 +267,9 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 		if p.arch != nil {
 			det.SetArchive(p.arch)
 		}
+		// One Trend task: the Tracker reads the task count from the
+		// topology and emits each accepted batch as a single, unsplit
+		// TrendBatch (TrendKey reads its Route).
 		b.Bolt("trend", func() storm.Bolt {
 			tb := operators.NewTrend(det)
 			tb.SetFlight(cfg.Flight)
@@ -351,10 +354,6 @@ func (p *Pipeline) archiveSafeBelow() int64 {
 
 // Result summarises one pipeline run.
 type Result struct {
-	// Coefficients are the Tracker's deduplicated Jaccard reports across
-	// all reporting periods.
-	Coefficients []jaccard.Coefficient
-
 	// Communication is the run-average notifications per notified document
 	// (Figure 3); LoadGini the Gini coefficient of cumulative per-
 	// Calculator notifications (Figure 4).
@@ -383,6 +382,12 @@ type Result struct {
 	Storm   *storm.Stats
 }
 
+// Coefficients returns the Tracker's deduplicated Jaccard reports across
+// all retained reporting periods, period by period. It gathers, copies and
+// sorts them on every call (Tracker.All) — a drain that nobody asks pays
+// nothing for it.
+func (r *Result) Coefficients() []jaccard.Coefficient { return r.Tracker.All() }
+
 // Run executes the pipeline on the deterministic sequential executor and
 // gathers the results. The pipeline is single-use: Run, RunConcurrent and
 // Start are mutually exclusive and may be invoked at most once in total.
@@ -407,10 +412,9 @@ func (p *Pipeline) collect(st *storm.Stats) *Result {
 	// segment files (no-op without Config.ArchiveDir).
 	p.finishArchive()
 	r := &Result{
-		Coefficients: p.tracker.All(),
-		Merges:       p.merger.Merges,
-		Tracker:      p.tracker,
-		Storm:        st,
+		Merges:  p.merger.Merges,
+		Tracker: p.tracker,
+		Storm:   st,
 	}
 	// Aggregate the notification quantities across every Disseminator
 	// instance before deriving the headline metrics: with

@@ -71,10 +71,10 @@ func TestPipelineEndToEnd(t *testing.T) {
 			if res.DocsBeforeInstall <= 0 || res.DocsBeforeInstall >= res.DocsProcessed {
 				t.Errorf("bootstrap consumed %d of %d docs", res.DocsBeforeInstall, res.DocsProcessed)
 			}
-			if len(res.Coefficients) == 0 {
+			if len(res.Coefficients()) == 0 {
 				t.Fatal("no Jaccard coefficients reported")
 			}
-			for _, c := range res.Coefficients {
+			for _, c := range res.Coefficients() {
 				if c.J < 0 || c.J > 1 {
 					t.Fatalf("coefficient out of range: %+v", c)
 				}
@@ -109,8 +109,8 @@ func TestPipelineDeterministic(t *testing.T) {
 		t.Errorf("metrics diverged: %g/%g vs %g/%g",
 			a.Communication, a.LoadGini, b.Communication, b.LoadGini)
 	}
-	if len(a.Coefficients) != len(b.Coefficients) {
-		t.Errorf("coefficients %d vs %d", len(a.Coefficients), len(b.Coefficients))
+	if na, nb := len(a.Coefficients()), len(b.Coefficients()); na != nb {
+		t.Errorf("coefficients %d vs %d", na, nb)
 	}
 	if a.Repartitions != b.Repartitions || a.SingleAdditions != b.SingleAdditions {
 		t.Errorf("dynamics diverged: %d/%d vs %d/%d",
@@ -135,7 +135,7 @@ func TestPipelineConcurrentMatchesTotals(t *testing.T) {
 	if cres.DocsProcessed != sres.DocsProcessed {
 		t.Errorf("docs: %d vs %d", cres.DocsProcessed, sres.DocsProcessed)
 	}
-	if cres.Merges < 1 || len(cres.Coefficients) == 0 {
+	if cres.Merges < 1 || len(cres.Coefficients()) == 0 {
 		t.Error("concurrent run produced no results")
 	}
 	if cres.Dissem.Notifications == 0 {
@@ -144,9 +144,9 @@ func TestPipelineConcurrentMatchesTotals(t *testing.T) {
 	// Scheduling shifts when the first partitions install (and therefore
 	// how much of the stream is disseminated), so coefficient counts vary
 	// widely run to run; require the same order of magnitude only.
-	ratio := float64(len(cres.Coefficients)) / float64(len(sres.Coefficients))
-	if ratio < 0.1 || ratio > 10 {
-		t.Errorf("coefficient counts diverged: %d vs %d", len(cres.Coefficients), len(sres.Coefficients))
+	nc, ns := len(cres.Coefficients()), len(sres.Coefficients())
+	if ratio := float64(nc) / float64(ns); ratio < 0.1 || ratio > 10 {
+		t.Errorf("coefficient counts diverged: %d vs %d", nc, ns)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestPipelineAccuracy(t *testing.T) {
 		}
 	}
 	reported := make(map[tagset.Key]struct{})
-	for _, c := range res.Coefficients {
+	for _, c := range res.Coefficients() {
 		reported[c.Tags.Key()] = struct{}{}
 	}
 	var frequent, hit int
@@ -274,7 +274,7 @@ func TestPipelineMultipleDisseminators(t *testing.T) {
 	if res.Merges < 1 {
 		t.Fatal("no merges with two disseminators")
 	}
-	if len(res.Coefficients) == 0 {
+	if len(res.Coefficients()) == 0 {
 		t.Fatal("no coefficients with two disseminators")
 	}
 	ds := pipe.Disseminators()
@@ -313,17 +313,19 @@ func TestPipelineFanoutSequentialExact(t *testing.T) {
 		return pipe.Run()
 	}
 	base := run(1, 0)
-	if len(base.Coefficients) == 0 {
+	baseCoeffs := base.Coefficients()
+	if len(baseCoeffs) == 0 {
 		t.Fatal("baseline run reported no coefficients")
 	}
 	for _, v := range []struct{ tasks, batch int }{{4, 0}, {1, 64}, {4, 64}} {
 		res := run(v.tasks, v.batch)
-		if len(res.Coefficients) != len(base.Coefficients) {
+		resCoeffs := res.Coefficients()
+		if len(resCoeffs) != len(baseCoeffs) {
 			t.Fatalf("tasks=%d batch=%d: %d coefficients, baseline %d",
-				v.tasks, v.batch, len(res.Coefficients), len(base.Coefficients))
+				v.tasks, v.batch, len(resCoeffs), len(baseCoeffs))
 		}
-		for i := range base.Coefficients {
-			a, b := res.Coefficients[i], base.Coefficients[i]
+		for i := range baseCoeffs {
+			a, b := resCoeffs[i], baseCoeffs[i]
 			if a.J != b.J || a.CN != b.CN || a.Tags.Key() != b.Tags.Key() {
 				t.Fatalf("tasks=%d batch=%d: coefficient %d = %+v, baseline %+v",
 					v.tasks, v.batch, i, a, b)
@@ -360,7 +362,7 @@ func TestPipelineConcurrentFanout(t *testing.T) {
 	if res.DocsProcessed != 20000 {
 		t.Errorf("docs processed = %d", res.DocsProcessed)
 	}
-	if len(res.Coefficients) == 0 {
+	if len(res.Coefficients()) == 0 {
 		t.Fatal("no coefficients with fan-out enabled")
 	}
 	if received, _ := res.Tracker.Counts(); received == 0 {
@@ -444,7 +446,7 @@ func TestPipelineAutoScale(t *testing.T) {
 	if active != 1 {
 		t.Errorf("active calculators = %d, want 1 under auto-scaling", active)
 	}
-	if len(res.Coefficients) == 0 {
+	if len(res.Coefficients()) == 0 {
 		t.Error("auto-scaled pipeline produced no coefficients")
 	}
 }

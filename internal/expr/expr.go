@@ -246,7 +246,7 @@ func (s *Suite) accuracy(cfg core.Config, docs []stream.Document, res *core.Resu
 		}
 	}
 	reported := make(map[tagset.Key]struct{})
-	for _, c := range res.Coefficients {
+	for _, c := range res.Coefficients() {
 		reported[c.Tags.Key()] = struct{}{}
 	}
 	var frequent, hit int

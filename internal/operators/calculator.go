@@ -114,23 +114,7 @@ func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 			CoeffBatch{Period: period, Coeffs: coeffs, Ingest: ingest, Trace: trace},
 		}})
 	default:
-		// A counting pass sizes every sub-batch exactly, so none is grown
-		// by append.
-		route := make([]uint32, len(coeffs))
-		sizes := make([]int, c.trackerTasks)
-		for i, co := range coeffs {
-			g := routeHashSet(co.Tags) % uint64(c.trackerTasks)
-			route[i] = uint32(g)
-			sizes[g]++
-		}
-		parts := make([][]jaccard.Coefficient, c.trackerTasks)
-		for g, n := range sizes {
-			parts[g] = make([]jaccard.Coefficient, 0, n)
-		}
-		for i, co := range coeffs {
-			parts[route[i]] = append(parts[route[i]], co)
-		}
-		for g, part := range parts {
+		for g, part := range splitByRoute(coeffs, c.trackerTasks) {
 			if len(part) == 0 {
 				continue
 			}

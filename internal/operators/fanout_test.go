@@ -205,23 +205,36 @@ func TestTrackerFanoutDifferential(t *testing.T) {
 }
 
 // TestCoeffKeyRoutesBatchesAndSinglesAlike pins the routing contract: a
-// single-coefficient CoeffMsg must land on the same Tracker task as any
-// sub-batch carrying its tagset, for any task count.
+// batch of one, routed by its tagset's own hash, must land on the same
+// Tracker task as the Calculator's sub-batch carrying that tagset, for any
+// task count.
 func TestCoeffKeyRoutesBatchesAndSinglesAlike(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, tasks := range []uint64{2, 4, 8} {
+	for _, tasks := range []int{2, 4, 8} {
 		for i := 0; i < 200; i++ {
 			a := tagset.Tag(rng.Intn(100))
 			set := tagset.New(a, a+1+tagset.Tag(rng.Intn(5)))
 			c := jaccard.Coefficient{Tags: set, J: 0.5, CN: 3}
-			single := storm.Tuple{Stream: StreamCoeff, Values: []interface{}{CoeffMsg{Period: 1, Coeff: c}}}
-			g := routeHash(set.Key()) % tasks
-			batch := storm.Tuple{Stream: StreamCoeff, Values: []interface{}{CoeffBatch{
-				Period: 1, Route: g, Coeffs: []jaccard.Coefficient{c},
+			single := storm.Tuple{Stream: StreamCoeff, Values: []interface{}{CoeffBatch{
+				Period: 1, Route: routeHash(set.Key()) % uint64(tasks), Coeffs: []jaccard.Coefficient{c},
 			}}}
-			if CoeffKey(single)%tasks != CoeffKey(batch)%tasks {
-				t.Fatalf("tasks=%d: %v routes single to %d, batch to %d",
-					tasks, set, CoeffKey(single)%tasks, CoeffKey(batch)%tasks)
+			// The sub-batch of a flush that also holds other tagsets.
+			flush := []jaccard.Coefficient{c}
+			for j := 0; j < 8; j++ {
+				b := tagset.Tag(rng.Intn(100))
+				flush = append(flush, jaccard.Coefficient{Tags: tagset.New(b, b+7), J: 0.1, CN: 1})
+			}
+			for g, part := range splitByRoute(flush, tasks) {
+				if len(part) == 0 || !part[0].Tags.Equal(set) {
+					continue
+				}
+				batch := storm.Tuple{Stream: StreamCoeff, Values: []interface{}{CoeffBatch{
+					Period: 1, Route: uint64(g), Coeffs: part,
+				}}}
+				if CoeffKey(single) != CoeffKey(batch) {
+					t.Fatalf("tasks=%d: %v routes single to %d, batch to %d",
+						tasks, set, CoeffKey(single), CoeffKey(batch))
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@
 //	 Disseminator ─all→ Partitioner (repartition requests)
 //	 Disseminator ─→ Merger (Single-Addition requests)
 //	 Merger ─all→ Disseminator (partitions, Single-Addition results)
+//	 Tracker ─fields(route)→ Trend (accepted reports; Config.Trend only)
 //
 // Tuples carry one typed message in Values[0]; the Stream field names the
 // logical stream.
@@ -107,14 +108,6 @@ type NotifyBatch struct {
 	Msgs []NotifyMsg
 }
 
-// CoeffMsg is a reported Jaccard coefficient with its reporting period.
-// The pipeline's hot path ships CoeffBatch tuples; the Tracker accepts the
-// single-coefficient form too (tests and ad-hoc feeds).
-type CoeffMsg struct {
-	Period int64
-	Coeff  jaccard.Coefficient
-}
-
 // CoeffBatch is one Calculator's report for one period: a single tuple
 // carrying a coefficient slice, so a flush of n coefficients costs one
 // emission and one Tracker mailbox delivery instead of n. With Tracker
@@ -135,13 +128,17 @@ type CoeffBatch struct {
 	Trace uint64
 }
 
-// TrendMsg is one deduplicated coefficient acceptance, emitted by the
-// Tracker towards the Trend operator: a fresh (period, tagset) report or a
-// CN upgrade of an existing one. The stream therefore carries exactly the
-// values the Tracker's tables converge to.
-type TrendMsg struct {
+// TrendBatch carries the reports of one CoeffBatch that changed the
+// Tracker's tables — fresh (period, tagset) values and CN upgrades, in
+// arrival order — towards the Trend operator, so the stream carries exactly
+// the values the tables converge to at one tuple per ingested batch. With
+// Trend parallelism > 1 the Tracker splits the accepted reports by
+// tagset-key hash the way Calculator.flush splits a period, and Route
+// carries the destination task index for TrendKey.
+type TrendBatch struct {
 	Period int64
-	Coeff  jaccard.Coefficient
+	Route  uint64
+	Coeffs []jaccard.Coefficient
 	Trace  uint64 // flight-recorder trace ID of the triggering document (0: untraced)
 }
 
@@ -227,8 +224,8 @@ type Config struct {
 	NotifyBatch int
 
 	// Trend enables the streaming trend-detection subsystem: the Tracker
-	// emits every accepted coefficient report to a Trend operator
-	// (fields-grouped by tagset key) feeding a sharded trend.Stream
+	// emits the accepted reports of every ingested batch, as one
+	// TrendBatch, to a Trend operator feeding a sharded trend.Stream
 	// detector, and Snapshot carries a Trends view. Off — the batch
 	// default — adds no operator and no extra dataflow.
 	Trend bool //vet:ok configparity -- free toggle; both values are valid
@@ -421,19 +418,34 @@ func TagsetKey(t storm.Tuple) uint64 {
 }
 
 // CoeffKey routes Calculator→Tracker tuples for fields grouping with
-// Tracker parallelism > 1. CoeffBatch tuples carry their destination task
-// index in Route (the Calculator already grouped the coefficients by
-// routeHash % tasks, so Route % tasks == Route); single-coefficient
-// CoeffMsg tuples hash their tagset key directly with the same hash, which
-// lands on the same task as any batch carrying that tagset.
+// Tracker parallelism > 1: a CoeffBatch carries its destination task index
+// in Route (the Calculator already grouped the coefficients by
+// routeHash % tasks, so Route % tasks == Route).
 func CoeffKey(t storm.Tuple) uint64 {
-	switch msg := t.Values[0].(type) {
-	case CoeffBatch:
-		return msg.Route
-	case CoeffMsg:
-		return routeHashSet(msg.Coeff.Tags)
+	return t.Values[0].(CoeffBatch).Route
+}
+
+// splitByRoute groups coefficients into one slice per consumer task by
+// routeHash % tasks, preserving arrival order within each — how a period
+// flush reaches the Tracker task, and an accepted batch the Trend task,
+// that owns each tagset. A counting pass sizes every part exactly, so none
+// is grown by append.
+func splitByRoute(coeffs []jaccard.Coefficient, tasks int) [][]jaccard.Coefficient {
+	route := make([]uint32, len(coeffs))
+	sizes := make([]int, tasks)
+	for i, co := range coeffs {
+		g := routeHashSet(co.Tags) % uint64(tasks)
+		route[i] = uint32(g)
+		sizes[g]++
 	}
-	return 0
+	parts := make([][]jaccard.Coefficient, tasks)
+	for g, n := range sizes {
+		parts[g] = make([]jaccard.Coefficient, 0, n)
+	}
+	for i, co := range coeffs {
+		parts[route[i]] = append(parts[route[i]], co)
+	}
+	return parts
 }
 
 // routeHash is the FNV-1a tagset-key hash shared by the Tracker's shard

@@ -372,10 +372,7 @@ func TestTrackerDeduplicatesByCN(t *testing.T) {
 	tr := NewTracker()
 	tr.Prepare(&storm.TaskContext{})
 	emit := func(period int64, cn int64, j float64) {
-		tr.Execute(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{CoeffMsg{
-			Period: period,
-			Coeff:  jaccard.Coefficient{Tags: tagset.New(1, 2), J: j, CN: cn},
-		}}}, nil)
+		tr.Execute(coeffTuple(period, tagset.New(1, 2), j, cn), nil)
 	}
 	emit(1, 3, 0.5)
 	emit(1, 7, 0.6) // higher CN wins
@@ -641,11 +638,7 @@ func TestTrackerRetentionAndTopK(t *testing.T) {
 	tr := NewTracker()
 	tr.SetRetention(2)
 	report := func(period int64, tag tagset.Tag, j float64, cn int64) {
-		tr.Execute(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{
-			CoeffMsg{Period: period, Coeff: jaccard.Coefficient{
-				Tags: tagset.New(tag, tag+1), J: j, CN: cn,
-			}},
-		}}, nil)
+		tr.Execute(coeffTuple(period, tagset.New(tag, tag+1), j, cn), nil)
 	}
 	report(1, 10, 0.9, 5)
 	report(2, 20, 0.5, 3)

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"container/list"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -59,8 +60,11 @@ type Tracker struct {
 	lru *evictedLRU // nil when disabled
 
 	// emitTrend forwards accepted reports on StreamTrend (EnableTrendEmit);
-	// set during topology assembly, read-only once the run starts.
-	emitTrend bool
+	// trendTasks is the Trend operator's parallelism (Prepare; 0 outside a
+	// topology), which an accepted batch is split by when it exceeds one.
+	// Both are set during topology assembly, read-only once the run starts.
+	emitTrend  bool
+	trendTasks int
 
 	// archive receives accepted reports and period seals (SetArchive);
 	// periodHook fires when a brand-new period registers (SetPeriodHook).
@@ -192,8 +196,13 @@ func (tr *Tracker) topKBound() int {
 	return int(atomic.LoadInt64(&tr.bound))
 }
 
-// Prepare implements storm.Bolt.
-func (tr *Tracker) Prepare(*storm.TaskContext) {}
+// Prepare implements storm.Bolt. It learns the Trend operator's
+// parallelism from the topology, as the Calculator learns the Tracker's;
+// every task of the shared instance reads the same value, before the run
+// starts.
+func (tr *Tracker) Prepare(ctx *storm.TaskContext) {
+	tr.trendTasks = len(ctx.TasksOf("trend"))
+}
 
 // EnableTrendEmit makes the Tracker forward every accepted report — fresh
 // (period, tagset) coefficients and CN upgrades — on StreamTrend, the feed
@@ -210,96 +219,142 @@ func (tr *Tracker) SetStages(st *Stages) { tr.stages = st }
 // before the run starts.
 func (tr *Tracker) SetFlight(rec *flight.Recorder) { tr.flightRec = rec }
 
-// Execute implements storm.Bolt: the report path. Calculators ship one
-// CoeffBatch per period flush; the single-coefficient CoeffMsg form is
-// accepted too. Each coefficient consults the period registry (opening a
-// new period may prune old ones), then locks only the shard owning its
-// tagset key.
+// Execute implements storm.Bolt: the report path, one CoeffBatch — a
+// Calculator's period flush, or its sub-batch for this task — per tuple.
+// The period registry is consulted once for the batch (opening a new period
+// may prune old ones); each coefficient then locks only the shard owning
+// its tagset key. The key bytes are built once, into a stack buffer, and
+// looked up without allocating: a duplicate that loses the CN comparison
+// costs no allocation, and a key string exists only for an entry the
+// tables keep. The reports that changed the tables leave as one TrendBatch
+// (one per Trend task when there are several), gathered in a slice of
+// their own: msg.Coeffs belongs to the emitter and is never written.
 func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
-	switch msg := t.Values[0].(type) {
-	case CoeffBatch:
-		start := telemetry.Now()
-		for _, c := range msg.Coeffs {
-			tr.reportOne(msg.Period, c, msg.Trace, out)
-		}
-		if tr.stages != nil && msg.Ingest > 0 {
-			tr.stages.DocTrackerAccept.Record(telemetry.Since(msg.Ingest))
-		}
-		if msg.Trace != 0 {
-			tr.flightRec.Span(msg.Trace, flight.StageTrack, start, telemetry.Now())
-		}
-	case CoeffMsg:
-		tr.reportOne(msg.Period, msg.Coeff, 0, out)
+	msg := t.Values[0].(CoeffBatch)
+	start := telemetry.Now()
+	tr.ingest(msg, out)
+	if tr.stages != nil && msg.Ingest > 0 {
+		tr.stages.DocTrackerAccept.Record(telemetry.Since(msg.Ingest))
+	}
+	if msg.Trace != 0 {
+		tr.flightRec.Span(msg.Trace, flight.StageTrack, start, telemetry.Now())
 	}
 }
 
-func (tr *Tracker) reportOne(period int64, c jaccard.Coefficient, trace uint64, out storm.Collector) {
-	atomic.AddInt64(&tr.Received, 1)
+// ingest is Execute without its timing: registry, shards, archive and the
+// TrendBatch of one CoeffBatch.
+func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
+	atomic.AddInt64(&tr.Received, int64(len(msg.Coeffs)))
 
-	retained, fresh, pruned := tr.reg.ensure(period)
+	retained, fresh, pruned := tr.reg.ensure(msg.Period)
 	for _, p := range pruned {
 		tr.prunePeriod(p)
 	}
 	if !retained {
-		atomic.AddInt64(&tr.Late, 1)
+		atomic.AddInt64(&tr.Late, int64(len(msg.Coeffs)))
 		return
 	}
-	// The period hook fires before this first report of the new period is
+	// The period hook fires before the first report of the new period is
 	// recorded: a checkpoint taken inside the hook therefore holds no data
 	// of the new period at all, and the recovery replay (which starts at
 	// the new period's first document) cannot double-count anything.
 	if fresh && tr.periodHook != nil {
-		tr.periodHook(period)
+		tr.periodHook(msg.Period)
 	}
 
-	key := c.Tags.Key()
-	dup, late, updated := tr.shardOf(key).report(period, key, c)
-	if dup {
-		atomic.AddInt64(&tr.Duplicates, 1)
-	}
-	if late {
-		atomic.AddInt64(&tr.Late, 1)
-		return
-	}
-	if !dup || updated {
+	emit := tr.emitTrend && out != nil
+	var accepted []jaccard.Coefficient
+	var dups, lates int64
+	for i, c := range msg.Coeffs {
+		dup, late, updated := tr.report(msg.Period, c)
+		if dup {
+			dups++
+		}
+		if late {
+			lates++
+			continue
+		}
+		if dup && !updated {
+			continue
+		}
 		if tr.archive != nil {
 			archStart := telemetry.Now()
-			tr.archive.AppendCoefficient(period, c)
-			if trace != 0 {
-				tr.flightRec.Span(trace, flight.StageArchive, archStart, telemetry.Now())
+			tr.archive.AppendCoefficient(msg.Period, c)
+			if msg.Trace != 0 {
+				tr.flightRec.Span(msg.Trace, flight.StageArchive, archStart, telemetry.Now())
 			}
 		}
-		if tr.emitTrend && out != nil {
+		if emit {
+			if accepted == nil {
+				accepted = make([]jaccard.Coefficient, 0, len(msg.Coeffs)-i)
+			}
+			accepted = append(accepted, c)
+		}
+	}
+	atomic.AddInt64(&tr.Duplicates, dups)
+	atomic.AddInt64(&tr.Late, lates)
+
+	switch {
+	case len(accepted) == 0:
+	case tr.trendTasks <= 1:
+		out.Emit(storm.Tuple{Stream: StreamTrend, Values: []interface{}{
+			TrendBatch{Period: msg.Period, Coeffs: accepted, Trace: msg.Trace},
+		}})
+	default:
+		for g, part := range splitByRoute(accepted, tr.trendTasks) {
+			if len(part) == 0 {
+				continue
+			}
 			out.Emit(storm.Tuple{Stream: StreamTrend, Values: []interface{}{
-				TrendMsg{Period: period, Coeff: c, Trace: trace},
+				TrendBatch{Period: msg.Period, Route: uint64(g), Coeffs: part, Trace: msg.Trace},
 			}})
 		}
 	}
 }
 
+// report hands one coefficient to the shard owning its tagset: the key
+// bytes are built once, into a stack buffer (16 tags fit; the Parser caps
+// documents well below), and the shard is chosen by the hash of those
+// bytes, the one the Calculators group sub-batches with.
+func (tr *Tracker) report(period int64, c jaccard.Coefficient) (dup, late, updated bool) {
+	var buf [64]byte
+	key := c.Tags.AppendKey(buf[:0])
+	return tr.shards[routeHashSet(c.Tags)&tr.mask].report(period, key, c)
+}
+
 // prunePeriod evicts one period from every shard and remembers the evicted
 // coefficients in the LRU (newest period wins per pair). Exactly one
 // goroutine prunes a given period: the registry hands each pruned id out
-// once. The evicted entries are inserted in tagset-key order — map
-// iteration order would otherwise randomize the LRU's recency list (and,
-// when the LRU is full, which pairs survive), making otherwise
-// deterministic runs diverge.
+// once. The LRU is refilled in tagset-key order — map iteration order would
+// otherwise randomize its recency list (and, when it is full, which pairs
+// survive), making otherwise deterministic runs diverge. Adding N distinct
+// keys in ascending order leaves the last min(N, cap) of them, in that
+// order, at the front of the recency list whatever it held before; for
+// N >= cap they fill it. So only those are selected, sorted and added: the
+// contents, the order and the hit and miss counters are what adding all N
+// would leave. (An entry already in the LRU carries an older period than
+// the one being pruned — periods are pruned in ascending order — so the
+// skipped adds could not have kept a newer value either.)
 func (tr *Tracker) prunePeriod(p int64) {
-	var evicted []topEntry
-	for _, s := range tr.shards {
+	maps := make([]map[tagset.Key]jaccard.Coefficient, len(tr.shards))
+	n := 0
+	for i, s := range tr.shards {
 		s.mu.Lock()
-		m := s.evictPeriod(p)
+		maps[i] = s.evictPeriod(p)
 		s.mu.Unlock()
-		if tr.lru != nil {
-			for k, c := range m {
-				evicted = append(evicted, topEntry{ek: entryKey{period: p, key: k}, c: c})
+		n += len(maps[i])
+	}
+	if tr.lru != nil && n > 0 {
+		keys := make([]tagset.Key, 0, n)
+		for _, m := range maps {
+			for k := range m {
+				keys = append(keys, k)
 			}
 		}
-	}
-	if tr.lru != nil {
-		sort.Slice(evicted, func(i, j int) bool { return evicted[i].ek.key < evicted[j].ek.key })
-		for _, e := range evicted {
-			tr.lru.add(e.ek.key, e.c, p)
+		keys = topselect.Select(keys, tr.lru.cap, func(a, b tagset.Key) bool { return a > b })
+		slices.Sort(keys)
+		for _, k := range keys {
+			tr.lru.add(k, maps[routeHash(k)&tr.mask][k], p)
 		}
 	}
 	if tr.archive != nil {
@@ -341,7 +396,23 @@ func (tr *Tracker) Periods() []int64 {
 // Report returns the deduplicated coefficients of one period, sorted by
 // descending J.
 func (tr *Tracker) Report(period int64) []jaccard.Coefficient {
-	var out []jaccard.Coefficient
+	out := tr.gather(period)
+	sortCoefficients(out)
+	return out
+}
+
+// gather copies one period's coefficients out of the shards, in no
+// particular order. A first pass over the shards' table sizes sizes the
+// slice, so it is allocated once (reports landing between the two passes
+// merely grow it).
+func (tr *Tracker) gather(period int64) []jaccard.Coefficient {
+	n := 0
+	for _, s := range tr.shards {
+		s.mu.Lock()
+		n += len(s.periods[period])
+		s.mu.Unlock()
+	}
+	out := make([]jaccard.Coefficient, 0, n)
 	for _, s := range tr.shards {
 		s.mu.Lock()
 		for _, c := range s.periods[period] {
@@ -349,7 +420,6 @@ func (tr *Tracker) Report(period int64) []jaccard.Coefficient {
 		}
 		s.mu.Unlock()
 	}
-	sortCoefficients(out)
 	return out
 }
 
@@ -687,6 +757,7 @@ type trackerShard struct {
 	mu       sync.Mutex
 	periods  map[int64]map[tagset.Key]jaccard.Coefficient
 	entries  int   // retained coefficients in this shard
+	peak     int   // largest period table this shard has held; presizes the next
 	floor    int64 // shard-local copy of the pruning floor
 	bound    int
 	top      topIndex
@@ -702,12 +773,14 @@ func newTrackerShard(bound int) *trackerShard {
 	}
 }
 
-// report records one coefficient. It reports whether the report collided
-// with an existing (period, key) entry, whether it was dropped because the
-// period was pruned between the registry check and this shard lock, and —
-// for collisions — whether the new value won (a CN upgrade that replaced
-// the stored coefficient).
-func (s *trackerShard) report(period int64, key tagset.Key, c jaccard.Coefficient) (dup, late, updated bool) {
+// report records one coefficient under its key bytes (Set.AppendKey). It
+// reports whether the report collided with an existing (period, key)
+// entry, whether it was dropped because the period was pruned between the
+// registry check and this shard lock, and — for collisions — whether the
+// new value won (a CN upgrade that replaced the stored coefficient). The
+// lookup reads the bytes in place; a key string is allocated only for an
+// entry that is inserted or upgraded. key is not retained.
+func (s *trackerShard) report(period int64, key []byte, c jaccard.Coefficient) (dup, late, updated bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if period <= s.floor {
@@ -715,20 +788,23 @@ func (s *trackerShard) report(period int64, key tagset.Key, c jaccard.Coefficien
 	}
 	m := s.periods[period]
 	if m == nil {
-		m = make(map[tagset.Key]jaccard.Coefficient)
+		m = make(map[tagset.Key]jaccard.Coefficient, s.peak)
 		s.periods[period] = m
 	}
-	ek := entryKey{period: period, key: key}
-	if prev, ok := m[key]; ok {
-		if c.CN <= prev.CN {
-			return true, false, false
-		}
-		m[key] = c
+	prev, dup := m[tagset.Key(key)]
+	if dup && c.CN <= prev.CN {
+		return true, false, false
+	}
+	ek := entryKey{period: period, key: tagset.Key(key)}
+	m[ek.key] = c
+	if dup {
 		s.updateTop(ek, prev, c)
 		return true, false, true
 	}
-	m[key] = c
 	s.entries++
+	if len(m) > s.peak {
+		s.peak = len(m)
+	}
 	s.offer(ek, c)
 	return false, false, false
 }
@@ -872,21 +948,31 @@ func (l *evictedLRU) stats() (length, capacity int, hits, misses int64) {
 	return l.ll.Len(), l.cap, l.hits, l.misses
 }
 
-// coeffBefore is the top-k ranking: descending J, then descending CN, then
-// the tagset key.
-func coeffBefore(a, b jaccard.Coefficient) bool {
-	if a.J != b.J {
-		return a.J > b.J
+// compareCoefficients is the top-k ranking as a three-way comparison:
+// descending J, then descending CN, then the tagset key. It is 0 only for
+// coefficients equal in all three, so a sort by it has one possible result.
+func compareCoefficients(a, b jaccard.Coefficient) int {
+	switch {
+	case a.J != b.J:
+		if a.J > b.J {
+			return -1
+		}
+		return 1
+	case a.CN != b.CN:
+		if a.CN > b.CN {
+			return -1
+		}
+		return 1
 	}
-	if a.CN != b.CN {
-		return a.CN > b.CN
-	}
-	return tagset.Compare(a.Tags, b.Tags) < 0
+	return tagset.Compare(a.Tags, b.Tags)
 }
 
-// sortCoefficients orders by descending J, then descending CN, then the
-// tagset key — the deterministic "top correlations first" order used by
-// reports and the live top-k view.
+// coeffBefore reports whether a ranks strictly before b in the top-k
+// ranking.
+func coeffBefore(a, b jaccard.Coefficient) bool { return compareCoefficients(a, b) < 0 }
+
+// sortCoefficients orders by the top-k ranking — the deterministic "top
+// correlations first" order used by reports and the live top-k view.
 func sortCoefficients(out []jaccard.Coefficient) {
-	sort.Slice(out, func(i, j int) bool { return coeffBefore(out[i], out[j]) })
+	slices.SortFunc(out, compareCoefficients)
 }

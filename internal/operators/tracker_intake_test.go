@@ -1,0 +1,142 @@
+package operators
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/jaccard"
+	"repro/internal/storm"
+	"repro/internal/tagset"
+)
+
+// prunePeriodReference is prunePeriod as it stood before it selected: gather
+// the whole period, sort all of it by key, add every entry to the LRU. The
+// selection must leave the LRU exactly as this does.
+func prunePeriodReference(tr *Tracker, p int64) {
+	var evicted []topEntry
+	for _, s := range tr.shards {
+		s.mu.Lock()
+		m := s.evictPeriod(p)
+		s.mu.Unlock()
+		for k, c := range m {
+			evicted = append(evicted, topEntry{ek: entryKey{period: p, key: k}, c: c})
+		}
+	}
+	sort.Slice(evicted, func(i, j int) bool { return evicted[i].ek.key < evicted[j].ek.key })
+	for _, e := range evicted {
+		tr.lru.add(e.ek.key, e.c, p)
+	}
+}
+
+// TestPrunePeriodSelectionMatchesFullSort drives two Trackers through the
+// same reports, lookups and prunes — one pruning by selection, one by the
+// reference — over periods smaller than, equal to and larger than the LRU,
+// drawn from one small key universe so consecutive prunes meet their own
+// keys in the LRU, and requires the LRU contents, their recency order and
+// every counter to agree after each prune.
+func TestPrunePeriodSelectionMatchesFullSort(t *testing.T) {
+	const lruCap = 64
+	sizes := []int{10, lruCap, 200, lruCap - 1, lruCap + 1, 3, 300, 40, 0, 150}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := NewTrackerWith(8, 16, lruCap), NewTrackerWith(8, 16, lruCap)
+		pair := func(i int) tagset.Set { return tagset.New(tagset.Tag(i), tagset.Tag(i+1+i%7*300)) }
+
+		for p, n := range sizes {
+			period := int64(p + 1)
+			var cs []jaccard.Coefficient
+			for _, i := range rng.Perm(400)[:n] {
+				cs = append(cs, jaccard.Coefficient{Tags: pair(i), J: rng.Float64(), CN: int64(1 + rng.Intn(9))})
+			}
+			if n > 0 {
+				got.Execute(coeffBatchTuple(period, cs...), nil)
+				want.Execute(coeffBatchTuple(period, cs...), nil)
+			}
+		}
+		for p := range sizes {
+			period := int64(p + 1)
+			got.prunePeriod(period)
+			prunePeriodReference(want, period)
+
+			label := fmt.Sprintf("seed %d after pruning period %d (%d entries)", seed, period, sizes[p])
+			ge, we := got.ExportState(math.MaxInt64).Evicted, want.ExportState(math.MaxInt64).Evicted
+			if !reflect.DeepEqual(ge, we) {
+				t.Fatalf("%s: LRU contents or order differ\n got %v\nwant %v", label, ge, we)
+			}
+			// Lookups touch the recency list and the hit/miss counters the
+			// next prune builds on; both sides make the same ones.
+			for i := 0; i < 30; i++ {
+				k := pair(rng.Intn(400)).Key()
+				gc, gp, gev, gok := got.LookupDetail(k)
+				wc, wp, wev, wok := want.LookupDetail(k)
+				if gok != wok || gev != wev || gp != wp || gc.J != wc.J || gc.CN != wc.CN {
+					t.Fatalf("%s: Lookup(%v) = %+v/%d/%v/%v, want %+v/%d/%v/%v",
+						label, k.Set(), gc, gp, gev, gok, wc, wp, wev, wok)
+				}
+			}
+			if gs, ws := got.StatsSnapshot(), want.StatsSnapshot(); gs != ws {
+				t.Fatalf("%s: stats differ\n got %+v\nwant %+v", label, gs, ws)
+			}
+		}
+		if st := got.StatsSnapshot(); st.EvictedLen != lruCap || st.EvictedHits == 0 || st.EvictedMisses == 0 {
+			t.Fatalf("seed %d: run not representative: %+v", seed, st)
+		}
+	}
+}
+
+// discard is a collector that drops what it is given, so the allocation
+// pins below count the Tracker's own allocations only.
+type discard struct{}
+
+func (discard) Emit(storm.Tuple)                     {}
+func (discard) EmitDirect(storm.TaskID, storm.Tuple) {}
+
+// TestTrackerIntakeAllocations pins the intake path's allocation budget
+// with trend emission on: a batch of reports the tables already hold costs
+// nothing, and a batch of fresh ones costs the retained key string of each
+// plus a constant for the batch (the accepted slice, the TrendBatch tuple,
+// one presized table per shard for the new period).
+func TestTrackerIntakeAllocations(t *testing.T) {
+	const n = 1000
+	batch := func(period int64) storm.Tuple {
+		cs := make([]jaccard.Coefficient, n)
+		for i := range cs {
+			cs[i] = jaccard.Coefficient{Tags: tagset.New(tagset.Tag(i), tagset.Tag(i+1), tagset.Tag(i+2000)), J: 0.5, CN: 5}
+		}
+		return coeffBatchTuple(period, cs...)
+	}
+	tr := NewTrackerWith(4, 8, 0)
+	tr.EnableTrendEmit()
+	var out discard
+
+	dup := batch(1)
+	tr.Execute(dup, out)
+	if avg := testing.AllocsPerRun(10, func() { tr.Execute(dup, out) }); avg != 0 {
+		t.Errorf("an all-duplicate batch of %d allocates %.1f times, want 0", n, avg)
+	}
+	if _, dups := tr.Counts(); dups != 11*n {
+		t.Fatalf("duplicates = %d, want %d: the batches were not all duplicates", dups, 11*n)
+	}
+
+	const runs = 5
+	fresh := make([]storm.Tuple, 0, runs+1)
+	for p := int64(2); len(fresh) < cap(fresh); p++ {
+		fresh = append(fresh, batch(p))
+	}
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		tr.Execute(fresh[next], out)
+		next++
+	})
+	const perBatch = 40
+	if avg > n+perBatch {
+		t.Errorf("a fresh batch of %d allocates %.1f times, want at most one per coefficient plus %d", n, avg, perBatch)
+	}
+	if st := tr.StatsSnapshot(); st.Retained != (runs+2)*n {
+		t.Fatalf("retained = %d, want %d: the batches were not all fresh", st.Retained, (runs+2)*n)
+	}
+}

@@ -12,11 +12,11 @@ import (
 )
 
 // coeffTuple wraps a coefficient report as the storm tuple the Tracker
-// consumes.
+// consumes: a batch of one.
 func coeffTuple(period int64, tags tagset.Set, j float64, cn int64) storm.Tuple {
-	return storm.Tuple{Stream: StreamCoeff, Values: []interface{}{CoeffMsg{
+	return storm.Tuple{Stream: StreamCoeff, Values: []interface{}{CoeffBatch{
 		Period: period,
-		Coeff:  jaccard.Coefficient{Tags: tags, J: j, CN: cn},
+		Coeffs: []jaccard.Coefficient{{Tags: tags, J: j, CN: cn}},
 	}}}
 }
 

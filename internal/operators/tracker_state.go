@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -99,16 +100,9 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 	sort.Slice(periods, func(i, j int) bool { return periods[i] < periods[j] })
 
 	for _, p := range periods {
-		pc := PeriodCoefficients{Period: p}
-		for _, s := range tr.shards {
-			s.mu.Lock()
-			for _, c := range s.periods[p] {
-				pc.Coeffs = append(pc.Coeffs, c)
-			}
-			s.mu.Unlock()
-		}
-		sort.Slice(pc.Coeffs, func(i, j int) bool {
-			return tagset.Compare(pc.Coeffs[i].Tags, pc.Coeffs[j].Tags) < 0
+		pc := PeriodCoefficients{Period: p, Coeffs: tr.gather(p)}
+		slices.SortFunc(pc.Coeffs, func(a, b jaccard.Coefficient) int {
+			return tagset.Compare(a.Tags, b.Tags)
 		})
 		st.Periods = append(st.Periods, pc)
 	}
@@ -145,7 +139,7 @@ func (tr *Tracker) ImportState(st TrackerState) {
 	}
 	for _, pc := range st.Periods {
 		for _, c := range pc.Coeffs {
-			tr.shardOf(c.Tags.Key()).report(pc.Period, c.Tags.Key(), c)
+			tr.report(pc.Period, c)
 		}
 	}
 	if tr.lru != nil {

@@ -11,12 +11,13 @@ import (
 
 // Trend is the streaming trend-detection operator: the bolt downstream of
 // the Tracker that feeds the shared trend.Stream detector with every
-// accepted coefficient report. Its instances subscribe fields-grouped on
-// the tagset key (TrendKey), so all reports of one tagset pass through the
-// same task — per-tagset arrival order is preserved however many Trend
-// tasks run, which is what the detector's upgrade-correction logic relies
-// on. The detector itself is shard-locked, so the tasks feed it
-// concurrently without coordination.
+// accepted coefficient report, one TrendBatch per batch the Tracker
+// ingested. Its instances subscribe fields-grouped on the batch's Route
+// (TrendKey) — the Tracker splits each batch by tagset-key hash — so all
+// reports of one tagset pass through the same task: per-tagset arrival
+// order is preserved however many Trend tasks run, which is what the
+// detector's upgrade-correction logic relies on. The detector itself is
+// shard-locked, so the tasks feed it concurrently without coordination.
 type Trend struct {
 	det    *trend.Stream
 	flight *flight.Recorder
@@ -29,7 +30,7 @@ type Trend struct {
 // NewTrend returns a Trend bolt feeding det.
 func NewTrend(det *trend.Stream) *Trend { return &Trend{det: det} }
 
-// SetFlight wires the flight recorder: traced reports record a trend
+// SetFlight wires the flight recorder: a traced batch records one trend
 // span. Call before the run starts.
 func (tb *Trend) SetFlight(rec *flight.Recorder) { tb.flight = rec }
 
@@ -41,17 +42,21 @@ func (tb *Trend) Prepare(*storm.TaskContext) {}
 
 // Execute implements storm.Bolt.
 func (tb *Trend) Execute(t storm.Tuple, _ storm.Collector) {
-	msg := t.Values[0].(TrendMsg)
+	msg := t.Values[0].(TrendBatch)
 	start := telemetry.Now()
-	tb.det.Observe(msg.Period, msg.Coeff)
-	atomic.AddInt64(&tb.Observed, 1)
+	for _, c := range msg.Coeffs {
+		tb.det.Observe(msg.Period, c)
+	}
+	atomic.AddInt64(&tb.Observed, int64(len(msg.Coeffs)))
 	if msg.Trace != 0 {
 		tb.flight.Span(msg.Trace, flight.StageTrend, start, telemetry.Now())
 	}
 }
 
-// TrendKey hashes a TrendMsg's tagset for fields grouping, so every report
-// of one tagset reaches the same Trend task.
+// TrendKey routes Tracker→Trend tuples for fields grouping: a TrendBatch
+// carries its destination task index in Route (the Tracker grouped the
+// coefficients by routeHash % tasks), so every report of one tagset reaches
+// the same Trend task.
 func TrendKey(t storm.Tuple) uint64 {
-	return routeHashSet(t.Values[0].(TrendMsg).Coeff.Tags)
+	return t.Values[0].(TrendBatch).Route
 }

@@ -117,7 +117,7 @@ func TestLiveQueryService(t *testing.T) {
 	if final.DocsProcessed != res.DocsProcessed {
 		t.Errorf("final snapshot docs = %d, Result docs = %d", final.DocsProcessed, res.DocsProcessed)
 	}
-	// Result.Coefficients is the Tracker's full deduplicated report, so
+	// Result.Coefficients() is the Tracker's full deduplicated report, so
 	// the Tracker's own TopK over the drained run is the expected answer.
 	want := res.Tracker.TopK(50)
 	if len(final.Top) != len(want) {

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,7 +138,7 @@ func New(tags ...Tag) Set {
 	}
 	s := make(Set, len(tags))
 	copy(s, tags)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	// Deduplicate in place.
 	w := 1
 	for i := 1; i < len(s); i++ {

@@ -1,9 +1,11 @@
 package trend
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -506,7 +508,7 @@ func (s *Stream) TopTrends(period int64, k int) []Event {
 	if k > 0 && len(cand) > k {
 		cand = topselect.Select(cand, k, trendBefore)
 	}
-	sort.Slice(cand, func(i, j int) bool { return trendBefore(cand[i], cand[j]) })
+	slices.SortFunc(cand, compareTrends)
 	out := make([]Event, len(cand))
 	for i, e := range cand {
 		out[i] = e.ev
@@ -563,14 +565,22 @@ type trendEntry struct {
 	ev  Event
 }
 
-// trendBefore ranks events by descending score, then ascending tagset key —
-// the batch Detector's sort order.
-func trendBefore(a, b trendEntry) bool {
+// compareTrends ranks events by descending score, then ascending tagset
+// key — the batch Detector's sort order. Keys are unique within a period,
+// so it is 0 only for an entry and itself.
+func compareTrends(a, b trendEntry) int {
 	if a.ev.Score != b.ev.Score {
-		return a.ev.Score > b.ev.Score
+		if a.ev.Score > b.ev.Score {
+			return -1
+		}
+		return 1
 	}
-	return a.key < b.key
+	return cmp.Compare(a.key, b.key)
 }
+
+// trendBefore reports whether a ranks strictly before b under
+// compareTrends.
+func trendBefore(a, b trendEntry) bool { return compareTrends(a, b) < 0 }
 
 // trendIndex is a bounded indexed min-heap under trendBefore (the Tracker's
 // topIndex pattern): the root ranks last among the kept events and pos maps

@@ -1,6 +1,7 @@
 package trend
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -113,8 +114,8 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(st.Predictors, func(i, j int) bool {
-		return tagset.Compare(st.Predictors[i].Tags, st.Predictors[j].Tags) < 0
+	slices.SortFunc(st.Predictors, func(a, b TrendPredictor) int {
+		return tagset.Compare(a.Tags, b.Tags)
 	})
 
 	for _, p := range periods {
@@ -126,8 +127,8 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 			}
 			sh.mu.Unlock()
 		}
-		sort.Slice(pe.Events, func(i, j int) bool {
-			return tagset.Compare(pe.Events[i].Tags, pe.Events[j].Tags) < 0
+		slices.SortFunc(pe.Events, func(a, b Event) int {
+			return tagset.Compare(a.Tags, b.Tags)
 		})
 		st.Periods = append(st.Periods, pe)
 	}
