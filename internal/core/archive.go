@@ -187,21 +187,6 @@ func (p *Pipeline) buildCheckpointTimed() *archive.Checkpoint {
 	return cp
 }
 
-// enqueueCheckpoint hands a snapshot to the writer goroutine and returns
-// its enqueue sequence. The queue is one slot, newest-wins: replacing an
-// unwritten older snapshot is safe because each snapshot is a complete
-// recovery point, and the bumped sequence means waiters on the replaced
-// snapshot are satisfied by the newer write.
-func (p *Pipeline) enqueueCheckpoint(cp *archive.Checkpoint) uint64 {
-	p.ckptMu.Lock()
-	p.ckptSeq++
-	seq := p.ckptSeq
-	p.ckptPending = cp
-	p.ckptCond.Broadcast()
-	p.ckptMu.Unlock()
-	return seq
-}
-
 // ckptLoop is the dedicated checkpoint writer: it serves pending
 // synchronous snapshots and due periodic checkpoints — state export, gob
 // encode, fsync, rename all off the hot path — then wakes synchronous
@@ -233,14 +218,7 @@ func (p *Pipeline) ckptLoop() {
 			// write of an enqueued snapshot (or a newer one).
 			cp = p.buildCheckpointTimed()
 		}
-		p.cfg.Flight.RecordEvent(flight.EventCheckpointBegin,
-			fmt.Sprintf("replay_period=%d docs_fed=%d", cp.ReplayPeriod, cp.DocsFed))
-		wstart := time.Now()
-		err := p.arch.WriteCheckpoint(cp)
-		p.ckptWriteHist.Record(time.Since(wstart))
-		p.ckptWriteNS.Add(time.Since(start).Nanoseconds())
-		p.ckptCount.Add(1)
-		p.noteCheckpointDone(err, time.Since(wstart))
+		err := p.writeCheckpoint(cp, start)
 		if err != nil {
 			p.archMu.Lock()
 			if p.archErr == nil {
@@ -292,15 +270,7 @@ func (p *Pipeline) Checkpoint() error {
 		// The writer goroutine is gone (the run drained). Write directly:
 		// during shutdown this still succeeds; after the archive closed it
 		// returns the writer-closed error, as it always has.
-		p.cfg.Flight.RecordEvent(flight.EventCheckpointBegin,
-			fmt.Sprintf("replay_period=%d docs_fed=%d (direct)", cp.ReplayPeriod, cp.DocsFed))
-		start := time.Now()
-		err := p.arch.WriteCheckpoint(cp)
-		p.ckptWriteHist.Record(time.Since(start))
-		p.ckptWriteNS.Add(time.Since(start).Nanoseconds())
-		p.ckptCount.Add(1)
-		p.noteCheckpointDone(err, time.Since(start))
-		return err
+		return p.writeCheckpoint(cp, time.Now())
 	}
 	p.ckptSeq++
 	seq := p.ckptSeq
@@ -311,6 +281,24 @@ func (p *Pipeline) Checkpoint() error {
 	}
 	err := p.ckptErr
 	p.ckptMu.Unlock()
+	return err
+}
+
+// writeCheckpoint is the one checkpoint write: the checkpoint_begin flight
+// event, the encode + fsync + rename, and the accounting of a completed
+// write. began is when the work behind this checkpoint started — the
+// writer goroutine passes the moment it picked the checkpoint up, so the
+// cumulative write time includes a periodic checkpoint's build.
+func (p *Pipeline) writeCheckpoint(cp *archive.Checkpoint, began time.Time) error {
+	p.cfg.Flight.RecordEvent(flight.EventCheckpointBegin,
+		fmt.Sprintf("replay_period=%d docs_fed=%d", cp.ReplayPeriod, cp.DocsFed))
+	wstart := time.Now()
+	err := p.arch.WriteCheckpoint(cp)
+	took := time.Since(wstart)
+	p.ckptWriteHist.Record(took)
+	p.ckptWriteNS.Add(time.Since(began).Nanoseconds())
+	p.ckptCount.Add(1)
+	p.noteCheckpointDone(err, took)
 	return err
 }
 

@@ -166,6 +166,9 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 	if cfg.Stages == nil {
 		cfg.Stages = operators.NewStages()
 	}
+	if cfg.TrackerTasks == 0 {
+		cfg.TrackerTasks = 1
+	}
 	p := &Pipeline{
 		cfg:           cfg,
 		stages:        cfg.Stages,
@@ -237,10 +240,6 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 	// so per-tagset arrival order is preserved for CN-upgrade dedup and
 	// StreamTrend emission. Calculators split each period flush into
 	// per-task sub-batches with the same hash (CoeffBatch.Route).
-	trackerTasks := cfg.TrackerTasks
-	if trackerTasks == 0 {
-		trackerTasks = 1
-	}
 	b.Bolt("tracker", func() storm.Bolt {
 		if p.tracker == nil {
 			p.tracker = operators.NewTrackerWith(cfg.TrackerShards, cfg.TrackerTopK, cfg.EvictedPairs)
@@ -256,7 +255,7 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 			}
 		}
 		return p.tracker
-	}, trackerTasks).Fields("calculator", operators.CoeffKey)
+	}, cfg.TrackerTasks).Fields("calculator", operators.CoeffKey)
 
 	if cfg.Trend {
 		det, err := trend.NewStream(cfg.TrendStreamConfig())
@@ -354,26 +353,15 @@ func (p *Pipeline) archiveSafeBelow() int64 {
 
 // Result summarises one pipeline run.
 type Result struct {
-	// Communication is the run-average notifications per notified document
-	// (Figure 3); LoadGini the Gini coefficient of cumulative per-
-	// Calculator notifications (Figure 4).
-	Communication float64
-	LoadGini      float64
-
-	// Repartitions splits post-bootstrap repartition requests by trigger
-	// cause (Figure 6).
-	Repartitions      int
-	RepartitionsComm  int
-	RepartitionsLoad  int
-	RepartitionsBoth  int
-	SingleAdditions   int
-	Merges            int
-	UncoveredDocs     int64
-	DocsProcessed     int64
-	DocsBeforeInstall int64
+	// Stats holds the run's final statistics, exact across Disseminator
+	// instances: Communication (Figure 3), LoadGini (Figure 4), the
+	// repartition requests split by trigger cause (Figure 6), and every
+	// structural counter a Snapshot carries.
+	Stats
 
 	// Dissem exposes the full per-run statistics (time series for
-	// Figures 8 and 9) of the first Disseminator instance.
+	// Figures 8 and 9) of the first Disseminator instance; the figure time
+	// series are per-instance.
 	Dissem *operators.DissemStats
 
 	// Tracker grants access to per-period reports; Storm to raw dataflow
@@ -411,45 +399,12 @@ func (p *Pipeline) collect(st *storm.Stats) *Result {
 	// The stream has drained: write the end-of-run checkpoint and close the
 	// segment files (no-op without Config.ArchiveDir).
 	p.finishArchive()
-	r := &Result{
-		Merges:  p.merger.Merges,
+	return &Result{
+		Stats:   p.liveStats(),
+		Dissem:  &p.disseminators[0].Stats,
 		Tracker: p.tracker,
 		Storm:   st,
 	}
-	// Aggregate the notification quantities across every Disseminator
-	// instance before deriving the headline metrics: with
-	// Config.Disseminators > 1 each instance routes a fraction of the
-	// traffic, and Communication/LoadGini computed from one instance alone
-	// would silently cover only that fraction.
-	var agg operators.DissemStats
-	for _, d := range p.disseminators {
-		s := &d.Stats
-		r.Repartitions += s.Repartitions
-		r.RepartitionsComm += s.CauseComm
-		r.RepartitionsLoad += s.CauseLoad
-		r.RepartitionsBoth += s.CauseBoth
-		r.SingleAdditions += s.AdditionsAsked
-		r.UncoveredDocs += s.UncoveredDocs
-		r.DocsProcessed += s.Docs
-		r.DocsBeforeInstall += s.BeforePartition
-		agg.Notifications += s.Notifications
-		agg.NotifiedDocs += s.NotifiedDocs
-		if len(s.PerCalculator) > len(agg.PerCalculator) {
-			grown := make([]int64, len(s.PerCalculator))
-			copy(grown, agg.PerCalculator)
-			agg.PerCalculator = grown
-		}
-		for i, n := range s.PerCalculator {
-			agg.PerCalculator[i] += n
-		}
-	}
-	// Dissem still exposes the first instance's full statistics (the figure
-	// time series are per-instance); the scalar metrics above are exact
-	// across instances.
-	r.Dissem = &p.disseminators[0].Stats
-	r.Communication = agg.Communication()
-	r.LoadGini = agg.LoadGini()
-	return r
 }
 
 // Flight returns the pipeline's flight recorder (nil when none was

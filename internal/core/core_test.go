@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/jaccard"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/quality"
 	"repro/internal/stream"
 	"repro/internal/tagset"
+	"repro/internal/telemetry"
 	"repro/internal/twitgen"
 )
 
@@ -365,7 +367,7 @@ func TestPipelineConcurrentFanout(t *testing.T) {
 	if len(res.Coefficients()) == 0 {
 		t.Fatal("no coefficients with fan-out enabled")
 	}
-	if received, _ := res.Tracker.Counts(); received == 0 {
+	if res.CoefficientsReceived == 0 {
 		t.Error("tracker received no reports")
 	}
 	if res.Storm.Received("tracker") == 0 {
@@ -382,8 +384,9 @@ func TestPipelineConcurrentFanout(t *testing.T) {
 
 // TestPipelineMultiDisseminatorAggregatedMetrics: with several Disseminator
 // instances the headline Communication/LoadGini must cover all of them, not
-// just the first (the pre-fix behavior silently reported a fraction of the
-// traffic).
+// just the first (a surface that silently reported a fraction of the
+// traffic is the bug this pins) — on the Result, on a Snapshot and on the
+// /metrics scrape alike.
 func TestPipelineMultiDisseminatorAggregatedMetrics(t *testing.T) {
 	docs, _ := shortStream(t, 30000, 21)
 	cfg := fastConfig(partition.DS)
@@ -393,6 +396,8 @@ func TestPipelineMultiDisseminatorAggregatedMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := telemetry.NewRegistry()
+	pipe.RegisterMetrics(reg)
 	res := pipe.Run()
 
 	var notifications, notified int64
@@ -408,13 +413,41 @@ func TestPipelineMultiDisseminatorAggregatedMetrics(t *testing.T) {
 		t.Fatal("no notified documents with two disseminators")
 	}
 	wantComm := float64(notifications) / float64(notified)
-	if res.Communication != wantComm {
-		t.Errorf("Communication = %g, want %g aggregated over both instances",
-			res.Communication, wantComm)
+	wantGini := quality.GiniInts(per)
+
+	var body strings.Builder
+	if err := reg.WriteText(&body); err != nil {
+		t.Fatal(err)
 	}
-	if wantGini := quality.GiniInts(per); res.LoadGini != wantGini {
-		t.Errorf("LoadGini = %g, want %g aggregated over both instances",
-			res.LoadGini, wantGini)
+	fams, err := telemetry.ParseText(strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped := func(family string) float64 {
+		f := fams[family]
+		if f == nil || len(f.Samples) != 1 {
+			t.Fatalf("scrape: family %s = %+v, want one series", family, f)
+		}
+		return f.Samples[0].Value
+	}
+	snap := pipe.Snapshot(1)
+	for _, sf := range []struct {
+		name               string
+		comm, gini, notifs float64
+	}{
+		{"Result", res.Communication, res.LoadGini, float64(res.Notifications)},
+		{"Snapshot", snap.Communication, snap.LoadGini, float64(snap.Notifications)},
+		{"scrape", scraped("tagcorr_dissem_communication"), scraped("tagcorr_dissem_load_gini"), scraped("tagcorr_dissem_notifications_total")},
+	} {
+		if sf.comm != wantComm {
+			t.Errorf("%s: Communication = %g, want %g aggregated over both instances", sf.name, sf.comm, wantComm)
+		}
+		if sf.gini != wantGini {
+			t.Errorf("%s: LoadGini = %g, want %g aggregated over both instances", sf.name, sf.gini, wantGini)
+		}
+		if sf.notifs != float64(notifications) {
+			t.Errorf("%s: notifications = %g, want %d summed over both instances", sf.name, sf.notifs, notifications)
+		}
 	}
 	// Each instance routed only part of the stream, so the aggregate must
 	// count strictly more notifications than either instance alone.

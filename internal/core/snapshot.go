@@ -53,9 +53,11 @@ type Snapshot struct {
 	Trends *TrendsView
 }
 
-// Stats is the part of a Snapshot that /stats serves, in the order and
-// under the names it serves it: the json tags here are the one definition
-// of that payload, so a new statistic is one field, set in Snapshot.
+// Stats is every scalar statistic and structural counter of a pipeline,
+// read in one pass by Pipeline.stats. Snapshot and Result embed it, /stats
+// serves it in this order under these names (the json tags are the one
+// definition of that payload) and /metrics reads its scalar families from
+// it, so a new statistic is one field, set in stats.
 type Stats struct {
 	// DocsProcessed counts parsed documents seen by the Disseminators; it
 	// is monotone over the lifetime of a run. DocsBeforeInstall counts the
@@ -112,9 +114,12 @@ type Stats struct {
 	// files written, raw period segments folded into them, periods deleted
 	// under the disk budget, and the archive directory's size after the
 	// compactor's last pass. Zero without archiving + retention.
+	// ArchiveAgedOutBytes, the bytes those deletions freed, is on /metrics
+	// only.
 	ArchiveCompactions      int64 `json:"archive_compactions"`
 	ArchiveCompactedPeriods int64 `json:"archive_compacted_periods"`
 	ArchiveAgedOutPeriods   int64 `json:"archive_aged_out_periods"`
+	ArchiveAgedOutBytes     int64 `json:"-"`
 	ArchiveBytes            int64 `json:"archive_bytes"`
 
 	// StageDocPartition / StageDocCoefficient / StageDocTrackerAccept
@@ -141,91 +146,101 @@ type Stats struct {
 	ReceivedByComponent map[string]int64 `json:"received_by_component"`
 }
 
-// Snapshot returns a live view of the pipeline with the given top-k size
-// (k <= 0 returns every coefficient reported so far). It is safe to call
+// stats reads every pipeline counter once: the Disseminator aggregate, the
+// checkpoint and compactor counters, the storm per-component totals, the
+// stage-latency summaries and the trend detector's stats, around the
+// Tracker's period list and structural stats, which the caller takes from
+// the Tracker pass that fits it. It is the only place that fills a Stats.
+// Every operator guards what is read here with its own lock, so it is safe
 // from any goroutine at any time between NewPipeline and the end of the
-// process — before the run, mid-run under either executor, or after the
-// run — because every operator guards the state read here with its own
-// lock. The top-k view is read from the Tracker's incrementally maintained
-// shard heaps (for k within the Tracker's top-k bound), so a snapshot's
-// cost does not grow with the number of retained coefficients. Quantities
-// accumulated per Disseminator are summed across instances (with the
-// paper's single-Disseminator configuration they are exact).
-func (p *Pipeline) Snapshot(k int) *Snapshot {
-	// One consistent pass over the Tracker: top-k, period list and
-	// structural stats are read while the registry and every shard lock
-	// are held together, so a snapshot can no longer pair a populated
-	// intake counter with an empty period list (the CPU-saturation
-	// staleness the ROADMAP documented).
-	top, periods, tstats := p.tracker.ConsistentView(k)
-	s := &Snapshot{
-		TakenAt: time.Now(),
-		TopK:    top,
-		Stats: Stats{
-			Periods:      periods,
-			Merges:       p.merger.MergeCount(),
-			Tracker:      tstats,
-			TrackerTasks: p.cfg.TrackerTasks,
-			NotifyBatch:  p.cfg.NotifyBatch,
-		},
-	}
-	if s.TrackerTasks == 0 {
-		s.TrackerTasks = 1
-	}
-	s.CoefficientsReceived, s.CoefficientsDuplicate = tstats.Received, tstats.Duplicates
-	ckpts, stall := p.CheckpointStats()
-	s.Checkpoints, s.CheckpointStallMS = ckpts, stall.Milliseconds()
-	s.CheckpointWriteMS = p.CheckpointWriteTime().Milliseconds()
-	cs := p.CompactorStats()
-	s.ArchiveCompactions = cs.Compactions
-	s.ArchiveCompactedPeriods = cs.CompactedPeriods
-	s.ArchiveAgedOutPeriods = cs.AgedOutPeriods
-	s.ArchiveBytes = cs.DirBytes
-	s.Partitions = p.merger.PartitionsSnapshot()
-
+// process.
+func (p *Pipeline) stats(periods []int64, ts operators.TrackerStats) Stats {
+	// Quantities accumulated per Disseminator are summed across instances
+	// before the headline measures are derived: with Config.Disseminators
+	// > 1 each instance routes a fraction of the traffic.
+	var agg operators.DissemStats
+	epoch, pending := 0, false
 	for _, d := range p.disseminators {
-		ds := d.SnapshotStats()
-		s.DocsProcessed += ds.Docs
-		s.DocsBeforeInstall += ds.BeforePartition
-		s.NotifiedDocs += ds.NotifiedDocs
-		s.Notifications += ds.Notifications
-		s.UncoveredDocs += ds.UncoveredDocs
-		s.Repartitions += ds.Repartitions
-		s.RepartitionsComm += ds.CauseComm
-		s.RepartitionsLoad += ds.CauseLoad
-		s.RepartitionsBoth += ds.CauseBoth
-		s.SingleAdditions += ds.AdditionsAsked
-		// Grow by length, not presence: a snapshot racing Prepare can see
-		// one instance's stats sized and another's still empty.
-		if len(ds.PerCalculator) > len(s.PerCalculator) {
-			grown := make([]int64, len(ds.PerCalculator))
-			copy(grown, s.PerCalculator)
-			s.PerCalculator = grown
-		}
-		for i, n := range ds.PerCalculator {
-			s.PerCalculator[i] += n
-		}
-		epoch, awaiting := d.Epoch()
-		if epoch > s.Epoch {
-			s.Epoch = epoch
-		}
-		s.RepartitionPending = s.RepartitionPending || awaiting
+		agg.Merge(d.SnapshotStats())
+		e, awaiting := d.Epoch()
+		epoch = max(epoch, e)
+		pending = pending || awaiting
 	}
-	if s.NotifiedDocs > 0 {
-		s.Communication = float64(s.Notifications) / float64(s.NotifiedDocs)
-	}
-	agg := operators.DissemStats{PerCalculator: s.PerCalculator}
-	s.LoadGini = agg.LoadGini()
+	cs := p.CompactorStats()
+	s := Stats{
+		DocsProcessed:     agg.Docs,
+		DocsBeforeInstall: agg.BeforePartition,
+		NotifiedDocs:      agg.NotifiedDocs,
+		Notifications:     agg.Notifications,
+		UncoveredDocs:     agg.UncoveredDocs,
+		Communication:     agg.Communication(),
+		LoadGini:          agg.LoadGini(),
+		PerCalculator:     agg.PerCalculator,
 
+		Epoch:              epoch,
+		RepartitionPending: pending,
+		Repartitions:       agg.Repartitions,
+		RepartitionsComm:   agg.CauseComm,
+		RepartitionsLoad:   agg.CauseLoad,
+		RepartitionsBoth:   agg.CauseBoth,
+		SingleAdditions:    agg.AdditionsAsked,
+		Merges:             p.merger.MergeCount(),
+
+		Periods:               periods,
+		CoefficientsReceived:  ts.Received,
+		CoefficientsDuplicate: ts.Duplicates,
+		TrackerTasks:          p.cfg.TrackerTasks,
+		NotifyBatch:           p.cfg.NotifyBatch,
+
+		Checkpoints:       p.ckptCount.Load(),
+		CheckpointStallMS: time.Duration(p.ckptStallNS.Load()).Milliseconds(),
+		CheckpointWriteMS: time.Duration(p.ckptWriteNS.Load()).Milliseconds(),
+
+		ArchiveCompactions:      cs.Compactions,
+		ArchiveCompactedPeriods: cs.CompactedPeriods,
+		ArchiveAgedOutPeriods:   cs.AgedOutPeriods,
+		ArchiveAgedOutBytes:     cs.AgedOutBytes,
+		ArchiveBytes:            cs.DirBytes,
+
+		StageDocPartition:     stageLatencyFrom(p.stages.DocPartition),
+		StageDocCoefficient:   stageLatencyFrom(p.stages.DocCoefficient),
+		StageDocTrackerAccept: stageLatencyFrom(p.stages.DocTrackerAccept),
+
+		Tracker: ts,
+	}
 	s.EmittedByComponent, s.ReceivedByComponent = p.topo.Stats().Totals()
-
-	s.StageDocPartition = stageLatencyFrom(p.stages.DocPartition)
-	s.StageDocCoefficient = stageLatencyFrom(p.stages.DocCoefficient)
-	s.StageDocTrackerAccept = stageLatencyFrom(p.stages.DocTrackerAccept)
-
 	if p.trends != nil {
 		st := p.trends.StatsSnapshot()
 		s.TrendStats = &st
+	}
+	return s
+}
+
+// liveStats is stats over the Tracker's cheapest pass, for the readers that
+// want no top-k: the /metrics scrape and the end-of-run Result.
+func (p *Pipeline) liveStats() Stats {
+	return p.stats(p.tracker.Periods(), p.tracker.StatsSnapshot())
+}
+
+// Snapshot returns a live view of the pipeline with the given top-k size
+// (k <= 0 returns every coefficient reported so far): one consistent pass
+// over the Tracker — top-k, period list and structural stats read while the
+// registry and every shard lock are held together, so a snapshot cannot
+// pair a populated intake counter with an empty period list — plus stats.
+// It is safe to call from any goroutine at any time between NewPipeline and
+// the end of the process. The top-k view is read from the Tracker's
+// incrementally maintained shard heaps (for k within the Tracker's top-k
+// bound), so a snapshot's cost does not grow with the number of retained
+// coefficients.
+func (p *Pipeline) Snapshot(k int) *Snapshot {
+	top, periods, ts := p.tracker.ConsistentView(k)
+	s := &Snapshot{
+		TakenAt:    time.Now(),
+		TopK:       top,
+		Stats:      p.stats(periods, ts),
+		Partitions: p.merger.PartitionsSnapshot(),
+	}
+	if p.trends != nil {
 		v := &TrendsView{}
 		// Check the latest-period sentinel itself, not Scored: the first
 		// Observe bumps the scored counter before publishing its period.

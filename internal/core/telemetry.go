@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/flight"
-	"repro/internal/operators"
 	"repro/internal/telemetry"
 )
 
@@ -12,26 +11,31 @@ var stormComponents = []string{
 	"source", "parser", "partitioner", "merger", "disseminator", "calculator", "tracker",
 }
 
-// RegisterMetrics wires the pipeline's live counters into a telemetry
-// registry under the tagcorr_<subsystem>_<name>_<unit> naming convention.
-// Call once between NewPipeline and the run; every series reads through
-// the operators' own thread-safe accessors, so scrapes are safe at any
-// moment of a concurrent run and never block ingest. Archive families are
-// registered even with archiving off (they just stay zero), keeping the
-// scrape surface identical across configurations.
+// RegisterMetrics wires the pipeline into a telemetry registry under the
+// tagcorr_<subsystem>_<name>_<unit> naming convention. Call once between
+// NewPipeline and the run. Every scrape starts with one liveStats gather
+// (Registry.BeforeScrape), and each scalar family is a field read of that
+// Stats — the same value /stats, Snapshot and Result report; histograms, the
+// mailbox high-water marks and the flight counters are read from their
+// owners directly. Either way the reads go through the operators' own
+// locks, so scrapes are safe at any moment of a concurrent run. Archive
+// families are registered even with archiving off (they just stay zero),
+// keeping the scrape surface identical across configurations.
 func (p *Pipeline) RegisterMetrics(reg *telemetry.Registry) {
-	p.registerStormMetrics(reg)
-	p.registerDissemMetrics(reg)
-	p.registerTrackerMetrics(reg)
+	st := new(Stats)
+	reg.BeforeScrape(func() { *st = p.liveStats() })
+	p.registerStormMetrics(reg, st)
+	p.registerDissemMetrics(reg, st)
+	p.registerTrackerMetrics(reg, st)
 	p.registerStageMetrics(reg)
-	p.registerArchiveMetrics(reg)
+	p.registerArchiveMetrics(reg, st)
 	p.registerFlightMetrics(reg)
 	if p.trends != nil {
-		p.registerTrendMetrics(reg)
+		p.registerTrendMetrics(reg, st)
 	}
 }
 
-func (p *Pipeline) registerStormMetrics(reg *telemetry.Registry) {
+func (p *Pipeline) registerStormMetrics(reg *telemetry.Registry, s *Stats) {
 	comps := stormComponents
 	if p.trends != nil {
 		comps = append(append([]string(nil), comps...), "trend")
@@ -41,10 +45,10 @@ func (p *Pipeline) registerStormMetrics(reg *telemetry.Registry) {
 		c := c
 		reg.CounterFunc("tagcorr_storm_tuples_emitted_total",
 			"Tuples emitted by each topology component.",
-			telemetry.Labels{"component": c}, func() int64 { return st.Emitted(c) })
+			telemetry.Labels{"component": c}, func() int64 { return s.EmittedByComponent[c] })
 		reg.CounterFunc("tagcorr_storm_tuples_received_total",
 			"Tuples received by each topology component.",
-			telemetry.Labels{"component": c}, func() int64 { return st.Received(c) })
+			telemetry.Labels{"component": c}, func() int64 { return s.ReceivedByComponent[c] })
 		reg.GaugeFunc("tagcorr_storm_mailbox_high_water_tuples",
 			"Deepest mailbox backlog observed by any task of the component, in tuples (0 under the sequential executor).",
 			telemetry.Labels{"component": c}, func() float64 {
@@ -62,105 +66,68 @@ func (p *Pipeline) registerStormMetrics(reg *telemetry.Registry) {
 		nil, st.MailboxCompactions)
 }
 
-// dissemTotals aggregates the scalar notification counters across every
-// Disseminator instance (each routes a fraction of the traffic).
-func (p *Pipeline) dissemTotals() operators.DissemStats {
-	var agg operators.DissemStats
-	for _, d := range p.disseminators {
-		s := d.SnapshotStats()
-		agg.Docs += s.Docs
-		agg.BeforePartition += s.BeforePartition
-		agg.NotifiedDocs += s.NotifiedDocs
-		agg.Notifications += s.Notifications
-		agg.UncoveredDocs += s.UncoveredDocs
-		agg.Repartitions += s.Repartitions
-		agg.CauseComm += s.CauseComm
-		agg.CauseLoad += s.CauseLoad
-		agg.CauseBoth += s.CauseBoth
-		agg.AdditionsAsked += s.AdditionsAsked
-		if len(s.PerCalculator) > len(agg.PerCalculator) {
-			grown := make([]int64, len(s.PerCalculator))
-			copy(grown, agg.PerCalculator)
-			agg.PerCalculator = grown
-		}
-		for i, n := range s.PerCalculator {
-			agg.PerCalculator[i] += n
-		}
-	}
-	return agg
-}
-
-func (p *Pipeline) registerDissemMetrics(reg *telemetry.Registry) {
+func (p *Pipeline) registerDissemMetrics(reg *telemetry.Registry, s *Stats) {
 	reg.CounterFunc("tagcorr_dissem_docs_total",
 		"Parsed documents seen by the Disseminators.",
-		nil, func() int64 { return p.dissemTotals().Docs })
+		nil, func() int64 { return s.DocsProcessed })
 	reg.CounterFunc("tagcorr_dissem_notifications_total",
 		"Calculator notifications sent.",
-		nil, func() int64 { return p.dissemTotals().Notifications })
+		nil, func() int64 { return s.Notifications })
 	reg.CounterFunc("tagcorr_dissem_notified_docs_total",
 		"Documents that produced at least one notification.",
-		nil, func() int64 { return p.dissemTotals().NotifiedDocs })
+		nil, func() int64 { return s.NotifiedDocs })
 	reg.CounterFunc("tagcorr_dissem_uncovered_docs_total",
 		"Documents whose tagset no single Calculator fully held.",
-		nil, func() int64 { return p.dissemTotals().UncoveredDocs })
+		nil, func() int64 { return s.UncoveredDocs })
 	reg.CounterFunc("tagcorr_dissem_single_additions_total",
 		"Single-Addition placements requested from the Merger.",
-		nil, func() int64 { return int64(p.dissemTotals().AdditionsAsked) })
-	for _, cause := range []string{"comm", "load", "both"} {
-		cause := cause
+		nil, func() int64 { return int64(s.SingleAdditions) })
+	for cause, n := range map[string]*int{
+		"comm": &s.RepartitionsComm, "load": &s.RepartitionsLoad, "both": &s.RepartitionsBoth,
+	} {
 		reg.CounterFunc("tagcorr_dissem_repartitions_total",
 			"Post-bootstrap repartition requests by trigger cause.",
-			telemetry.Labels{"cause": cause}, func() int64 {
-				s := p.dissemTotals()
-				switch cause {
-				case "comm":
-					return int64(s.CauseComm)
-				case "load":
-					return int64(s.CauseLoad)
-				default:
-					return int64(s.CauseBoth)
-				}
-			})
+			telemetry.Labels{"cause": cause}, func() int64 { return int64(*n) })
 	}
 	reg.GaugeFunc("tagcorr_dissem_communication", //vet:ok metricnames -- the paper's dimensionless communication measure (Section 8.2.1); the name is kept verbatim so dashboards match the paper's terminology
 		"Run-average notifications per notified document (paper Section 8.2.1).",
-		nil, func() float64 { s := p.dissemTotals(); return s.Communication() })
+		nil, func() float64 { return s.Communication })
 	reg.GaugeFunc("tagcorr_dissem_load_gini", //vet:ok metricnames -- Gini coefficient of the paper's load measure (Section 8.2.2); dimensionless by definition and named after the paper
 		"Gini coefficient of cumulative per-Calculator notifications (paper Section 8.2.2).",
-		nil, func() float64 { s := p.dissemTotals(); return s.LoadGini() })
+		nil, func() float64 { return s.LoadGini })
 }
 
-func (p *Pipeline) registerTrackerMetrics(reg *telemetry.Registry) {
+func (p *Pipeline) registerTrackerMetrics(reg *telemetry.Registry, s *Stats) {
 	reg.CounterFunc("tagcorr_tracker_coefficients_received_total",
 		"Coefficient reports the Tracker received, duplicates included.",
-		nil, func() int64 { return p.tracker.StatsSnapshot().Received })
+		nil, func() int64 { return s.CoefficientsReceived })
 	reg.CounterFunc("tagcorr_tracker_coefficients_duplicate_total",
 		"Coefficient reports dropped by CN-max dedup.",
-		nil, func() int64 { return p.tracker.StatsSnapshot().Duplicates })
+		nil, func() int64 { return s.CoefficientsDuplicate })
 	reg.GaugeFunc("tagcorr_tracker_retained_coefficients",
 		"Coefficients currently retained across all shards.",
-		nil, func() float64 { return float64(p.tracker.StatsSnapshot().Retained) })
+		nil, func() float64 { return float64(s.Tracker.Retained) })
 	reg.GaugeFunc("tagcorr_tracker_heap_entries",
 		"Entries currently held in the incrementally maintained shard top-k heaps.",
-		nil, func() float64 { return float64(p.tracker.StatsSnapshot().HeapEntries) })
+		nil, func() float64 { return float64(s.Tracker.HeapEntries) })
 	reg.CounterFunc("tagcorr_tracker_heap_rebuilds_total",
 		"Shard heap rebuilds (prunes, demotions, bound changes).",
-		nil, func() int64 { return p.tracker.StatsSnapshot().Rebuilds })
+		nil, func() int64 { return s.Tracker.Rebuilds })
 	reg.GaugeFunc("tagcorr_tracker_retained_periods",
 		"Reporting periods currently retained.",
-		nil, func() float64 { return float64(p.tracker.StatsSnapshot().RetainedPeriods) })
+		nil, func() float64 { return float64(s.Tracker.RetainedPeriods) })
 	reg.CounterFunc("tagcorr_tracker_pruned_periods_total",
 		"Reporting periods evicted by retention.",
-		nil, func() int64 { return p.tracker.StatsSnapshot().PrunedPeriods })
+		nil, func() int64 { return s.Tracker.PrunedPeriods })
 	reg.GaugeFunc("tagcorr_tracker_evicted_lru_entries",
 		"Pairs currently held in the evicted-coefficient LRU.",
-		nil, func() float64 { return float64(p.tracker.StatsSnapshot().EvictedLen) })
+		nil, func() float64 { return float64(s.Tracker.EvictedLen) })
 	reg.CounterFunc("tagcorr_tracker_evicted_lru_hits_total",
 		"Pair lookups answered from the evicted-coefficient LRU.",
-		nil, func() int64 { return p.tracker.StatsSnapshot().EvictedHits })
+		nil, func() int64 { return s.Tracker.EvictedHits })
 	reg.CounterFunc("tagcorr_tracker_evicted_lru_misses_total",
 		"Evicted-LRU lookups that found nothing.",
-		nil, func() int64 { return p.tracker.StatsSnapshot().EvictedMisses })
+		nil, func() int64 { return s.Tracker.EvictedMisses })
 }
 
 func (p *Pipeline) registerStageMetrics(reg *telemetry.Registry) {
@@ -175,10 +142,10 @@ func (p *Pipeline) registerStageMetrics(reg *telemetry.Registry) {
 		telemetry.Labels{"stage": "doc_tracker_accept"}, p.stages.DocTrackerAccept)
 }
 
-func (p *Pipeline) registerArchiveMetrics(reg *telemetry.Registry) {
+func (p *Pipeline) registerArchiveMetrics(reg *telemetry.Registry, s *Stats) {
 	reg.CounterFunc("tagcorr_archive_checkpoints_total",
 		"Completed checkpoint writes.",
-		nil, p.ckptCount.Load)
+		nil, func() int64 { return s.Checkpoints })
 	reg.Observe("tagcorr_archive_checkpoint_build_seconds",
 		"Checkpoint state-export latency (deep copy under the operator locks).",
 		nil, p.ckptBuildHist)
@@ -193,19 +160,19 @@ func (p *Pipeline) registerArchiveMetrics(reg *telemetry.Registry) {
 		nil, p.compactHist)
 	reg.CounterFunc("tagcorr_archive_compactions_total",
 		"Compacted archive files written.",
-		nil, func() int64 { return p.CompactorStats().Compactions })
+		nil, func() int64 { return s.ArchiveCompactions })
 	reg.CounterFunc("tagcorr_archive_compacted_periods_total",
 		"Raw period segments folded into compacted files.",
-		nil, func() int64 { return p.CompactorStats().CompactedPeriods })
+		nil, func() int64 { return s.ArchiveCompactedPeriods })
 	reg.CounterFunc("tagcorr_archive_aged_out_periods_total",
 		"Periods deleted from the compacted tier under the disk budget.",
-		nil, func() int64 { return p.CompactorStats().AgedOutPeriods })
+		nil, func() int64 { return s.ArchiveAgedOutPeriods })
 	reg.CounterFunc("tagcorr_archive_aged_out_bytes_total",
 		"Bytes freed by deleting aged-out compacted periods.",
-		nil, func() int64 { return p.CompactorStats().AgedOutBytes })
+		nil, func() int64 { return s.ArchiveAgedOutBytes })
 	reg.GaugeFunc("tagcorr_archive_dir_bytes",
 		"Archive directory size after the compactor's last pass.",
-		nil, func() float64 { return float64(p.CompactorStats().DirBytes) })
+		nil, func() float64 { return float64(s.ArchiveBytes) })
 }
 
 // registerFlightMetrics exports the flight recorder's counters. Like the
@@ -246,23 +213,25 @@ func (p *Pipeline) registerFlightMetrics(reg *telemetry.Registry) {
 		nil, func() float64 { return float64(rec.Snapshot().Retained) })
 }
 
-func (p *Pipeline) registerTrendMetrics(reg *telemetry.Registry) {
+// registerTrendMetrics runs only with the detector on, so every gathered
+// Stats it reads has a non-nil TrendStats.
+func (p *Pipeline) registerTrendMetrics(reg *telemetry.Registry, s *Stats) {
 	reg.CounterFunc("tagcorr_trend_deviations_scored_total",
 		"Deviation events scored by the streaming trend detector.",
-		nil, func() int64 { return p.trends.StatsSnapshot().Scored })
+		nil, func() int64 { return s.TrendStats.Scored })
 	reg.CounterFunc("tagcorr_trend_filtered_total",
 		"Trend observations below the minimum-support floor.",
-		nil, func() int64 { return p.trends.StatsSnapshot().Filtered })
+		nil, func() int64 { return s.TrendStats.Filtered })
 	reg.CounterFunc("tagcorr_trend_published_total",
 		"Trend events delivered to at least one subscriber.",
-		nil, func() int64 { return p.trends.StatsSnapshot().Published })
+		nil, func() int64 { return s.TrendStats.Published })
 	reg.CounterFunc("tagcorr_trend_subscriber_drops_total",
 		"Per-subscriber trend deliveries lost to full buffers.",
-		nil, func() int64 { return p.trends.StatsSnapshot().Dropped })
+		nil, func() int64 { return s.TrendStats.Dropped })
 	reg.GaugeFunc("tagcorr_trend_subscribers",
 		"Live trend event subscribers.",
-		nil, func() float64 { return float64(p.trends.StatsSnapshot().Subscribers) })
+		nil, func() float64 { return float64(s.TrendStats.Subscribers) })
 	reg.GaugeFunc("tagcorr_trend_tracked_predictors",
 		"Live EWMA predictors across all trend shards.",
-		nil, func() float64 { return float64(p.trends.StatsSnapshot().Tracked) })
+		nil, func() float64 { return float64(s.TrendStats.Tracked) })
 }

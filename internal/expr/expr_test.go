@@ -2,6 +2,7 @@ package expr
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/partition"
@@ -11,8 +12,10 @@ import (
 )
 
 // fastSuite shrinks the stream and the pipeline cadence so harness tests
-// stay quick: ~8k documents per cell with 10-second windows.
-func fastSuite() *Suite {
+// stay quick: ~8k documents per cell with 10-second windows. Every test
+// shares the one suite, so a cell (the default DS cell above all) runs once
+// per test binary; the Suite's cache is what TestCellCaching asserts.
+var fastSuite = sync.OnceValue(func() *Suite {
 	def := Defaults{
 		Minutes:     2,
 		Seed:        2,
@@ -28,7 +31,7 @@ func fastSuite() *Suite {
 		c.TagsPerTopic = 10
 		return c
 	})
-}
+})
 
 func TestCellCaching(t *testing.T) {
 	s := fastSuite()

@@ -17,9 +17,7 @@ import (
 // track purely from the notifications (Section 6.2). Reporting boundaries
 // are aligned to multiples of ReportEvery so that all Calculators report
 // the same periods and the Tracker can deduplicate. Notifications arrive
-// either one per tuple (NotifyMsg) or batched (NotifyBatch, when the
-// Disseminator runs with Config.NotifyBatch > 0); both feed the same
-// counter table in arrival order.
+// as NotifyBatch tuples and feed the counter table in batch order.
 type Calculator struct {
 	cfg   Config
 	ctx   *storm.TaskContext
@@ -56,13 +54,8 @@ func (c *Calculator) Prepare(ctx *storm.TaskContext) {
 
 // Execute implements storm.Bolt.
 func (c *Calculator) Execute(t storm.Tuple, out storm.Collector) {
-	switch msg := t.Values[0].(type) {
-	case NotifyMsg:
-		c.observe(msg, out)
-	case NotifyBatch:
-		for _, m := range msg.Msgs {
-			c.observe(m, out)
-		}
+	for _, m := range t.Values[0].(NotifyBatch).Msgs {
+		c.observe(m, out)
 	}
 }
 

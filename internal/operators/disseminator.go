@@ -83,6 +83,31 @@ func (s *DissemStats) Communication() float64 {
 // notifications — the paper's Processing Load metric (Section 8.2.2).
 func (s *DissemStats) LoadGini() float64 { return quality.GiniInts(s.PerCalculator) }
 
+// Merge adds another Disseminator instance's counters into s: with
+// Config.Disseminators > 1 each instance routes a fraction of the traffic,
+// and Communication/LoadGini are only meaningful over the sum. The figure
+// time series are per-instance and are not merged.
+func (s *DissemStats) Merge(o DissemStats) {
+	s.Docs += o.Docs
+	s.BeforePartition += o.BeforePartition
+	s.NotifiedDocs += o.NotifiedDocs
+	s.Notifications += o.Notifications
+	s.UncoveredDocs += o.UncoveredDocs
+	s.Repartitions += o.Repartitions
+	s.CauseComm += o.CauseComm
+	s.CauseLoad += o.CauseLoad
+	s.CauseBoth += o.CauseBoth
+	s.AdditionsAsked += o.AdditionsAsked
+	// Grow by length, not presence: a live read racing Prepare can see one
+	// instance's slice sized and another's still empty.
+	if len(o.PerCalculator) > len(s.PerCalculator) {
+		s.PerCalculator = append(s.PerCalculator, make([]int64, len(o.PerCalculator)-len(s.PerCalculator))...)
+	}
+	for i, n := range o.PerCalculator {
+		s.PerCalculator[i] += n
+	}
+}
+
 // Disseminator forwards parsed documents to the Calculators holding their
 // tags (via an inverted tag index and direct grouping), requests Single
 // Additions for repeatedly-uncovered tagsets, and monitors partition
@@ -114,10 +139,9 @@ type Disseminator struct {
 	uncovered  map[tagset.Key]int
 	pendingAdd map[tagset.Key]bool
 
-	// notifyBuf buffers per-Calculator notifications when cfg.NotifyBatch
-	// > 0 (nil otherwise): instead of one mailbox delivery per (document ×
-	// involved Calculator), buffered notifications ship as one NotifyBatch
-	// tuple per Calculator every NotifyBatch documents, plus on partition
+	// notifyBuf buffers per-Calculator notifications: they ship as one
+	// NotifyBatch tuple per Calculator once cfg.NotifyBatch documents were
+	// notified (0: after every notified document), plus on partition
 	// install and Cleanup. bufDocs counts notified documents since the last
 	// flush. Per-Calculator notification order is preserved.
 	notifyBuf [][]NotifyMsg
@@ -209,9 +233,7 @@ func (d *Disseminator) Prepare(ctx *storm.TaskContext) {
 	d.calcTasks = ctx.TasksOf("calculator")
 	d.batchCalc = make([]int64, len(d.calcTasks))
 	d.Stats.PerCalculator = make([]int64, len(d.calcTasks))
-	if d.cfg.NotifyBatch > 0 {
-		d.notifyBuf = make([][]NotifyMsg, len(d.calcTasks))
-	}
+	d.notifyBuf = make([][]NotifyMsg, len(d.calcTasks))
 }
 
 // Execute implements storm.Bolt.
@@ -242,9 +264,6 @@ func (d *Disseminator) Cleanup(out storm.Collector) {
 // NotifyBatch tuple. Buffers are handed to the tuples (not reused): the
 // consumer reads them from its mailbox concurrently.
 func (d *Disseminator) flushNotify(out storm.Collector) {
-	if d.notifyBuf == nil {
-		return
-	}
 	for c, msgs := range d.notifyBuf {
 		if len(msgs) == 0 {
 			continue
@@ -339,13 +358,7 @@ func (d *Disseminator) onDoc(msg DocMsg, out storm.Collector) {
 		} else {
 			covered = true
 		}
-		if d.notifyBuf != nil {
-			d.notifyBuf[c] = append(d.notifyBuf[c], NotifyMsg{Time: msg.Time, Tags: sub, Ingest: msg.Ingest, Trace: msg.Trace})
-		} else {
-			out.EmitDirect(d.calcTasks[c], storm.Tuple{Stream: StreamNotify, Values: []interface{}{
-				NotifyMsg{Time: msg.Time, Tags: sub, Ingest: msg.Ingest, Trace: msg.Trace},
-			}})
-		}
+		d.notifyBuf[c] = append(d.notifyBuf[c], NotifyMsg{Time: msg.Time, Tags: sub, Ingest: msg.Ingest, Trace: msg.Trace})
 		d.Stats.Notifications++
 		d.batchMsgs++
 		d.batchCalc[c]++
@@ -354,10 +367,8 @@ func (d *Disseminator) onDoc(msg DocMsg, out storm.Collector) {
 	if len(d.calcSeen) > 0 {
 		d.Stats.NotifiedDocs++
 		d.batchDocs++
-		if d.notifyBuf != nil {
-			if d.bufDocs++; d.bufDocs >= d.cfg.NotifyBatch {
-				d.flushNotify(out)
-			}
+		if d.bufDocs++; d.bufDocs >= d.cfg.NotifyBatch {
+			d.flushNotify(out)
 		}
 	}
 

@@ -3,6 +3,7 @@ package operators
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -117,7 +118,8 @@ func runFanout(t *testing.T, tuples []storm.Tuple, trackerTasks, notifyBatch int
 		st = topo.RunSequential()
 	}
 	run := fanoutRun{tracker: tr, det: det, perTask: st.TaskReceived(topo, "tracker")}
-	run.received, run.dups = tr.Counts()
+	ts := tr.StatsSnapshot()
+	run.received, run.dups = ts.Received, ts.Duplicates
 	return run
 }
 
@@ -281,14 +283,10 @@ func TestCalculatorSubBatchedFlush(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			a := tagset.Tag(rng.Intn(20))
 			b := a + 1 + tagset.Tag(rng.Intn(4))
-			pair.c.Execute(storm.Tuple{Stream: StreamNotify, Values: []interface{}{
-				NotifyMsg{Time: stream.Millis(i), Tags: tagset.New(a, b)},
-			}}, pair.out)
+			pair.c.Execute(notifyTuple(NotifyMsg{Time: stream.Millis(i), Tags: tagset.New(a, b)}), pair.out)
 		}
 		// Crossing the boundary flushes period 1.
-		pair.c.Execute(storm.Tuple{Stream: StreamNotify, Values: []interface{}{
-			NotifyMsg{Time: 1500, Tags: tagset.New(1, 2)},
-		}}, pair.out)
+		pair.c.Execute(notifyTuple(NotifyMsg{Time: 1500, Tags: tagset.New(1, 2)}), pair.out)
 	}
 
 	want := outS.byStream(StreamCoeff)
@@ -333,9 +331,7 @@ func TestCalculatorIdleGapJump(t *testing.T) {
 	c.Prepare(&storm.TaskContext{})
 	out := newCollector()
 	notify := func(tm stream.Millis) {
-		c.Execute(storm.Tuple{Stream: StreamNotify, Values: []interface{}{
-			NotifyMsg{Time: tm, Tags: tagset.New(1, 2)},
-		}}, out)
+		c.Execute(notifyTuple(NotifyMsg{Time: tm, Tags: tagset.New(1, 2)}), out)
 	}
 	notify(100)
 	notify(200)
@@ -362,39 +358,44 @@ func TestCalculatorIdleGapJump(t *testing.T) {
 	}
 }
 
-// TestCalculatorAcceptsNotifyBatch: a NotifyBatch tuple is equivalent to its
-// messages delivered one by one.
+// TestCalculatorAcceptsNotifyBatch: a batch is observed in order, so a
+// period boundary crossed mid-batch flushes exactly the messages before it.
 func TestCalculatorAcceptsNotifyBatch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReportEvery = 1000
-	one, batched := NewCalculator(cfg), NewCalculator(cfg)
-	one.Prepare(&storm.TaskContext{})
-	batched.Prepare(&storm.TaskContext{})
-	outOne, outBatched := newCollector(), newCollector()
+	c := NewCalculator(cfg)
+	c.Prepare(&storm.TaskContext{})
+	out := newCollector()
 
-	msgs := []NotifyMsg{
-		{Time: 100, Tags: tagset.New(1, 2)},
-		{Time: 200, Tags: tagset.New(1, 2)},
-		{Time: 300, Tags: tagset.New(1, 3)},
-		{Time: 1500, Tags: tagset.New(1, 2)}, // crosses the boundary mid-batch
-	}
-	for _, m := range msgs {
-		one.Execute(storm.Tuple{Stream: StreamNotify, Values: []interface{}{m}}, outOne)
-	}
-	batched.Execute(storm.Tuple{Stream: StreamNotify, Values: []interface{}{NotifyBatch{Msgs: msgs}}}, outBatched)
+	c.Execute(notifyTuple(
+		NotifyMsg{Time: 100, Tags: tagset.New(1, 2)},
+		NotifyMsg{Time: 200, Tags: tagset.New(1, 2)},
+		NotifyMsg{Time: 300, Tags: tagset.New(1, 3)},
+		NotifyMsg{Time: 1500, Tags: tagset.New(1, 2)}, // crosses the boundary mid-batch
+	), out)
 
-	if one.Observed != batched.Observed {
-		t.Errorf("Observed = %d batched vs %d single", batched.Observed, one.Observed)
+	if c.Observed != 4 {
+		t.Errorf("Observed = %d, want 4", c.Observed)
 	}
-	a, b := outOne.byStream(StreamCoeff), outBatched.byStream(StreamCoeff)
-	if len(a) != 1 || len(b) != 1 {
-		t.Fatalf("flushes: %d single, %d batched, want 1 each", len(a), len(b))
+	flushes := out.byStream(StreamCoeff)
+	if len(flushes) != 1 {
+		t.Fatalf("flushes = %d, want 1 (period 1, cut at the fourth message)", len(flushes))
 	}
-	ca := append([]jaccard.Coefficient(nil), a[0].Values[0].(CoeffBatch).Coeffs...)
-	cb := append([]jaccard.Coefficient(nil), b[0].Values[0].(CoeffBatch).Coeffs...)
-	sortCoefficients(ca)
-	sortCoefficients(cb)
-	sameCoefficients(t, "batched flush", cb, ca)
+	batch := flushes[0].Values[0].(CoeffBatch)
+	if batch.Period != 1 {
+		t.Errorf("flushed period = %d, want 1", batch.Period)
+	}
+	// Period 1 saw {1,2} twice and {1,3} once: J({1,2}) = 2/3 with CN 2.
+	// Had the fourth message been counted before the flush it would be 3/4.
+	var got jaccard.Coefficient
+	for _, co := range batch.Coeffs {
+		if co.Tags.Equal(tagset.New(1, 2)) {
+			got = co
+		}
+	}
+	if got.CN != 2 || math.Abs(got.J-2.0/3) > 1e-12 {
+		t.Errorf("J({1,2}) = %v (CN %d), want 2/3 (CN 2)", got.J, got.CN)
+	}
 }
 
 // TestDisseminatorNotifyBatching pins the buffering contract: nothing ships

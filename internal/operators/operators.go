@@ -89,7 +89,7 @@ type RepartitionReq struct {
 
 // NotifyMsg is a notification to one Calculator: the subset of a document's
 // tags that the Calculator is assigned. Ingest propagates the document's
-// ingest stamp (see DocMsg).
+// ingest stamp (see DocMsg). It travels as an element of a NotifyBatch.
 type NotifyMsg struct {
 	Time   stream.Millis
 	Tags   tagset.Set
@@ -97,13 +97,12 @@ type NotifyMsg struct {
 	Trace  uint64 // flight-recorder trace ID of the source document (0: untraced)
 }
 
-// NotifyBatch carries several notifications to one Calculator in a single
-// mailbox delivery. With Config.NotifyBatch > 0 the Disseminator buffers
-// per-Calculator notifications and ships one NotifyBatch every NotifyBatch
-// documents (plus on partition install and Cleanup), so Disseminator→
-// Calculator mailbox traffic scales with batches instead of documents. The
-// Calculator accepts both forms; per-Calculator notification order is
-// preserved.
+// NotifyBatch is the one Disseminator→Calculator message: the notifications
+// buffered for one Calculator, in routing order, in a single mailbox
+// delivery. The Disseminator ships one per involved Calculator every
+// Config.NotifyBatch notified documents (plus on partition install and
+// Cleanup), so mailbox traffic scales with batches instead of documents;
+// with Config.NotifyBatch = 0 every batch holds one notification.
 type NotifyBatch struct {
 	Msgs []NotifyMsg
 }
@@ -217,10 +216,11 @@ type Config struct {
 	TrackerTasks int
 
 	// NotifyBatch batches the Disseminator→Calculator notification stream:
-	// when > 0 the Disseminator buffers per-Calculator notifications and
-	// flushes them as one NotifyBatch tuple every NotifyBatch documents
-	// (plus on partition install and Cleanup). 0 — the batch default —
-	// ships one tuple per (document × involved Calculator).
+	// the Disseminator buffers per-Calculator notifications and flushes
+	// them as one NotifyBatch tuple per Calculator every NotifyBatch
+	// notified documents (plus on partition install and Cleanup). 0 — the
+	// batch default — flushes after every notified document: one tuple per
+	// (document × involved Calculator).
 	NotifyBatch int
 
 	// Trend enables the streaming trend-detection subsystem: the Tracker

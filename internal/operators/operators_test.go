@@ -304,6 +304,11 @@ func TestMergerSingleAddition(t *testing.T) {
 	}
 }
 
+// notifyTuple wraps notifications the way the Disseminator ships them.
+func notifyTuple(msgs ...NotifyMsg) storm.Tuple {
+	return storm.Tuple{Stream: StreamNotify, Values: []interface{}{NotifyBatch{Msgs: msgs}}}
+}
+
 func TestCalculatorPeriodsAndFlush(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReportEvery = 1000
@@ -311,7 +316,7 @@ func TestCalculatorPeriodsAndFlush(t *testing.T) {
 	c.Prepare(&storm.TaskContext{})
 	out := newCollector()
 	notify := func(tm stream.Millis, tags ...tagset.Tag) {
-		c.Execute(storm.Tuple{Stream: StreamNotify, Values: []interface{}{NotifyMsg{Time: tm, Tags: tagset.New(tags...)}}}, out)
+		c.Execute(notifyTuple(NotifyMsg{Time: tm, Tags: tagset.New(tags...)}), out)
 	}
 	notify(100, 1, 2)
 	notify(200, 1, 2)
@@ -359,9 +364,9 @@ func TestCalculatorSkipsEmptyPeriods(t *testing.T) {
 	c := NewCalculator(cfg)
 	c.Prepare(&storm.TaskContext{})
 	out := newCollector()
-	c.Execute(storm.Tuple{Stream: StreamNotify, Values: []interface{}{NotifyMsg{Time: 50, Tags: tagset.New(1, 2)}}}, out)
+	c.Execute(notifyTuple(NotifyMsg{Time: 50, Tags: tagset.New(1, 2)}), out)
 	// Jump far ahead: several empty periods in between must not emit.
-	c.Execute(storm.Tuple{Stream: StreamNotify, Values: []interface{}{NotifyMsg{Time: 1050, Tags: tagset.New(1, 2)}}}, out)
+	c.Execute(notifyTuple(NotifyMsg{Time: 1050, Tags: tagset.New(1, 2)}), out)
 	coeffs := out.byStream(StreamCoeff)
 	if len(coeffs) != 1 {
 		t.Fatalf("coeffs = %d", len(coeffs))
@@ -405,9 +410,7 @@ func buildDissem(cfg Config) (*Disseminator, *collector) {
 	}
 	d.batchCalc = make([]int64, cfg.K)
 	d.Stats.PerCalculator = make([]int64, cfg.K)
-	if cfg.NotifyBatch > 0 {
-		d.notifyBuf = make([][]NotifyMsg, cfg.K)
-	}
+	d.notifyBuf = make([][]NotifyMsg, cfg.K)
 	return d, newCollector()
 }
 
@@ -459,10 +462,10 @@ func TestDisseminatorRoutingAndSubsets(t *testing.T) {
 	if got := len(out.direct[0]); got != 1 {
 		t.Fatalf("calc0 notifications = %d", got)
 	}
-	if got := out.direct[0][0].Values[0].(NotifyMsg).Tags; !got.Equal(tagset.New(1, 2, 3)) {
+	if got := out.direct[0][0].Values[0].(NotifyBatch).Msgs[0].Tags; !got.Equal(tagset.New(1, 2, 3)) {
 		t.Errorf("calc0 subset = %v", got)
 	}
-	if got := out.direct[1][0].Values[0].(NotifyMsg).Tags; !got.Equal(tagset.New(1, 3)) {
+	if got := out.direct[1][0].Values[0].(NotifyBatch).Msgs[0].Tags; !got.Equal(tagset.New(1, 3)) {
 		t.Errorf("calc1 subset = %v", got)
 	}
 	if len(out.direct[2]) != 0 {
@@ -510,7 +513,7 @@ func TestDisseminatorSingleAdditionFlow(t *testing.T) {
 	}}}, out)
 	out.direct = make(map[storm.TaskID][]storm.Tuple)
 	d.Execute(docTuple(5, 2, 3), out)
-	if got := out.direct[0][0].Values[0].(NotifyMsg).Tags; !got.Equal(tagset.New(2, 3)) {
+	if got := out.direct[0][0].Values[0].(NotifyBatch).Msgs[0].Tags; !got.Equal(tagset.New(2, 3)) {
 		t.Errorf("post-addition subset = %v", got)
 	}
 	if d.Stats.UncoveredDocs != 4 {

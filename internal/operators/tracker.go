@@ -3,9 +3,9 @@ package operators
 import (
 	"container/heap"
 	"container/list"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -384,12 +384,9 @@ func (tr *Tracker) PruneFloor() int64 {
 // Periods returns the retained reporting period ids in ascending order.
 func (tr *Tracker) Periods() []int64 {
 	tr.reg.mu.RLock()
-	out := make([]int64, 0, len(tr.reg.known))
-	for p := range tr.reg.known {
-		out = append(out, p)
-	}
+	out := slices.AppendSeq(make([]int64, 0, len(tr.reg.known)), maps.Keys(tr.reg.known))
 	tr.reg.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -521,11 +518,6 @@ func (tr *Tracker) LookupDetail(k tagset.Key) (c jaccard.Coefficient, period int
 	return jaccard.Coefficient{}, 0, false, false
 }
 
-// Counts returns the received and duplicate counters, for mid-run reads.
-func (tr *Tracker) Counts() (received, duplicates int64) {
-	return atomic.LoadInt64(&tr.Received), atomic.LoadInt64(&tr.Duplicates)
-}
-
 // TrackerStats is a point-in-time view of the Tracker's internal structure
 // (shards, maintained heaps, retention, evicted LRU), exposed through
 // Pipeline.Snapshot; the json tags are its /stats rendering ("tracker").
@@ -551,41 +543,45 @@ type TrackerStats struct {
 	Late       int64 `json:"late_reports"`
 }
 
-// StatsSnapshot gathers the structural counters under the shard locks.
+// StatsSnapshot gathers the structural counters in one locked pass.
 func (tr *Tracker) StatsSnapshot() TrackerStats {
-	st := TrackerStats{
-		Shards:     len(tr.shards),
-		TopKBound:  tr.topKBound(),
-		Received:   atomic.LoadInt64(&tr.Received),
-		Duplicates: atomic.LoadInt64(&tr.Duplicates),
-		Late:       atomic.LoadInt64(&tr.Late),
-	}
-	for _, s := range tr.shards {
-		s.mu.Lock()
-		st.Retained += s.entries
-		st.HeapEntries += s.top.Len()
-		st.Rebuilds += s.rebuilds
-		s.mu.Unlock()
-	}
-	tr.reg.mu.RLock()
-	st.RetainedPeriods = len(tr.reg.known)
-	st.PrunedPeriods = tr.reg.pruned
-	tr.reg.mu.RUnlock()
-	if tr.lru != nil {
-		st.EvictedLen, st.EvictedCap, st.EvictedHits, st.EvictedMisses = tr.lru.stats()
-	}
+	_, st := tr.view(nil)
 	return st
 }
 
 // ConsistentView returns the top-k coefficients, the retained period ids
-// (ascending) and the structural stats gathered in one pass: the registry
-// read-lock and every shard lock are held simultaneously while the fields
-// are read, so the three views describe the same instant. This is the
-// serving layer's snapshot read — under CPU saturation the piecemeal
-// TopK/Periods/StatsSnapshot calls could be seconds apart, producing
-// snapshots whose fields contradict each other (ROADMAP: snapshot
-// staleness). Writers block only for the copy-out, never for sorting.
+// (ascending) and the structural stats gathered in one pass, so the three
+// describe the same instant. This is the serving layer's snapshot read —
+// under CPU saturation piecemeal TopK/Periods/StatsSnapshot calls could be
+// seconds apart, producing snapshots whose fields contradict each other.
+// Writers block only for the copy-out, never for sorting.
 func (tr *Tracker) ConsistentView(k int) (top []jaccard.Coefficient, periods []int64, st TrackerStats) {
+	var cand []jaccard.Coefficient
+	periods, st = tr.view(func(s *trackerShard) {
+		if k > 0 && k <= s.bound {
+			// The maintained heap holds this shard's best min(bound,
+			// entries) coefficients — a superset of its top-k contribution.
+			for _, e := range s.top.entries {
+				cand = append(cand, e.c)
+			}
+			return
+		}
+		for _, m := range s.periods {
+			for _, c := range m {
+				cand = append(cand, c)
+			}
+		}
+	})
+	cand = topselect.Select(cand, k, coeffBefore)
+	sortCoefficients(cand)
+	return cand, periods, st
+}
+
+// view is the Tracker's one statistics pass: the retained period ids
+// (ascending) and the structural stats, read while the registry read-lock
+// and every shard lock are held together. visit, when non-nil, runs on each
+// shard inside that same critical section.
+func (tr *Tracker) view(visit func(*trackerShard)) (periods []int64, st TrackerStats) {
 	st = TrackerStats{
 		Shards:     len(tr.shards),
 		TopKBound:  tr.topKBound(),
@@ -598,46 +594,27 @@ func (tr *Tracker) ConsistentView(k int) (top []jaccard.Coefficient, periods []i
 	for _, s := range tr.shards {
 		s.mu.Lock()
 	}
-
-	periods = make([]int64, 0, len(tr.reg.known))
-	for p := range tr.reg.known {
-		periods = append(periods, p)
-	}
+	periods = slices.AppendSeq(make([]int64, 0, len(tr.reg.known)), maps.Keys(tr.reg.known))
 	st.RetainedPeriods = len(tr.reg.known)
 	st.PrunedPeriods = tr.reg.pruned
-
-	var cand []jaccard.Coefficient
 	for _, s := range tr.shards {
 		st.Retained += s.entries
 		st.HeapEntries += s.top.Len()
 		st.Rebuilds += s.rebuilds
-		if k > 0 && k <= s.bound {
-			// The maintained heap holds this shard's best min(bound,
-			// entries) coefficients — a superset of its top-k contribution.
-			for _, e := range s.top.entries {
-				cand = append(cand, e.c)
-			}
-		} else {
-			for _, m := range s.periods {
-				for _, c := range m {
-					cand = append(cand, c)
-				}
-			}
+		if visit != nil {
+			visit(s)
 		}
 	}
-
 	for _, s := range tr.shards {
 		s.mu.Unlock()
 	}
 	tr.reg.mu.RUnlock()
 
-	sort.Slice(periods, func(i, j int) bool { return periods[i] < periods[j] })
-	cand = topselect.Select(cand, k, coeffBefore)
-	sortCoefficients(cand)
+	slices.Sort(periods)
 	if tr.lru != nil {
 		st.EvictedLen, st.EvictedCap, st.EvictedHits, st.EvictedMisses = tr.lru.stats()
 	}
-	return cand, periods, st
+	return periods, st
 }
 
 // periodRegistry tracks the retained period ids globally, so the retention

@@ -118,7 +118,7 @@ func TestTrackerIntakeAllocations(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, func() { tr.Execute(dup, out) }); avg != 0 {
 		t.Errorf("an all-duplicate batch of %d allocates %.1f times, want 0", n, avg)
 	}
-	if _, dups := tr.Counts(); dups != 11*n {
+	if dups := tr.StatsSnapshot().Duplicates; dups != 11*n {
 		t.Fatalf("duplicates = %d, want %d: the batches were not all duplicates", dups, 11*n)
 	}
 

@@ -55,7 +55,7 @@ func TestTrackerTrendEmission(t *testing.T) {
 			t.Errorf("emission %d = %+v, want %+v", i, msg, want)
 		}
 	}
-	if got, _ := tr.Counts(); got != 3 {
+	if got := tr.StatsSnapshot().Received; got != 3 {
 		t.Errorf("received = %d, want one per batched coefficient", got)
 	}
 }

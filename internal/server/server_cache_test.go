@@ -240,6 +240,10 @@ func TestRenderedConcurrentEncodeOnce(t *testing.T) {
 	srv, h, held, release, _ := trendService(t, 10, 8000)
 	<-held // every route has something to render
 	release()
+	// Only the test refreshes from here: left running, the refresh loop's
+	// final refresh at the drain can replace the snapshot a round below is
+	// waiting on, which no request then renders from.
+	srv.Close()
 	handler := srv.Handler()
 	paths := []string{"/topk?k=3", "/topk", "/topk?k=500", "/trends?k=3", "/trends", "/partition", "/stats"}
 

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"bufio"
+	"bytes"
 	"io"
 	"net/http"
 	"sort"
@@ -17,16 +17,26 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // lines, members sorted by rendered label set. Histograms emit cumulative
 // le buckets, +Inf, _sum (seconds) and _count, with _count equal to the
 // +Inf bucket even under concurrent recording.
+//
+// A scrape is the BeforeScrape function followed by every callback read,
+// and scrapes are serialised, so callbacks may read what that function
+// gathered. The body is rendered to memory and written afterwards: a slow
+// client never holds up the next scrape.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
 		fams = append(fams, f)
 	}
+	before := r.beforeScrape
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	bw := bufio.NewWriterSize(w, 1<<14)
+	bw := new(bytes.Buffer)
+	r.scrapeMu.Lock()
+	if before != nil {
+		before()
+	}
 	for _, f := range fams {
 		// Members append at registration time only; reading len+index
 		// without the registry lock is safe because wiring completes
@@ -62,7 +72,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 			}
 		}
 	}
-	return bw.Flush()
+	r.scrapeMu.Unlock()
+	_, err := w.Write(bw.Bytes())
+	return err
 }
 
 // Handler returns an http.Handler serving the exposition at GET.
@@ -73,7 +85,7 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-func writeSimple(bw *bufio.Writer, name, labels, value string) {
+func writeSimple(bw *bytes.Buffer, name, labels, value string) {
 	bw.WriteString(name)
 	if labels != "" {
 		bw.WriteByte('{')
@@ -89,7 +101,7 @@ func writeSimple(bw *bufio.Writer, name, labels, value string) {
 // Empty buckets are skipped (except +Inf) to keep the scrape compact; the
 // cumulative value at any published le is still correct, so parsers and
 // quantile estimates are unaffected.
-func writeHistogram(bw *bufio.Writer, name, labels string, h *Histogram) {
+func writeHistogram(bw *bytes.Buffer, name, labels string, h *Histogram) {
 	cum, total := h.cumulative()
 	sumNS := h.SumNS()
 	var prev int64
@@ -123,7 +135,7 @@ func writeHistogram(bw *bufio.Writer, name, labels string, h *Histogram) {
 	bw.WriteByte('\n')
 }
 
-func writeBucket(bw *bufio.Writer, name, labels, le string, v int64) {
+func writeBucket(bw *bytes.Buffer, name, labels, le string, v int64) {
 	bw.WriteString(name)
 	bw.WriteString("_bucket{")
 	if labels != "" {
@@ -139,7 +151,7 @@ func writeBucket(bw *bufio.Writer, name, labels, le string, v int64) {
 
 // writeEscapedHelp escapes a HELP string: backslash and newline (quotes
 // are legal in help text).
-func writeEscapedHelp(bw *bufio.Writer, s string) {
+func writeEscapedHelp(bw *bytes.Buffer, s string) {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '\\':

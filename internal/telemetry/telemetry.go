@@ -203,13 +203,29 @@ type family struct {
 // Prometheus text exposition format. The zero value is not usable; call
 // NewRegistry.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
+	mu           sync.Mutex
+	families     map[string]*family
+	beforeScrape func()
+
+	// scrapeMu serialises scrapes (see WriteText); nothing else takes it.
+	scrapeMu sync.Mutex
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
+}
+
+// BeforeScrape sets the function every scrape runs first, so the callbacks
+// of one owner can read a single gather instead of each locking its source
+// again. There is one slot: a second call is a wiring bug and panics.
+func (r *Registry) BeforeScrape(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.beforeScrape != nil {
+		panic("telemetry: BeforeScrape set twice")
+	}
+	r.beforeScrape = fn
 }
 
 // Counter registers and returns a new owned counter time series.
