@@ -1,12 +1,7 @@
-// Benchmarks regenerating the paper's evaluation (one benchmark per figure,
-// Section 8) plus the ablations DESIGN.md calls out. The figure benchmarks
-// report the reproduced quantities as custom metrics (comm/doc, gini,
-// jaccard-err, repartitions, ...) so `go test -bench=.` doubles as a
-// compact reproduction report; cmd/experiments prints the full tables.
-//
-// Benchmarks run on a shortened stream (see benchSuite) — the shapes match
-// the full runs of cmd/experiments, the absolute repartition counts scale
-// with stream length.
+// Ablation benchmarks for the pipeline settings DESIGN.md calls out, plus
+// micro-benchmarks on the core data structures. The paper's figures are not
+// benchmarks: internal/expr's TestFigureLedger pins them, and
+// cmd/experiments prints them at full length.
 package repro
 
 import (
@@ -14,34 +9,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/jaccard"
 	"repro/internal/partition"
 	"repro/internal/stream"
 	"repro/internal/tagset"
-	"repro/internal/theory"
 	"repro/internal/twitgen"
 )
-
-// benchSuite runs cells on ~16k documents with 1-minute windows: large
-// enough to exercise bootstrap, installs, additions and repartitions,
-// small enough for iterating benchmarks.
-func benchSuite() *expr.Suite {
-	return expr.NewSuite(expr.Defaults{
-		Minutes:     4,
-		Seed:        1,
-		WindowSpan:  stream.Minutes(1),
-		ReportEvery: stream.Minutes(1),
-		StatsEvery:  500,
-	}, func(tps int, seed int64) twitgen.Config {
-		c := twitgen.Default()
-		c.TPS = tps
-		c.TaggedFraction = 0.05
-		c.Seed = seed
-		return c
-	})
-}
 
 // benchDocs generates one window's worth of documents for micro-benchmarks.
 func benchDocs(n int, seed int64) []stream.Document {
@@ -64,117 +38,6 @@ func snapshotOf(docs []stream.Document) []stream.WeightedSet {
 		w.Add(d)
 	}
 	return w.Snapshot()
-}
-
-// benchFigureCells runs the four default-parameter cells (one per
-// algorithm) and reports the chosen metric per algorithm.
-func benchFigureCells(b *testing.B, metric func(*expr.CellResult) float64, unit string) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		for _, alg := range []partition.Algorithm{partition.DS, partition.SCI, partition.SCC, partition.SCL} {
-			c := s.Cell(expr.Params{Algorithm: alg})
-			b.ReportMetric(metric(c), string(alg)+"-"+unit)
-		}
-	}
-}
-
-// BenchmarkFig3Communication regenerates Figure 3's default point: average
-// notifications per notified document, per algorithm.
-func BenchmarkFig3Communication(b *testing.B) {
-	benchFigureCells(b, func(c *expr.CellResult) float64 { return c.Communication }, "comm")
-}
-
-// BenchmarkFig4LoadGini regenerates Figure 4's default point: the Gini
-// coefficient of cumulative per-Calculator load.
-func BenchmarkFig4LoadGini(b *testing.B) {
-	benchFigureCells(b, func(c *expr.CellResult) float64 { return c.LoadGini }, "gini")
-}
-
-// BenchmarkFig5JaccardError regenerates Figure 5's default point: mean
-// absolute Jaccard error against the exact centralized baseline.
-func BenchmarkFig5JaccardError(b *testing.B) {
-	benchFigureCells(b, func(c *expr.CellResult) float64 { return c.MeanAbsError }, "err")
-}
-
-// BenchmarkFig6Repartitions regenerates Figure 6's default point: the
-// number of quality-triggered repartitions.
-func BenchmarkFig6Repartitions(b *testing.B) {
-	benchFigureCells(b, func(c *expr.CellResult) float64 { return float64(c.Repartitions) }, "repart")
-}
-
-// BenchmarkFig7Connectivity regenerates Figure 7: connected-component
-// statistics of tumbling windows (here the 2-minute size; cmd/experiments
-// prints all four sizes).
-func BenchmarkFig7Connectivity(b *testing.B) {
-	docs := benchDocs(16000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := stream.NewTumblingWindow(stream.Minutes(2))
-		var comps, windows float64
-		var maxLoad float64
-		measure := func(batch []stream.Document) {
-			if len(batch) == 0 {
-				return
-			}
-			st := graph.WindowStats(batch)
-			comps += float64(st.Components)
-			maxLoad += st.MaxLoadShare
-			windows++
-		}
-		for _, d := range docs {
-			measure(w.Add(d))
-		}
-		measure(w.Flush())
-		b.ReportMetric(comps/windows, "components")
-		b.ReportMetric(100*maxLoad/windows, "maxload-pct")
-	}
-}
-
-// BenchmarkFig8CommOverTime regenerates Figure 8's data: the communication
-// time series with repartition marks (DS panel; the series length and mark
-// count are reported).
-func BenchmarkFig8CommOverTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		c := s.Cell(expr.Params{Algorithm: partition.DS})
-		b.ReportMetric(float64(c.Dissem.CommSeries.Len()), "points")
-		b.ReportMetric(float64(len(c.Dissem.CommSeries.Marks)), "marks")
-		b.ReportMetric(c.Dissem.CommSeries.MeanY(), "comm-mean")
-	}
-}
-
-// BenchmarkFig9LoadOverTime regenerates Figure 9's data: per-Calculator
-// sorted load shares over time (SCL panel: the most-loaded node's mean
-// share — low and flat for SCL).
-func BenchmarkFig9LoadOverTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSuite()
-		c := s.Cell(expr.Params{Algorithm: partition.SCL})
-		var maxShare float64
-		for _, sm := range c.Dissem.LoadSeries {
-			if len(sm.Shares) > 0 {
-				maxShare += sm.Shares[0]
-			}
-		}
-		if n := len(c.Dissem.LoadSeries); n > 0 {
-			maxShare /= float64(n)
-		}
-		b.ReportMetric(maxShare, "top-share")
-		b.ReportMetric(float64(len(c.Dissem.LoadSeries)), "samples")
-	}
-}
-
-// BenchmarkTheoryNP regenerates the Section 5.1 worked example.
-func BenchmarkTheoryNP(b *testing.B) {
-	var np5, np10 float64
-	for i := 0; i < b.N; i++ {
-		sc := theory.DefaultScenario()
-		np5 = sc.NP()
-		sc.WindowMinutes = 10
-		np10 = sc.NP()
-	}
-	b.ReportMetric(np5, "np-5min")
-	b.ReportMetric(np10, "np-10min")
 }
 
 // BenchmarkAblationCostMode compares Algorithm 2's phase-1 cost modes by
@@ -202,7 +65,7 @@ func BenchmarkAblationCostMode(b *testing.B) {
 func BenchmarkAblationSingleAddition(b *testing.B) {
 	for _, sn := range []int{1, 3, 10} {
 		sn := sn
-		b.Run(benchName("sn", sn), func(b *testing.B) {
+		b.Run(fmt.Sprintf("sn=%d", sn), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				docs := benchDocs(16000, 5)
 				cfg := benchPipelineConfig()
@@ -239,6 +102,53 @@ func BenchmarkAblationHybridSplit(b *testing.B) {
 			b.ReportMetric(q.AvgCom, string(alg)+"-avgcom")
 		}
 	}
+}
+
+// BenchmarkAblationAutoScale measures topology scaling (Section 7.3): with
+// a load target, light streams activate fewer Calculators without hurting
+// coverage.
+func BenchmarkAblationAutoScale(b *testing.B) {
+	for _, target := range []int64{0, 2000, 8000} {
+		target := target
+		name := "fixed-k"
+		if target > 0 {
+			name = fmt.Sprintf("target=%d", target)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				docs := benchDocs(16000, 15)
+				cfg := benchPipelineConfig()
+				cfg.AutoScaleLoad = target
+				res := runPipeline(b, cfg, docs)
+				active := 0
+				for _, c := range res.Dissem.PerCalculator {
+					if c > 0 {
+						active++
+					}
+				}
+				b.ReportMetric(float64(active), "active-calcs")
+				b.ReportMetric(res.Communication, "comm")
+			}
+		})
+	}
+}
+
+// BenchmarkWindowKinds compares the Partitioner's two window types
+// (Section 6.2): time-based vs count-based, on insertion throughput.
+func BenchmarkWindowKinds(b *testing.B) {
+	docs := benchDocs(16384, 16)
+	b.Run("time-5min", func(b *testing.B) {
+		w := stream.NewSlidingWindow(stream.Minutes(5))
+		for i := 0; i < b.N; i++ {
+			w.Add(docs[i%len(docs)])
+		}
+	})
+	b.Run("count-10000", func(b *testing.B) {
+		w := stream.NewCountWindow(10000)
+		for i := 0; i < b.N; i++ {
+			w.Add(docs[i%len(docs)])
+		}
+	})
 }
 
 // BenchmarkAblationIndex compares the Disseminator's inverted tag index
@@ -379,24 +289,6 @@ func BenchmarkGeneratorNext(b *testing.B) {
 }
 
 // --- helpers ---
-
-func benchName(k string, v int) string {
-	return k + "=" + itoa(v)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
 
 func benchPipelineConfig() core.Config {
 	cfg := core.DefaultConfig()

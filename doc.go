@@ -5,9 +5,9 @@
 // partitioning.
 //
 // The library lives under internal/ (see DESIGN.md for the module map);
-// this root package carries the benchmark harness that regenerates every
-// figure of the paper's evaluation (bench_test.go) plus the ablation
-// benchmarks. Entry points:
+// this root package carries the ablation and micro-benchmarks
+// (bench_test.go). The paper's figures are pinned by internal/expr's
+// figure ledger and printed by cmd/experiments. Entry points:
 //
 //   - internal/core: the pipeline API (wire a stream, run or Start it,
 //     read results — or take live Snapshots while it streams)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -97,26 +98,36 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPipelineDeterministic runs each algorithm twice on the sequential
+// executor and requires identical answers: every coefficient, the quality
+// statistics, the repartitions by cause and the single additions.
 func TestPipelineDeterministic(t *testing.T) {
-	run := func() *Result {
-		docs, _ := shortStream(t, 20000, 9)
-		pipe, err := NewPipeline(fastConfig(partition.DS), SliceSource(docs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pipe.Run()
-	}
-	a, b := run(), run()
-	if a.Communication != b.Communication || a.LoadGini != b.LoadGini {
-		t.Errorf("metrics diverged: %g/%g vs %g/%g",
-			a.Communication, a.LoadGini, b.Communication, b.LoadGini)
-	}
-	if na, nb := len(a.Coefficients()), len(b.Coefficients()); na != nb {
-		t.Errorf("coefficients %d vs %d", na, nb)
-	}
-	if a.Repartitions != b.Repartitions || a.SingleAdditions != b.SingleAdditions {
-		t.Errorf("dynamics diverged: %d/%d vs %d/%d",
-			a.Repartitions, a.SingleAdditions, b.Repartitions, b.SingleAdditions)
+	for _, alg := range []partition.Algorithm{partition.DS, partition.SCI, partition.SCC, partition.SCL} {
+		t.Run(string(alg), func(t *testing.T) {
+			t.Parallel()
+			run := func() *Result {
+				docs, _ := shortStream(t, 20000, 9)
+				pipe, err := NewPipeline(fastConfig(alg), SliceSource(docs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pipe.Run()
+			}
+			a, b := run(), run()
+			if a.Communication != b.Communication || a.LoadGini != b.LoadGini {
+				t.Errorf("metrics diverged: %g/%g vs %g/%g",
+					a.Communication, a.LoadGini, b.Communication, b.LoadGini)
+			}
+			if !reflect.DeepEqual(a.Coefficients(), b.Coefficients()) {
+				t.Errorf("coefficients diverged (%d vs %d)", len(a.Coefficients()), len(b.Coefficients()))
+			}
+			type dynamics struct{ repartitions, comm, load, both, additions int }
+			da := dynamics{a.Repartitions, a.RepartitionsComm, a.RepartitionsLoad, a.RepartitionsBoth, a.SingleAdditions}
+			db := dynamics{b.Repartitions, b.RepartitionsComm, b.RepartitionsLoad, b.RepartitionsBoth, b.SingleAdditions}
+			if da != db {
+				t.Errorf("dynamics diverged: %+v vs %+v", da, db)
+			}
+		})
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 )
 
 // fastSuite shrinks the stream and the pipeline cadence so harness tests
-// stay quick: ~8k documents per cell with 10-second windows. Every test
-// shares the one suite, so a cell (the default DS cell above all) runs once
-// per test binary; the Suite's cache is what TestCellCaching asserts.
+// stay quick: two virtual minutes (31 200 tagged documents) per cell with
+// 10-second windows. Every test shares the one suite and asks only for the
+// ledger's four cells, which the suite runs once, concurrently, on first
+// use; the Suite's cache is what TestCellCaching asserts.
 var fastSuite = sync.OnceValue(func() *Suite {
 	def := Defaults{
 		Minutes:     2,
@@ -23,7 +24,7 @@ var fastSuite = sync.OnceValue(func() *Suite {
 		ReportEvery: stream.Seconds(10),
 		StatsEvery:  200,
 	}
-	return NewSuite(def, func(tps int, seed int64) twitgen.Config {
+	s := NewSuite(def, func(tps int, seed int64) twitgen.Config {
 		c := twitgen.Default()
 		c.TPS = tps * 4 // 4x tagged docs per virtual second
 		c.Seed = seed
@@ -31,6 +32,8 @@ var fastSuite = sync.OnceValue(func() *Suite {
 		c.TagsPerTopic = 10
 		return c
 	})
+	s.RunAll(ledgerCells())
+	return s
 })
 
 func TestCellCaching(t *testing.T) {
@@ -40,7 +43,7 @@ func TestCellCaching(t *testing.T) {
 	if a != b {
 		t.Error("identical params were not cached")
 	}
-	c := s.Cell(Params{Algorithm: partition.DS, K: 5})
+	c := s.Cell(Params{Algorithm: partition.SCC})
 	if a == c {
 		t.Error("distinct params shared a cell")
 	}
@@ -81,13 +84,9 @@ func TestCellMetricsSane(t *testing.T) {
 
 func TestRunAllParallel(t *testing.T) {
 	s := fastSuite()
-	cells := []Params{
-		{Algorithm: partition.DS},
-		{Algorithm: partition.SCC},
-		{Algorithm: partition.DS, K: 5},
-	}
+	cells := ledgerCells()
 	out := s.RunAll(cells)
-	if len(out) != 3 {
+	if len(out) != len(cells) {
 		t.Fatalf("got %d results", len(out))
 	}
 	for i, r := range out {
@@ -137,23 +136,6 @@ func TestFiguresRender(t *testing.T) {
 		if len(f.Panels) == 0 {
 			t.Errorf("%s: no panels", f.ID)
 		}
-	}
-}
-
-func TestFig3And4ShapeOnFastStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline sweeps are slow")
-	}
-	s := fastSuite()
-	ds := s.Cell(Params{Algorithm: partition.DS})
-	scl := s.Cell(Params{Algorithm: partition.SCL})
-	// The paper's headline orderings (Figures 3 and 4): DS has the least
-	// communication; SCL balances load at the cost of communication.
-	if ds.Communication >= scl.Communication {
-		t.Errorf("DS comm %.3f should beat SCL comm %.3f", ds.Communication, scl.Communication)
-	}
-	if scl.LoadGini > ds.LoadGini+0.05 {
-		t.Errorf("SCL gini %.3f should not exceed DS gini %.3f", scl.LoadGini, ds.LoadGini)
 	}
 }
 

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -80,8 +82,9 @@ func buildDSHybrid(in *Input, opts Options) *Result {
 			final = append(final, graph.Component{Tags: p.Tags, Load: p.Load})
 		}
 	}
-	// Re-sort by load descending before packing.
-	sortComponentsByLoad(final)
+	// Re-sort by load descending before packing; equal loads keep their
+	// order.
+	slices.SortStableFunc(final, func(a, b graph.Component) int { return cmp.Compare(b.Load, a.Load) })
 	return packComponents(final, k, DSHybrid)
 }
 
@@ -94,15 +97,6 @@ func membersOf(in *Input, c graph.Component) []stream.WeightedSet {
 		}
 	}
 	return out
-}
-
-func sortComponentsByLoad(comps []graph.Component) {
-	// Insertion-friendly: components are few; simple sort.
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0 && comps[j].Load > comps[j-1].Load; j-- {
-			comps[j], comps[j-1] = comps[j-1], comps[j]
-		}
-	}
 }
 
 // loadHeap is a min-heap of partitions by current load, used for the

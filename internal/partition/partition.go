@@ -22,8 +22,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/quality"
 	"repro/internal/stream"
@@ -163,7 +165,9 @@ type Input struct {
 }
 
 // NewInput preprocesses a window snapshot. Tagsets with empty tag sets are
-// dropped.
+// dropped, and the rest are put in canonical order — tagset.Compare, then
+// count — so that every index-based tie-break of the algorithms depends on
+// what the window holds, never on the order a window's map yielded it.
 func NewInput(sets []stream.WeightedSet) *Input {
 	in := &Input{postings: make(map[tagset.Tag][]int32)}
 	for _, ws := range sets {
@@ -173,6 +177,12 @@ func NewInput(sets []stream.WeightedSet) *Input {
 		in.Sets = append(in.Sets, ws)
 		in.Total += ws.Count
 	}
+	slices.SortFunc(in.Sets, func(a, b stream.WeightedSet) int {
+		if c := tagset.Compare(a.Tags, b.Tags); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Count, b.Count)
+	})
 	for i, ws := range in.Sets {
 		for _, t := range ws.Tags {
 			in.postings[t] = append(in.postings[t], int32(i))

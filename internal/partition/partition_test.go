@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/stream"
@@ -387,6 +388,41 @@ func TestQuickCoverageInvariant(t *testing.T) {
 			if q.AvgCom < 1 || q.AvgCom > float64(k) {
 				t.Fatalf("trial %d %s: AvgCom %g out of [1,k=%d]", trial, alg, q.AvgCom, k)
 			}
+		}
+	}
+}
+
+// TestBuildIgnoresInputOrder: every algorithm's answer is a function of the
+// window's contents, not of the order a window's map yields its tagsets.
+func TestBuildIgnoresInputOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var sets []stream.WeightedSet
+	seen := map[tagset.Key]bool{}
+	for len(sets) < 300 {
+		tags := make([]tagset.Tag, 1+r.Intn(4))
+		for j := range tags {
+			tags[j] = tagset.Tag(r.Intn(120))
+		}
+		s := tagset.New(tags...)
+		if !seen[s.Key()] {
+			seen[s.Key()] = true
+			sets = append(sets, stream.WeightedSet{Tags: s, Count: int64(1 + r.Intn(20))})
+		}
+	}
+	shuffled := append([]stream.WeightedSet(nil), sets...)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, alg := range []Algorithm{DS, SCC, SCL, SCI, DSHybrid} {
+		opts := Options{Algorithm: alg, K: 6, Seed: 3, MaxLoadShare: 0.1}
+		a, err := Build(sets, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Build(shuffled, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: partitions depend on input order:\n%+v\n%+v", alg, a.Parts, b.Parts)
 		}
 	}
 }

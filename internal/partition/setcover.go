@@ -110,7 +110,8 @@ func buildSetCover(in *Input, k int, cost costMode, mode phase2Mode, rng *rand.R
 	// Phase 1 (Algorithm 2): pick up to k seeds. Selection follows the
 	// paper's dual criterion "argmin cost and argmax uncovered": lowest
 	// cost first, most newly-covered tags as tie-break, then lowest index
-	// for determinism.
+	// in NewInput's canonical order, so the choice is a function of the
+	// window's contents alone.
 	seeds := 0
 	for seeds < k {
 		best, bestCost, bestUnc := -1, math.Inf(1), -1

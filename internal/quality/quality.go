@@ -88,15 +88,3 @@ func (s *Series) Mark(x float64) { s.Marks = append(s.Marks, x) }
 
 // Len returns the number of recorded samples.
 func (s *Series) Len() int { return len(s.Points) }
-
-// MeanY returns the mean of the recorded Y values.
-func (s *Series) MeanY() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.Points {
-		sum += p.Y
-	}
-	return sum / float64(len(s.Points))
-}

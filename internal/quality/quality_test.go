@@ -85,15 +85,8 @@ func TestSeries(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if !approx(s.MeanY(), 12, 1e-12) {
-		t.Errorf("MeanY = %g", s.MeanY())
-	}
 	if len(s.Marks) != 1 || s.Marks[0] != 2.5 {
 		t.Errorf("Marks = %v", s.Marks)
-	}
-	var empty Series
-	if empty.MeanY() != 0 {
-		t.Error("empty series stats wrong")
 	}
 }
 

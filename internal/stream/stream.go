@@ -126,8 +126,10 @@ func (w *SlidingWindow) Len() int { return len(w.docs) - w.head }
 // DistinctTagsets reports the number of distinct live tagsets.
 func (w *SlidingWindow) DistinctTagsets() int { return len(w.counts) }
 
-// Snapshot returns the distinct live tagsets with their counts. The returned
-// slice is fresh; the sets alias the stored canonical keys' decodings.
+// Snapshot returns the distinct live tagsets with their counts, in
+// unspecified order (partition.NewInput imposes a canonical one). The
+// returned slice is fresh; the sets alias the stored canonical keys'
+// decodings.
 func (w *SlidingWindow) Snapshot() []WeightedSet {
 	out := make([]WeightedSet, 0, len(w.counts))
 	for k, c := range w.counts {
@@ -178,7 +180,8 @@ func (w *CountWindow) Add(doc Document) {
 // Len reports the number of live documents.
 func (w *CountWindow) Len() int { return len(w.docs) - w.head }
 
-// Snapshot returns the distinct live tagsets with their counts.
+// Snapshot returns the distinct live tagsets with their counts, in
+// unspecified order (partition.NewInput imposes a canonical one).
 func (w *CountWindow) Snapshot() []WeightedSet {
 	out := make([]WeightedSet, 0, len(w.counts))
 	for k, c := range w.counts {
