@@ -229,9 +229,9 @@ func (p *Pipeline) liveStats() Stats {
 // pair a populated intake counter with an empty period list — plus stats.
 // It is safe to call from any goroutine at any time between NewPipeline and
 // the end of the process. The top-k view is read from the Tracker's
-// incrementally maintained shard heaps (for k within the Tracker's top-k
-// bound), so a snapshot's cost does not grow with the number of retained
-// coefficients.
+// incrementally maintained per-period heaps and older-period blocks (for k
+// within the Tracker's top-k bound), so a snapshot's cost does not grow
+// with the number of retained coefficients or periods.
 func (p *Pipeline) Snapshot(k int) *Snapshot {
 	top, periods, ts := p.tracker.ConsistentView(k)
 	s := &Snapshot{

@@ -14,7 +14,7 @@ import (
 // TestSnapshotConcurrentWithPruning hammers Pipeline.Snapshot from several
 // goroutines while the concurrent executor streams a retention-bounded run
 // (KeepPeriods small enough that periods are pruned mid-flight). Run under
-// -race this covers the full read path — Tracker shard heaps, period
+// -race this covers the full read path — Tracker per-period heaps, period
 // registry, evicted LRU, disseminator stats, atomic storm counters — and
 // asserts the invariants every mid-run snapshot must satisfy.
 func TestSnapshotConcurrentWithPruning(t *testing.T) {
@@ -72,9 +72,9 @@ func TestSnapshotConcurrentWithPruning(t *testing.T) {
 					return
 				}
 				lastDocs = s.DocsProcessed
-				if s.Tracker.HeapEntries > s.Tracker.Shards*s.Tracker.TopKBound {
-					t.Errorf("tracker heaps hold %d entries over %d shards of bound %d",
-						s.Tracker.HeapEntries, s.Tracker.Shards, s.Tracker.TopKBound)
+				if tr := s.Tracker; tr.HeapEntries > tr.Shards*tr.TopKBound*tr.RetainedPeriods {
+					t.Errorf("tracker heaps hold %d entries over %d shards of bound %d and %d periods",
+						tr.HeapEntries, tr.Shards, tr.TopKBound, tr.RetainedPeriods)
 					return
 				}
 			}

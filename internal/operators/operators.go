@@ -187,11 +187,11 @@ type Config struct {
 	// (16).
 	TrackerShards int
 
-	// TrackerTopK bounds the incrementally maintained per-shard top-k
-	// heaps: Tracker.TopK(k) with k at or below the bound is answered from
-	// the maintained heaps without scanning the retained coefficients. 0
-	// uses the default (128). The query service raises it to its own top-k
-	// size on startup.
+	// TrackerTopK bounds the incrementally maintained top-k heaps, one per
+	// shard and period: Tracker.TopK(k) with k at or below the bound is
+	// answered from the maintained heaps without scanning the retained
+	// coefficients. 0 uses the default (128). The query service raises it
+	// to its own top-k size on startup.
 	TrackerTopK int
 
 	// EvictedPairs is the capacity of the Tracker's LRU of coefficients

@@ -1,9 +1,7 @@
 package operators
 
 import (
-	"container/heap"
 	"container/list"
-	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -29,34 +27,30 @@ import (
 //   - Retained coefficients are sharded by a hash of the tagset key; a
 //     report locks only its shard, so report-side contention drops as the
 //     number of reporting Calculators grows.
-//   - Every shard incrementally maintains its top coefficients in a bounded
-//     indexed min-heap, updated on report, duplicate upgrade and period
-//     eviction. TopK(k) therefore merges the shard heaps — O(shards·bound)
-//     candidates, O(k log k) selection — and never scans the retained
-//     coefficient tables.
-//   - A global period registry enforces the retention bound (SetRetention):
-//     opening a new period prunes the oldest ones everywhere, and a floor
-//     mark makes late reports for pruned periods cheap no-ops.
+//   - Every shard keeps one topselect.Table per retained period: the
+//     period's coefficients by key plus a bounded min-heap of its best
+//     ones, updated on report and duplicate upgrade. The best bound of the
+//     periods before a shard's newest are merged into one older block, so
+//     TopK(k) reads at most shards·2·bound entries whatever the retention
+//     and never scans the retained coefficient tables. Evicting a period
+//     drops its table, heap included.
+//   - A global topselect.Registry enforces the retention bound
+//     (SetRetention): opening a new period prunes the oldest ones
+//     everywhere, and a floor mark makes late reports for pruned periods
+//     cheap no-ops.
 //   - Pruned coefficients can be remembered in a bounded LRU so point
 //     lookups (the /pairs endpoint) still answer for pairs whose periods
 //     have been evicted.
 //
 // All read methods (Periods, Report, All, TopK, Lookup, LookupDetail,
-// Counts, StatsSnapshot) may be called from any goroutine while a
+// ConsistentView, StatsSnapshot) may be called from any goroutine while a
 // concurrent pipeline run is still feeding the Tracker — this is the live
 // view behind Pipeline.Snapshot and the HTTP query service.
 type Tracker struct {
 	shards []*trackerShard
 	mask   uint64
 
-	// bound is the top-k bound TopK's path decision reads (atomic); it is
-	// published on the safe side of a SetTopKBound shard sweep, so the
-	// heap-merge path never runs against shards that maintain less than
-	// it. cfgMu serializes bound changes.
-	bound int64
-	cfgMu sync.Mutex
-
-	reg periodRegistry
+	reg *topselect.Registry
 	lru *evictedLRU // nil when disabled
 
 	// emitTrend forwards accepted reports on StreamTrend (EnableTrendEmit);
@@ -85,8 +79,8 @@ type Tracker struct {
 	// Received counts all incoming coefficients; Duplicates counts those
 	// that collided with an existing report for the same tagset and period;
 	// Late counts reports dropped because their period was already pruned.
-	// All three are updated atomically; read them via Counts or
-	// StatsSnapshot while a run is in flight.
+	// All three are updated atomically; read them via StatsSnapshot while
+	// a run is in flight.
 	Received   int64
 	Duplicates int64
 	Late       int64
@@ -119,13 +113,16 @@ func NewTrackerWith(shards, topKBound, evictedCap int) *Tracker {
 	tr := &Tracker{
 		shards: make([]*trackerShard, n),
 		mask:   uint64(n - 1),
-		bound:  int64(topKBound),
+		reg:    topselect.NewRegistry(0),
 	}
 	for i := range tr.shards {
-		tr.shards[i] = newTrackerShard(topKBound)
+		tr.shards[i] = &trackerShard{
+			periods: make(map[int64]*topselect.Table[jaccard.Coefficient]),
+			newest:  math.MinInt64,
+			floor:   math.MinInt64,
+			bound:   topKBound,
+		}
 	}
-	tr.reg.known = make(map[int64]struct{})
-	tr.reg.floor = math.MinInt64
 	if evictedCap > 0 {
 		tr.lru = newEvictedLRU(evictedCap)
 	}
@@ -137,63 +134,27 @@ func NewTrackerWith(shards, topKBound, evictedCap int) *Tracker {
 // new ones open, so a long-running service's memory stays proportional to
 // n. Call before the run starts; All/TopK/Lookup then cover only the
 // retained periods (plus, for Lookup, the evicted LRU when enabled).
-func (tr *Tracker) SetRetention(n int) {
-	tr.reg.mu.Lock()
-	defer tr.reg.mu.Unlock()
-	tr.reg.keep = n
-}
+func (tr *Tracker) SetRetention(n int) { tr.reg.SetKeep(n) }
 
-// SetTopKBound sets the per-shard incremental top-k bound and rebuilds the
-// shard heaps. TopK(k) with k <= bound is served from the maintained heaps;
-// larger k falls back to a full scan. Safe to call while a run is in
-// flight: the bound TopK's path decision reads is published on the safe
-// side of the shard sweep (after it when raising, before it when
-// lowering), and TopK re-checks the bound under each shard lock, falling
-// back to the exact scan if a concurrent lowering shrank a heap below the
-// k it assumed.
-func (tr *Tracker) SetTopKBound(n int) {
-	if n < 1 {
-		return
-	}
-	tr.cfgMu.Lock()
-	defer tr.cfgMu.Unlock()
-	tr.setBoundLocked(n)
-}
-
-func (tr *Tracker) setBoundLocked(n int) {
-	cur := int(atomic.LoadInt64(&tr.bound))
-	if n == cur {
-		return
-	}
-	if n < cur {
-		atomic.StoreInt64(&tr.bound, int64(n))
-	}
+// EnsureTopKBound raises the per-period heap bound to at least n (it never
+// lowers it), rebuilding the heaps that now have room for entries they had
+// excluded. The query service calls this so its configured top-k size is
+// always served from the maintained heaps. Safe while a run is in flight:
+// each shard is raised under its own lock, and TopK decides per shard,
+// under that lock, whether the shard's heaps cover k.
+func (tr *Tracker) EnsureTopKBound(n int) {
 	for _, s := range tr.shards {
 		s.mu.Lock()
-		if s.bound != n {
-			s.bound = n
-			s.rebuild()
+		if n > s.bound {
+			s.bound, s.olderStale = n, true
+			for _, t := range s.periods {
+				if t.SetBound(n) {
+					s.rebuilds++
+				}
+			}
 		}
 		s.mu.Unlock()
 	}
-	if n > cur {
-		atomic.StoreInt64(&tr.bound, int64(n))
-	}
-}
-
-// EnsureTopKBound raises the top-k bound to at least n (it never lowers
-// it). The query service calls this so its configured top-k size is always
-// served from the maintained heaps.
-func (tr *Tracker) EnsureTopKBound(n int) {
-	tr.cfgMu.Lock()
-	defer tr.cfgMu.Unlock()
-	if n > int(atomic.LoadInt64(&tr.bound)) {
-		tr.setBoundLocked(n)
-	}
-}
-
-func (tr *Tracker) topKBound() int {
-	return int(atomic.LoadInt64(&tr.bound))
 }
 
 // Prepare implements storm.Bolt. It learns the Trend operator's
@@ -246,7 +207,7 @@ func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 	atomic.AddInt64(&tr.Received, int64(len(msg.Coeffs)))
 
-	retained, fresh, pruned := tr.reg.ensure(msg.Period)
+	retained, fresh, pruned := tr.reg.Ensure(msg.Period)
 	for _, p := range pruned {
 		tr.prunePeriod(p)
 	}
@@ -375,20 +336,10 @@ func (tr *Tracker) shardOf(k tagset.Key) *trackerShard {
 // rejected, so their archived segments can never grow again
 // (math.MinInt64 before the first prune). The archive compactor uses it
 // as the seal watermark.
-func (tr *Tracker) PruneFloor() int64 {
-	tr.reg.mu.RLock()
-	defer tr.reg.mu.RUnlock()
-	return tr.reg.floor
-}
+func (tr *Tracker) PruneFloor() int64 { return tr.reg.Floor() }
 
 // Periods returns the retained reporting period ids in ascending order.
-func (tr *Tracker) Periods() []int64 {
-	tr.reg.mu.RLock()
-	out := slices.AppendSeq(make([]int64, 0, len(tr.reg.known)), maps.Keys(tr.reg.known))
-	tr.reg.mu.RUnlock()
-	slices.Sort(out)
-	return out
-}
+func (tr *Tracker) Periods() []int64 { return tr.reg.Periods() }
 
 // Report returns the deduplicated coefficients of one period, sorted by
 // descending J.
@@ -406,13 +357,13 @@ func (tr *Tracker) gather(period int64) []jaccard.Coefficient {
 	n := 0
 	for _, s := range tr.shards {
 		s.mu.Lock()
-		n += len(s.periods[period])
+		n += len(s.periods[period].Values())
 		s.mu.Unlock()
 	}
 	out := make([]jaccard.Coefficient, 0, n)
 	for _, s := range tr.shards {
 		s.mu.Lock()
-		for _, c := range s.periods[period] {
+		for _, c := range s.periods[period].Values() {
 			out = append(out, c)
 		}
 		s.mu.Unlock()
@@ -435,56 +386,34 @@ func (tr *Tracker) All() []jaccard.Coefficient {
 // CN, then the tagset key, so the result is deterministic for a fixed
 // Tracker state. k <= 0 returns all.
 //
-// For k within the maintained bound (SetTopKBound, default 128) the call
-// merges the shards' incrementally maintained heaps: it copies at most
-// shards·bound candidates and selects k of them — no scan of the retained
+// For k within the maintained bound (EnsureTopKBound, default 128) the
+// call copies each shard's older block and newest-period heap — at most
+// shards·2·bound candidates, however many periods are retained — and
+// selects k of them after the locks are released: no scan of the retained
 // coefficient tables, so the cost is independent of how many coefficients
 // the Tracker holds. k <= 0 or k > bound falls back to a full gather.
-func (tr *Tracker) TopK(k int) []jaccard.Coefficient {
-	if k <= 0 || k > tr.topKBound() {
-		return tr.topKScan(k)
-	}
-	var cand []topEntry
+func (tr *Tracker) TopK(k int) []jaccard.Coefficient { return tr.topK(k, false) }
+
+// topKScan is TopK without the heaps: gather every retained coefficient,
+// then bounded-heap select. The stress test checks TopK against it, and
+// the benchmarks compare the two.
+func (tr *Tracker) topKScan(k int) []jaccard.Coefficient { return tr.topK(k, true) }
+
+func (tr *Tracker) topK(k int, scan bool) []jaccard.Coefficient {
+	var cand []jaccard.Coefficient
 	for _, s := range tr.shards {
 		s.mu.Lock()
-		if s.bound < k {
-			// The bound was lowered between the path decision and this
-			// lock: the shard no longer maintains its top k, so the merge
-			// would be silently incomplete. The scan is always exact.
-			s.mu.Unlock()
-			return tr.topKScan(k)
-		}
-		cand = append(cand, s.top.entries...)
+		cand = s.candidates(cand, k, len(tr.shards), scan)
 		s.mu.Unlock()
 	}
-	cand = topselect.Select(cand, k, entryBefore)
-	out := make([]jaccard.Coefficient, len(cand))
-	for i, e := range cand {
-		out[i] = e.c
-	}
-	sortCoefficients(out)
-	return out
+	return selectTop(cand, k)
 }
 
-// topKScan is the pre-sharding selection: gather every retained
-// coefficient, then bounded-heap select. Kept as the fallback for k beyond
-// the maintained bound (and as the baseline the benchmarks compare
-// against). The shard locks are held only to copy coefficients, never to
-// sort them.
-func (tr *Tracker) topKScan(k int) []jaccard.Coefficient {
-	var all []jaccard.Coefficient
-	for _, s := range tr.shards {
-		s.mu.Lock()
-		for _, m := range s.periods {
-			for _, c := range m {
-				all = append(all, c)
-			}
-		}
-		s.mu.Unlock()
-	}
-	all = topselect.Select(all, k, coeffBefore)
-	sortCoefficients(all)
-	return all
+// selectTop keeps the best k candidates (all for k <= 0) in ranking order.
+func selectTop(cand []jaccard.Coefficient, k int) []jaccard.Coefficient {
+	cand = topselect.Select(cand, k, coeffBefore)
+	sortCoefficients(cand)
+	return cand
 }
 
 // Lookup returns the most recent coefficient reported for the given tagset
@@ -501,8 +430,8 @@ func (tr *Tracker) Lookup(k tagset.Key) (jaccard.Coefficient, int64, bool) {
 func (tr *Tracker) LookupDetail(k tagset.Key) (c jaccard.Coefficient, period int64, evicted, ok bool) {
 	s := tr.shardOf(k)
 	s.mu.Lock()
-	for p, m := range s.periods {
-		if got, here := m[k]; here && (!ok || p > period) {
+	for p, t := range s.periods {
+		if got, here := t.Values()[k]; here && (!ok || p > period) {
 			c, period, ok = got, p, true
 		}
 	}
@@ -523,12 +452,12 @@ func (tr *Tracker) LookupDetail(k tagset.Key) (c jaccard.Coefficient, period int
 // Pipeline.Snapshot; the json tags are its /stats rendering ("tracker").
 type TrackerStats struct {
 	Shards    int `json:"shards"`     // shard count
-	TopKBound int `json:"topk_bound"` // per-shard incremental top-k bound
+	TopKBound int `json:"topk_bound"` // heap bound per shard and period
 
-	Retained        int   `json:"retained_coefficients"` // retained coefficients across all shards
+	Retained        int   `json:"retained_coefficients"` // coefficients of the retained periods across all shards
 	RetainedPeriods int   `json:"retained_periods"`      // retained period count
-	HeapEntries     int   `json:"heap_entries"`          // entries currently held in the shard heaps
-	Rebuilds        int64 `json:"heap_rebuilds"`         // heap rebuilds (prunes, demotions, bound changes)
+	HeapEntries     int   `json:"heap_entries"`          // entries held in the per-period heaps of the retained periods
+	Rebuilds        int64 `json:"heap_rebuilds"`         // per-period heap rebuilds (demotions, bound raises; never prunes)
 	PrunedPeriods   int64 `json:"pruned_periods"`        // periods evicted by retention so far
 
 	EvictedLen    int   `json:"evicted_pairs"`       // pairs currently in the evicted LRU
@@ -554,27 +483,19 @@ func (tr *Tracker) StatsSnapshot() TrackerStats {
 // describe the same instant. This is the serving layer's snapshot read —
 // under CPU saturation piecemeal TopK/Periods/StatsSnapshot calls could be
 // seconds apart, producing snapshots whose fields contradict each other.
-// Writers block only for the copy-out, never for sorting.
+// Stale older blocks are rebuilt first, one shard lock at a time; under all
+// the locks together the pass copies TopK's candidates (shards·2·bound at
+// most for k within the bound) and rebuilds only a block that went stale
+// in between. The selection and sort run after the locks are released.
 func (tr *Tracker) ConsistentView(k int) (top []jaccard.Coefficient, periods []int64, st TrackerStats) {
+	for _, s := range tr.shards {
+		s.mu.Lock()
+		s.olderBest()
+		s.mu.Unlock()
+	}
 	var cand []jaccard.Coefficient
-	periods, st = tr.view(func(s *trackerShard) {
-		if k > 0 && k <= s.bound {
-			// The maintained heap holds this shard's best min(bound,
-			// entries) coefficients — a superset of its top-k contribution.
-			for _, e := range s.top.entries {
-				cand = append(cand, e.c)
-			}
-			return
-		}
-		for _, m := range s.periods {
-			for _, c := range m {
-				cand = append(cand, c)
-			}
-		}
-	})
-	cand = topselect.Select(cand, k, coeffBefore)
-	sortCoefficients(cand)
-	return cand, periods, st
+	periods, st = tr.view(func(s *trackerShard) { cand = s.candidates(cand, k, len(tr.shards), false) })
+	return selectTop(cand, k), periods, st
 }
 
 // view is the Tracker's one statistics pass: the retained period ids
@@ -584,170 +505,61 @@ func (tr *Tracker) ConsistentView(k int) (top []jaccard.Coefficient, periods []i
 func (tr *Tracker) view(visit func(*trackerShard)) (periods []int64, st TrackerStats) {
 	st = TrackerStats{
 		Shards:     len(tr.shards),
-		TopKBound:  tr.topKBound(),
 		Received:   atomic.LoadInt64(&tr.Received),
 		Duplicates: atomic.LoadInt64(&tr.Duplicates),
 		Late:       atomic.LoadInt64(&tr.Late),
 	}
-
-	tr.reg.mu.RLock()
-	for _, s := range tr.shards {
-		s.mu.Lock()
-	}
-	periods = slices.AppendSeq(make([]int64, 0, len(tr.reg.known)), maps.Keys(tr.reg.known))
-	st.RetainedPeriods = len(tr.reg.known)
-	st.PrunedPeriods = tr.reg.pruned
-	for _, s := range tr.shards {
-		st.Retained += s.entries
-		st.HeapEntries += s.top.Len()
-		st.Rebuilds += s.rebuilds
-		if visit != nil {
-			visit(s)
+	rs := tr.reg.View(math.MaxInt64, func(rs topselect.State) {
+		for _, s := range tr.shards {
+			s.mu.Lock()
 		}
-	}
-	for _, s := range tr.shards {
-		s.mu.Unlock()
-	}
-	tr.reg.mu.RUnlock()
-
-	slices.Sort(periods)
+		for _, s := range tr.shards {
+			st.TopKBound = max(st.TopKBound, s.bound)
+			st.Rebuilds += s.rebuilds
+			for p, t := range s.periods {
+				if p > rs.Floor { // not a pruned period still being evicted
+					st.Retained += len(t.Values())
+					st.HeapEntries += len(t.Top())
+				}
+			}
+			if visit != nil {
+				visit(s)
+			}
+		}
+		for _, s := range tr.shards {
+			s.mu.Unlock()
+		}
+	})
+	st.RetainedPeriods = len(rs.Periods)
+	st.PrunedPeriods = rs.Pruned
 	if tr.lru != nil {
 		st.EvictedLen, st.EvictedCap, st.EvictedHits, st.EvictedMisses = tr.lru.stats()
 	}
-	return periods, st
+	return rs.Periods, st
 }
 
-// periodRegistry tracks the retained period ids globally, so the retention
-// bound is enforced across shards: a period is pruned everywhere exactly
-// once, and the floor marks everything at or below it as dead so late
-// reports are rejected without touching the coefficient tables.
-type periodRegistry struct {
-	mu     sync.RWMutex
-	known  map[int64]struct{}
-	keep   int   // retained periods; 0 keeps everything
-	floor  int64 // all periods <= floor are pruned
-	pruned int64
-}
-
-// ensure registers period and returns whether it is retained, whether this
-// call registered it fresh (the period-hook signal), plus the period ids
-// this call decided to prune (each id is handed out exactly once; the
-// caller must evict them from the shards).
-func (r *periodRegistry) ensure(period int64) (retained, fresh bool, prune []int64) {
-	r.mu.RLock()
-	_, known := r.known[period]
-	r.mu.RUnlock()
-	if known {
-		return true, false, nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if period <= r.floor {
-		return false, false, nil
-	}
-	if _, known := r.known[period]; known {
-		return true, false, nil
-	}
-	r.known[period] = struct{}{}
-	fresh = true
-	if r.keep > 0 {
-		for len(r.known) > r.keep {
-			oldest := period
-			for p := range r.known {
-				if p < oldest {
-					oldest = p
-				}
-			}
-			delete(r.known, oldest)
-			if oldest > r.floor {
-				r.floor = oldest
-			}
-			r.pruned++
-			prune = append(prune, oldest)
-		}
-	}
-	_, retained = r.known[period]
-	return retained, fresh, prune
-}
-
-// entryKey identifies one retained coefficient: a (period, tagset) pair.
-type entryKey struct {
-	period int64
-	key    tagset.Key
-}
-
-// topEntry is one coefficient in a shard's maintained heap.
-type topEntry struct {
-	ek entryKey
-	c  jaccard.Coefficient
-}
-
-// entryBefore ranks heap entries like coeffBefore, but compares the cached
-// tagset key instead of re-encoding it.
-func entryBefore(a, b topEntry) bool {
-	if a.c.J != b.c.J {
-		return a.c.J > b.c.J
-	}
-	if a.c.CN != b.c.CN {
-		return a.c.CN > b.c.CN
-	}
-	return a.ek.key < b.ek.key
-}
-
-// topIndex is an indexed min-heap under entryBefore: the root ranks last
-// among the kept entries, and pos maps every kept (period, key) to its heap
-// slot so updates and removals are O(log n).
-type topIndex struct {
-	entries []topEntry
-	pos     map[entryKey]int
-}
-
-func (h *topIndex) Len() int           { return len(h.entries) }
-func (h *topIndex) Less(i, j int) bool { return entryBefore(h.entries[j], h.entries[i]) }
-func (h *topIndex) Swap(i, j int) {
-	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
-	h.pos[h.entries[i].ek] = i
-	h.pos[h.entries[j].ek] = j
-}
-func (h *topIndex) Push(x interface{}) {
-	e := x.(topEntry)
-	h.pos[e.ek] = len(h.entries)
-	h.entries = append(h.entries, e)
-}
-func (h *topIndex) Pop() interface{} {
-	old := h.entries
-	e := old[len(old)-1]
-	h.entries = old[:len(old)-1]
-	delete(h.pos, e.ek)
-	return e
-}
-
-// trackerShard owns the coefficients whose tagset keys hash to it: the
-// per-period tables plus the incrementally maintained top heap.
+// trackerShard owns the coefficients whose tagset keys hash to it: one
+// topselect.Table per retained period, each holding the period's
+// coefficients and a heap of its best min(bound, len) under (descending J,
+// descending CN, ascending key).
 //
-// Invariant: top holds exactly the best min(bound, entries) retained
-// coefficients of this shard under entryBefore. Reports and duplicate
-// upgrades maintain it in O(log bound); the rare cases where an excluded
-// entry may need to re-enter (a demotion or an eviction while entries are
-// excluded) rebuild the heap from the tables.
+// older is the best bound coefficients of every table but the newest
+// period's, unordered: the read side's block for the periods reports have
+// moved past. Opening a newer period folds the previous newest heap into
+// it; an eviction, a report into an older period or a bound raise marks it
+// stale instead, and the next read rebuilds it from the older tables'
+// heaps. A top-k read therefore visits older plus one heap, at most
+// 2·bound entries, however many periods are retained.
 type trackerShard struct {
-	mu       sync.Mutex
-	periods  map[int64]map[tagset.Key]jaccard.Coefficient
-	entries  int   // retained coefficients in this shard
-	peak     int   // largest period table this shard has held; presizes the next
-	floor    int64 // shard-local copy of the pruning floor
-	bound    int
-	top      topIndex
-	rebuilds int64
-}
-
-func newTrackerShard(bound int) *trackerShard {
-	return &trackerShard{
-		periods: make(map[int64]map[tagset.Key]jaccard.Coefficient),
-		floor:   math.MinInt64,
-		bound:   bound,
-		top:     topIndex{pos: make(map[entryKey]int)},
-	}
+	mu         sync.Mutex
+	periods    map[int64]*topselect.Table[jaccard.Coefficient]
+	newest     int64 // newest period this shard has opened a table for
+	older      []jaccard.Coefficient
+	olderStale bool
+	peak       int   // largest period table this shard has held; presizes the next
+	floor      int64 // shard-local copy of the pruning floor
+	bound      int   // heap bound per period; only rises
+	rebuilds   int64
 }
 
 // report records one coefficient under its key bytes (Set.AppendKey). It
@@ -763,100 +575,88 @@ func (s *trackerShard) report(period int64, key []byte, c jaccard.Coefficient) (
 	if period <= s.floor {
 		return false, true, false
 	}
-	m := s.periods[period]
-	if m == nil {
-		m = make(map[tagset.Key]jaccard.Coefficient, s.peak)
-		s.periods[period] = m
+	t := s.periods[period]
+	if t == nil {
+		t = topselect.NewTable(s.bound, s.peak, compareRank)
+		s.periods[period] = t
+		if period > s.newest {
+			s.fold(s.periods[s.newest])
+			s.newest = period
+		}
 	}
-	prev, dup := m[tagset.Key(key)]
+	prev, dup := t.Values()[tagset.Key(key)]
 	if dup && c.CN <= prev.CN {
 		return true, false, false
 	}
-	ek := entryKey{period: period, key: tagset.Key(key)}
-	m[ek.key] = c
-	if dup {
-		s.updateTop(ek, prev, c)
-		return true, false, true
+	if t.Put(tagset.Key(key), c) {
+		s.rebuilds++
 	}
-	s.entries++
-	if len(m) > s.peak {
-		s.peak = len(m)
-	}
-	s.offer(ek, c)
-	return false, false, false
+	s.olderStale = s.olderStale || period != s.newest
+	s.peak = max(s.peak, len(t.Values()))
+	return dup, false, dup
 }
 
-// offer inserts a fresh entry into the heap if it belongs to the best
-// bound: push while below the bound, otherwise replace the root (the worst
-// kept entry) when the candidate ranks above it.
-func (s *trackerShard) offer(ek entryKey, c jaccard.Coefficient) {
-	e := topEntry{ek: ek, c: c}
-	if s.top.Len() < s.bound {
-		heap.Push(&s.top, e)
+// fold merges one older table's heap into the older block, keeping its best
+// bound (a stale block is left for the rebuild). The caller holds the lock.
+func (s *trackerShard) fold(t *topselect.Table[jaccard.Coefficient]) {
+	if s.olderStale {
 		return
 	}
-	if entryBefore(e, s.top.entries[0]) {
-		delete(s.top.pos, s.top.entries[0].ek)
-		s.top.entries[0] = e
-		s.top.pos[ek] = 0
-		heap.Fix(&s.top, 0)
+	for _, e := range t.Top() {
+		s.older = append(s.older, e.Value)
 	}
+	s.older = s.older[:len(topselect.Select(s.older, s.bound, coeffBefore))]
 }
 
-// updateTop re-ranks an entry whose coefficient was upgraded (duplicate
-// with a larger CN). An in-heap entry is fixed in place; if it was demoted
-// while other entries are excluded from the heap, an excluded entry might
-// now outrank it, so the heap is rebuilt. An out-of-heap entry is offered
-// like a fresh one.
-func (s *trackerShard) updateTop(ek entryKey, prev, c jaccard.Coefficient) {
-	if i, ok := s.top.pos[ek]; ok {
-		s.top.entries[i].c = c
-		heap.Fix(&s.top, i)
-		if s.entries > s.top.Len() && entryBefore(topEntry{ek: ek, c: prev}, topEntry{ek: ek, c: c}) {
-			s.rebuild()
+// olderBest returns the older block, rebuilding it first when stale. The
+// caller holds the lock.
+func (s *trackerShard) olderBest() []jaccard.Coefficient {
+	if s.olderStale {
+		s.older, s.olderStale = s.older[:0], false
+		for p, t := range s.periods {
+			if p != s.newest {
+				s.fold(t)
+			}
 		}
-		return
 	}
-	s.offer(ek, c)
+	return s.older
 }
 
-// evictPeriod removes one period from the shard and returns its entries
-// (for the evicted LRU). Heap members of the period are removed; if that
-// leaves room while other entries are excluded, the heap is rebuilt so the
-// invariant holds. The caller holds the shard lock.
+// candidates appends the shard's share of a top-k read to cand: every
+// retained coefficient when scan is set or the heaps do not cover k (k <= 0
+// or k > bound), otherwise the older block and the newest period's heap.
+// The first shard of a read sizes cand for shards of its own size. The
+// caller holds the lock.
+func (s *trackerShard) candidates(cand []jaccard.Coefficient, k, shards int, scan bool) []jaccard.Coefficient {
+	if scan || k <= 0 || k > s.bound {
+		for _, t := range s.periods {
+			for _, c := range t.Values() {
+				cand = append(cand, c)
+			}
+		}
+		return cand
+	}
+	older, newest := s.olderBest(), s.periods[s.newest].Top()
+	if cand == nil {
+		cand = make([]jaccard.Coefficient, 0, shards*(len(older)+len(newest)))
+	}
+	cand = append(cand, older...)
+	for _, e := range newest {
+		cand = append(cand, e.Value)
+	}
+	return cand
+}
+
+// evictPeriod removes one period from the shard and returns its
+// coefficients (for the evicted LRU); its heap goes with it, and the older
+// block goes stale when it may have held some of them. The caller holds the
+// shard lock.
 func (s *trackerShard) evictPeriod(p int64) map[tagset.Key]jaccard.Coefficient {
-	if p > s.floor {
-		s.floor = p
-	}
-	m := s.periods[p]
-	if m == nil {
-		return nil
-	}
+	s.floor = max(s.floor, p)
+	t := s.periods[p]
 	delete(s.periods, p)
-	s.entries -= len(m)
-	for k := range m {
-		if i, ok := s.top.pos[entryKey{period: p, key: k}]; ok {
-			heap.Remove(&s.top, i)
-		}
-	}
-	if s.top.Len() < s.bound && s.entries > s.top.Len() {
-		s.rebuild()
-	}
-	return m
-}
-
-// rebuild reconstructs the heap from the period tables: a bounded-heap
-// selection over the shard's retained entries. It runs on period eviction,
-// on demoting duplicate upgrades and on bound changes — never on TopK.
-func (s *trackerShard) rebuild() {
-	s.top.entries = s.top.entries[:0]
-	s.top.pos = make(map[entryKey]int, s.bound)
-	for p, m := range s.periods {
-		for k, c := range m {
-			s.offer(entryKey{period: p, key: k}, c)
-		}
-	}
-	s.rebuilds++
+	s.olderStale = s.olderStale || (p != s.newest && len(t.Top()) > 0)
+	return t.Values()
 }
 
 // evictedLRU remembers the latest coefficient of pairs whose reporting
@@ -925,10 +725,10 @@ func (l *evictedLRU) stats() (length, capacity int, hits, misses int64) {
 	return l.ll.Len(), l.cap, l.hits, l.misses
 }
 
-// compareCoefficients is the top-k ranking as a three-way comparison:
-// descending J, then descending CN, then the tagset key. It is 0 only for
-// coefficients equal in all three, so a sort by it has one possible result.
-func compareCoefficients(a, b jaccard.Coefficient) int {
+// compareRank is the top-k ranking without its tie-break: descending J,
+// then descending CN. The per-period tables break its ties by ascending
+// key, which orders tagsets as tagset.Compare does.
+func compareRank(a, b jaccard.Coefficient) int {
 	switch {
 	case a.J != b.J:
 		if a.J > b.J {
@@ -940,6 +740,16 @@ func compareCoefficients(a, b jaccard.Coefficient) int {
 			return -1
 		}
 		return 1
+	}
+	return 0
+}
+
+// compareCoefficients is the top-k ranking as a three-way comparison:
+// descending J, then descending CN, then the tagset key. It is 0 only for
+// coefficients equal in all three, so a sort by it has one possible result.
+func compareCoefficients(a, b jaccard.Coefficient) int {
+	if c := compareRank(a, b); c != 0 {
+		return c
 	}
 	return tagset.Compare(a.Tags, b.Tags)
 }

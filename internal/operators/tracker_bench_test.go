@@ -25,9 +25,10 @@ func populateTracker(tr *Tracker, n int) {
 var benchCoeffs []jaccard.Coefficient
 
 // BenchmarkTrackerTopK compares the incrementally maintained top-k read
-// (merge the shard heaps, select k) against the pre-sharding gather-copy
-// path (scan every retained coefficient) across retained-pair counts. The
-// incremental path's cost is flat in n; the scan grows linearly.
+// (copy each shard's older block and newest heap, select k) against the
+// gather-copy path (scan every retained coefficient) across retained-pair
+// counts. The incremental path's cost is flat in n; the scan grows
+// linearly.
 func BenchmarkTrackerTopK(b *testing.B) {
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		tr := NewTrackerWith(16, 128, 0)
@@ -42,6 +43,77 @@ func BenchmarkTrackerTopK(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				benchCoeffs = tr.topKScan(100)
+			}
+		})
+	}
+}
+
+// BenchmarkTrackerReadRetention times the two top-k reads the serving layer
+// makes, TopK and ConsistentView, as the number of retained periods grows:
+// 16 shards, bound 128, 4 096 coefficients a period (about twice the bound
+// per shard; the same random pairs recur every period, which spreads them
+// over the shards). periods=64 stands for a long keep-everything run.
+func BenchmarkTrackerReadRetention(b *testing.B) {
+	for _, periods := range []int{2, 8, 12, 64} {
+		tr := NewTrackerWith(16, 128, 0)
+		rng := rand.New(rand.NewSource(42))
+		cs := make([]jaccard.Coefficient, 4096)
+		for i := range cs {
+			a := tagset.Tag(rng.Intn(1 << 20))
+			cs[i].Tags = tagset.New(a, a+1+tagset.Tag(rng.Intn(1<<10)))
+		}
+		for p := 0; p < periods; p++ {
+			for i := range cs {
+				cs[i].J, cs[i].CN = rng.Float64(), int64(1+rng.Intn(50))
+			}
+			tr.Execute(coeffBatchTuple(int64(p), cs...), nil)
+		}
+		b.Run(fmt.Sprintf("TopK/periods=%d", periods), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchCoeffs = tr.TopK(100)
+			}
+		})
+		b.Run(fmt.Sprintf("ConsistentView/periods=%d", periods), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchCoeffs, _, _ = tr.ConsistentView(100)
+			}
+		})
+	}
+}
+
+// BenchmarkTrackerPrune times retention's eviction: with 16 shards, bound
+// 128 and KeepPeriods 8 full of coefficients, each iteration opens one
+// period with a single report, which prunes the oldest period from every
+// shard. Filling the opened period is untimed. The evicted LRU is off, so
+// the number is the eviction itself.
+func BenchmarkTrackerPrune(b *testing.B) {
+	const keep = 8
+	for _, n := range []int{10_000, 50_000} {
+		b.Run(fmt.Sprintf("coeffs/period=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			cs := make([]jaccard.Coefficient, n)
+			for i := range cs {
+				a := tagset.Tag(2 * i)
+				cs[i] = jaccard.Coefficient{Tags: tagset.New(a, a+1), J: rng.Float64(), CN: int64(1 + rng.Intn(50))}
+			}
+			tr := NewTrackerWith(16, 128, 0)
+			tr.SetRetention(keep)
+			for p := int64(0); p < keep; p++ {
+				tr.Execute(coeffBatchTuple(p, cs...), nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := int64(keep + i)
+				tr.Execute(coeffBatchTuple(p, cs[0]), nil)
+				b.StopTimer()
+				tr.Execute(coeffBatchTuple(p, cs[1:]...), nil)
+				b.StartTimer()
+			}
+			if st := tr.StatsSnapshot(); st.PrunedPeriods != int64(b.N) {
+				b.Fatalf("pruned %d periods in %d iterations", st.PrunedPeriods, b.N)
 			}
 		})
 	}

@@ -202,3 +202,50 @@ func TestTrackerDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestTrackerOlderBlockDifferential checks the shards' older blocks after
+// every operation: TopK and ConsistentView within the bound must equal the
+// reference while periods open, fold into the block, are evicted, receive
+// late reports and upgrades, and the bound is raised mid-run.
+func TestTrackerOlderBlockDifferential(t *testing.T) {
+	for _, keep := range []int{0, 3, 12} {
+		for _, shards := range []int{1, 4} {
+			rng := rand.New(rand.NewSource(int64(keep*10 + shards)))
+			tr := NewTrackerWith(shards, 3, 0)
+			tr.SetRetention(keep)
+			ref := newRefTracker(keep)
+			bound, period := 3, int64(1)
+			for op := 0; op < 1500; op++ {
+				switch {
+				case op == 700:
+					bound = 6
+					tr.EnsureTopKBound(bound)
+				case rng.Intn(30) == 0:
+					period++
+				}
+				p := period
+				if rng.Intn(6) == 0 {
+					p -= int64(rng.Intn(4))
+				}
+				a := tagset.Tag(rng.Intn(12))
+				c := jaccard.Coefficient{
+					Tags: tagset.New(a, a+1+tagset.Tag(rng.Intn(3))),
+					J:    float64(rng.Intn(5)) / 4,
+					CN:   int64(1 + rng.Intn(5)),
+				}
+				tr.Execute(coeffTuple(p, c.Tags, c.J, c.CN), nil)
+				ref.report(p, c)
+				for _, k := range []int{1, bound} {
+					sameCoefficients(t, "TopK", tr.TopK(k), ref.topK(k))
+				}
+				if op%7 == 0 {
+					top, _, _ := tr.ConsistentView(bound)
+					sameCoefficients(t, "ConsistentView", top, ref.topK(bound))
+				}
+			}
+			if len(ref.periods) < min(keep, 3) || (keep == 0 && len(ref.periods) < 20) {
+				t.Fatalf("keep %d: only %d periods retained; the blocks were barely exercised", keep, len(ref.periods))
+			}
+		}
+	}
+}

@@ -17,18 +17,22 @@ import (
 // the whole period, sort all of it by key, add every entry to the LRU. The
 // selection must leave the LRU exactly as this does.
 func prunePeriodReference(tr *Tracker, p int64) {
-	var evicted []topEntry
+	type evictedEntry struct {
+		key tagset.Key
+		c   jaccard.Coefficient
+	}
+	var evicted []evictedEntry
 	for _, s := range tr.shards {
 		s.mu.Lock()
 		m := s.evictPeriod(p)
 		s.mu.Unlock()
 		for k, c := range m {
-			evicted = append(evicted, topEntry{ek: entryKey{period: p, key: k}, c: c})
+			evicted = append(evicted, evictedEntry{key: k, c: c})
 		}
 	}
-	sort.Slice(evicted, func(i, j int) bool { return evicted[i].ek.key < evicted[j].ek.key })
+	sort.Slice(evicted, func(i, j int) bool { return evicted[i].key < evicted[j].key })
 	for _, e := range evicted {
-		tr.lru.add(e.ek.key, e.c, p)
+		tr.lru.add(e.key, e.c, p)
 	}
 }
 

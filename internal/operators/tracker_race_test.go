@@ -2,6 +2,7 @@ package operators
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,7 +43,7 @@ func rankedOK(t *testing.T, out []jaccard.Coefficient) bool {
 // check the structural invariants every mid-flight read must satisfy:
 // top-k results are internally sorted and within the requested bound, the
 // retained period set respects the retention limit, and the maintained
-// heaps never exceed shards x bound entries.
+// heaps never exceed shards x bound x retained periods entries.
 func TestTrackerConcurrentStress(t *testing.T) {
 	const (
 		shards    = 8
@@ -56,7 +57,7 @@ func TestTrackerConcurrentStress(t *testing.T) {
 		iters = 4000
 	}
 
-	tr := NewTrackerWith(shards, bound, 512)
+	tr := NewTrackerWith(shards, 8, 512)
 	tr.SetRetention(retention)
 
 	var wg sync.WaitGroup
@@ -82,22 +83,18 @@ func TestTrackerConcurrentStress(t *testing.T) {
 		}(int64(r + 1))
 	}
 
-	// One goroutine keeps raising and lowering the maintained bound across
-	// the readers' k, so TopK races real heap rebuilds and exercises its
-	// under-lock bound re-check (falling back to the exact scan when a
-	// lowering shrank a shard heap below the k it assumed).
+	// One goroutine raises the maintained bound from below the readers' k
+	// to above it once half the reports are in, so TopK races real heap
+	// rebuilds and shards raised at different instants: each shard decides
+	// under its own lock whether its heaps cover k.
 	var readWG sync.WaitGroup
 	readWG.Add(1)
 	go func() {
 		defer readWG.Done()
-		for i := 0; !done.Load(); i++ {
-			if i%2 == 0 {
-				tr.SetTopKBound(8)
-			} else {
-				tr.SetTopKBound(bound)
-			}
+		for atomic.LoadInt64(&tr.Received) < reporters*int64(iters)/2 && !done.Load() {
+			runtime.Gosched()
 		}
-		tr.SetTopKBound(bound)
+		tr.EnsureTopKBound(bound)
 	}()
 	for r := 0; r < readers; r++ {
 		readWG.Add(1)
@@ -132,12 +129,9 @@ func TestTrackerConcurrentStress(t *testing.T) {
 				a := tagset.Tag(rng.Intn(64))
 				tr.Lookup(tagset.New(a, a+1).Key())
 
-				// The bound toggles between 8 and the maximum while this
-				// reader runs, so check against the maximum the heaps could
-				// legitimately hold mid-transition.
 				st := tr.StatsSnapshot()
-				if st.HeapEntries > st.Shards*bound {
-					t.Errorf("heap entries %d exceed shards*maxBound %d", st.HeapEntries, st.Shards*bound)
+				if limit := st.Shards * st.TopKBound * st.RetainedPeriods; st.HeapEntries > limit {
+					t.Errorf("heap entries %d exceed shards*bound*periods %d", st.HeapEntries, limit)
 					return
 				}
 				if st.HeapEntries > st.Retained {
@@ -166,6 +160,9 @@ func TestTrackerConcurrentStress(t *testing.T) {
 	}
 
 	st := tr.StatsSnapshot()
+	if st.TopKBound != bound {
+		t.Errorf("topk bound = %d after the raise, want %d", st.TopKBound, bound)
+	}
 	if st.Received != int64(reporters*iters) {
 		t.Errorf("received %d reports, want %d", st.Received, reporters*iters)
 	}

@@ -2,11 +2,11 @@ package operators
 
 import (
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/jaccard"
 	"repro/internal/tagset"
+	"repro/internal/topselect"
 )
 
 // TrackerArchive receives the Tracker's durable-log stream: every accepted
@@ -32,17 +32,7 @@ func (tr *Tracker) SetPeriodHook(fn func(period int64)) { tr.periodHook = fn }
 
 // NewestPeriod returns the largest retained period id (ok=false before the
 // first report).
-func (tr *Tracker) NewestPeriod() (int64, bool) {
-	tr.reg.mu.RLock()
-	defer tr.reg.mu.RUnlock()
-	newest, ok := int64(0), false
-	for p := range tr.reg.known {
-		if !ok || p > newest {
-			newest, ok = p, true
-		}
-	}
-	return newest, ok
-}
+func (tr *Tracker) NewestPeriod() (int64, bool) { return tr.reg.Newest() }
 
 // PeriodCoefficients is one reporting period's deduplicated coefficients in
 // a TrackerState export, sorted by tagset key for deterministic encoding.
@@ -87,19 +77,9 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 		Duplicates: atomic.LoadInt64(&tr.Duplicates),
 		Late:       atomic.LoadInt64(&tr.Late),
 	}
-	tr.reg.mu.RLock()
-	periods := make([]int64, 0, len(tr.reg.known))
-	for p := range tr.reg.known {
-		if p < beforePeriod {
-			periods = append(periods, p)
-		}
-	}
-	st.Floor = tr.reg.floor
-	st.Pruned = tr.reg.pruned
-	tr.reg.mu.RUnlock()
-	sort.Slice(periods, func(i, j int) bool { return periods[i] < periods[j] })
-
-	for _, p := range periods {
+	rs := tr.reg.View(beforePeriod, nil)
+	st.Floor, st.Pruned = rs.Floor, rs.Pruned
+	for _, p := range rs.Periods {
 		pc := PeriodCoefficients{Period: p, Coeffs: tr.gather(p)}
 		slices.SortFunc(pc.Coeffs, func(a, b jaccard.Coefficient) int {
 			return tagset.Compare(a.Tags, b.Tags)
@@ -121,17 +101,15 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 
 // ImportState loads an exported state into a freshly constructed Tracker.
 // It must run before the pipeline starts (no concurrent reporters); the
-// shard heaps are maintained incrementally as the coefficients are
+// per-period heaps are maintained incrementally as the coefficients are
 // re-inserted, so the imported Tracker answers TopK exactly as the
 // exporting one did.
 func (tr *Tracker) ImportState(st TrackerState) {
-	tr.reg.mu.Lock()
-	tr.reg.floor = st.Floor
-	tr.reg.pruned = st.Pruned
+	rs := topselect.State{Floor: st.Floor, Pruned: st.Pruned}
 	for _, pc := range st.Periods {
-		tr.reg.known[pc.Period] = struct{}{}
+		rs.Periods = append(rs.Periods, pc.Period)
 	}
-	tr.reg.mu.Unlock()
+	tr.reg.Import(rs)
 	for _, s := range tr.shards {
 		s.mu.Lock()
 		s.floor = st.Floor

@@ -36,6 +36,9 @@ func drainedServer(t *testing.T) (*Server, *httptest.Server) {
 	h := pipe.Start()
 	h.Wait()
 	srv := New(pipe, h, dict, Config{TopK: 20, Refresh: time.Hour})
+	// The handle is done, so the refresh loop takes one final snapshot and
+	// returns; wait for it, or it could replace the snapshot a test reads.
+	<-srv.loopDone
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, ts

@@ -103,6 +103,7 @@ func TestStatSurfacesAgree(t *testing.T) {
 	cfg.ReportEvery = stream.Seconds(2)
 	cfg.StatsEvery = 500
 	cfg.KeepPeriods = 2
+	cfg.TrackerTopK = 8
 	cfg.EvictedPairs = 64
 	cfg.NoSeries = true
 	cfg.Trend = true
@@ -135,6 +136,10 @@ func TestStatSurfacesAgree(t *testing.T) {
 	if _, _, ok := pipe.Tracker().Lookup(tagset.New(dict.Intern("never-a"), dict.Intern("never-b")).Key()); ok {
 		t.Fatal("a pair that was never reported was found")
 	}
+	// Raising the heap bound past entries the heaps excluded rebuilds them,
+	// so the rebuild counter is compared on a non-zero value; the server's
+	// own EnsureTopKBound(20) is then a no-op.
+	pipe.Tracker().EnsureTopKBound(20)
 	res := h.Wait()
 	if err := pipe.ArchiveErr(); err != nil {
 		t.Fatalf("archive error: %v", err)

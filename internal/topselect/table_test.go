@@ -1,0 +1,128 @@
+package topselect
+
+import (
+	"cmp"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/tagset"
+)
+
+// coeff is the table value of the differential: the Tracker ranks it by
+// descending J then descending CN, the trend detector (as a score) by
+// descending J alone.
+type coeff struct {
+	J  float64
+	CN int64
+}
+
+var rankings = []struct {
+	name string
+	rank func(a, b coeff) int
+}{
+	{"J,CN", func(a, b coeff) int {
+		if c := cmp.Compare(b.J, a.J); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.CN, a.CN)
+	}},
+	{"score", func(a, b coeff) int { return cmp.Compare(b.J, a.J) }},
+}
+
+// checkTable requires the heap to be a valid min-heap (root ranks last)
+// holding exactly the best min(bound, n) entries of a sort of everything.
+func checkTable(t *testing.T, label string, tb *Table[coeff], bound int, rank func(a, b coeff) int) {
+	t.Helper()
+	byRank := func(a, b Entry[coeff]) int { return Compare(rank, a, b) }
+	top := tb.Top()
+	for i := 1; i < len(top); i++ {
+		if byRank(top[i], top[(i-1)/2]) > 0 {
+			t.Fatalf("%s: heap order broken at slot %d", label, i)
+		}
+	}
+	want := make([]Entry[coeff], 0, len(tb.Values()))
+	for k, v := range tb.Values() {
+		want = append(want, Entry[coeff]{Key: k, Value: v})
+	}
+	slices.SortFunc(want, byRank)
+	want = want[:min(bound, len(want))]
+	got := slices.SortedFunc(slices.Values(top), byRank)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: heap holds\n %v\nsort-everything top %d is\n %v", label, got, bound, want)
+	}
+}
+
+// TestTableMatchesSortEverything drives per-period tables through random
+// fresh puts, CN upgrades (which may lower J), demotions of kept entries,
+// bound raises and period evictions — keys from a small pool and values on
+// a coarse grid, so ranks tie constantly — under both rankings and bounds
+// from 1 to beyond the key pool, and after every operation requires each
+// table's heap to equal the sort-everything top bound.
+func TestTableMatchesSortEverything(t *testing.T) {
+	const keys = 24
+	for _, r := range rankings {
+		for _, bound := range []int{1, 2, 3, 8, 64} {
+			t.Run(fmt.Sprintf("%s/bound=%d", r.name, bound), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(bound)))
+				key := func() tagset.Key { return tagset.New(tagset.Tag(rng.Intn(keys))).Key() }
+				value := func(cn int64) coeff { return coeff{J: float64(rng.Intn(5)) / 4, CN: cn} }
+				bounds := map[int64]int{}
+				tables := map[int64]*Table[coeff]{}
+				demotions, rebuilds := 0, 0
+				for op := 0; op < 4000; op++ {
+					p := int64(rng.Intn(3))
+					if tables[p] == nil {
+						tables[p] = NewTable(bound, 0, r.rank)
+						bounds[p] = bound
+					}
+					tb := tables[p]
+					var label string
+					switch n := rng.Intn(20); {
+					case n == 0:
+						label = "evict"
+						delete(tables, p)
+					case n == 1:
+						label = "raise"
+						bounds[p]++
+						tb.SetBound(bounds[p])
+					case n < 6 && len(tb.Top()) > 0:
+						// Demote a kept entry: the case only a rebuild can
+						// repair when others are excluded.
+						label = "demote"
+						e := tb.Top()[rng.Intn(len(tb.Top()))]
+						worse := e.Value
+						worse.J -= float64(1+rng.Intn(2)) / 4
+						demotions++
+						if tb.Put(e.Key, worse) {
+							rebuilds++
+						}
+					case n < 12:
+						label = "upgrade"
+						k := key()
+						prev, ok := tb.Values()[k]
+						if !ok {
+							prev.CN = 1
+						}
+						if tb.Put(k, value(prev.CN+1)) {
+							rebuilds++
+						}
+					default:
+						label = "put"
+						if tb.Put(key(), value(int64(1+rng.Intn(5)))) {
+							rebuilds++
+						}
+					}
+					for _, q := range slices.Sorted(maps.Keys(tables)) {
+						checkTable(t, fmt.Sprintf("op %d (%s), period %d", op, label, q), tables[q], bounds[q], r.rank)
+					}
+				}
+				if bound < keys && (demotions == 0 || rebuilds == 0) {
+					t.Fatalf("run not representative: %d demotions, %d rebuilds", demotions, rebuilds)
+				}
+			})
+		}
+	}
+}

@@ -1,6 +1,10 @@
-// Package topselect provides bounded top-k selection, the primitive behind
-// every "best k of n" read path in the system (the Tracker's coefficient
-// top-k, the trend detector's per-period top trends).
+// Package topselect provides bounded top-k selection and the retained
+// per-period tables built on it: Select, the primitive behind every "best k
+// of n" read path in the system; Table, one period's values of one shard
+// with its best entries kept in a bounded heap; and Registry, the
+// retention bound shared by all shards of a per-period store. The Tracker's
+// coefficient tables and the trend detector's scored-event tables are both
+// built from Table and Registry.
 package topselect
 
 // Select retains the best k elements of items under before, reusing the

@@ -2,7 +2,6 @@ package trend
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -120,21 +119,16 @@ type StreamStats struct {
 // batch Detector, restructured for a live pipeline. Observations arrive one
 // coefficient at a time (the Trend operator feeds it from the Tracker's
 // deduplicated report stream), predictors live in lock shards keyed by the
-// tagset-key hash, and every period's scored events are incrementally
-// maintained in a bounded top-trends heap per shard — the Tracker's
-// indexed-heap pattern — so top-trend queries never scan the scored-event
-// tables. All methods are safe for concurrent use.
+// tagset-key hash, and every period's scored events live in a
+// topselect.Table per shard — the Tracker's per-period table — whose
+// bounded heap keeps the period's top trends, so top-trend queries never
+// scan the scored-event tables. All methods are safe for concurrent use.
 type Stream struct {
 	cfg    StreamConfig
 	shards []*streamShard
 	mask   uint64
 
-	reg struct {
-		mu     sync.Mutex
-		known  map[int64]struct{}
-		floor  int64
-		pruned int64
-	}
+	reg    *topselect.Registry
 	latest int64 // atomic: newest period observed
 
 	scored     int64 // atomic
@@ -192,6 +186,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		shards: make([]*streamShard, n),
 		mask:   uint64(n - 1),
 		subs:   make(map[int]chan Event),
+		reg:    topselect.NewRegistry(cfg.KeepPeriods),
 	}
 	maxPerShard := 0
 	if cfg.MaxTracked > 0 {
@@ -203,24 +198,15 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	for i := range s.shards {
 		s.shards[i] = newStreamShard(cfg.TopK, maxPerShard)
 	}
-	s.reg.known = make(map[int64]struct{})
-	s.reg.floor = math.MinInt64
 	// latest is read atomically for the rest of the Stream's life; store it
 	// atomically here too so every access of the field is uniform.
 	atomic.StoreInt64(&s.latest, math.MinInt64)
 	return s, nil
 }
 
-// shardOf routes a tagset key to its shard (FNV-1a over the key bytes, the
-// Tracker's routing hash).
-func (s *Stream) shardOf(k tagset.Key) *streamShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k); i++ {
-		h ^= uint64(k[i])
-		h *= 1099511628211
-	}
-	return s.shards[h&s.mask]
-}
+// shardOf routes a tagset key to its shard by Key.Hash, the Tracker's
+// routing hash.
+func (s *Stream) shardOf(k tagset.Key) *streamShard { return s.shards[k.Hash()&s.mask] }
 
 // Observe feeds one deduplicated coefficient report. The Tracker emits every
 // accepted report exactly once per (period, tagset) value — fresh reports
@@ -233,7 +219,7 @@ func (s *Stream) Observe(period int64, c jaccard.Coefficient) {
 		atomic.AddInt64(&s.filtered, 1)
 		return
 	}
-	retained, prune := s.ensurePeriod(period)
+	retained, _, prune := s.reg.Ensure(period)
 	for _, p := range prune {
 		for _, sh := range s.shards {
 			sh.mu.Lock()
@@ -282,40 +268,6 @@ func (s *Stream) Observe(period int64, c jaccard.Coefficient) {
 	if ev.Score >= s.cfg.Threshold {
 		s.publish(ev)
 	}
-}
-
-// ensurePeriod registers period in the retention registry, reporting
-// whether it is retained plus the period ids this call decided to prune
-// (each handed out exactly once).
-func (s *Stream) ensurePeriod(period int64) (retained bool, prune []int64) {
-	r := &s.reg
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if period <= r.floor {
-		return false, nil
-	}
-	if _, known := r.known[period]; known {
-		return true, nil
-	}
-	r.known[period] = struct{}{}
-	if s.cfg.KeepPeriods > 0 {
-		for len(r.known) > s.cfg.KeepPeriods {
-			oldest := period
-			for p := range r.known {
-				if p < oldest {
-					oldest = p
-				}
-			}
-			delete(r.known, oldest)
-			if oldest > r.floor {
-				r.floor = oldest
-			}
-			r.pruned++
-			prune = append(prune, oldest)
-		}
-	}
-	_, retained = r.known[period]
-	return retained, prune
 }
 
 // publish hands ev to the broker goroutine with a single non-blocking
@@ -443,23 +395,10 @@ func (s *Stream) LatestPeriod() int64 { return atomic.LoadInt64(&s.latest) }
 // dropped, so their archived trend events can never grow again
 // (math.MinInt64 before the first prune). The archive compactor uses it
 // as the seal watermark.
-func (s *Stream) PruneFloor() int64 {
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	return s.reg.floor
-}
+func (s *Stream) PruneFloor() int64 { return s.reg.Floor() }
 
 // Periods returns the period ids with live trend state, ascending.
-func (s *Stream) Periods() []int64 {
-	s.reg.mu.Lock()
-	out := make([]int64, 0, len(s.reg.known))
-	for p := range s.reg.known {
-		out = append(out, p)
-	}
-	s.reg.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *Stream) Periods() []int64 { return s.reg.Periods() }
 
 // Tracked reports the number of live predictors across all shards.
 func (s *Stream) Tracked() int {
@@ -490,28 +429,25 @@ func (s *Stream) Predictor(k tagset.Key) (PredictorState, bool) {
 // shards' period heaps and never scans the scored-event tables; k <= 0 or
 // k > TopK falls back to a full gather.
 func (s *Stream) TopTrends(period int64, k int) []Event {
-	var cand []trendEntry
+	var cand []topselect.Entry[Event]
 	heapPath := k > 0 && k <= s.cfg.TopK
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+		t := sh.periods[period]
 		if heapPath {
-			if h := sh.tops[period]; h != nil {
-				cand = append(cand, h.entries...)
-			}
+			cand = append(cand, t.Top()...)
 		} else {
-			for key, ev := range sh.events[period] {
-				cand = append(cand, trendEntry{key: key, ev: ev})
+			for key, ev := range t.Values() {
+				cand = append(cand, topselect.Entry[Event]{Key: key, Value: ev})
 			}
 		}
 		sh.mu.Unlock()
 	}
-	if k > 0 && len(cand) > k {
-		cand = topselect.Select(cand, k, trendBefore)
-	}
+	cand = topselect.Select(cand, k, func(a, b topselect.Entry[Event]) bool { return compareTrends(a, b) < 0 })
 	slices.SortFunc(cand, compareTrends)
 	out := make([]Event, len(cand))
 	for i, e := range cand {
-		out[i] = e.ev
+		out[i] = e.Value
 	}
 	return out
 }
@@ -531,16 +467,15 @@ func (s *Stream) StatsSnapshot() StreamStats {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		st.Tracked += len(sh.preds)
-		for _, h := range sh.tops {
-			st.HeapEntries += h.Len()
+		for _, t := range sh.periods {
+			st.HeapEntries += len(t.Top())
 		}
 		st.Rebuilds += sh.rebuilds
 		sh.mu.Unlock()
 	}
-	s.reg.mu.Lock()
-	st.RetainedPeriods = len(s.reg.known)
-	st.PrunedPeriods = s.reg.pruned
-	s.reg.mu.Unlock()
+	rs := s.reg.View(math.MaxInt64, nil)
+	st.RetainedPeriods = len(rs.Periods)
+	st.PrunedPeriods = rs.Pruned
 	s.subMu.Lock()
 	st.Subscribers = len(s.subs)
 	s.subMu.Unlock()
@@ -558,71 +493,24 @@ type streamPredictor struct {
 	seen   int
 }
 
-// trendEntry is one scored event in a period heap, with its tagset key
-// cached for the membership index and the tie-break.
-type trendEntry struct {
-	key tagset.Key
-	ev  Event
-}
+// compareScores ranks scored events by descending score; the period tables
+// break its ties by ascending tagset key, the batch Detector's order.
+func compareScores(a, b Event) int { return cmp.Compare(b.Score, a.Score) }
 
-// compareTrends ranks events by descending score, then ascending tagset
-// key — the batch Detector's sort order. Keys are unique within a period,
-// so it is 0 only for an entry and itself.
-func compareTrends(a, b trendEntry) int {
-	if a.ev.Score != b.ev.Score {
-		if a.ev.Score > b.ev.Score {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Compare(a.key, b.key)
-}
-
-// trendBefore reports whether a ranks strictly before b under
-// compareTrends.
-func trendBefore(a, b trendEntry) bool { return compareTrends(a, b) < 0 }
-
-// trendIndex is a bounded indexed min-heap under trendBefore (the Tracker's
-// topIndex pattern): the root ranks last among the kept events and pos maps
-// every kept tagset key to its slot, so score corrections are O(log bound).
-type trendIndex struct {
-	entries []trendEntry
-	pos     map[tagset.Key]int
-}
-
-func (h *trendIndex) Len() int           { return len(h.entries) }
-func (h *trendIndex) Less(i, j int) bool { return trendBefore(h.entries[j], h.entries[i]) }
-func (h *trendIndex) Swap(i, j int) {
-	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
-	h.pos[h.entries[i].key] = i
-	h.pos[h.entries[j].key] = j
-}
-func (h *trendIndex) Push(x interface{}) {
-	e := x.(trendEntry)
-	h.pos[e.key] = len(h.entries)
-	h.entries = append(h.entries, e)
-}
-func (h *trendIndex) Pop() interface{} {
-	old := h.entries
-	e := old[len(old)-1]
-	h.entries = old[:len(old)-1]
-	delete(h.pos, e.key)
-	return e
+// compareTrends is the batch Detector's event order over table entries:
+// descending score, then ascending tagset key.
+func compareTrends(a, b topselect.Entry[Event]) int {
+	return topselect.Compare(compareScores, a, b)
 }
 
 // streamShard owns the predictors and per-period trend state of the tagset
-// keys that hash to it.
-//
-// Invariant (per period p): tops[p] holds exactly the best
-// min(bound, len(events[p])) scored events of this shard under trendBefore.
-// Fresh events and upward corrections maintain it in O(log bound); a
-// downward correction of an in-heap event while others are excluded
-// rebuilds the period heap from the events table.
+// keys that hash to it: one topselect.Table per retained period, holding
+// the period's scored events and a heap of its best min(bound, len) under
+// compareTrends.
 type streamShard struct {
-	mu     sync.Mutex
-	preds  map[tagset.Key]*streamPredictor
-	events map[int64]map[tagset.Key]Event
-	tops   map[int64]*trendIndex
+	mu      sync.Mutex
+	preds   map[tagset.Key]*streamPredictor
+	periods map[int64]*topselect.Table[Event]
 
 	bound    int   // heap bound per period
 	maxPreds int   // predictor cap; 0 unbounded
@@ -633,8 +521,7 @@ type streamShard struct {
 func newStreamShard(bound, maxPreds int) *streamShard {
 	return &streamShard{
 		preds:    make(map[tagset.Key]*streamPredictor),
-		events:   make(map[int64]map[tagset.Key]Event),
-		tops:     make(map[int64]*trendIndex),
+		periods:  make(map[int64]*topselect.Table[Event]),
 		bound:    bound,
 		maxPreds: maxPreds,
 		floor:    math.MinInt64,
@@ -693,60 +580,17 @@ func (sh *streamShard) observe(alpha float64, period int64, key tagset.Key, c ja
 	return ev, true, false, false
 }
 
-// record stores ev in the period's event table and maintains the period
-// heap: fresh events are offered; corrected events are fixed in place, with
-// a rebuild when a demotion may have wrongly kept an excluded event out.
+// record stores ev in the period's table, whose heap keeps the period's
+// best events.
 func (sh *streamShard) record(period int64, key tagset.Key, ev Event) {
-	m := sh.events[period]
-	if m == nil {
-		m = make(map[tagset.Key]Event)
-		sh.events[period] = m
+	t := sh.periods[period]
+	if t == nil {
+		t = topselect.NewTable(sh.bound, 0, compareScores)
+		sh.periods[period] = t
 	}
-	prev, existed := m[key]
-	m[key] = ev
-	h := sh.tops[period]
-	if h == nil {
-		h = &trendIndex{pos: make(map[tagset.Key]int)}
-		sh.tops[period] = h
+	if t.Put(key, ev) {
+		sh.rebuilds++
 	}
-	e := trendEntry{key: key, ev: ev}
-	if existed {
-		if i, ok := h.pos[key]; ok {
-			h.entries[i].ev = ev
-			heap.Fix(h, i)
-			if len(m) > h.Len() && trendBefore(trendEntry{key: key, ev: prev}, e) {
-				sh.rebuildPeriod(period)
-			}
-			return
-		}
-	}
-	sh.offer(h, e)
-}
-
-// offer inserts a fresh entry if it belongs to the period's best bound.
-func (sh *streamShard) offer(h *trendIndex, e trendEntry) {
-	if h.Len() < sh.bound {
-		heap.Push(h, e)
-		return
-	}
-	if trendBefore(e, h.entries[0]) {
-		delete(h.pos, h.entries[0].key)
-		h.entries[0] = e
-		h.pos[e.key] = 0
-		heap.Fix(h, 0)
-	}
-}
-
-// rebuildPeriod reconstructs one period's heap from its event table — a
-// bounded-heap selection, run only on downward corrections while events are
-// excluded, never on reads.
-func (sh *streamShard) rebuildPeriod(period int64) {
-	h := &trendIndex{pos: make(map[tagset.Key]int, sh.bound)}
-	for k, ev := range sh.events[period] {
-		sh.offer(h, trendEntry{key: k, ev: ev})
-	}
-	sh.tops[period] = h
-	sh.rebuilds++
 }
 
 // evictPeriod drops one period's trend state and advances the shard floor
@@ -754,11 +598,8 @@ func (sh *streamShard) rebuildPeriod(period int64) {
 // persist: they are the smoothed expectation, not per-period state. The
 // caller holds the lock.
 func (sh *streamShard) evictPeriod(p int64) {
-	if p > sh.floor {
-		sh.floor = p
-	}
-	delete(sh.events, p)
-	delete(sh.tops, p)
+	sh.floor = max(sh.floor, p)
+	delete(sh.periods, p)
 }
 
 // evictPredictors enforces the predictor cap, dropping the stalest eighth

@@ -2,10 +2,10 @@ package trend
 
 import (
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/tagset"
+	"repro/internal/topselect"
 )
 
 // EventArchive receives the streaming detector's durable-log stream: every
@@ -75,17 +75,8 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 		Published:  atomic.LoadInt64(&s.published),
 		Dropped:    atomic.LoadInt64(&s.dropped),
 	}
-	s.reg.mu.Lock()
-	periods := make([]int64, 0, len(s.reg.known))
-	for p := range s.reg.known {
-		if p < beforePeriod {
-			periods = append(periods, p)
-		}
-	}
-	st.Floor = s.reg.floor
-	st.Pruned = s.reg.pruned
-	s.reg.mu.Unlock()
-	sort.Slice(periods, func(i, j int) bool { return periods[i] < periods[j] })
+	rs := s.reg.View(beforePeriod, nil)
+	st.Floor, st.Pruned = rs.Floor, rs.Pruned
 
 	st.Latest = atomic.LoadInt64(&s.latest)
 	if st.Latest >= beforePeriod {
@@ -118,11 +109,11 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 		return tagset.Compare(a.Tags, b.Tags)
 	})
 
-	for _, p := range periods {
+	for _, p := range rs.Periods {
 		pe := PeriodTrendEvents{Period: p}
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			for _, ev := range sh.events[p] {
+			for _, ev := range sh.periods[p].Values() {
 				pe.Events = append(pe.Events, ev)
 			}
 			sh.mu.Unlock()
@@ -139,13 +130,11 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 // It must run before the pipeline starts; the per-period top-trends heaps
 // are rebuilt as the events are re-recorded.
 func (s *Stream) ImportState(st StreamState) {
-	s.reg.mu.Lock()
-	s.reg.floor = st.Floor
-	s.reg.pruned = st.Pruned
+	rs := topselect.State{Floor: st.Floor, Pruned: st.Pruned}
 	for _, pe := range st.Periods {
-		s.reg.known[pe.Period] = struct{}{}
+		rs.Periods = append(rs.Periods, pe.Period)
 	}
-	s.reg.mu.Unlock()
+	s.reg.Import(rs)
 	atomic.StoreInt64(&s.latest, st.Latest)
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -154,10 +154,9 @@ func TestStreamShardFloorGuardsPrunedPeriod(t *testing.T) {
 		t.Errorf("pruned period state resurrected: %v", got)
 	}
 	sh.mu.Lock()
-	_, evAlive := sh.events[2]
-	_, topAlive := sh.tops[2]
+	_, alive := sh.periods[2]
 	sh.mu.Unlock()
-	if evAlive || topAlive {
+	if alive {
 		t.Error("pruned period maps recreated after late observation")
 	}
 }
