@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/jaccard"
 	"repro/internal/operators"
 	"repro/internal/partition"
 	"repro/internal/trend"
@@ -56,13 +57,33 @@ type Checkpoint struct {
 	Trend   *trend.StreamState // nil when the pipeline ran without Config.Trend
 }
 
-// ckptVersion is the on-disk checkpoint format version.
-const ckptVersion = 1
+// Checkpoint file layout. The frame is magic (8 bytes), version (uint32
+// LE), payload length (uint64 LE), CRC32 of the payload (uint32 LE), then
+// the payload. A file that fails any of those checks — torn tail included —
+// is skipped and the previous checkpoint is used instead.
+//
+// A version-2 payload (ckptVersion, the one written) has two parts:
+//
+//   - the Tracker periods: their count (uint32 LE), then per period its id
+//     (int64 LE), its coefficient count (uint32 LE) and each coefficient
+//     as a segment record payload (encodeCoeff: tag count, tags, J, CN);
+//   - the gob part, to the end of the payload: the gob encoding of the
+//     Checkpoint with Tracker.Periods nil — cursor, dictionary,
+//     partitions, evicted LRU, floors and trend state.
+//
+// A version-1 payload (ckptV1) is the gob part alone, with the Tracker
+// periods inside it.
+const (
+	ckptV1      = 1
+	ckptVersion = 2
 
-// checkpoint framing: magic (8 bytes), version (uint32 LE), payload length
-// (uint64 LE), CRC32 of the payload (uint32 LE), gob payload. A file that
-// fails any of those checks — torn tail included — is skipped and the
-// previous checkpoint is used instead.
+	ckptHeaderLen = 24
+	// ckptPeriodLen and minCoeffLen are the smallest encodings of a period
+	// header and of a coefficient (no tags), which bound the counts a
+	// decode accepts by the bytes left.
+	ckptPeriodLen = 12
+	minCoeffLen   = 2 + 16
+)
 
 // WriteCheckpoint flushes the open segments, then writes cp as the next
 // checkpoint file (write-to-temp + rename, so a crash mid-write can never
@@ -80,15 +101,10 @@ func (w *Writer) WriteCheckpoint(cp *Checkpoint) error {
 
 	w.seq++
 	cp.Seq = w.seq
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(cp); err != nil {
-		return fmt.Errorf("archive: encode checkpoint: %w", err)
+	data, err := encodeCheckpoint(cp)
+	if err != nil {
+		return err
 	}
-	hdr := make([]byte, 0, 24)
-	hdr = append(hdr, ckptMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, ckptVersion)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(payload.Len()))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload.Bytes()))
 
 	final := filepath.Join(w.dir, checkpointName(w.seq))
 	tmp := final + ".tmp"
@@ -96,9 +112,7 @@ func (w *Writer) WriteCheckpoint(cp *Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
-	if _, err = f.Write(hdr); err == nil {
-		_, err = f.Write(payload.Bytes())
-	}
+	_, err = f.Write(data)
 	if err == nil {
 		start := time.Now()
 		err = f.Sync()
@@ -154,26 +168,136 @@ func readCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 24 || string(data[:8]) != ckptMagic {
-		return nil, fmt.Errorf("archive: %s: bad magic", path)
+	cp, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("archive: %s: %w", path, err)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != ckptVersion {
-		return nil, fmt.Errorf("archive: %s: version %d", path, v)
+	return cp, nil
+}
+
+// encodeCheckpoint renders cp as a version-2 checkpoint file, frame
+// included. The file is sized exactly before the periods are written.
+func encodeCheckpoint(cp *Checkpoint) ([]byte, error) {
+	head := *cp
+	head.Tracker.Periods = nil
+	var gobPart bytes.Buffer
+	if err := gob.NewEncoder(&gobPart).Encode(&head); err != nil {
+		return nil, fmt.Errorf("archive: encode checkpoint: %w", err)
+	}
+	periods := cp.Tracker.Periods
+	size := ckptHeaderLen + 4 + gobPart.Len()
+	for _, pc := range periods {
+		size += ckptPeriodLen
+		for _, c := range pc.Coeffs {
+			size += minCoeffLen + 4*c.Tags.Len()
+		}
+	}
+	data := make([]byte, ckptHeaderLen, size)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(periods)))
+	for _, pc := range periods {
+		data = binary.LittleEndian.AppendUint64(data, uint64(pc.Period))
+		data = binary.LittleEndian.AppendUint32(data, uint32(len(pc.Coeffs)))
+		for _, c := range pc.Coeffs {
+			data = encodeCoeff(data, c)
+		}
+	}
+	data = append(data, gobPart.Bytes()...)
+	copy(data, ckptMagic)
+	binary.LittleEndian.PutUint32(data[8:], ckptVersion)
+	binary.LittleEndian.PutUint64(data[12:], uint64(len(data)-ckptHeaderLen))
+	binary.LittleEndian.PutUint32(data[20:], crc32.ChecksumIEEE(data[ckptHeaderLen:]))
+	return data, nil
+}
+
+// decodeCheckpoint verifies a checkpoint file's frame and decodes its
+// payload, version 1 or 2.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+	if len(data) < ckptHeaderLen || string(data[:8]) != ckptMagic {
+		return nil, fmt.Errorf("bad magic")
+	}
+	v := binary.LittleEndian.Uint32(data[8:12])
+	if v != ckptV1 && v != ckptVersion {
+		return nil, fmt.Errorf("version %d", v)
 	}
 	n := binary.LittleEndian.Uint64(data[12:20])
 	crc := binary.LittleEndian.Uint32(data[20:24])
-	if uint64(len(data)-24) != n {
-		return nil, fmt.Errorf("archive: %s: torn payload (%d of %d bytes)", path, len(data)-24, n)
+	if uint64(len(data)-ckptHeaderLen) != n {
+		return nil, fmt.Errorf("torn payload (%d of %d bytes)", len(data)-ckptHeaderLen, n)
 	}
-	payload := data[24:]
+	payload := data[ckptHeaderLen:]
 	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, fmt.Errorf("archive: %s: payload CRC mismatch", path)
+		return nil, fmt.Errorf("payload CRC mismatch")
+	}
+	var periods []operators.PeriodCoefficients
+	if v == ckptVersion {
+		var err error
+		if periods, payload, err = decodePeriods(payload); err != nil {
+			return nil, fmt.Errorf("decode periods: %w", err)
+		}
 	}
 	var cp Checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("archive: %s: decode: %w", path, err)
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	if v == ckptVersion {
+		cp.Tracker.Periods = periods
 	}
 	return &cp, nil
+}
+
+// decodePeriods parses the Tracker periods part of a version-2 payload and
+// returns the bytes after it, the gob part. Each count is checked against
+// the bytes left before anything is allocated for it, and the tags of all
+// coefficients share one arena. Empty slices decode as nil, as gob decodes
+// them.
+func decodePeriods(b []byte) ([]operators.PeriodCoefficients, []byte, error) {
+	if len(b) < 4 {
+		return nil, nil, fmt.Errorf("short period count")
+	}
+	n := binary.LittleEndian.Uint32(b)
+	b = b[4:]
+	if uint64(n) > uint64(len(b)/ckptPeriodLen) {
+		return nil, nil, fmt.Errorf("%d periods in %d bytes", n, len(b))
+	}
+	var periods []operators.PeriodCoefficients
+	if n > 0 {
+		periods = make([]operators.PeriodCoefficients, n)
+	}
+	var arena tagArena
+	for i := range periods {
+		if len(b) < ckptPeriodLen {
+			return nil, nil, fmt.Errorf("short period header")
+		}
+		pc := &periods[i]
+		pc.Period = int64(binary.LittleEndian.Uint64(b))
+		m := binary.LittleEndian.Uint32(b[8:])
+		b = b[ckptPeriodLen:]
+		if uint64(m) > uint64(len(b)/minCoeffLen) {
+			return nil, nil, fmt.Errorf("period %d: %d coefficients in %d bytes", pc.Period, m, len(b))
+		}
+		if m > 0 {
+			pc.Coeffs = make([]jaccard.Coefficient, m)
+		}
+		for j := range pc.Coeffs {
+			if len(b) < minCoeffLen {
+				return nil, nil, fmt.Errorf("period %d: short coefficient", pc.Period)
+			}
+			size := minCoeffLen + 4*int(binary.LittleEndian.Uint16(b))
+			if len(b) < size {
+				return nil, nil, fmt.Errorf("period %d: short coefficient", pc.Period)
+			}
+			c, err := decodeCoeffIn(b[:size], &arena)
+			if err != nil {
+				return nil, nil, err
+			}
+			if len(c.Tags) == 0 {
+				c.Tags = nil
+			}
+			pc.Coeffs[j] = c
+			b = b[size:]
+		}
+	}
+	return periods, b, nil
 }
 
 func checkpointName(seq uint64) string { return fmt.Sprintf("checkpoint-%012d.ckpt", seq) }

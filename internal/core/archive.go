@@ -188,7 +188,7 @@ func (p *Pipeline) buildCheckpointTimed() *archive.Checkpoint {
 }
 
 // ckptLoop is the dedicated checkpoint writer: it serves pending
-// synchronous snapshots and due periodic checkpoints — state export, gob
+// synchronous snapshots and due periodic checkpoints — state export,
 // encode, fsync, rename all off the hot path — then wakes synchronous
 // Checkpoint callers. A pending snapshot takes priority over a due flag
 // (its write is newer state than the due that preceded it, so it covers

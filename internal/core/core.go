@@ -105,7 +105,7 @@ type Pipeline struct {
 	periodsOpened int64
 
 	// The checkpoint writer goroutine: the period hook just marks a
-	// checkpoint due; ckptLoop builds the state snapshot and does the gob
+	// checkpoint due; ckptLoop builds the state snapshot and does the
 	// encode + fsync, all off the hot path. Synchronous Checkpoint callers
 	// enqueue a pre-built snapshot into the single pending slot instead.
 	// Both paths are single-flight, newest-wins: dues coalesce, a newer
@@ -424,10 +424,13 @@ func (p *Pipeline) LastCheckpointAge() (age time.Duration, ok bool) {
 	return telemetry.Since(stamp), true
 }
 
-// ThrottleSaturations returns how many times the spout hit the
-// max-spout-pending cap and parked (concurrent executor only).
-func (p *Pipeline) ThrottleSaturations() int64 {
-	return p.topo.Stats().ThrottleSaturations()
+// SpoutProgress reads two live storm counters: how many times the spout hit
+// the max-spout-pending cap and parked (concurrent executor only), and how
+// many tuples the Disseminators have received. Parks that grow while the
+// second stands still are the signature of a wedged consumer.
+func (p *Pipeline) SpoutProgress() (parks, dissemReceived int64) {
+	st := p.topo.Stats()
+	return st.ThrottleSaturations(), st.Received("disseminator")
 }
 
 // Merger exposes the merger bolt (current partitions after a run).

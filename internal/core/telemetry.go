@@ -108,10 +108,10 @@ func (p *Pipeline) registerTrackerMetrics(reg *telemetry.Registry, s *Stats) {
 		"Coefficients currently retained across all shards.",
 		nil, func() float64 { return float64(s.Tracker.Retained) })
 	reg.GaugeFunc("tagcorr_tracker_heap_entries",
-		"Entries currently held in the incrementally maintained shard top-k heaps.",
+		"Entries currently held in the per-period top-k heaps of the retained periods.",
 		nil, func() float64 { return float64(s.Tracker.HeapEntries) })
 	reg.CounterFunc("tagcorr_tracker_heap_rebuilds_total",
-		"Shard heap rebuilds (prunes, demotions, bound changes).",
+		"Per-period heap rebuilds (demotions, bound raises; prunes never rebuild).",
 		nil, func() int64 { return s.Tracker.Rebuilds })
 	reg.GaugeFunc("tagcorr_tracker_retained_periods",
 		"Reporting periods currently retained.",

@@ -53,6 +53,10 @@ type Tracker struct {
 	reg *topselect.Registry
 	lru *evictedLRU // nil when disabled
 
+	// exports is ExportState's copy of each retained period it has
+	// exported, reused while the period's tables are unchanged.
+	exports exportCache
+
 	// emitTrend forwards accepted reports on StreamTrend (EnableTrendEmit);
 	// trendTasks is the Trend operator's parallelism (Prepare; 0 outside a
 	// topology), which an accepted batch is split by when it exceeds one.
@@ -111,9 +115,10 @@ func NewTrackerWith(shards, topKBound, evictedCap int) *Tracker {
 		topKBound = defaultTopKBound
 	}
 	tr := &Tracker{
-		shards: make([]*trackerShard, n),
-		mask:   uint64(n - 1),
-		reg:    topselect.NewRegistry(0),
+		shards:  make([]*trackerShard, n),
+		mask:    uint64(n - 1),
+		reg:     topselect.NewRegistry(0),
+		exports: exportCache{periods: make(map[int64]periodExport)},
 	}
 	for i := range tr.shards {
 		tr.shards[i] = &trackerShard{
@@ -318,6 +323,7 @@ func (tr *Tracker) prunePeriod(p int64) {
 			tr.lru.add(k, maps[routeHash(k)&tr.mask][k], p)
 		}
 	}
+	tr.exports.drop(p)
 	if tr.archive != nil {
 		tr.archive.SealPeriod(p)
 	}
@@ -344,31 +350,44 @@ func (tr *Tracker) Periods() []int64 { return tr.reg.Periods() }
 // Report returns the deduplicated coefficients of one period, sorted by
 // descending J.
 func (tr *Tracker) Report(period int64) []jaccard.Coefficient {
-	out := tr.gather(period)
+	out, _ := tr.gather(period)
 	sortCoefficients(out)
 	return out
 }
 
 // gather copies one period's coefficients out of the shards, in no
-// particular order. A first pass over the shards' table sizes sizes the
-// slice, so it is allocated once (reports landing between the two passes
-// merely grow it).
-func (tr *Tracker) gather(period int64) []jaccard.Coefficient {
+// particular order, and sums the write counts of the tables it copied, each
+// read under the lock it copied under. A first pass over the shards' table
+// sizes sizes the slice, so it is allocated once (reports landing between
+// the two passes merely grow it).
+func (tr *Tracker) gather(period int64) (out []jaccard.Coefficient, writes uint64) {
 	n := 0
 	for _, s := range tr.shards {
 		s.mu.Lock()
 		n += len(s.periods[period].Values())
 		s.mu.Unlock()
 	}
-	out := make([]jaccard.Coefficient, 0, n)
+	out = make([]jaccard.Coefficient, 0, n)
 	for _, s := range tr.shards {
 		s.mu.Lock()
-		for _, c := range s.periods[period].Values() {
+		t := s.periods[period]
+		for _, c := range t.Values() {
 			out = append(out, c)
 		}
+		writes += t.Writes()
 		s.mu.Unlock()
 	}
-	return out
+	return out, writes
+}
+
+// writes sums one period's table write counts over the shards.
+func (tr *Tracker) writes(period int64) (n uint64) {
+	for _, s := range tr.shards {
+		s.mu.Lock()
+		n += s.periods[period].Writes()
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // All returns every deduplicated coefficient across the retained periods,

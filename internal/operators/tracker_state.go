@@ -1,7 +1,7 @@
 package operators
 
 import (
-	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/jaccard"
@@ -71,6 +71,11 @@ type TrackerState struct {
 // strictly before beforePeriod (pass math.MaxInt64 for everything). The
 // newest period is typically excluded: it may still be partially flushed,
 // and the recovery protocol replays it from the stream instead.
+//
+// A period whose tables have taken no write since its last export is served
+// from that export, with no gather and no sort (exportCache), so the
+// Periods' Coeffs may be shared with earlier and later exports: callers
+// read them and never write them.
 func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 	st := TrackerState{
 		Received:   atomic.LoadInt64(&tr.Received),
@@ -80,11 +85,7 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 	rs := tr.reg.View(beforePeriod, nil)
 	st.Floor, st.Pruned = rs.Floor, rs.Pruned
 	for _, p := range rs.Periods {
-		pc := PeriodCoefficients{Period: p, Coeffs: tr.gather(p)}
-		slices.SortFunc(pc.Coeffs, func(a, b jaccard.Coefficient) int {
-			return tagset.Compare(a.Tags, b.Tags)
-		})
-		st.Periods = append(st.Periods, pc)
+		st.Periods = append(st.Periods, PeriodCoefficients{Period: p, Coeffs: tr.exportPeriod(p)})
 	}
 
 	if tr.lru != nil {
@@ -97,6 +98,60 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 		tr.lru.mu.Unlock()
 	}
 	return st
+}
+
+// exportCache keeps, for each retained period ExportState has exported, the
+// export's coefficients sorted by tagset key and the sum over shards of the
+// period's table write counts (topselect.Table.Writes) that the copy was
+// taken at, each shard's count read under the lock its entries were copied
+// under. While the period is retained its tables are never replaced, so
+// every shard's count only grows: an unchanged sum, read after the cached
+// export was stored, means no shard took a write since its copy, and the
+// copy is what a fresh gather and sort would return. prunePeriod drops a
+// period's entry. The mutex guards the map only; gathers and sorts run
+// outside it, so concurrent exports (Pipeline.Checkpoint beside the
+// checkpoint writer) never wait on each other's sort, and a prune on the
+// report path never waits on an export.
+type exportCache struct {
+	mu      sync.Mutex
+	periods map[int64]periodExport
+}
+
+type periodExport struct {
+	writes uint64
+	coeffs []jaccard.Coefficient
+}
+
+// exportPeriod returns one retained period's coefficients sorted by tagset
+// key: the cached export when the period's write count has not moved since
+// it was taken, otherwise a fresh gather and sort, which replaces it. The
+// entry is read before the counts are, so the counts compared against it
+// are read after every copy behind it.
+func (tr *Tracker) exportPeriod(p int64) []jaccard.Coefficient {
+	cache := &tr.exports
+	cache.mu.Lock()
+	e, ok := cache.periods[p]
+	cache.mu.Unlock()
+	if ok && e.writes == tr.writes(p) {
+		return e.coeffs
+	}
+	coeffs, writes := tr.gather(p)
+	tagset.SortBy(coeffs, func(c jaccard.Coefficient) tagset.Set { return c.Tags })
+	cache.mu.Lock()
+	// A period pruned since the gather stays out: the registry raises the
+	// floor before prunePeriod drops the entry under this lock.
+	if p > tr.reg.Floor() {
+		cache.periods[p] = periodExport{writes: writes, coeffs: coeffs}
+	}
+	cache.mu.Unlock()
+	return coeffs
+}
+
+// drop forgets a pruned period's export.
+func (c *exportCache) drop(p int64) {
+	c.mu.Lock()
+	delete(c.periods, p)
+	c.mu.Unlock()
 }
 
 // ImportState loads an exported state into a freshly constructed Tracker.

@@ -22,18 +22,29 @@ import (
 // running.
 const checkpointOverdueAfter = 2 * time.Minute
 
+// pinnedWindow is the shortest interval over which the mailbox_pinned probe
+// judges document progress (the default watchdog tick is twice as long).
+const pinnedWindow = 500 * time.Millisecond
+
 // watchdogChecks builds the standard stall probes over the pipeline's
 // existing counters. Every probe is cheap (atomic loads, the cached
 // snapshot) and runs on the watchdog goroutine.
 func (s *Server) watchdogChecks() []flight.Check {
-	// mailbox_pinned closure state: the previous tick's saturation and
-	// document counters. The verdict is "spouts keep parking at the
-	// max-spout-pending cap while no document makes progress" — the
-	// signature of a wedged consumer, as opposed to ordinary backpressure
-	// where docs still advance between ticks.
+	// mailbox_pinned closure state: the saturation and Disseminator intake
+	// counters at the last judged tick, and that verdict. The verdict is
+	// "spouts keep parking at the max-spout-pending cap while no document
+	// makes progress" — the signature of a wedged consumer, as opposed to
+	// ordinary backpressure where docs still advance between ticks. Both
+	// counters are read live (the cached snapshot's document count can be
+	// older than the parks), and progress is judged over pinnedWindow at
+	// least: a tick sooner keeps the last verdict, because over a few
+	// milliseconds a saturated pipeline's scheduling gaps look like no
+	// progress too.
 	var satMu sync.Mutex
-	var prevSat, prevDocs int64
-	seeded := false
+	var prevSat, prevRecv int64
+	var prevAt time.Time
+	var pinned bool
+	var pinnedDetail string
 
 	return []flight.Check{
 		{
@@ -56,25 +67,24 @@ func (s *Server) watchdogChecks() []flight.Check {
 		{
 			Name: "mailbox_pinned",
 			Probe: func() (bool, string) {
-				sat := s.pipe.ThrottleSaturations()
-				var docs int64
-				if snap := s.Snapshot(); snap != nil {
-					docs = snap.DocsProcessed
-				}
+				sat, recv := s.pipe.SpoutProgress()
+				now := time.Now()
 				satMu.Lock()
 				defer satMu.Unlock()
-				if !seeded {
-					seeded = true
-					prevSat, prevDocs = sat, docs
-					return false, ""
+				switch {
+				case prevAt.IsZero(): // the first tick only seeds the counters
+				case now.Sub(prevAt) < pinnedWindow:
+					return pinned, pinnedDetail
+				default:
+					pinned = s.handle.Running() && sat > prevSat && recv == prevRecv
+					pinnedDetail = ""
+					if pinned {
+						pinnedDetail = fmt.Sprintf("%d spout parks in %s, disseminator intake pinned at %d tuples",
+							sat-prevSat, now.Sub(prevAt).Round(time.Millisecond), recv)
+					}
 				}
-				stalled := s.handle.Running() && sat > prevSat && docs == prevDocs
-				detail := ""
-				if stalled {
-					detail = fmt.Sprintf("%d spout parks this tick, docs pinned at %d", sat-prevSat, docs)
-				}
-				prevSat, prevDocs = sat, docs
-				return stalled, detail
+				prevSat, prevRecv, prevAt = sat, recv, now
+				return pinned, pinnedDetail
 			},
 		},
 		{

@@ -306,12 +306,15 @@ func TestWatchdogStaleSnapshotVerdict(t *testing.T) {
 		c.WatchdogInterval = time.Hour // tick manually: no timing dependence
 	})
 
-	// Wait until a snapshot exists (the probe needs one to age).
+	// Wait until a snapshot exists (the probe needs one to age) and the
+	// first document has been processed: before that the spout can park
+	// while nothing has reached the Disseminator yet, which mailbox_pinned
+	// rightly reads as no progress.
 	deadline := time.After(30 * time.Second)
-	for srv.Snapshot() == nil {
+	for srv.Snapshot() == nil || srv.pipe.Snapshot(1).DocsProcessed == 0 {
 		select {
 		case <-deadline:
-			t.Fatal("no snapshot within 30s")
+			t.Fatal("no snapshot and processed document within 30s")
 		default:
 			time.Sleep(time.Millisecond)
 		}

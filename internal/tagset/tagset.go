@@ -405,6 +405,101 @@ func Compare(a, b Set) int {
 	return 0
 }
 
+// SortBy sorts s by Compare on each element's set, into the order
+// slices.SortFunc with Compare gives when the sets are distinct. It is a
+// radix sort three tags (twelve key bytes) at a time: LSD passes over those
+// bytes order s, and each run of elements whose sets share them is sorted
+// on the next three tags the same way, down to runs short enough for
+// Compare. Each set is read once per level, so unlike a comparison sort of
+// sets scattered over the heap, almost no step chases a set's backing
+// array.
+func SortBy[T any](s []T, set func(T) Set) { sortByFrom(s, set, 0) }
+
+// radixMin is the shortest run SortBy radix-sorts; shorter ones go to
+// Compare.
+const radixMin = 32
+
+// sortByFrom is SortBy for elements whose sets share their first from tags.
+func sortByFrom[T any](s []T, set func(T) Set, from int) {
+	byCompare := func(a, b T) int { return Compare(set(a), set(b)) }
+	if len(s) < radixMin {
+		slices.SortFunc(s, byCompare)
+		return
+	}
+	keys := make([]sortKey, len(s))
+	deeper := false // some set has tags beyond the three keyed here
+	for i, v := range s {
+		tags := set(v)
+		keys[i] = newSortKey(tags[min(from, len(tags)):], i)
+		deeper = deeper || len(tags) > from+3
+	}
+	tmp := make([]sortKey, len(s))
+	for d := 0; d < 12; d++ { // least significant key byte first
+		digit := func(k sortKey) byte {
+			if d < 4 {
+				return byte(k.lo >> (8 * d))
+			}
+			return byte(k.hi >> (8 * (d - 4)))
+		}
+		var count [256]int
+		for _, k := range keys {
+			count[digit(k)]++
+		}
+		if count[digit(keys[0])] == len(keys) {
+			continue // every key has this byte
+		}
+		pos := 0
+		for b, n := range count {
+			count[b] = pos
+			pos += n
+		}
+		for _, k := range keys {
+			b := digit(k)
+			tmp[count[b]] = k
+			count[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	out := make([]T, len(s))
+	for i, k := range keys {
+		out[i] = s[k.index]
+	}
+	for i := 0; i < len(out); {
+		j := i + 1
+		for j < len(out) && keys[j].hi == keys[i].hi && keys[j].lo == keys[i].lo {
+			j++
+		}
+		switch {
+		case j-i == 1:
+		case deeper:
+			sortByFrom(out[i:j], set, from+3)
+		default: // equal sets, or a zero tag out of canonical order
+			slices.SortFunc(out[i:j], byCompare)
+		}
+		i = j
+	}
+	copy(s, out)
+}
+
+// sortKey is the key bytes of three tags of a set as a big-endian number,
+// zero padded (hi the first eight, lo the next four), and its element's
+// index.
+// Two sets whose numbers differ compare as the numbers do; equal numbers
+// leave the order to Compare.
+type sortKey struct {
+	hi    uint64
+	lo    uint32
+	index uint32
+}
+
+func newSortKey(s Set, index int) sortKey {
+	var b [3]uint32
+	for i := 0; i < len(s) && i < len(b); i++ {
+		b[i] = bits.ReverseBytes32(uint32(s[i]))
+	}
+	return sortKey{hi: uint64(b[0])<<32 | uint64(b[1]), lo: b[2], index: uint32(index)}
+}
+
 // Key is the map-key form of a Set, produced by Set.Key.
 type Key string
 

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -338,6 +339,43 @@ func TestCompareMatchesKeyOrder(t *testing.T) {
 		check(a, b)
 		check(a, a[:r.Intn(len(a)+1)]) // proper prefix, or a itself
 		check(randomSet(r), randomSet(r))
+	}
+}
+
+// TestSortByMatchesCompare checks SortBy against a comparison sort by
+// Compare on distinct sets drawn around the byte boundaries of the key
+// encoding, so that many share leading tags — past three and six, where
+// SortBy recurses — or are proper prefixes of others (the empty set and tag
+// 0 included), in lists short and long.
+func TestSortByMatchesCompare(t *testing.T) {
+	edges := []Tag{0, 1, 2, 3, 4, 255, 256, 257, 512, 65535, 65536, 1 << 24, 1<<24 + 1, 1<<32 - 1}
+	r := rand.New(rand.NewSource(9))
+	type item struct {
+		tags Set
+		id   int
+	}
+	for _, n := range []int{0, 1, 2, 3, 50, 3000} {
+		seen := map[Key]bool{}
+		var items []item
+		for len(items) < n {
+			tags := make([]Tag, r.Intn(9)) // runs sharing three or six tags recurse
+			if r.Intn(2) == 0 {
+				copy(tags, edges[:3]) // many share their first tags
+			}
+			for i := range tags {
+				tags[i] = edges[r.Intn(len(edges))]
+			}
+			if s := New(tags...); !seen[s.Key()] {
+				seen[s.Key()] = true
+				items = append(items, item{s, len(items)})
+			}
+		}
+		want := slices.Clone(items)
+		slices.SortFunc(want, func(a, b item) int { return Compare(a.tags, b.tags) })
+		SortBy(items, func(it item) Set { return it.tags })
+		if !reflect.DeepEqual(items, want) {
+			t.Fatalf("n=%d: SortBy order differs from Compare:\n got %v\nwant %v", n, items, want)
+		}
 	}
 }
 

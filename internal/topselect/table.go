@@ -38,6 +38,7 @@ func Compare[V any](rank func(a, b V) int, a, b Entry[V]) int {
 type Table[V any] struct {
 	values map[tagset.Key]V
 	top    topHeap[V]
+	writes uint64 // Puts so far
 }
 
 // NewTable returns an empty table whose heap keeps the best bound (>= 1)
@@ -70,6 +71,15 @@ func (t *Table[V]) Top() []Entry[V] {
 	return t.top.entries
 }
 
+// Writes returns how many times Put has stored a value: the values map is
+// unchanged for as long as it is. A nil table has none.
+func (t *Table[V]) Writes() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.writes
+}
+
 // Put stores v under k and maintains the heap: a fresh or excluded entry is
 // offered, a kept one is fixed in place. It reports whether the heap had to
 // be rebuilt, which happens only when a kept entry was demoted while others
@@ -77,6 +87,7 @@ func (t *Table[V]) Top() []Entry[V] {
 func (t *Table[V]) Put(k tagset.Key, v V) (rebuilt bool) {
 	prev, existed := t.values[k]
 	t.values[k] = v
+	t.writes++
 	h := &t.top
 	if !existed || !h.keeps(Entry[V]{Key: k, Value: prev}) {
 		h.offer(Entry[V]{Key: k, Value: v})

@@ -1,7 +1,6 @@
 package trend
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/tagset"
@@ -105,9 +104,7 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 		}
 		sh.mu.Unlock()
 	}
-	slices.SortFunc(st.Predictors, func(a, b TrendPredictor) int {
-		return tagset.Compare(a.Tags, b.Tags)
-	})
+	tagset.SortBy(st.Predictors, func(p TrendPredictor) tagset.Set { return p.Tags })
 
 	for _, p := range rs.Periods {
 		pe := PeriodTrendEvents{Period: p}
@@ -118,9 +115,7 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 			}
 			sh.mu.Unlock()
 		}
-		slices.SortFunc(pe.Events, func(a, b Event) int {
-			return tagset.Compare(a.Tags, b.Tags)
-		})
+		tagset.SortBy(pe.Events, func(ev Event) tagset.Set { return ev.Tags })
 		st.Periods = append(st.Periods, pe)
 	}
 	return st
