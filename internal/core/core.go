@@ -424,13 +424,13 @@ func (p *Pipeline) LastCheckpointAge() (age time.Duration, ok bool) {
 	return telemetry.Since(stamp), true
 }
 
-// SpoutProgress reads two live storm counters: how many times the spout hit
-// the max-spout-pending cap and parked (concurrent executor only), and how
-// many tuples the Disseminators have received. Parks that grow while the
-// second stands still are the signature of a wedged consumer.
-func (p *Pipeline) SpoutProgress() (parks, dissemReceived int64) {
+// SpoutProgress reads two live storm counters: how many spouts are parked
+// on the max-spout-pending cap right now (concurrent executor only), and how
+// many tuples the Disseminators have received. A spout that stays parked
+// while the second stands still is the signature of a wedged consumer.
+func (p *Pipeline) SpoutProgress() (parked, dissemReceived int64) {
 	st := p.topo.Stats()
-	return st.ThrottleSaturations(), st.Received("disseminator")
+	return st.SpoutsParked(), st.Received("disseminator")
 }
 
 // Merger exposes the merger bolt (current partitions after a run).

@@ -13,10 +13,15 @@
 // The periodic report (Coefficients) does not evaluate Eq. 2 once per
 // tagset: it runs one signed subset-sum transform per maximal tagset, which
 // yields the union count of every subset of that tagset at once, and reports
-// each counter exactly once. Count, UnionCount and Jaccard are the
-// single-set definitional path the report is tested against. Counter keys
-// are built in a reused buffer, so counting an already seen subset and
-// looking one up allocate nothing.
+// each counter exactly once, in the order the transforms visit them. That
+// order is unspecified but deterministic: the same sequence of Observe calls
+// gives the same slice, after a Reset too. Consumers that need an order
+// sort; Centralized.Report does. Count, UnionCount and Jaccard are the
+// single-set definitional path the report is tested against.
+//
+// Counters are keyed by a tagset.Fold of their tags, not by a key string,
+// and every hit is confirmed against the tags, so counting allocates nothing
+// per subset and a fold collision costs a longer probe, never a wrong count.
 //
 // The same table fed with unrestricted tagsets is the exact centralized
 // baseline of Section 8.2.3.
@@ -24,6 +29,7 @@ package jaccard
 
 import (
 	"cmp"
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -39,73 +45,179 @@ type Coefficient struct {
 	CN   int64
 }
 
+// maxTags is the largest tagset Observe accepts, the limit of
+// tagset.Set.Subsets: a document of n tags creates up to 2ⁿ−1 counters.
+const maxTags = 30
+
+// foldTag folds one tag; a test replaces it with a degenerate fold to force
+// collisions.
+var foldTag = tagset.FoldTag
+
+// probeStep derives the next key of a probe chain: a counter whose fold is
+// taken by another counter's is stored under fold+probeStep, then
+// fold+2·probeStep, and so on. Odd, so a chain never revisits a key.
+const probeStep = 0x9e3779b97f4a7c15
+
 // CounterTable counts, for every subset of every observed tagset, the number
 // of observations containing that subset. It is not safe for concurrent use;
 // each Calculator owns one.
+//
+// A table never deletes one counter, only all of them (Reset). That is what
+// makes the probe chains exact: a chain is the keys fold, fold+probeStep, …
+// up to the first key absent from index, and no key in the middle of a
+// chain is ever removed, so a lookup that stops at an absent key has seen
+// every counter that could hold its tags.
 type CounterTable struct {
-	// index maps a subset's key to its slot in counts. The indirection
-	// keeps the map value-typed while Coefficients marks counters by slot.
-	index  map[tagset.Key]int
-	counts []int64
-	// roots holds the key of every counter that was created as a
-	// document's whole tagset: a superset of the maximal counters, which
-	// are the roots of Coefficients' transforms.
-	roots []tagset.Key
+	// index maps a counter's key (the fold of its tags, advanced along its
+	// probe chain) to its slot in counters. Keys and values hold no
+	// pointers, so the GC does not scan the map.
+	index    map[tagset.Fold]int32
+	counters []counter
+	// arena holds the tags of every root back to back. A document creates
+	// counters only if its whole tagset is new (a counter's subsets all
+	// exist), so each new counter is a subset of the root created with it.
+	arena []tagset.Tag
+	// roots[n] holds, in creation order, the slot of every counter of n
+	// tags that was created as a document's whole tagset: together a
+	// superset of the maximal counters, which are the roots of
+	// Coefficients' transforms.
+	roots [maxTags + 1][]int32
 	// multi is the number of counters of at least two tags: the most
 	// coefficients a flush can report.
 	multi int
 	docs  int64
 
-	// Scratch reused across calls: the key under construction, and
-	// Coefficients' per-counter marks and per-root 2ⁿ arrays.
-	key  []byte
-	done []bool
-	slot []int
-	sum  []int64
+	// Scratch reused across calls: the fold of every subset of the set
+	// being observed or transformed, and Coefficients' per-counter marks
+	// and per-root 2ⁿ arrays.
+	folds []tagset.Fold
+	done  []bool
+	slot  []int32
+	sum   []int64
+}
+
+// counter is one subset's count and where its tags are: the bits of mask
+// select them from the root tags stored at arena[off:].
+type counter struct {
+	n         int64
+	off, mask uint32
 }
 
 // NewCounterTable returns an empty table.
 func NewCounterTable() *CounterTable {
-	return &CounterTable{index: make(map[tagset.Key]int)}
+	return &CounterTable{index: make(map[tagset.Fold]int32)}
 }
 
 // Observe records one document carrying tagset s, incrementing the counter
-// of every non-empty subset of s. Empty sets are ignored. A key string is
-// allocated only when a subset is seen for the first time.
+// of every non-empty subset of s. Empty sets are ignored; sets of more than
+// 30 tags panic, as tagset.Set.Subsets does. Counting allocates nothing but
+// the growth of the table's own arrays.
 func (ct *CounterTable) Observe(s tagset.Set) {
-	if s.IsEmpty() {
+	n := len(s)
+	if n == 0 {
 		return
 	}
+	if n > maxTags {
+		panic(fmt.Sprintf("jaccard: Observe of a set of %d tags", n))
+	}
 	ct.docs++
-	s.Subsets(1, func(sub tagset.Set) {
-		ct.key = sub.AppendKey(ct.key[:0])
-		if i, ok := ct.index[tagset.Key(ct.key)]; ok {
-			ct.counts[i]++
-			return
+	folds := ct.foldSubsets(s)
+	off := -1 // s's offset in the arena once a counter needs it
+	full := uint32(1)<<n - 1
+	for mask := uint32(1); mask <= full; mask++ {
+		i, key := ct.lookup(folds[mask], s, mask)
+		if i >= 0 {
+			ct.counters[i].n++
+			continue
 		}
-		k := tagset.Key(ct.key)
-		ct.index[k] = len(ct.counts)
-		ct.counts = append(ct.counts, 1)
-		if len(sub) >= 2 {
+		if off < 0 {
+			off = len(ct.arena)
+			ct.arena = append(ct.arena, s...)
+		}
+		i = int32(len(ct.counters))
+		ct.index[key] = i
+		ct.counters = append(ct.counters, counter{n: 1, off: uint32(off), mask: mask})
+		if mask&(mask-1) != 0 {
 			ct.multi++
 		}
-		if len(sub) == len(s) {
-			ct.roots = append(ct.roots, k)
+		if mask == full {
+			ct.roots[n] = append(ct.roots[n], i)
 		}
-	})
+	}
+}
+
+// foldSubsets returns the fold of every subset of tags, indexed by the
+// bitmask that selects it (bit i keeps tags[i]): one FoldTag per tag, then
+// one addition per subset.
+func (ct *CounterTable) foldSubsets(tags []tagset.Tag) []tagset.Fold {
+	size := 1 << len(tags)
+	ct.folds = resized(ct.folds, size)
+	f := ct.folds
+	f[0] = tagset.Fold{}
+	for i, t := range tags {
+		f[1<<i] = foldTag(t)
+	}
+	for mask := 3; mask < size; mask++ {
+		if low := mask & -mask; low != mask {
+			f[mask] = f[mask^low].Add(f[low])
+		}
+	}
+	return f
+}
+
+// lookup finds the counter of the subset of tags that mask selects, whose
+// fold is key. It returns the counter's slot and key, or -1 and the key at
+// the end of the probe chain, where the counter belongs.
+func (ct *CounterTable) lookup(key tagset.Fold, tags []tagset.Tag, mask uint32) (int32, tagset.Fold) {
+	for probes := 0; ; probes++ {
+		i, ok := ct.index[key]
+		if !ok {
+			return -1, key
+		}
+		if ct.holds(i, tags, mask) {
+			return i, key
+		}
+		if probes >= len(ct.counters) {
+			panic("jaccard: probe chain longer than the table")
+		}
+		key.A += probeStep
+	}
+}
+
+// holds reports whether counter i counts exactly the subset of tags that
+// mask selects.
+func (ct *CounterTable) holds(i int32, tags []tagset.Tag, mask uint32) bool {
+	r := &ct.counters[i]
+	if bits.OnesCount32(r.mask) != bits.OnesCount32(mask) {
+		return false
+	}
+	own := ct.arena[r.off:]
+	for m, o := mask, r.mask; m != 0; m, o = m&(m-1), o&(o-1) {
+		if tags[bits.TrailingZeros32(m)] != own[bits.TrailingZeros32(o)] {
+			return false
+		}
+	}
+	return true
 }
 
 // Docs reports the number of observed documents.
 func (ct *CounterTable) Docs() int64 { return ct.docs }
 
 // Counters reports the number of live subset counters.
-func (ct *CounterTable) Counters() int { return len(ct.counts) }
+func (ct *CounterTable) Counters() int { return len(ct.counters) }
 
 // Count returns the number of observed documents containing all tags of s
 // (zero if the combination was never seen).
 func (ct *CounterTable) Count(s tagset.Set) int64 {
-	if i, ok := ct.index[s.Key()]; ok {
-		return ct.counts[i]
+	if len(s) == 0 || len(s) > maxTags {
+		return 0
+	}
+	var key tagset.Fold
+	for _, t := range s {
+		key = key.Add(foldTag(t))
+	}
+	if i, _ := ct.lookup(key, s, uint32(1)<<len(s)-1); i >= 0 {
+		return ct.counters[i].n
 	}
 	return 0
 }
@@ -148,9 +260,10 @@ func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
 // Coefficients computes the Jaccard coefficient for every tracked tagset of
 // at least two tags whose intersection counter is at least minCN. This is
 // the Calculator's periodic report (Section 6.2): the "maximum possible
-// number of Jaccard coefficients" from the current counters. Results are
-// sorted by descending J, ties broken by tagset.Compare (the tagset-key
-// order) for determinism.
+// number of Jaccard coefficients" from the current counters. Results come
+// in the order the transforms below visit them. That order is unspecified
+// but deterministic: the same sequence of Observe calls, with or without a
+// Reset before it, gives the same slice. A caller that needs an order sorts.
 //
 // Eq. 2 is not evaluated per tagset. Every counter is a subset of a maximal
 // counter M, a document's whole tagset, all of whose 2ⁿ−1 subsets have
@@ -162,65 +275,66 @@ func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
 // comes has no superset in the table; each counter is marked by the first
 // root that covers it and reported from that root only.
 //
-// The two scratch arrays hold 2ⁿ words for the largest tagset seen, fewer
+// The scratch arrays hold 2ⁿ entries for the largest tagset seen, no more
 // than the 2ⁿ counters Observe already created for it, so the n ≤ 30 limit
-// of tagset.Set.Subsets is the only size limit here too.
+// of Observe is the only size limit here too.
 func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
 	if minCN < 1 {
 		minCN = 1
 	}
-	slices.SortFunc(ct.roots, func(a, b tagset.Key) int { return b.Len() - a.Len() })
-	ct.done = resized(ct.done, len(ct.counts))
+	ct.done = resized(ct.done, len(ct.counters))
 	clear(ct.done)
 	out := make([]Coefficient, 0, ct.multi)
-	for _, rk := range ct.roots {
-		if ct.done[ct.index[rk]] {
-			continue
-		}
-		root := rk.Set()
-		n := len(root)
-		size := 1 << n
-		ct.slot, ct.sum = resized(ct.slot, size), resized(ct.sum, size)
-		slot, sum := ct.slot, ct.sum
-		sum[0] = 0
-		for mask := 1; mask < size; mask++ {
-			ct.key = root.AppendSubsetKey(ct.key[:0], uint(mask))
-			i := ct.index[tagset.Key(ct.key)]
-			slot[mask] = i
-			if bits.OnesCount(uint(mask))%2 == 1 {
-				sum[mask] = ct.counts[i]
-			} else {
-				sum[mask] = -ct.counts[i]
+	for n := maxTags; n >= 1; n-- {
+		for _, r := range ct.roots[n] {
+			if !ct.done[r] {
+				out = ct.transform(out, r, n, minCN)
 			}
-		}
-		for bit := 1; bit < size; bit <<= 1 {
-			for mask := bit; mask < size; mask = (mask + 1) | bit {
-				sum[mask] += sum[mask^bit]
-			}
-		}
-		for mask := 1; mask < size; mask++ {
-			i := slot[mask]
-			if ct.done[i] {
-				continue
-			}
-			ct.done[i] = true
-			cn, union := ct.counts[i], sum[mask]
-			if mask&(mask-1) == 0 || cn < minCN || union <= 0 {
-				continue
-			}
-			tags := make(tagset.Set, 0, bits.OnesCount(uint(mask)))
-			for m := mask; m != 0; m &= m - 1 {
-				tags = append(tags, root[bits.TrailingZeros(uint(m))])
-			}
-			out = append(out, Coefficient{Tags: tags, J: float64(cn) / float64(union), CN: cn})
 		}
 	}
-	slices.SortFunc(out, func(a, b Coefficient) int {
-		if a.J != b.J {
-			return cmp.Compare(b.J, a.J)
+	return out
+}
+
+// transform reports, from the root counter in slot r and its n tags, every
+// counter under it not yet marked done, and marks them.
+func (ct *CounterTable) transform(out []Coefficient, r int32, n int, minCN int64) []Coefficient {
+	off := int(ct.counters[r].off)
+	root := ct.arena[off : off+n]
+	size := 1 << n
+	folds := ct.foldSubsets(root)
+	ct.slot, ct.sum = resized(ct.slot, size), resized(ct.sum, size)
+	slot, sum := ct.slot, ct.sum
+	sum[0] = 0
+	for mask := 1; mask < size; mask++ {
+		i, _ := ct.lookup(folds[mask], root, uint32(mask))
+		slot[mask] = i
+		if bits.OnesCount(uint(mask))%2 == 1 {
+			sum[mask] = ct.counters[i].n
+		} else {
+			sum[mask] = -ct.counters[i].n
 		}
-		return tagset.Compare(a.Tags, b.Tags)
-	})
+	}
+	for bit := 1; bit < size; bit <<= 1 {
+		for mask := bit; mask < size; mask = (mask + 1) | bit {
+			sum[mask] += sum[mask^bit]
+		}
+	}
+	for mask := 1; mask < size; mask++ {
+		i := slot[mask]
+		if ct.done[i] {
+			continue
+		}
+		ct.done[i] = true
+		cn, union := ct.counters[i].n, sum[mask]
+		if mask&(mask-1) == 0 || cn < minCN || union <= 0 {
+			continue
+		}
+		tags := make(tagset.Set, 0, bits.OnesCount(uint(mask)))
+		for m := mask; m != 0; m &= m - 1 {
+			tags = append(tags, root[bits.TrailingZeros(uint(m))])
+		}
+		out = append(out, Coefficient{Tags: tags, J: float64(cn) / float64(union), CN: cn})
+	}
 	return out
 }
 
@@ -231,10 +345,24 @@ func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // Reset deletes all counters, as the Calculator does after each report.
 func (ct *CounterTable) Reset() {
 	clear(ct.index)
-	ct.counts = ct.counts[:0]
-	ct.roots = ct.roots[:0]
+	ct.counters = ct.counters[:0]
+	ct.arena = ct.arena[:0]
+	for n := range ct.roots {
+		ct.roots[n] = ct.roots[n][:0]
+	}
 	ct.multi = 0
 	ct.docs = 0
+}
+
+// sortCoefficients orders a report by descending J, ties broken by
+// tagset.Compare (the tagset-key order).
+func sortCoefficients(cs []Coefficient) {
+	slices.SortFunc(cs, func(a, b Coefficient) int {
+		if a.J != b.J {
+			return cmp.Compare(b.J, a.J)
+		}
+		return tagset.Compare(a.Tags, b.Tags)
+	})
 }
 
 // Centralized is the exact single-node baseline: it observes every document
@@ -257,9 +385,12 @@ func (c *Centralized) Observe(s tagset.Set) { c.table.Observe(s) }
 func (c *Centralized) Table() *CounterTable { return c.table }
 
 // Report returns the exact coefficients for all tagsets with counter >=
-// minCN, and resets the table for the next reporting period.
+// minCN, sorted by descending J with ties in tagset.Compare order, and
+// resets the table for the next reporting period. The order fixes the
+// summation order of CompareReports, and so its last digit.
 func (c *Centralized) Report(minCN int64) []Coefficient {
 	out := c.table.Coefficients(minCN)
+	sortCoefficients(out)
 	c.table.Reset()
 	return out
 }

@@ -92,16 +92,13 @@ func TestCoefficientsReport(t *testing.T) {
 	ct.Observe(tagset.New(1, 2))
 	ct.Observe(tagset.New(1, 2))
 	ct.Observe(tagset.New(1, 3))
-	coeffs := ct.Coefficients(1)
+	coeffs := sorted(ct.Coefficients(1))
 	// Expect coefficients for {1,2} and {1,3} only (subsets of size >= 2
 	// with positive counters).
 	if len(coeffs) != 2 {
 		t.Fatalf("got %d coefficients: %v", len(coeffs), coeffs)
 	}
 	// {1,2}: inter 2, union 3 → 2/3. {1,3}: inter 1, union 3 → 1/3.
-	if coeffs[0].J < coeffs[1].J {
-		t.Error("not sorted by descending J")
-	}
 	if math.Abs(coeffs[0].J-2.0/3.0) > 1e-12 || coeffs[0].CN != 2 {
 		t.Errorf("top coefficient = %+v", coeffs[0])
 	}
@@ -127,9 +124,18 @@ func TestCentralizedReportResets(t *testing.T) {
 	c := NewCentralized()
 	c.Observe(tagset.New(1, 2))
 	c.Observe(tagset.New(1, 2))
+	c.Observe(tagset.New(1, 3))
+	c.Observe(tagset.New(256, 3))
 	rep := c.Report(1)
-	if len(rep) != 1 {
+	// {1,2}: 2/3; {3,256}: 1/2; {1,3}: 1/4. Report sorts by descending J.
+	want := []tagset.Set{tagset.New(1, 2), tagset.New(3, 256), tagset.New(1, 3)}
+	if len(rep) != len(want) {
 		t.Fatalf("report = %v", rep)
+	}
+	for i, c := range rep {
+		if !c.Tags.Equal(want[i]) {
+			t.Fatalf("report = %v, want tagsets in the order %v", rep, want)
+		}
 	}
 	if c.Table().Docs() != 0 {
 		t.Error("Report did not reset")
@@ -223,35 +229,143 @@ func TestQuickJaccardAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// wideStream is a seeded stream of n documents of 1–maxLen tags drawn from
+// wideTags.
+func wideStream(seed int64, n, maxLen int) []tagset.Set {
+	r := rand.New(rand.NewSource(seed))
+	docs := make([]tagset.Set, n)
+	for i := range docs {
+		tags := make([]tagset.Tag, 1+r.Intn(maxLen))
+		for j := range tags {
+			tags[j] = wideTags[r.Intn(len(wideTags))]
+		}
+		docs[i] = tagset.New(tags...)
+	}
+	return docs
+}
+
 // TestCoefficientsDifferential checks the period flush against the
 // definitional path on seeded random streams of 1–10 tags per document
 // drawn from wideTags: Coefficients must report exactly the coefficients
-// referenceCoefficients derives counter by counter — none missing, none
-// twice, same CN, same J, same order — whatever order the maximal tagsets
-// are visited in, and must do so again when asked twice.
+// referenceCoefficients derives tagset by tagset — none missing, none
+// twice, same CN, same J — whatever order the maximal tagsets are visited
+// in, and must do so again when asked twice. The table must hold one
+// counter per distinct subset of the documents.
 func TestCoefficientsDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
+		docs := wideStream(seed, 40, 10)
 		ct := NewCounterTable()
-		for i := 0; i < 40; i++ {
-			tags := make([]tagset.Tag, 1+r.Intn(10))
-			for j := range tags {
-				tags[j] = wideTags[r.Intn(len(wideTags))]
-			}
-			ct.Observe(tagset.New(tags...))
+		subsets := map[tagset.Key]bool{}
+		for _, d := range docs {
+			ct.Observe(d)
+			d.Subsets(1, func(sub tagset.Set) { subsets[sub.Key()] = true })
+		}
+		if ct.Counters() != len(subsets) {
+			t.Fatalf("seed %d: %d counters for %d distinct subsets", seed, ct.Counters(), len(subsets))
 		}
 		for _, minCN := range []int64{1, 2, 5} {
-			want := referenceCoefficients(ct, minCN)
+			want := referenceCoefficients(ct, docs, minCN)
 			if minCN == 1 && len(want) < 100 {
 				t.Fatalf("seed %d: only %d reference coefficients, stream too thin", seed, len(want))
 			}
 			for pass := 0; pass < 2; pass++ {
-				if got := ct.Coefficients(minCN); !reflect.DeepEqual(got, want) {
+				if got := sorted(ct.Coefficients(minCN)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d minCN %d pass %d: %d coefficients, reference %d; first difference at %d",
 						seed, minCN, pass, len(got), len(want), firstDiff(got, want))
 				}
 			}
 		}
+	}
+}
+
+// TestCoefficientsDeterministic pins the order contract: Coefficients'
+// order is unspecified, but the same sequence of Observe calls gives the
+// same slice, on a fresh table and on one that has counted and been Reset
+// before.
+func TestCoefficientsDeterministic(t *testing.T) {
+	docs := wideStream(31, 60, 10)
+	fresh, reused := NewCounterTable(), NewCounterTable()
+	for _, d := range docs {
+		fresh.Observe(d)
+		reused.Observe(d)
+	}
+	want := fresh.Coefficients(1)
+	if got := reused.Coefficients(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("two tables fed the same stream differ at %d", firstDiff(got, want))
+	}
+	reused.Reset()
+	for _, d := range wideStream(32, 60, 10) {
+		reused.Observe(d)
+	}
+	reused.Reset()
+	for _, d := range docs {
+		reused.Observe(d)
+	}
+	if got := reused.Coefficients(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the same stream after two Resets differs at %d", firstDiff(got, want))
+	}
+}
+
+// TestCounterTableFoldCollisions replaces the fold with degenerate ones —
+// every set folds alike, or by two bits of each tag — so that nearly every
+// lookup walks a probe chain past other tagsets' counters. Count and
+// UnionCount must still equal a brute-force count over the documents for
+// every observed subset and for absent sets, and Coefficients must report
+// what the real fold reports, in the same order (the order depends on the
+// roots, not on the fold).
+func TestCounterTableFoldCollisions(t *testing.T) {
+	docs := wideStream(7, 30, 5)
+	exact := NewCounterTable()
+	for _, d := range docs {
+		exact.Observe(d)
+	}
+	want := exact.Coefficients(1)
+	absent := []tagset.Set{tagset.New(wideTags[0], wideTags[15]), tagset.New(3), tagset.New(wideTags[1], wideTags[2], 9)}
+
+	for _, fold := range []struct {
+		name string
+		fn   func(tagset.Tag) tagset.Fold
+	}{
+		{"constant", func(tagset.Tag) tagset.Fold { return tagset.Fold{} }},
+		{"two bits", func(t tagset.Tag) tagset.Fold { return tagset.Fold{A: uint64(t) & 3} }},
+	} {
+		t.Run(fold.name, func(t *testing.T) {
+			defer func(f func(tagset.Tag) tagset.Fold) { foldTag = f }(foldTag)
+			foldTag = fold.fn
+			ct := NewCounterTable()
+			for _, d := range docs {
+				ct.Observe(d)
+			}
+			if ct.Counters() != exact.Counters() {
+				t.Fatalf("%d counters, %d under the real fold", ct.Counters(), exact.Counters())
+			}
+			check := func(s tagset.Set) {
+				var inter, union int64
+				for _, d := range docs {
+					if s.SubsetOf(d) {
+						inter++
+					}
+					if s.Intersects(d) {
+						union++
+					}
+				}
+				if got := ct.Count(s); got != inter {
+					t.Fatalf("Count(%v) = %d, brute force %d", s, got, inter)
+				}
+				if got := ct.UnionCount(s); got != union {
+					t.Fatalf("UnionCount(%v) = %d, brute force %d", s, got, union)
+				}
+			}
+			for _, d := range docs {
+				d.Subsets(1, func(sub tagset.Set) { check(sub.Clone()) })
+			}
+			for _, s := range absent {
+				check(s)
+			}
+			if got := ct.Coefficients(1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Coefficients differ from the real fold's at %d", firstDiff(got, want))
+			}
+		})
 	}
 }
 
@@ -297,14 +411,26 @@ func TestCoefficientsAfterReset(t *testing.T) {
 }
 
 // TestObserveAllocations guards the allocation-free counter keys: on a warm
-// table (every subset already has its counter) Observe allocates once per
-// document (Subsets' scratch set), not once or twice per subset.
+// table (every subset already has its counter) Observe allocates nothing,
+// and after a Reset a period no larger than the last one is counted into
+// the memory the table already owns.
 func TestObserveAllocations(t *testing.T) {
 	ct := NewCounterTable()
 	s := tagset.New(1, 255, 256, 257, 65536, 70000, 1<<24, 1<<31)
 	ct.Observe(s)
-	if got := testing.AllocsPerRun(100, func() { ct.Observe(s) }); got > 1 {
-		t.Errorf("Observe of %d tags (%d subsets) on a warm table: %.0f allocations, want at most 1",
+	if got := testing.AllocsPerRun(100, func() { ct.Observe(s) }); got != 0 {
+		t.Errorf("Observe of %d tags (%d subsets) on a warm table: %.0f allocations, want 0",
 			s.Len(), s.CountSubsets(1), got)
+	}
+	docs := wideStream(5, 200, 8)
+	period := func() {
+		ct.Reset()
+		for _, d := range docs {
+			ct.Observe(d)
+		}
+	}
+	period()
+	if got := testing.AllocsPerRun(5, period); got != 0 {
+		t.Errorf("a period of %d documents after Reset: %.0f allocations, want 0", len(docs), got)
 	}
 }

@@ -113,7 +113,9 @@ type NotifyBatch struct {
 // parallelism > 1 a period flush is split into per-Tracker-task sub-batches
 // (every coefficient routed by its tagset-key hash), and Route carries the
 // destination task index so CoeffKey fields grouping delivers each
-// sub-batch to the task owning its tagsets.
+// sub-batch to the task owning its tagsets. Coeffs come in the flush's
+// order (jaccard.CounterTable.Coefficients): unspecified but deterministic,
+// and not sorted; the Tracker needs no order.
 type CoeffBatch struct {
 	Period int64
 	Route  uint64

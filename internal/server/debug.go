@@ -30,22 +30,6 @@ const pinnedWindow = 500 * time.Millisecond
 // existing counters. Every probe is cheap (atomic loads, the cached
 // snapshot) and runs on the watchdog goroutine.
 func (s *Server) watchdogChecks() []flight.Check {
-	// mailbox_pinned closure state: the saturation and Disseminator intake
-	// counters at the last judged tick, and that verdict. The verdict is
-	// "spouts keep parking at the max-spout-pending cap while no document
-	// makes progress" — the signature of a wedged consumer, as opposed to
-	// ordinary backpressure where docs still advance between ticks. Both
-	// counters are read live (the cached snapshot's document count can be
-	// older than the parks), and progress is judged over pinnedWindow at
-	// least: a tick sooner keeps the last verdict, because over a few
-	// milliseconds a saturated pipeline's scheduling gaps look like no
-	// progress too.
-	var satMu sync.Mutex
-	var prevSat, prevRecv int64
-	var prevAt time.Time
-	var pinned bool
-	var pinnedDetail string
-
 	return []flight.Check{
 		{
 			Name: "snapshot_stale",
@@ -64,29 +48,7 @@ func (s *Server) watchdogChecks() []flight.Check {
 				return true, fmt.Sprintf("snapshot %s old (threshold %s)", age.Round(time.Millisecond), s.cfg.SnapshotStaleAfter)
 			},
 		},
-		{
-			Name: "mailbox_pinned",
-			Probe: func() (bool, string) {
-				sat, recv := s.pipe.SpoutProgress()
-				now := time.Now()
-				satMu.Lock()
-				defer satMu.Unlock()
-				switch {
-				case prevAt.IsZero(): // the first tick only seeds the counters
-				case now.Sub(prevAt) < pinnedWindow:
-					return pinned, pinnedDetail
-				default:
-					pinned = s.handle.Running() && sat > prevSat && recv == prevRecv
-					pinnedDetail = ""
-					if pinned {
-						pinnedDetail = fmt.Sprintf("%d spout parks in %s, disseminator intake pinned at %d tuples",
-							sat-prevSat, now.Sub(prevAt).Round(time.Millisecond), recv)
-					}
-				}
-				prevSat, prevRecv, prevAt = sat, recv, now
-				return pinned, pinnedDetail
-			},
-		},
+		pinnedCheck(s.pipe.SpoutProgress, s.handle.Running),
 		{
 			Name: "checkpoint_overdue",
 			Probe: func() (bool, string) {
@@ -113,6 +75,48 @@ func (s *Server) watchdogChecks() []flight.Check {
 				}
 				return false, ""
 			},
+		},
+	}
+}
+
+// pinnedCheck is the mailbox_pinned probe over two live counters: the
+// spouts parked on the max-spout-pending cap right now, and the
+// Disseminator's tuple intake. The verdict is "a spout is parked and the
+// intake has not moved since the last judged tick" — the signature of a
+// wedged consumer, as opposed to ordinary backpressure, where the spout
+// parks and wakes while documents still advance between ticks. Both
+// counters are read live (the cached snapshot's document count can be
+// older), and progress is judged over pinnedWindow at least: a tick sooner
+// keeps the last verdict, because over a few milliseconds a saturated
+// pipeline's scheduling gaps look like no progress too. The first tick only
+// seeds the intake count.
+func pinnedCheck(progress func() (parked, recv int64), running func() bool) flight.Check {
+	var mu sync.Mutex
+	var prevRecv int64
+	var prevAt time.Time
+	var pinned bool
+	var detail string
+	return flight.Check{
+		Name: "mailbox_pinned",
+		Probe: func() (bool, string) {
+			parked, recv := progress()
+			now := time.Now()
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case prevAt.IsZero():
+			case now.Sub(prevAt) < pinnedWindow:
+				return pinned, detail
+			default:
+				pinned = running() && parked > 0 && recv == prevRecv
+				detail = ""
+				if pinned {
+					detail = fmt.Sprintf("spout parked, disseminator intake pinned at %d tuples for %s",
+						recv, now.Sub(prevAt).Round(time.Millisecond))
+				}
+			}
+			prevRecv, prevAt = recv, now
+			return pinned, detail
 		},
 	}
 }

@@ -8,11 +8,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/flight"
+	"repro/internal/storm"
 	"repro/internal/stream"
 	"repro/internal/tagset"
 	"repro/internal/twitgen"
@@ -373,4 +375,121 @@ func TestWatchdogStaleSnapshotVerdict(t *testing.T) {
 		t.Errorf("healthz watchdog after recovery = %q, want ok", health.Watchdog)
 	}
 	drain()
+}
+
+// endlessSpout emits one tuple per call until stop is set.
+type endlessSpout struct{ stop *atomic.Bool }
+
+func (s endlessSpout) Open(*storm.TaskContext) {}
+func (s endlessSpout) NextTuple(out storm.Collector) bool {
+	if s.stop.Load() {
+		return false
+	}
+	out.Emit(storm.Tuple{Values: []interface{}{1}})
+	return true
+}
+
+// gateBolt blocks in Execute on the first tuple it receives, after
+// signalling entered, until the test closes release.
+type gateBolt struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (b *gateBolt) Prepare(*storm.TaskContext) {}
+func (b *gateBolt) Execute(storm.Tuple, storm.Collector) {
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.release
+	})
+}
+
+// TestWatchdogMailboxPinnedVerdict wedges the one consumer of a spout on a
+// channel the test owns, under the concurrent executor with a spout cap of
+// 4, and drives the mailbox_pinned probe through manual watchdog ticks over
+// the same two storm counters Pipeline.SpoutProgress reads. The wedge parks
+// the spout once (the throttle hook fires once and then stays silent),
+// which is why the verdict reads the parked-now gauge, not a park count. The verdict fires on
+// the first judged tick after the wedge, stays on while it lasts, and
+// clears on the first judged tick after the consumer is released and its
+// intake moves. Every wait is on a channel or a counter; the sleeps only
+// guarantee that a tick is judged, which needs pinnedWindow since the last.
+func TestWatchdogMailboxPinnedVerdict(t *testing.T) {
+	var stop atomic.Bool
+	gate := &gateBolt{entered: make(chan struct{}), release: make(chan struct{})}
+	b := storm.NewBuilder()
+	b.Spout("source", func() storm.Spout { return endlessSpout{stop: &stop} }, 1)
+	b.Bolt("disseminator", func() storm.Bolt { return gate }, 1).Shuffle("source")
+	tp, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp.SetMaxSpoutPending(4)
+	var parks atomic.Int64
+	tp.SetThrottleHook(func() { parks.Add(1) })
+	run := tp.StartConcurrent()
+	released := false
+	defer func() {
+		if !released {
+			close(gate.release)
+		}
+		stop.Store(true)
+		run.Wait()
+	}()
+
+	st := tp.Stats()
+	progress := func() (int64, int64) { return st.SpoutsParked(), st.Received("disseminator") }
+	w := flight.NewWatchdog(nil, slog.New(slog.NewTextHandler(io.Discard, nil)), time.Hour,
+		pinnedCheck(progress, run.Running))
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %s within 30s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	judged := func() {
+		time.Sleep(pinnedWindow)
+		w.Tick()
+	}
+
+	<-gate.entered
+	waitFor("parked spout", func() bool { return st.SpoutsParked() == 1 })
+	frozen := st.Received("disseminator")
+	sat := parks.Load()
+	w.Tick() // seeds the intake count
+	if w.Stalled("mailbox_pinned") {
+		t.Fatal("verdict on the seeding tick")
+	}
+	judged()
+	if !w.Stalled("mailbox_pinned") {
+		t.Fatalf("no verdict on the first judged tick of the wedge (parked %d, intake %d)", st.SpoutsParked(), st.Received("disseminator"))
+	}
+	for i := 0; i < 2; i++ {
+		judged()
+		if !w.Stalled("mailbox_pinned") {
+			t.Fatalf("verdict cleared on judged tick %d while still wedged", i+2)
+		}
+	}
+	if got := parks.Load(); got != sat {
+		t.Errorf("spout parks rose from %d to %d while parked once", sat, got)
+	}
+	if got := st.Received("disseminator"); got != frozen {
+		t.Errorf("intake moved from %d to %d through the wedge", frozen, got)
+	}
+	if n := w.Stalls("mailbox_pinned"); n != 1 {
+		t.Errorf("%d ok→stalled transitions, want 1", n)
+	}
+
+	close(gate.release)
+	released = true
+	waitFor("intake after release", func() bool { return st.Received("disseminator") > frozen })
+	judged()
+	if w.Stalled("mailbox_pinned") {
+		t.Fatal("verdict still on after the consumer was released")
+	}
 }

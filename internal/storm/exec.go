@@ -264,13 +264,12 @@ type conExecutor struct {
 	spoutsWG sync.WaitGroup
 	spoutsDn int32
 
+	// throttle parks spouts. Stats.parked counts the spouts registered on
+	// it (incremented under throttleMu before they re-check and park), so
+	// the per-tuple done() path can skip the lock and broadcast entirely
+	// while nobody is throttled — the steady state of a non-saturated run.
 	throttleMu sync.Mutex
 	throttle   *sync.Cond
-	// throttled counts spouts registered on the condition variable
-	// (incremented under throttleMu before they re-check and park), so the
-	// per-tuple done() path can skip the lock and broadcast entirely while
-	// nobody is throttled — the steady state of a non-saturated run.
-	throttled int64
 }
 
 func (ex *conExecutor) send(dst TaskID, t Tuple) {
@@ -283,7 +282,7 @@ func (ex *conExecutor) done(n int64) {
 	if left == 0 && atomic.LoadInt32(&ex.spoutsDn) == 1 {
 		ex.signalQuiet()
 	}
-	if left < ex.wakeAt && atomic.LoadInt64(&ex.throttled) > 0 {
+	if left < ex.wakeAt && atomic.LoadInt64(&ex.tp.stats.parked) > 0 {
 		// The broadcast must hold throttleMu: a spout that has registered
 		// but not yet parked in Wait would otherwise miss it and — if this
 		// was the last in-flight tuple — sleep forever. A spout not yet
@@ -301,16 +300,15 @@ func (ex *conExecutor) waitBelowPending() {
 	if atomic.LoadInt64(&ex.inflight) < ex.pending {
 		return
 	}
-	atomic.AddInt64(&ex.tp.stats.throttleSat, 1)
 	if h := ex.tp.satHook; h != nil {
 		h()
 	}
 	ex.throttleMu.Lock()
-	atomic.AddInt64(&ex.throttled, 1)
+	atomic.AddInt64(&ex.tp.stats.parked, 1)
 	for atomic.LoadInt64(&ex.inflight) >= ex.pending {
 		ex.throttle.Wait()
 	}
-	atomic.AddInt64(&ex.throttled, -1)
+	atomic.AddInt64(&ex.tp.stats.parked, -1)
 	ex.throttleMu.Unlock()
 }
 

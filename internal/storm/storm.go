@@ -233,10 +233,10 @@ type Topology struct {
 	stats      *Stats
 	maxPending int // spout throttle; 0 means the default
 
-	// satHook, when set, is called each time a spout parks on the
-	// throttle (after the saturation counter increments). Set before the
-	// run starts (read once at StartConcurrent); the hook must be cheap
-	// and non-blocking — it runs on the spout goroutine.
+	// satHook, when set, is called each time a spout is about to park on
+	// the throttle. Set before the run starts (read once at
+	// StartConcurrent); the hook must be cheap and non-blocking — it runs
+	// on the spout goroutine.
 	satHook func()
 }
 
@@ -323,11 +323,10 @@ type Stats struct {
 	mailboxHW      []int64 // atomic; indexed by TaskID
 	mailboxCompact int64   // atomic
 
-	// throttleSat counts spout-throttle saturations: times a spout found
-	// the in-flight tuple count at the cap and had to park (concurrent
-	// executor only). A steadily climbing value with no document progress
-	// is the signature of a stalled consumer.
-	throttleSat int64 // atomic
+	// parked is the number of spouts parked on the throttle right now
+	// (concurrent executor only). A spout parked while no document makes
+	// progress is the signature of a stalled consumer.
+	parked int64 // atomic
 }
 
 func newStats(tp *Topology) *Stats {
@@ -427,10 +426,12 @@ func (s *Stats) MailboxCompactions() int64 {
 	return atomic.LoadInt64(&s.mailboxCompact)
 }
 
-// ThrottleSaturations returns how many times a spout hit the
-// max-spout-pending cap and parked (0 under the sequential executor).
-func (s *Stats) ThrottleSaturations() int64 {
-	return atomic.LoadInt64(&s.throttleSat)
+// SpoutsParked returns the number of spouts parked on the max-spout-pending
+// cap right now (0 under the sequential executor). A wedged consumer parks
+// the spout once and keeps it parked, so this gauge stays up for the whole
+// stall while the park itself happens only once.
+func (s *Stats) SpoutsParked() int64 {
+	return atomic.LoadInt64(&s.parked)
 }
 
 // TaskReceived returns per-task received counts for the named component.

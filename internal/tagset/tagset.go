@@ -341,14 +341,32 @@ func (s Set) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// AppendSubsetKey appends the key bytes of the subset of s selected by
-// mask — bit i set keeps s[i], the numbering Subsets enumerates in — and
-// returns the extended slice, without materialising the subset.
-func (s Set) AppendSubsetKey(dst []byte, mask uint) []byte {
-	for ; mask != 0; mask &= mask - 1 {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(s[bits.TrailingZeros(mask)]))
-	}
-	return dst
+// Fold is a fixed-width, pointer-free fold of a set's tags: two independent
+// 64-bit sums, over the set's tags, of two different mixes of each tag
+// (FoldTag). Equal sets have equal folds; distinct sets almost always have
+// distinct ones, but not always, so a table keyed by Fold must confirm a hit
+// against the tags it stores. Because the fold is a sum, it does not depend
+// on tag order, and the fold of S ∪ {t} (t ∉ S) is Fold(S).Add(FoldTag(t)):
+// the folds of all 2ⁿ subsets of a set cost one addition each. The empty
+// set folds to the zero value. No byte of it is persisted or served.
+type Fold struct{ A, B uint64 }
+
+// FoldTag returns the fold of the one-tag set {t}.
+func FoldTag(t Tag) Fold {
+	return Fold{A: mix64(uint64(t) ^ 0x243f6a8885a308d3), B: mix64(uint64(t) ^ 0x13198a2e03707344)}
+}
+
+// Add returns the fold of the union of two disjoint sets folded to f and g.
+func (f Fold) Add(g Fold) Fold { return Fold{A: f.A + g.A, B: f.B + g.B} }
+
+// mix64 is the splitmix64 finalizer, a bijection of uint64 whose output
+// bits each depend on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // Hash returns the 64-bit FNV-1a hash of the key's bytes.
@@ -513,9 +531,6 @@ func (k Key) Set() Set {
 	return s
 }
 
-// Len reports the number of tags encoded in the key.
-func (k Key) Len() int { return len(k) / 4 }
-
 // String renders the set as "{1,5,9}" using raw tag identifiers.
 func (s Set) String() string {
 	var b strings.Builder
@@ -535,9 +550,9 @@ func (s Set) String() string {
 // calls; fn must Clone it if it retains it. Enumeration uses bitmask
 // iteration and therefore requires s.Len() <= 30; larger sets panic, which
 // in this system cannot happen because documents carry few tags (the paper
-// observes <10 and the parser enforces a cap). The same limit covers
-// jaccard.CounterTable.Coefficients, whose 2ⁿ-entry scratch per maximal
-// tagset is smaller than the 2ⁿ counters this enumeration made it create.
+// observes <10 and the parser enforces a cap). jaccard.CounterTable.Observe
+// enforces the same limit: a document of n tags creates up to 2ⁿ−1
+// counters.
 func (s Set) Subsets(minSize int, fn func(Set)) {
 	n := len(s)
 	if n > 30 {

@@ -119,11 +119,7 @@ func TestSubsetContains(t *testing.T) {
 
 func TestKeyRoundTrip(t *testing.T) {
 	s := New(0, 7, 1<<20, 1<<31)
-	k := s.Key()
-	if k.Len() != 4 {
-		t.Errorf("Key.Len = %d, want 4", k.Len())
-	}
-	back := k.Set()
+	back := s.Key().Set()
 	if !back.Equal(s) {
 		t.Errorf("round trip = %v, want %v", back, s)
 	}
@@ -393,9 +389,7 @@ func TestCompareAllocations(t *testing.T) {
 
 // TestKeyForms checks every form of the key against Key itself on sets with
 // tags in every byte of the encoding: AppendKey appends Key's bytes after
-// what dst already holds, AppendSubsetKey(mask) is the Key of the subset
-// Subsets enumerates for that mask, and KeyHash is Key.Hash, the FNV-1a of
-// hash/fnv.
+// what dst already holds, and KeyHash is Key.Hash, the FNV-1a of hash/fnv.
 func TestKeyForms(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 300; i++ {
@@ -412,12 +406,45 @@ func TestKeyForms(t *testing.T) {
 		if got := s.KeyHash(); got != s.Key().Hash() || got != want.Sum64() {
 			t.Fatalf("KeyHash(%v) = %#x, Key.Hash = %#x, fnv.New64a = %#x", s, got, s.Key().Hash(), want.Sum64())
 		}
-		mask := uint(0) // Subsets visits masks 1, 2, … in order
-		s.Subsets(1, func(sub Set) {
-			mask++
-			if got := Key(s.AppendSubsetKey(nil, mask)); got != sub.Key() {
-				t.Fatalf("AppendSubsetKey(%v, %b) = %v, want %v", s, mask, got.Set(), sub)
-			}
-		})
 	}
+}
+
+// fold sums FoldTag over s, the definition of a set's Fold.
+func fold(s Set) Fold {
+	var f Fold
+	for _, t := range s {
+		f = f.Add(FoldTag(t))
+	}
+	return f
+}
+
+// TestFold checks the properties the counter table relies on: a set's fold
+// does not depend on the order its tags are added in, the empty set folds
+// to zero, and distinct sets of a small universe with tags in every byte of
+// the encoding get distinct folds in both halves (equal folds would be
+// legal, but at 2⁻⁶⁴ per pair they would point to a broken mix).
+func TestFold(t *testing.T) {
+	if fold(nil) != (Fold{}) {
+		t.Fatalf("empty set folds to %v", fold(nil))
+	}
+	universe := New(0, 1, 2, 255, 256, 257, 65535, 65536, 1<<24, 1<<24+1, 1<<31, 1<<32-1)
+	seenA := map[uint64]Set{}
+	seenB := map[uint64]Set{}
+	universe.Subsets(1, func(sub Set) {
+		f := fold(sub)
+		var back Fold
+		for i := len(sub) - 1; i >= 0; i-- {
+			back = FoldTag(sub[i]).Add(back)
+		}
+		if back != f {
+			t.Fatalf("fold of %v depends on tag order: %v and %v", sub, f, back)
+		}
+		if prev, ok := seenA[f.A]; ok {
+			t.Fatalf("%v and %v share the first half of their fold", prev, sub)
+		}
+		if prev, ok := seenB[f.B]; ok {
+			t.Fatalf("%v and %v share the second half of their fold", prev, sub)
+		}
+		seenA[f.A], seenB[f.B] = sub.Clone(), sub.Clone()
+	})
 }
