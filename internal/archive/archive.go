@@ -5,13 +5,13 @@
 // Two kinds of files live in an archive directory:
 //
 //   - Segment files, one per reporting period (`period-<id>.seg`). The
-//     Tracker appends every accepted coefficient report (fresh values and
-//     CN upgrades) and the trend detector appends every scored deviation
-//     as they happen, so the segment of a period converges to exactly the
-//     state the in-memory tables held before retention pruned it. Records
-//     are individually CRC-framed; decoding stops at the first invalid
-//     record, so a tail torn by a crash costs at most the unflushed
-//     suffix. Reopening a segment for append first truncates such a torn
+//     Tracker appends the accepted coefficient reports (fresh values and
+//     CN upgrades) of each batch it ingests, and the trend detector every
+//     scored deviation as it happens, so the segment of a period converges
+//     to exactly the state the in-memory tables held before retention
+//     pruned it. Records are individually CRC-framed; decoding stops at the
+//     first invalid record, so a tail torn by a crash costs at most the
+//     unflushed suffix. Reopening a segment for append first truncates such a torn
 //     tail, keeping the file decodable end to end.
 //
 //   - Checkpoint files (`checkpoint-<seq>.ckpt`): a CRC-verified snapshot
@@ -135,21 +135,39 @@ func (a *tagArena) alloc(n int) []tagset.Tag {
 	return tags
 }
 
-// readTags decodes a tagset written by appendTags into a slice from arena.
-func readTags(payload []byte, arena *tagArena) (tagset.Set, []byte, error) {
+// Record payloads are a tagset (appendTags) followed by a fixed-width
+// tail: J and CN for a coefficient, predicted, observed, score, rising and
+// CN for a trend event.
+const (
+	coeffTail = 16
+	trendTail = 33
+)
+
+// payloadShape checks that payload is a tagset followed by exactly tail
+// bytes and returns its tag count. It is the one shape check of a record
+// payload: the decoders run it, and the compactor copies only payloads
+// that pass it, so a compacted file holds exactly what decoding its raw
+// segment would keep.
+func payloadShape(payload []byte, tail int) (int, error) {
 	if len(payload) < 2 {
-		return nil, nil, fmt.Errorf("archive: short tagset header")
+		return 0, fmt.Errorf("archive: short tagset header")
 	}
 	n := int(binary.LittleEndian.Uint16(payload))
-	payload = payload[2:]
-	if len(payload) < 4*n {
-		return nil, nil, fmt.Errorf("archive: short tagset body")
+	if len(payload) != 2+4*n+tail {
+		return 0, fmt.Errorf("archive: payload length %d for %d tags", len(payload), n)
 	}
+	return n, nil
+}
+
+// readTags decodes the n tags that payloadShape found at the head of
+// payload into a slice from arena, and returns the tail after them.
+func readTags(payload []byte, n int, arena *tagArena) (tagset.Set, []byte) {
+	payload = payload[2:]
 	tags := arena.alloc(n)
 	for i := range tags {
 		tags[i] = tagset.Tag(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
-	return tagset.FromSorted(tags), payload[4*n:], nil
+	return tagset.FromSorted(tags), payload[4*n:]
 }
 
 // encodeCoeff renders one coefficient record payload: tags, J, CN.
@@ -160,6 +178,28 @@ func encodeCoeff(buf []byte, c jaccard.Coefficient) []byte {
 	return buf
 }
 
+// appendCoeffRecord frames one coefficient as a recCoeff record straight
+// into buf: appendRecord(buf, recCoeff, encodeCoeff(nil, c)) without the
+// payload's own allocation.
+func appendCoeffRecord(buf []byte, c jaccard.Coefficient) []byte {
+	start := len(buf)
+	buf = append(buf, recCoeff)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(2+4*c.Tags.Len()+coeffTail))
+	buf = encodeCoeff(buf, c)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
+// appendPeriodRecord frames payload behind an 8-byte period prefix, the
+// compacted tier's form of a per-period record.
+func appendPeriodRecord(buf []byte, kind byte, period int64, payload []byte) []byte {
+	start := len(buf)
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(8+len(payload)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(period))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
 // decodeCoeff parses a coefficient record payload into a coefficient that
 // owns its tags.
 func decodeCoeff(payload []byte) (jaccard.Coefficient, error) {
@@ -168,13 +208,11 @@ func decodeCoeff(payload []byte) (jaccard.Coefficient, error) {
 
 // decodeCoeffIn is decodeCoeff with the tags placed in arena.
 func decodeCoeffIn(payload []byte, arena *tagArena) (jaccard.Coefficient, error) {
-	tags, rest, err := readTags(payload, arena)
+	n, err := payloadShape(payload, coeffTail)
 	if err != nil {
 		return jaccard.Coefficient{}, err
 	}
-	if len(rest) != 16 {
-		return jaccard.Coefficient{}, fmt.Errorf("archive: coefficient payload length %d", len(rest))
-	}
+	tags, rest := readTags(payload, n, arena)
 	return jaccard.Coefficient{
 		Tags: tags,
 		J:    math.Float64frombits(binary.LittleEndian.Uint64(rest)),
@@ -206,13 +244,11 @@ func decodeTrend(payload []byte, period int64) (trend.Event, error) {
 
 // decodeTrendIn is decodeTrend with the tags placed in arena.
 func decodeTrendIn(payload []byte, period int64, arena *tagArena) (trend.Event, error) {
-	tags, rest, err := readTags(payload, arena)
+	n, err := payloadShape(payload, trendTail)
 	if err != nil {
 		return trend.Event{}, err
 	}
-	if len(rest) != 33 {
-		return trend.Event{}, fmt.Errorf("archive: trend payload length %d", len(rest))
-	}
+	tags, rest := readTags(payload, n, arena)
 	return trend.Event{
 		Tags:      tags,
 		Period:    period,

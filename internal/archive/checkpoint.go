@@ -88,25 +88,35 @@ const (
 // WriteCheckpoint flushes the open segments, then writes cp as the next
 // checkpoint file (write-to-temp + rename, so a crash mid-write can never
 // produce a file that passes validation), and finally removes all but the
-// two newest checkpoints.
+// two newest checkpoints. The Writer's append mutex is held only for the
+// flush and the sequence number; the encode, write, fsync, rename and
+// retention run under ckptMu alone, which keeps concurrent checkpoints in
+// sequence order while appends go on.
 func (w *Writer) WriteCheckpoint(cp *Checkpoint) error {
+	w.ckptMu.Lock()
+	defer w.ckptMu.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
+		w.mu.Unlock()
 		return fmt.Errorf("archive: writer closed")
 	}
 	for _, s := range w.open {
 		s.flush(true)
 	}
-
 	w.seq++
-	cp.Seq = w.seq
+	seq, fsyncHist := w.seq, w.fsyncHist
+	w.mu.Unlock()
+
+	cp.Seq = seq
 	data, err := encodeCheckpoint(cp)
 	if err != nil {
 		return err
 	}
+	if w.beforeCkptSync != nil {
+		w.beforeCkptSync()
+	}
 
-	final := filepath.Join(w.dir, checkpointName(w.seq))
+	final := filepath.Join(w.dir, checkpointName(seq))
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -116,8 +126,8 @@ func (w *Writer) WriteCheckpoint(cp *Checkpoint) error {
 	if err == nil {
 		start := time.Now()
 		err = f.Sync()
-		if w.fsyncHist != nil {
-			w.fsyncHist.Record(time.Since(start))
+		if fsyncHist != nil {
+			fsyncHist.Record(time.Since(start))
 		}
 	}
 	if cerr := f.Close(); err == nil {
@@ -137,7 +147,7 @@ func (w *Writer) WriteCheckpoint(cp *Checkpoint) error {
 	// filesystem itself.
 	if seqs, err := checkpointSeqs(w.dir); err == nil {
 		for _, s := range seqs {
-			if s+2 <= w.seq {
+			if s+2 <= seq {
 				os.Remove(filepath.Join(w.dir, checkpointName(s)))
 			}
 		}

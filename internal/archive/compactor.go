@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,12 +20,12 @@ import (
 // long-lived deployment; the Compactor periodically coalesces runs of
 // sealed periods into one compacted file each (`compact-<from>-<to>.seg`)
 // and, under a disk budget, ages out the oldest compacted files. A
-// compacted file holds the same per-period answers the raw segments held
-// — coefficients deduplicated last-record-wins within each period
-// (mirroring CN upgrades) and trend events preserved per source period —
-// so every /history endpoint answers identically across the boundary; the
-// savings come from dropping superseded upgrade records and per-file
-// overhead, and from the age-out tier bounding total disk.
+// compacted file holds every record decoding the raw segments would have
+// kept, copied unchanged behind a period prefix and in the same order, so
+// decoding it applies the same last-record-wins rule (mirroring CN
+// upgrades) per period and every /history endpoint answers identically
+// across the boundary; the savings come from per-file overhead and from
+// the age-out tier bounding total disk.
 //
 // The MANIFEST file is the compacted tier's sole authority: a header line
 // (manMagic) followed by one line per compacted file. It is only ever
@@ -413,22 +414,12 @@ func (c *Compactor) compactBatch(m *manifest, periods []int64) error {
 	buf = append(buf, cmpMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(from))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(to))
-	var scratch []byte
 	for _, p := range periods {
-		seg, _, err := decodeSegmentFile(filepath.Join(c.dir, segmentName(p)), p)
+		data, err := os.ReadFile(filepath.Join(c.dir, segmentName(p)))
 		if err != nil {
-			return err
+			return fmt.Errorf("archive: %w", err)
 		}
-		for _, cf := range seg.Coeffs {
-			scratch = binary.LittleEndian.AppendUint64(scratch[:0], uint64(p))
-			scratch = encodeCoeff(scratch, cf)
-			buf = appendRecord(buf, recCoeffP, scratch)
-		}
-		for _, ev := range seg.Trends {
-			scratch = binary.LittleEndian.AppendUint64(scratch[:0], uint64(p))
-			scratch = encodeTrend(scratch, ev)
-			buf = appendRecord(buf, recTrendP, scratch)
-		}
+		buf = appendCompacted(buf, data, p)
 	}
 
 	name := compactName(from, to)
@@ -457,6 +448,40 @@ func (c *Compactor) compactBatch(m *manifest, periods []int64) error {
 	c.stats.CompactedPeriods += int64(len(periods))
 	c.mu.Unlock()
 	return nil
+}
+
+// appendCompacted copies the records of one raw segment's bytes to buf as
+// compacted records, each payload unchanged behind the period prefix. It
+// keeps exactly what decodeSegment keeps, in the same order: nothing after
+// a bad header or the first invalid record, no record of an unknown kind,
+// no payload that fails the decoders' shape check. Decoding the compacted
+// records of the period therefore applies last-record-wins to the same
+// sequence and yields the same Segment, with Torn clear.
+func appendCompacted(buf, data []byte, period int64) []byte {
+	if len(data) < 16 || string(data[:8]) != segMagic ||
+		int64(binary.LittleEndian.Uint64(data[8:16])) != period {
+		return buf
+	}
+	// The prefix grows a record by 8 bytes; a pair record (decodeSegment's
+	// sizing unit) is 35 bytes raw.
+	buf = slices.Grow(buf, len(data)+len(data)/35*8)
+	for off := 16; ; {
+		kind, payload, next, ok := readRecord(data, off)
+		if !ok {
+			return buf
+		}
+		switch kind {
+		case recCoeff:
+			if _, err := payloadShape(payload, coeffTail); err == nil {
+				buf = appendPeriodRecord(buf, recCoeffP, period, payload)
+			}
+		case recTrend:
+			if _, err := payloadShape(payload, trendTail); err == nil {
+				buf = appendPeriodRecord(buf, recTrendP, period, payload)
+			}
+		}
+		off = next
+	}
 }
 
 // enforceBudget brings the directory under BudgetBytes: first the

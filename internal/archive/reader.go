@@ -293,8 +293,9 @@ func (r *Reader) compactedSegment(period int64, retry bool) (*Segment, error) {
 		if seg == nil {
 			// The manifest lists the period (its raw segment existed,
 			// possibly empty of records) but the compacted file holds no
-			// records for it: an empty period is still a period.
-			seg = &Segment{Period: p, byKey: map[tagset.Key]int32{}}
+			// records for it: an empty period is still a period, decoded
+			// as its raw segment's header alone would be.
+			seg = newSegAccum(p, 0).finish()
 		}
 		r.storeCache(p, &cachedSegment{seg: seg, src: cpath, gen: gen})
 		if p == period {

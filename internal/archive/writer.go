@@ -19,10 +19,18 @@ const maxOpenSegments = 8
 
 // Writer appends pipeline state to an archive directory: one segment per
 // reporting period plus checkpoint files. It implements the archive-sink
-// interfaces of the Tracker (AppendCoefficient, SealPeriod) and the trend
+// interfaces of the Tracker (AppendCoefficients, SealPeriod) and the trend
 // detector (AppendEvent, SealPeriod) and is safe for concurrent use.
+//
+// Two mutexes, taken in this order: ckptMu serialises checkpoint writes
+// (encode, write, fsync, rename, retention) and is held by nothing else
+// but Close; mu guards the open segments and the sequence number, and is
+// held only for short appends and flushes, so a checkpoint being written
+// never stalls an append.
 type Writer struct {
 	dir string
+
+	ckptMu sync.Mutex
 
 	mu     sync.Mutex
 	open   map[int64]*segFile
@@ -34,6 +42,10 @@ type Writer struct {
 	// fsyncHist, when set (SetFsyncHist, before the first checkpoint),
 	// records the durable-sync latency of every checkpoint file.
 	fsyncHist *telemetry.Histogram
+
+	// beforeCkptSync, when set by a test, runs between a checkpoint's
+	// encode and its write, with ckptMu held and mu not.
+	beforeCkptSync func()
 }
 
 // SetFsyncHist wires a histogram recording each checkpoint file's fsync
@@ -86,15 +98,26 @@ func OpenWriter(dir string) (*Writer, error) {
 // Dir returns the archive directory.
 func (w *Writer) Dir() string { return w.dir }
 
-// AppendCoefficient appends one accepted coefficient report to the
-// period's segment. Write errors disable the affected segment silently
-// (the archive is best-effort on a failing disk); checkpoints, which
-// gate recovery, do report errors.
-func (w *Writer) AppendCoefficient(period int64, c jaccard.Coefficient) {
+// AppendCoefficients appends a batch of accepted coefficient reports to
+// the period's segment, in order: one lock, one segment lookup, and every
+// record framed into the Writer's reused buffer, which is written once.
+// The bytes are those of one AppendCoefficient per report. Write errors
+// disable the affected segment silently (the archive is best-effort on a
+// failing disk); checkpoints, which gate recovery, do report errors.
+func (w *Writer) AppendCoefficients(period int64, cs []jaccard.Coefficient) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.buf = appendRecord(w.buf[:0], recCoeff, encodeCoeff(nil, c))
+	w.buf = w.buf[:0]
+	for _, c := range cs {
+		w.buf = appendCoeffRecord(w.buf, c)
+	}
 	w.appendLocked(period, w.buf)
+}
+
+// AppendCoefficient appends one coefficient report: AppendCoefficients
+// with a batch of one.
+func (w *Writer) AppendCoefficient(period int64, c jaccard.Coefficient) {
+	w.AppendCoefficients(period, []jaccard.Coefficient{c})
 }
 
 // AppendEvent appends one scored trend deviation to its period's segment.
@@ -124,9 +147,12 @@ func (w *Writer) Flush() {
 	}
 }
 
-// Close flushes and closes every open segment. The Writer must not be used
-// afterwards; WriteCheckpoint reports an error if it is.
+// Close flushes and closes every open segment, after any checkpoint being
+// written. The Writer must not be used afterwards; WriteCheckpoint reports
+// an error if it is.
 func (w *Writer) Close() {
+	w.ckptMu.Lock()
+	defer w.ckptMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for p := range w.open {
@@ -166,10 +192,13 @@ func (w *Writer) segmentLocked(period int64) *segFile {
 	return s
 }
 
+// touchLocked moves period to the most recently used end of order, in
+// place.
 func (w *Writer) touchLocked(period int64) {
 	for i, p := range w.order {
 		if p == period {
-			w.order = append(append(w.order[:i:i], w.order[i+1:]...), period)
+			copy(w.order[i:], w.order[i+1:])
+			w.order[len(w.order)-1] = period
 			return
 		}
 	}

@@ -70,6 +70,22 @@ type Tracker struct {
 	archive    TrackerArchive
 	periodHook func(period int64)
 
+	// intake is the export/append barrier of an archived Tracker. ingest
+	// read-holds it from its first report until the batch's archive append
+	// returns; ExportState ends by taking it for writing once, which waits
+	// for exactly the batches in flight. So every report an export copied
+	// has been appended before the export returns, and the segment flush of
+	// the WriteCheckpoint that follows makes it durable with the checkpoint.
+	// Lock order: intake, then the archive Writer's mutex. ExportState is
+	// never reached from inside ingest (the period hook only marks a
+	// checkpoint due), so the barrier cannot wait on itself.
+	intake sync.RWMutex
+
+	// afterReports and beforeBarrier, when set by a test, run between
+	// ingest's report loop and its archive append, and just before
+	// ExportState's barrier.
+	afterReports, beforeBarrier func()
+
 	// stages records the doc→tracker-accept latency of each ingested
 	// coefficient batch (SetStages); set during assembly, read-only once
 	// the run starts.
@@ -192,9 +208,10 @@ func (tr *Tracker) SetFlight(rec *flight.Recorder) { tr.flightRec = rec }
 // its tagset key. The key bytes are built once, into a stack buffer, and
 // looked up without allocating: a duplicate that loses the CN comparison
 // costs no allocation, and a key string exists only for an entry the
-// tables keep. The reports that changed the tables leave as one TrendBatch
-// (one per Trend task when there are several), gathered in a slice of
-// their own: msg.Coeffs belongs to the emitter and is never written.
+// tables keep. The reports that changed the tables are gathered in a slice
+// of their own (msg.Coeffs belongs to the emitter and is never written),
+// appended to the archive in one call and emitted as one TrendBatch (one
+// per Trend task when there are several).
 func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 	msg := t.Values[0].(CoeffBatch)
 	start := telemetry.Now()
@@ -229,6 +246,11 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 	}
 
 	emit := tr.emitTrend && out != nil
+	archived := tr.archive != nil
+	keep := emit || archived
+	if archived {
+		tr.intake.RLock()
+	}
 	var accepted []jaccard.Coefficient
 	var dups, lates int64
 	for i, c := range msg.Coeffs {
@@ -240,28 +262,26 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 			lates++
 			continue
 		}
-		if dup && !updated {
+		if !keep || dup && !updated {
 			continue
 		}
-		if tr.archive != nil {
-			archStart := telemetry.Now()
-			tr.archive.AppendCoefficient(msg.Period, c)
-			if msg.Trace != 0 {
-				tr.flightRec.Span(msg.Trace, flight.StageArchive, archStart, telemetry.Now())
-			}
+		if accepted == nil {
+			accepted = make([]jaccard.Coefficient, 0, len(msg.Coeffs)-i)
 		}
-		if emit {
-			if accepted == nil {
-				accepted = make([]jaccard.Coefficient, 0, len(msg.Coeffs)-i)
-			}
-			accepted = append(accepted, c)
-		}
+		accepted = append(accepted, c)
 	}
 	atomic.AddInt64(&tr.Duplicates, dups)
 	atomic.AddInt64(&tr.Late, lates)
+	if archived {
+		if tr.afterReports != nil {
+			tr.afterReports()
+		}
+		tr.appendArchive(msg, accepted)
+		tr.intake.RUnlock()
+	}
 
 	switch {
-	case len(accepted) == 0:
+	case !emit || len(accepted) == 0:
 	case tr.trendTasks <= 1:
 		out.Emit(storm.Tuple{Stream: StreamTrend, Values: []interface{}{
 			TrendBatch{Period: msg.Period, Coeffs: accepted, Trace: msg.Trace},
@@ -276,6 +296,21 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 			}})
 		}
 	}
+}
+
+// appendArchive hands a batch's accepted reports, in arrival order, to the
+// archive in one call; a traced batch records it as one archive span.
+func (tr *Tracker) appendArchive(msg CoeffBatch, accepted []jaccard.Coefficient) {
+	if len(accepted) == 0 {
+		return
+	}
+	if msg.Trace == 0 {
+		tr.archive.AppendCoefficients(msg.Period, accepted)
+		return
+	}
+	start := telemetry.Now()
+	tr.archive.AppendCoefficients(msg.Period, accepted)
+	tr.flightRec.Span(msg.Trace, flight.StageArchive, start, telemetry.Now())
 }
 
 // report hands one coefficient to the shard owning its tagset: the key

@@ -9,14 +9,15 @@ import (
 	"repro/internal/topselect"
 )
 
-// TrackerArchive receives the Tracker's durable-log stream: every accepted
-// coefficient report (fresh values and CN upgrades) as it happens, plus a
-// seal when retention prunes a period (its in-memory state is gone; the
-// archived segment is now the only copy). Implemented by archive.Writer.
-// Appends are called from the Tracker's Execute path, so implementations
-// must be cheap and thread-safe.
+// TrackerArchive receives the Tracker's durable-log stream: the accepted
+// coefficient reports (fresh values and CN upgrades) of each ingested
+// batch, in arrival order, plus a seal when retention prunes a period (its
+// in-memory state is gone; the archived segment is now the only copy).
+// Implemented by archive.Writer. Appends are called from the Tracker's
+// Execute path, so implementations must be cheap and thread-safe, and must
+// not retain the slice, which the Tracker hands on to the Trend operator.
 type TrackerArchive interface {
-	AppendCoefficient(period int64, c jaccard.Coefficient)
+	AppendCoefficients(period int64, cs []jaccard.Coefficient)
 	SealPeriod(period int64)
 }
 
@@ -76,6 +77,10 @@ type TrackerState struct {
 // from that export, with no gather and no sort (exportCache), so the
 // Periods' Coeffs may be shared with earlier and later exports: callers
 // read them and never write them.
+//
+// On an archived Tracker the export returns only once every report it
+// holds has been appended to the archive (the intake barrier), so a
+// checkpoint of it never references a report its segments lack.
 func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 	st := TrackerState{
 		Received:   atomic.LoadInt64(&tr.Received),
@@ -97,6 +102,14 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 		st.EvictedHits = tr.lru.hits
 		tr.lru.mu.Unlock()
 	}
+
+	// The export/append barrier (Tracker.intake): wait for the batches in
+	// flight, whose reports this export may hold, to reach the archive.
+	if tr.beforeBarrier != nil {
+		tr.beforeBarrier()
+	}
+	tr.intake.Lock()
+	tr.intake.Unlock()
 	return st
 }
 
