@@ -263,6 +263,52 @@ func TestSegmentRawDeletedBetweenStatAndRead(t *testing.T) {
 	}
 }
 
+// TestSegmentCompactedAgedOutBetweenStatAndRead forces the same window on
+// the compacted tier: the Reader stats a compacted file its cached manifest
+// lists, age-out deletes the file, then the Reader reads it. The period is
+// gone for good, so it must read as absent — a fresh manifest no longer
+// lists it — not fail with the vanished file's ENOENT.
+func TestSegmentCompactedAgedOutBetweenStatAndRead(t *testing.T) {
+	dir := t.TempDir()
+	populateArchive(t, dir, 8)
+	if err := NewCompactor(dir, CompactorConfig{FanIn: 4}).RunOnce(); err != nil {
+		t.Fatal(err)
+	}
+	size, err := dirSize(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rd := OpenReader(dir)
+	if seg, err := rd.Segment(6); err != nil || seg == nil { // caches the manifest
+		t.Fatalf("Segment(6): seg=%v err=%v", seg, err)
+	}
+	agedOut := false
+	rd.afterCompactStat = func() {
+		if agedOut {
+			return
+		}
+		agedOut = true
+		c := NewCompactor(dir, CompactorConfig{FanIn: 4, BudgetBytes: size - 1})
+		if err := c.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.AgedOutPeriods != 4 {
+			t.Fatalf("age-out: %+v", st)
+		}
+	}
+	seg, err := rd.Segment(2)
+	if err != nil || seg != nil {
+		t.Fatalf("Segment(2) across the age-out: seg=%v err=%v, want absent", seg, err)
+	}
+	if !agedOut {
+		t.Fatal("hook never ran: the compacted tier was not consulted")
+	}
+	if seg, err := rd.Segment(6); err != nil || seg == nil {
+		t.Fatalf("Segment(6) after the age-out: seg=%v err=%v", seg, err)
+	}
+}
+
 // TestConcurrentReaderCompactor runs a live Writer, a Compactor driven by an
 // advancing seal watermark, and concurrent Readers together: the -race smoke
 // of the live/compacted boundary (the stat-then-read window itself is forced

@@ -93,8 +93,9 @@ type Reader struct {
 
 	// afterRawStat, when set by a test, runs between Segment's stat of a
 	// raw segment file and its read, the window a compactor can delete the
-	// file in.
-	afterRawStat func()
+	// file in. afterCompactStat does the same for a compacted file, which
+	// age-out can delete.
+	afterRawStat, afterCompactStat func()
 }
 
 type cachedSegment struct {
@@ -258,7 +259,8 @@ func (r *Reader) Segment(period int64) (*Segment, error) {
 
 // compactedSegment resolves a period through the manifest. retry allows
 // one manifest re-read when a listed compacted file is missing — the
-// race window where the cached manifest predates an age-out.
+// race window where the cached manifest predates an age-out — whether the
+// stat finds it gone or the read does.
 func (r *Reader) compactedSegment(period int64, retry bool) (*Segment, error) {
 	man, err := r.loadManifest()
 	if err != nil {
@@ -273,17 +275,27 @@ func (r *Reader) compactedSegment(period int64, retry bool) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
+	var segs map[int64]*Segment
+	if ok {
+		if seg := r.lookupCache(period, cpath, gen); seg != nil {
+			return seg, nil
+		}
+		if r.afterCompactStat != nil {
+			r.afterCompactStat()
+		}
+		segs, err = decodeCompactFile(cpath)
+		ok = !errors.Is(err, fs.ErrNotExist)
+	}
 	if !ok {
+		// Aged out since the manifest was read: age-out publishes the
+		// manifest without the file before it deletes the file, so a
+		// fresh manifest no longer lists the period.
 		if retry {
 			r.invalidateManifest()
 			return r.compactedSegment(period, false)
 		}
 		return nil, nil
 	}
-	if seg := r.lookupCache(period, cpath, gen); seg != nil {
-		return seg, nil
-	}
-	segs, err := decodeCompactFile(cpath)
 	if err != nil {
 		return nil, err
 	}

@@ -53,17 +53,12 @@ const maxTags = 30
 // collisions.
 var foldTag = tagset.FoldTag
 
-// probeStep derives the next key of a probe chain: a counter whose fold is
-// taken by another counter's is stored under fold+probeStep, then
-// fold+2·probeStep, and so on. Odd, so a chain never revisits a key.
-const probeStep = 0x9e3779b97f4a7c15
-
 // CounterTable counts, for every subset of every observed tagset, the number
 // of observations containing that subset. It is not safe for concurrent use;
 // each Calculator owns one.
 //
 // A table never deletes one counter, only all of them (Reset). That is what
-// makes the probe chains exact: a chain is the keys fold, fold+probeStep, …
+// makes the probe chains exact: a chain is the keys fold, fold.Next(), …
 // up to the first key absent from index, and no key in the middle of a
 // chain is ever removed, so a lookup that stops at an absent key has seen
 // every counter that could hold its tags.
@@ -180,7 +175,7 @@ func (ct *CounterTable) lookup(key tagset.Fold, tags []tagset.Tag, mask uint32) 
 		if probes >= len(ct.counters) {
 			panic("jaccard: probe chain longer than the table")
 		}
-		key.A += probeStep
+		key = key.Next()
 	}
 }
 

@@ -429,20 +429,29 @@ func CoeffKey(t storm.Tuple) uint64 {
 
 // splitByRoute groups coefficients into one slice per consumer task by
 // routeHash % tasks, preserving arrival order within each — how a period
-// flush reaches the Tracker task, and an accepted batch the Trend task,
-// that owns each tagset. A counting pass sizes every part exactly, so none
-// is grown by append.
+// flush reaches the Tracker task that owns each tagset.
 func splitByRoute(coeffs []jaccard.Coefficient, tasks int) [][]jaccard.Coefficient {
+	return splitByHash(coeffs, tasks, func(i int) uint64 { return routeHashSet(coeffs[i].Tags) })
+}
+
+// splitByHash is splitByRoute over route hashes already computed: hash(i)
+// is coeffs[i]'s. The Tracker splits an accepted batch for the Trend tasks
+// with the hashes its shard grouping computed. A counting pass sizes every
+// part exactly; the parts are capped windows of one array.
+func splitByHash(coeffs []jaccard.Coefficient, tasks int, hash func(i int) uint64) [][]jaccard.Coefficient {
 	route := make([]uint32, len(coeffs))
 	sizes := make([]int, tasks)
-	for i, co := range coeffs {
-		g := routeHashSet(co.Tags) % uint64(tasks)
+	for i := range coeffs {
+		g := hash(i) % uint64(tasks)
 		route[i] = uint32(g)
 		sizes[g]++
 	}
+	all := make([]jaccard.Coefficient, len(coeffs))
 	parts := make([][]jaccard.Coefficient, tasks)
+	lo := 0
 	for g, n := range sizes {
-		parts[g] = make([]jaccard.Coefficient, 0, n)
+		parts[g] = all[lo : lo : lo+n]
+		lo += n
 	}
 	for i, co := range coeffs {
 		parts[route[i]] = append(parts[route[i]], co)

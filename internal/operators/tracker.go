@@ -25,14 +25,16 @@ import (
 // for concurrent reads under a write-heavy report stream:
 //
 //   - Retained coefficients are sharded by a hash of the tagset key; a
-//     report locks only its shard, so report-side contention drops as the
-//     number of reporting Calculators grows.
+//     batch locks each shard it reports into once, so report-side
+//     contention drops as the number of reporting Calculators grows.
 //   - Every shard keeps one topselect.Table per retained period: the
-//     period's coefficients by key plus a bounded min-heap of its best
-//     ones, updated on report and duplicate upgrade. The best bound of the
-//     periods before a shard's newest are merged into one older block, so
-//     TopK(k) reads at most shards·2·bound entries whatever the retention
-//     and never scans the retained coefficient tables. Evicting a period
+//     period's coefficients by tagset fold, their tags in one arena, plus a
+//     bounded min-heap of its best ones, updated on report and duplicate
+//     upgrade. A table holds no pointer, so the GC never traces a retained
+//     coefficient. The best bound of the periods before a shard's newest
+//     are merged into one older block, so TopK(k) reads at most
+//     shards·2·bound entries whatever the retention and never scans the
+//     retained coefficient tables. Evicting a period
 //     drops its table, heap included.
 //   - A global topselect.Registry enforces the retention bound
 //     (SetRetention): opening a new period prunes the oldest ones
@@ -56,6 +58,11 @@ type Tracker struct {
 	// exports is ExportState's copy of each retained period it has
 	// exported, reused while the period's tables are unchanged.
 	exports exportCache
+
+	// scratch is a free list of reportBatch's per-batch arrays, reused
+	// across batches; it holds one for each ingest that has run at once.
+	scratchMu sync.Mutex
+	scratch   []*intakeScratch
 
 	// emitTrend forwards accepted reports on StreamTrend (EnableTrendEmit);
 	// trendTasks is the Trend operator's parallelism (Prepare; 0 outside a
@@ -138,7 +145,8 @@ func NewTrackerWith(shards, topKBound, evictedCap int) *Tracker {
 	}
 	for i := range tr.shards {
 		tr.shards[i] = &trackerShard{
-			periods: make(map[int64]*topselect.Table[jaccard.Coefficient]),
+			periods: make(map[int64]*coeffTable),
+			older:   make([]jaccard.Coefficient, 0, 2*topKBound), // a fold appends one heap to a full block
 			newest:  math.MinInt64,
 			floor:   math.MinInt64,
 			bound:   topKBound,
@@ -204,14 +212,15 @@ func (tr *Tracker) SetFlight(rec *flight.Recorder) { tr.flightRec = rec }
 // Execute implements storm.Bolt: the report path, one CoeffBatch — a
 // Calculator's period flush, or its sub-batch for this task — per tuple.
 // The period registry is consulted once for the batch (opening a new period
-// may prune old ones); each coefficient then locks only the shard owning
-// its tagset key. The key bytes are built once, into a stack buffer, and
-// looked up without allocating: a duplicate that loses the CN comparison
-// costs no allocation, and a key string exists only for an entry the
-// tables keep. The reports that changed the tables are gathered in a slice
-// of their own (msg.Coeffs belongs to the emitter and is never written),
+// may prune old ones); the batch is then grouped by shard, and each shard
+// is locked once for its run of reports (reportBatch). A report costs one
+// fold of its tags and one table lookup, and allocates nothing: a fresh
+// entry's tags are copied into its table's arena. The reports that changed
+// the tables are gathered, in arrival order, in a slice of their own sized
+// exactly (msg.Coeffs belongs to the emitter and is never written),
 // appended to the archive in one call and emitted as one TrendBatch (one
-// per Trend task when there are several).
+// per Trend task when there are several, split by the route hashes the
+// shard grouping computed).
 func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 	msg := t.Values[0].(CoeffBatch)
 	start := telemetry.Now()
@@ -247,31 +256,28 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 
 	emit := tr.emitTrend && out != nil
 	archived := tr.archive != nil
-	keep := emit || archived
 	if archived {
 		tr.intake.RLock()
 	}
-	var accepted []jaccard.Coefficient
-	var dups, lates int64
-	for i, c := range msg.Coeffs {
-		dup, late, updated := tr.report(msg.Period, c)
-		if dup {
-			dups++
-		}
-		if late {
-			lates++
-			continue
-		}
-		if !keep || dup && !updated {
-			continue
-		}
-		if accepted == nil {
-			accepted = make([]jaccard.Coefficient, 0, len(msg.Coeffs)-i)
-		}
-		accepted = append(accepted, c)
-	}
+	sc := tr.getScratch()
+	defer tr.putScratch(sc)
+	n, dups, lates := tr.reportBatch(msg.Period, msg.Coeffs, sc)
 	atomic.AddInt64(&tr.Duplicates, dups)
 	atomic.AddInt64(&tr.Late, lates)
+	split := emit && tr.trendTasks > 1
+	var accepted []jaccard.Coefficient
+	if (emit || archived) && n > 0 {
+		accepted = make([]jaccard.Coefficient, 0, n)
+		sc.trendHash = sc.trendHash[:0]
+		for i, keep := range sc.accepted {
+			if keep {
+				accepted = append(accepted, msg.Coeffs[i])
+				if split {
+					sc.trendHash = append(sc.trendHash, sc.hash[i])
+				}
+			}
+		}
+	}
 	if archived {
 		if tr.afterReports != nil {
 			tr.afterReports()
@@ -282,12 +288,13 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 
 	switch {
 	case !emit || len(accepted) == 0:
-	case tr.trendTasks <= 1:
+	case !split:
 		out.Emit(storm.Tuple{Stream: StreamTrend, Values: []interface{}{
 			TrendBatch{Period: msg.Period, Coeffs: accepted, Trace: msg.Trace},
 		}})
 	default:
-		for g, part := range splitByRoute(accepted, tr.trendTasks) {
+		parts := splitByHash(accepted, tr.trendTasks, func(i int) uint64 { return sc.trendHash[i] })
+		for g, part := range parts {
 			if len(part) == 0 {
 				continue
 			}
@@ -313,49 +320,118 @@ func (tr *Tracker) appendArchive(msg CoeffBatch, accepted []jaccard.Coefficient)
 	tr.flightRec.Span(msg.Trace, flight.StageArchive, start, telemetry.Now())
 }
 
-// report hands one coefficient to the shard owning its tagset: the key
-// bytes are built once, into a stack buffer (16 tags fit; the Parser caps
-// documents well below), and the shard is chosen by the hash of those
-// bytes, the one the Calculators group sub-batches with.
-func (tr *Tracker) report(period int64, c jaccard.Coefficient) (dup, late, updated bool) {
-	var buf [64]byte
-	key := c.Tags.AppendKey(buf[:0])
-	return tr.shards[routeHashSet(c.Tags)&tr.mask].report(period, key, c)
+// intakeScratch is reportBatch's per-batch state, reused from batch to
+// batch through Tracker.scratch.
+type intakeScratch struct {
+	hash      []uint64 // each report's route hash
+	order     []int32  // report indices grouped by shard, in arrival order within each
+	start     []int32  // shard i's run ends at order[start[i]] once grouped
+	accepted  []bool   // whether each report changed its table
+	trendHash []uint64 // the route hash of each accepted report, for the Trend split
 }
+
+// getScratch takes an intakeScratch off the free list, or makes one.
+func (tr *Tracker) getScratch() *intakeScratch {
+	tr.scratchMu.Lock()
+	defer tr.scratchMu.Unlock()
+	if n := len(tr.scratch); n > 0 {
+		sc := tr.scratch[n-1]
+		tr.scratch = tr.scratch[:n-1]
+		return sc
+	}
+	return new(intakeScratch)
+}
+
+// putScratch returns sc to the free list.
+func (tr *Tracker) putScratch(sc *intakeScratch) {
+	tr.scratchMu.Lock()
+	tr.scratch = append(tr.scratch, sc)
+	tr.scratchMu.Unlock()
+}
+
+// reportBatch records one period's reports, sets sc.accepted, and counts
+// the accepted reports (fresh entries and CN upgrades), the duplicates and
+// the late ones. A counting pass groups the reports by shard — by the route
+// hash the Calculators group sub-batches with, so the shards of one Tracker
+// task are its own — and each shard's run is reported under one lock, in
+// arrival order.
+func (tr *Tracker) reportBatch(period int64, cs []jaccard.Coefficient, sc *intakeScratch) (accepted int, dups, lates int64) {
+	shards := len(tr.shards)
+	sc.hash = resized(sc.hash, len(cs))
+	sc.order = resized(sc.order, len(cs))
+	sc.accepted = resized(sc.accepted, len(cs))
+	sc.start = resized(sc.start, shards+1)
+	clear(sc.start)
+	for i, c := range cs {
+		h := routeHashSet(c.Tags)
+		sc.hash[i] = h
+		sc.start[h&tr.mask+1]++
+	}
+	for i := 1; i <= shards; i++ {
+		sc.start[i] += sc.start[i-1]
+	}
+	for i, h := range sc.hash { // start[s] advances from shard s's start to its end
+		s := h & tr.mask
+		sc.order[sc.start[s]] = int32(i)
+		sc.start[s]++
+	}
+	lo := int32(0)
+	for i, s := range tr.shards {
+		if hi := sc.start[i]; hi > lo {
+			a, d, l := s.reportRun(period, cs, sc.order[lo:hi], sc.accepted)
+			accepted, dups, lates = accepted+a, dups+d, lates+l
+			lo = hi
+		}
+	}
+	return accepted, dups, lates
+}
+
+// resized returns s with length n, reallocated only when it is too short.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // prunePeriod evicts one period from every shard and remembers the evicted
 // coefficients in the LRU (newest period wins per pair). Exactly one
 // goroutine prunes a given period: the registry hands each pruned id out
-// once. The LRU is refilled in tagset-key order — map iteration order would
-// otherwise randomize its recency list (and, when it is full, which pairs
-// survive), making otherwise deterministic runs diverge. Adding N distinct
-// keys in ascending order leaves the last min(N, cap) of them, in that
-// order, at the front of the recency list whatever it held before; for
-// N >= cap they fill it. So only those are selected, sorted and added: the
-// contents, the order and the hit and miss counters are what adding all N
-// would leave. (An entry already in the LRU carries an older period than
-// the one being pruned — periods are pruned in ascending order — so the
-// skipped adds could not have kept a newer value either.)
+// once. The LRU is refilled in tagset-key order — table order would
+// otherwise decide its recency list (and, when it is full, which pairs
+// survive) by arrival order across shards, which concurrent runs do not
+// repeat. Adding N distinct keys in ascending order leaves the last
+// min(N, cap) of them, in that order, at the front of the recency list
+// whatever it held before; for N >= cap they fill it. So only those are
+// selected, over references to the evicted tables' slots, sorted and
+// added, each with its own copy of its tags: the contents, the order and
+// the hit and miss counters are what adding all N would leave, and the LRU
+// keeps no evicted table's arena alive. (An entry already in the LRU
+// carries an older period than the one being pruned — periods are pruned
+// in ascending order — so the skipped adds could not have kept a newer
+// value either.)
 func (tr *Tracker) prunePeriod(p int64) {
-	maps := make([]map[tagset.Key]jaccard.Coefficient, len(tr.shards))
+	tables := make([]*coeffTable, len(tr.shards))
 	n := 0
 	for i, s := range tr.shards {
 		s.mu.Lock()
-		maps[i] = s.evictPeriod(p)
+		tables[i] = s.dropPeriod(p)
 		s.mu.Unlock()
-		n += len(maps[i])
+		n += tables[i].Len()
 	}
 	if tr.lru != nil && n > 0 {
-		keys := make([]tagset.Key, 0, n)
-		for _, m := range maps {
-			for k := range m {
-				keys = append(keys, k)
+		type slotRef struct{ shard, slot int32 }
+		refs := make([]slotRef, 0, n)
+		for i, t := range tables {
+			for slot := range int32(t.Len()) {
+				refs = append(refs, slotRef{int32(i), slot})
 			}
 		}
-		keys = topselect.Select(keys, tr.lru.cap, func(a, b tagset.Key) bool { return a > b })
-		slices.Sort(keys)
-		for _, k := range keys {
-			tr.lru.add(k, maps[routeHash(k)&tr.mask][k], p)
+		tags := func(r slotRef) tagset.Set {
+			s, _ := tables[r.shard].Entry(r.slot)
+			return s
+		}
+		refs = topselect.Select(refs, tr.lru.cap, func(a, b slotRef) bool { return tagset.Compare(tags(a), tags(b)) > 0 })
+		tagset.SortBy(refs, tags)
+		for _, r := range refs {
+			set, v := tables[r.shard].Entry(r.slot)
+			set = set.Clone()
+			tr.lru.add(set.Key(), coefficient(set, v), p)
 		}
 	}
 	tr.exports.drop(p)
@@ -399,16 +475,14 @@ func (tr *Tracker) gather(period int64) (out []jaccard.Coefficient, writes uint6
 	n := 0
 	for _, s := range tr.shards {
 		s.mu.Lock()
-		n += len(s.periods[period].Values())
+		n += s.periods[period].Len()
 		s.mu.Unlock()
 	}
 	out = make([]jaccard.Coefficient, 0, n)
 	for _, s := range tr.shards {
 		s.mu.Lock()
 		t := s.periods[period]
-		for _, c := range t.Values() {
-			out = append(out, c)
-		}
+		out = appendAll(out, t)
 		writes += t.Writes()
 		s.mu.Unlock()
 	}
@@ -480,13 +554,26 @@ func (tr *Tracker) Lookup(k tagset.Key) (jaccard.Coefficient, int64, bool) {
 }
 
 // LookupDetail is Lookup plus an evicted flag: true when the answer came
-// from the evicted-coefficient LRU rather than a retained period.
+// from the evicted-coefficient LRU rather than a retained period. The key
+// is decoded onto the stack and folded once. Each probe of a period is one
+// table lookup: the shard's newest period first, and the other retained
+// periods only when it does not hold the key. Nothing is allocated.
 func (tr *Tracker) LookupDetail(k tagset.Key) (c jaccard.Coefficient, period int64, evicted, ok bool) {
+	var buf [16]tagset.Tag
+	tags := k.AppendSet(buf[:0])
+	f := topselect.Fold(tags)
 	s := tr.shardOf(k)
 	s.mu.Lock()
-	for p, t := range s.periods {
-		if got, here := t.Values()[k]; here && (!ok || p > period) {
-			c, period, ok = got, p, true
+	find := func(p int64, t *coeffTable) {
+		if slot, here := t.Find(f, tags).Slot(); here {
+			c, period, ok = coefficient(t.Entry(slot)), p, true
+		}
+	}
+	if find(s.newest, s.periods[s.newest]); !ok {
+		for p, t := range s.periods {
+			if p != s.newest && (!ok || p > period) {
+				find(p, t)
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -572,7 +659,7 @@ func (tr *Tracker) view(visit func(*trackerShard)) (periods []int64, st TrackerS
 			st.Rebuilds += s.rebuilds
 			for p, t := range s.periods {
 				if p > rs.Floor { // not a pruned period still being evicted
-					st.Retained += len(t.Values())
+					st.Retained += t.Len()
 					st.HeapEntries += len(t.Top())
 				}
 			}
@@ -592,6 +679,38 @@ func (tr *Tracker) view(visit func(*trackerShard)) (periods []int64, st TrackerS
 	return rs.Periods, st
 }
 
+// coeffValue is a coefficient as a Tracker table stores it: its tags live
+// in the table's arena, so the value holds no pointer.
+type coeffValue struct {
+	J  float64
+	CN int64
+}
+
+// coeffTable is one period's coefficients of one shard.
+type coeffTable = topselect.Table[coeffValue]
+
+// coefficient reattaches a stored value to its tags; tags from a table's
+// Entry stay the table's, read-only.
+func coefficient(tags tagset.Set, v coeffValue) jaccard.Coefficient {
+	return jaccard.Coefficient{Tags: tags, J: v.J, CN: v.CN}
+}
+
+// appendAll appends every coefficient of t to cs.
+func appendAll(cs []jaccard.Coefficient, t *coeffTable) []jaccard.Coefficient {
+	for slot := range int32(t.Len()) {
+		cs = append(cs, coefficient(t.Entry(slot)))
+	}
+	return cs
+}
+
+// appendTop appends the coefficients of t's heap to cs.
+func appendTop(cs []jaccard.Coefficient, t *coeffTable) []jaccard.Coefficient {
+	for _, slot := range t.Top() {
+		cs = append(cs, coefficient(t.Entry(slot)))
+	}
+	return cs
+}
+
 // trackerShard owns the coefficients whose tagset keys hash to it: one
 // topselect.Table per retained period, each holding the period's
 // coefficients and a heap of its best min(bound, len) under (descending J,
@@ -606,59 +725,75 @@ func (tr *Tracker) view(visit func(*trackerShard)) (periods []int64, st TrackerS
 // 2·bound entries, however many periods are retained.
 type trackerShard struct {
 	mu         sync.Mutex
-	periods    map[int64]*topselect.Table[jaccard.Coefficient]
+	periods    map[int64]*coeffTable
 	newest     int64 // newest period this shard has opened a table for
 	older      []jaccard.Coefficient
 	olderStale bool
-	peak       int   // largest period table this shard has held; presizes the next
-	floor      int64 // shard-local copy of the pruning floor
-	bound      int   // heap bound per period; only rises
-	rebuilds   int64
+	// peak and peakTags are the most entries and tags a period table of
+	// this shard has held; a new period's table is presized by them.
+	peak, peakTags int
+	floor          int64 // shard-local copy of the pruning floor
+	bound          int   // heap bound per period; only rises
+	rebuilds       int64
 }
 
-// report records one coefficient under its key bytes (Set.AppendKey). It
-// reports whether the report collided with an existing (period, key)
-// entry, whether it was dropped because the period was pruned between the
-// registry check and this shard lock, and — for collisions — whether the
-// new value won (a CN upgrade that replaced the stored coefficient). The
-// lookup reads the bytes in place; a key string is allocated only for an
-// entry that is inserted or upgraded. key is not retained.
-func (s *trackerShard) report(period int64, key []byte, c jaccard.Coefficient) (dup, late, updated bool) {
+// reportRun records one period's reports cs[i], i in run, in run order,
+// under one lock, sets accepted[i] to whether each changed the table, and
+// counts them, the duplicates and the late reports. A report already held
+// is a duplicate: it replaces the entry only with a larger CN (a CN
+// upgrade). Each report is one fold of its tags, one lookup and, for a
+// fresh or upgraded entry, one Put at the position the lookup found. Every
+// report of the run is late when the period was pruned between the
+// registry check and this lock.
+func (s *trackerShard) reportRun(period int64, cs []jaccard.Coefficient, run []int32, accepted []bool) (n int, dups, lates int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if period <= s.floor {
-		return false, true, false
+		for _, i := range run {
+			accepted[i] = false
+		}
+		return 0, 0, int64(len(run))
 	}
 	t := s.periods[period]
 	if t == nil {
-		t = topselect.NewTable(s.bound, s.peak, compareRank)
+		t = topselect.NewTable(s.bound, s.peak, s.peakTags, rankValues)
 		s.periods[period] = t
 		if period > s.newest {
 			s.fold(s.periods[s.newest])
 			s.newest = period
 		}
 	}
-	prev, dup := t.Values()[tagset.Key(key)]
-	if dup && c.CN <= prev.CN {
-		return true, false, false
+	for _, i := range run {
+		c := &cs[i]
+		pos := t.Find(topselect.Fold(c.Tags), c.Tags)
+		if slot, dup := pos.Slot(); dup {
+			dups++
+			if _, prev := t.Entry(slot); c.CN <= prev.CN {
+				accepted[i] = false
+				continue
+			}
+		}
+		if t.Put(pos, c.Tags, coeffValue{J: c.J, CN: c.CN}) {
+			s.rebuilds++
+		}
+		accepted[i] = true
+		n++
 	}
-	if t.Put(tagset.Key(key), c) {
-		s.rebuilds++
+	if n > 0 {
+		s.olderStale = s.olderStale || period != s.newest
+		entries, tags := t.Size()
+		s.peak, s.peakTags = max(s.peak, entries), max(s.peakTags, tags)
 	}
-	s.olderStale = s.olderStale || period != s.newest
-	s.peak = max(s.peak, len(t.Values()))
-	return dup, false, dup
+	return n, dups, 0
 }
 
 // fold merges one older table's heap into the older block, keeping its best
 // bound (a stale block is left for the rebuild). The caller holds the lock.
-func (s *trackerShard) fold(t *topselect.Table[jaccard.Coefficient]) {
+func (s *trackerShard) fold(t *coeffTable) {
 	if s.olderStale {
 		return
 	}
-	for _, e := range t.Top() {
-		s.older = append(s.older, e.Value)
-	}
+	s.older = appendTop(s.older, t)
 	s.older = s.older[:len(topselect.Select(s.older, s.bound, coeffBefore))]
 }
 
@@ -684,33 +819,28 @@ func (s *trackerShard) olderBest() []jaccard.Coefficient {
 func (s *trackerShard) candidates(cand []jaccard.Coefficient, k, shards int, scan bool) []jaccard.Coefficient {
 	if scan || k <= 0 || k > s.bound {
 		for _, t := range s.periods {
-			for _, c := range t.Values() {
-				cand = append(cand, c)
-			}
+			cand = appendAll(cand, t)
 		}
 		return cand
 	}
-	older, newest := s.olderBest(), s.periods[s.newest].Top()
+	older, newest := s.olderBest(), s.periods[s.newest]
 	if cand == nil {
-		cand = make([]jaccard.Coefficient, 0, shards*(len(older)+len(newest)))
+		cand = make([]jaccard.Coefficient, 0, shards*(len(older)+len(newest.Top())))
 	}
 	cand = append(cand, older...)
-	for _, e := range newest {
-		cand = append(cand, e.Value)
-	}
-	return cand
+	return appendTop(cand, newest)
 }
 
-// evictPeriod removes one period from the shard and returns its
-// coefficients (for the evicted LRU); its heap goes with it, and the older
-// block goes stale when it may have held some of them. The caller holds the
+// dropPeriod removes one period from the shard and returns its table (for
+// the evicted LRU); its heap goes with it, and the older block goes stale
+// when it may have held some of its coefficients. The caller holds the
 // shard lock.
-func (s *trackerShard) evictPeriod(p int64) map[tagset.Key]jaccard.Coefficient {
+func (s *trackerShard) dropPeriod(p int64) *coeffTable {
 	s.floor = max(s.floor, p)
 	t := s.periods[p]
 	delete(s.periods, p)
 	s.olderStale = s.olderStale || (p != s.newest && len(t.Top()) > 0)
-	return t.Values()
+	return t
 }
 
 // evictedLRU remembers the latest coefficient of pairs whose reporting
@@ -779,10 +909,10 @@ func (l *evictedLRU) stats() (length, capacity int, hits, misses int64) {
 	return l.ll.Len(), l.cap, l.hits, l.misses
 }
 
-// compareRank is the top-k ranking without its tie-break: descending J,
-// then descending CN. The per-period tables break its ties by ascending
-// key, which orders tagsets as tagset.Compare does.
-func compareRank(a, b jaccard.Coefficient) int {
+// rankValues is the top-k ranking without its tie-break: descending J,
+// then descending CN. The per-period tables break its ties by their tags,
+// in tagset.Compare order.
+func rankValues(a, b coeffValue) int {
 	switch {
 	case a.J != b.J:
 		if a.J > b.J {
@@ -802,7 +932,7 @@ func compareRank(a, b jaccard.Coefficient) int {
 // descending J, then descending CN, then the tagset key. It is 0 only for
 // coefficients equal in all three, so a sort by it has one possible result.
 func compareCoefficients(a, b jaccard.Coefficient) int {
-	if c := compareRank(a, b); c != 0 {
+	if c := rankValues(coeffValue{a.J, a.CN}, coeffValue{b.J, b.CN}); c != 0 {
 		return c
 	}
 	return tagset.Compare(a.Tags, b.Tags)

@@ -183,10 +183,9 @@ func (tr *Tracker) ImportState(st TrackerState) {
 		s.floor = st.Floor
 		s.mu.Unlock()
 	}
+	var sc intakeScratch
 	for _, pc := range st.Periods {
-		for _, c := range pc.Coeffs {
-			tr.report(pc.Period, c)
-		}
+		tr.reportBatch(pc.Period, pc.Coeffs, &sc)
 	}
 	if tr.lru != nil {
 		for _, e := range st.Evicted {

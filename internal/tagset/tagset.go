@@ -359,6 +359,16 @@ func FoldTag(t Tag) Fold {
 // Add returns the fold of the union of two disjoint sets folded to f and g.
 func (f Fold) Add(g Fold) Fold { return Fold{A: f.A + g.A, B: f.B + g.B} }
 
+// Next is the probe rule of every table keyed by Fold: an entry whose fold
+// is taken by another entry's is stored under f.Next(), then
+// f.Next().Next(), and so on. The step is odd, so a chain never revisits a
+// key. A table that never deletes a single entry can stop a lookup at the
+// first key absent from its index: no key in the middle of a chain is ever
+// removed, so the lookup has seen every entry that could hold its tags.
+func (f Fold) Next() Fold { return Fold{A: f.A + probeStep, B: f.B} }
+
+const probeStep = 0x9e3779b97f4a7c15
+
 // mix64 is the splitmix64 finalizer, a bijection of uint64 whose output
 // bits each depend on every input bit.
 func mix64(x uint64) uint64 {
@@ -522,13 +532,15 @@ func newSortKey(s Set, index int) sortKey {
 type Key string
 
 // Set decodes the key back into its canonical Set.
-func (k Key) Set() Set {
-	b := []byte(k)
-	s := make(Set, len(b)/4)
-	for i := range s {
-		s[i] = Tag(binary.LittleEndian.Uint32(b[4*i:]))
+func (k Key) Set() Set { return k.AppendSet(make(Set, 0, len(k)/4)) }
+
+// AppendSet appends the tags of k's set to dst and returns the extended
+// set. With a dst on the stack, a set is decoded without allocating.
+func (k Key) AppendSet(dst Set) Set {
+	for i := 0; i+4 <= len(k); i += 4 {
+		dst = append(dst, Tag(uint32(k[i])|uint32(k[i+1])<<8|uint32(k[i+2])<<16|uint32(k[i+3])<<24))
 	}
-	return s
+	return dst
 }
 
 // String renders the set as "{1,5,9}" using raw tag identifiers.

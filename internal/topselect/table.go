@@ -1,77 +1,125 @@
 package topselect
 
 import (
-	"cmp"
-	"container/heap"
 	"slices"
 
 	"repro/internal/tagset"
 )
 
-// Entry is one value of a Table under its tagset key.
-type Entry[V any] struct {
-	Key   tagset.Key
-	Value V
-}
+// foldTag folds one tag; a test replaces it with a degenerate fold to force
+// collisions.
+var foldTag = tagset.FoldTag
 
-// Compare ranks two entries by rank, ties broken by ascending key. Keys are
-// unique within a table, so it is 0 only for an entry and itself.
-func Compare[V any](rank func(a, b V) int, a, b Entry[V]) int {
-	if c := rank(a.Value, b.Value); c != 0 {
-		return c
+// Fold returns the fold a Table keys s under: the sum of its tags' folds.
+func Fold(s tagset.Set) tagset.Fold {
+	var f tagset.Fold
+	for _, t := range s {
+		f = f.Add(foldTag(t))
 	}
-	return cmp.Compare(a.Key, b.Key)
+	return f
 }
 
-// Table holds one period's values of one shard by tagset key, plus a
-// bounded min-heap over them.
+// Table holds one period's values of one shard by tagset, plus a bounded
+// min-heap over them.
 //
-// Invariant: the heap holds exactly the best min(bound, len(Values()))
-// entries under Compare(rank). The invariant is also the heap's index:
-// while the heap is below its bound it holds every entry, and once full it
-// holds exactly those ranking at or before its root. Put keeps the
-// invariant in O(log bound) for a fresh entry and an excluded one; a kept
-// entry is found by a scan of the heap and fixed in place, and the one case
-// that can let an excluded entry outrank a kept one — a kept entry demoted
-// while others are excluded — rebuilds this table's heap from its values.
-// A Table is not safe for concurrent use; its shard's lock guards it.
+// Layout: the index maps a tagset's fold (Fold, advanced along its probe
+// chain by tagset.Fold.Next) to the entry's slot; each entry holds the
+// offset and length of its tags in one arena, where the tags of all
+// entries sit back to back, and its value; the heap holds slots. None of
+// these holds a pointer as long as V holds none, so the GC never traces a
+// retained entry. A fold hit is confirmed against the arena tags, and a
+// mismatch probes the next key of the chain. That is exact because a table
+// never deletes a single entry, only the whole table (see Fold.Next).
+//
+// Tags handed out (Entry) are capped sub-slices of the arena: appending to
+// one copies it, and the arena only ever grows by append, so a slice
+// handed out stays valid, and unchanged, after the arena moves.
+//
+// Invariant: the heap holds exactly the best min(bound, Len()) entries
+// under rank, ties broken by tagset.Compare on their tags. The invariant is
+// also the heap's index: while the heap is below its bound it holds every
+// entry, and once full it holds exactly those ranking at or before its
+// root. Put keeps the invariant in O(log bound) for a fresh entry and an
+// excluded one; a kept entry is found by a scan of the heap and fixed in
+// place, and the one case that can let an excluded entry outrank a kept one
+// — a kept entry demoted while others are excluded — rebuilds this table's
+// heap from its entries. A Table is not safe for concurrent use; its
+// shard's lock guards it.
 type Table[V any] struct {
-	values map[tagset.Key]V
-	top    topHeap[V]
-	writes uint64 // Puts so far
+	index   map[tagset.Fold]int32
+	entries []entry[V]
+	arena   []tagset.Tag
+	top     []int32 // heap of slots; the root ranks last among them
+	bound   int
+	rank    func(a, b V) int
+	writes  uint64 // Puts so far
+}
+
+// entry is one value and where its tags are: arena[off : off+n].
+type entry[V any] struct {
+	off, n uint32
+	v      V
+}
+
+// Pos is where Find located a tagset: its slot, or, when the table does
+// not hold it, the key at the end of its probe chain, where Put stores it.
+type Pos struct {
+	slot int32 // -1 when absent
+	key  tagset.Fold
 }
 
 // NewTable returns an empty table whose heap keeps the best bound (>= 1)
 // entries under rank, a three-way comparison (negative when a ranks
-// first), with the values map presized for hint entries and the heap for
-// bound.
-func NewTable[V any](bound, hint int, rank func(a, b V) int) *Table[V] {
+// first), with the index and entries presized for entries values and the
+// arena for tags tags in all, and the heap for bound.
+func NewTable[V any](bound, entries, tags int, rank func(a, b V) int) *Table[V] {
 	return &Table[V]{
-		values: make(map[tagset.Key]V, hint),
-		top:    topHeap[V]{entries: make([]Entry[V], 0, bound), bound: bound, rank: rank},
+		index:   make(map[tagset.Fold]int32, entries),
+		entries: make([]entry[V], 0, entries),
+		arena:   make([]tagset.Tag, 0, tags),
+		top:     make([]int32, 0, bound),
+		bound:   bound,
+		rank:    rank,
 	}
 }
 
-// Values returns every value of the table by key. The map belongs to the
-// table: callers read it and never write it. A nil table has none.
-func (t *Table[V]) Values() map[tagset.Key]V {
+// Len returns how many entries the table holds. A nil table holds none.
+func (t *Table[V]) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.entries)
+}
+
+// Size returns how many entries the table holds and how many tags they
+// hold together, what NewTable presizes a table of the same size by. A nil
+// table holds none.
+func (t *Table[V]) Size() (entries, tags int) {
+	if t == nil {
+		return 0, 0
+	}
+	return len(t.entries), len(t.arena)
+}
+
+// Entry returns the tags and value in slot (0 <= slot < Len(), in insertion
+// order). The tags belong to the table: callers read them and never write
+// them.
+func (t *Table[V]) Entry(slot int32) (tagset.Set, V) {
+	e := &t.entries[slot]
+	return t.arena[e.off : e.off+e.n : e.off+e.n], e.v
+}
+
+// Top returns the slots the heap holds, the best min(bound, Len()), in heap
+// order. The slice belongs to the table: callers read it under the lock
+// that guards the table. A nil table has none.
+func (t *Table[V]) Top() []int32 {
 	if t == nil {
 		return nil
 	}
-	return t.values
+	return t.top
 }
 
-// Top returns the heap's entries, the best min(bound, len(Values())), in
-// heap order. The slice belongs to the table: callers copy out of it under
-// the lock that guards the table. A nil table has none.
-func (t *Table[V]) Top() []Entry[V] {
-	if t == nil {
-		return nil
-	}
-	return t.top.entries
-}
-
-// Writes returns how many times Put has stored a value: the values map is
+// Writes returns how many times Put has stored a value: the entries are
 // unchanged for as long as it is. A nil table has none.
 func (t *Table[V]) Writes() uint64 {
 	if t == nil {
@@ -80,23 +128,55 @@ func (t *Table[V]) Writes() uint64 {
 	return t.writes
 }
 
-// Put stores v under k and maintains the heap: a fresh or excluded entry is
-// offered, a kept one is fixed in place. It reports whether the heap had to
-// be rebuilt, which happens only when a kept entry was demoted while others
-// are excluded.
-func (t *Table[V]) Put(k tagset.Key, v V) (rebuilt bool) {
-	prev, existed := t.values[k]
-	t.values[k] = v
+// Find locates s, whose fold is f (Fold(s)). A nil table holds nothing.
+func (t *Table[V]) Find(f tagset.Fold, s tagset.Set) Pos {
+	if t == nil {
+		return Pos{slot: -1, key: f}
+	}
+	for probes := 0; ; probes++ {
+		i, ok := t.index[f]
+		if !ok {
+			return Pos{slot: -1, key: f}
+		}
+		if e := &t.entries[i]; slices.Equal(t.arena[e.off:e.off+e.n], s) {
+			return Pos{slot: i, key: f}
+		}
+		if probes >= len(t.entries) {
+			panic("topselect: probe chain longer than the table")
+		}
+		f = f.Next()
+	}
+}
+
+// Slot returns the slot Find found the tagset in, or false when the table
+// does not hold it.
+func (p Pos) Slot() (int32, bool) { return p.slot, p.slot >= 0 }
+
+// Put stores v at p, a Pos that Find returned for s with no Put since, and
+// maintains the heap: a fresh entry copies s into the arena and is offered,
+// as is an excluded one; a kept one is fixed in place. It reports whether
+// the heap had to be rebuilt, which happens only when a kept entry was
+// demoted while others are excluded.
+func (t *Table[V]) Put(p Pos, s tagset.Set, v V) (rebuilt bool) {
 	t.writes++
-	h := &t.top
-	if !existed || !h.keeps(Entry[V]{Key: k, Value: prev}) {
-		h.offer(Entry[V]{Key: k, Value: v})
+	if p.slot < 0 {
+		slot := int32(len(t.entries))
+		t.entries = append(t.entries, entry[V]{off: uint32(len(t.arena)), n: uint32(len(s)), v: v})
+		t.arena = append(t.arena, s...)
+		t.index[p.key] = slot
+		t.offer(slot)
 		return false
 	}
-	i := slices.IndexFunc(h.entries, func(e Entry[V]) bool { return e.Key == k })
-	h.entries[i].Value = v
-	heap.Fix(h, i)
-	if len(t.values) > len(h.entries) && h.rank(prev, v) < 0 {
+	e := &t.entries[p.slot]
+	kept := t.keeps(p.slot)
+	prev := e.v
+	e.v = v
+	if !kept {
+		t.offer(p.slot)
+		return false
+	}
+	t.fix(slices.Index(t.top, p.slot))
+	if len(t.entries) > len(t.top) && t.rank(prev, v) < 0 {
 		t.rebuild()
 		return true
 	}
@@ -106,66 +186,97 @@ func (t *Table[V]) Put(k tagset.Key, v V) (rebuilt bool) {
 // SetBound raises the heap bound to n (a lower n is ignored) and reports
 // whether entries it had excluded had to be brought in by a rebuild.
 func (t *Table[V]) SetBound(n int) (rebuilt bool) {
-	if n <= t.top.bound {
+	if n <= t.bound {
 		return false
 	}
-	t.top.bound = n
-	if len(t.values) == len(t.top.entries) {
+	t.bound = n
+	if len(t.entries) == len(t.top) {
 		return false
 	}
 	t.rebuild()
 	return true
 }
 
-// rebuild refills the heap from the values: a bounded selection, reusing
+// rebuild refills the heap from the entries: a bounded selection, reusing
 // the heap's slice.
 func (t *Table[V]) rebuild() {
-	h := &t.top
-	h.entries = h.entries[:0]
-	for k, v := range t.values {
-		h.offer(Entry[V]{Key: k, Value: v})
+	t.top = t.top[:0]
+	for i := range t.entries {
+		t.offer(int32(i))
 	}
 }
 
-// topHeap is a bounded min-heap under rank: the root ranks last among the
-// kept entries. It implements heap.Interface; entries enter through offer,
-// which never boxes one.
-type topHeap[V any] struct {
-	entries []Entry[V]
-	bound   int
-	rank    func(a, b V) int
+// before reports whether slot a ranks strictly before slot b: by rank, ties
+// broken by their tags. Tags are unique within a table, so of two distinct
+// slots one ranks before the other.
+func (t *Table[V]) before(a, b int32) bool {
+	ea, eb := &t.entries[a], &t.entries[b]
+	if c := t.rank(ea.v, eb.v); c != 0 {
+		return c < 0
+	}
+	return tagset.Compare(t.arena[ea.off:ea.off+ea.n], t.arena[eb.off:eb.off+eb.n]) < 0
 }
 
-func (h *topHeap[V]) before(a, b Entry[V]) bool { return Compare(h.rank, a, b) < 0 }
-
-// keeps reports whether e, an entry of the table, is in the heap: all are
-// while the heap is below its bound, and then exactly those ranking at or
-// before the root.
-func (h *topHeap[V]) keeps(e Entry[V]) bool {
-	return len(h.entries) < h.bound || !h.before(h.entries[0], e)
+// keeps reports whether slot, an entry of the table, is in the heap: all
+// are while the heap is below its bound, and then exactly those ranking at
+// or before the root.
+func (t *Table[V]) keeps(slot int32) bool {
+	return len(t.top) < t.bound || !t.before(t.top[0], slot)
 }
 
-// offer keeps e if it belongs to the best bound: appended while below the
-// bound, otherwise in place of the root (the worst kept entry) when it
+// offer keeps slot if it belongs to the best bound: appended while below
+// the bound, otherwise in place of the root (the worst kept entry) when it
 // ranks before it.
-func (h *topHeap[V]) offer(e Entry[V]) {
-	if len(h.entries) < h.bound {
-		h.entries = append(h.entries, e)
-		heap.Fix(h, len(h.entries)-1)
+func (t *Table[V]) offer(slot int32) {
+	if len(t.top) < t.bound {
+		t.top = append(t.top, slot)
+		t.up(len(t.top) - 1)
 		return
 	}
-	if h.before(e, h.entries[0]) {
-		h.entries[0] = e
-		heap.Fix(h, 0)
+	if t.before(slot, t.top[0]) {
+		t.top[0] = slot
+		t.down(0)
 	}
 }
 
-func (h *topHeap[V]) Len() int           { return len(h.entries) }
-func (h *topHeap[V]) Less(i, j int) bool { return h.before(h.entries[j], h.entries[i]) }
-func (h *topHeap[V]) Swap(i, j int)      { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *topHeap[V]) Push(x any)         { h.entries = append(h.entries, x.(Entry[V])) }
-func (h *topHeap[V]) Pop() any {
-	e := h.entries[len(h.entries)-1]
-	h.entries = h.entries[:len(h.entries)-1]
-	return e
+// fix restores the heap order after the value at heap index i changed.
+func (t *Table[V]) fix(i int) {
+	if !t.down(i) {
+		t.up(i)
+	}
+}
+
+// up moves heap index i towards the root while it ranks after its parent
+// (the root ranks last).
+func (t *Table[V]) up(i int) {
+	h := t.top
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(h[parent], h[i]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// down moves heap index i away from the root while a child ranks after it,
+// and reports whether it moved.
+func (t *Table[V]) down(i int) bool {
+	h := t.top
+	start := i
+	for {
+		worst := i
+		if l := 2*i + 1; l < len(h) && t.before(h[worst], h[l]) {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(h) && t.before(h[worst], h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return i > start
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }

@@ -32,20 +32,39 @@ var rankings = []struct {
 	{"score", func(a, b coeff) int { return cmp.Compare(b.J, a.J) }},
 }
 
+// entryOf is one table entry as checkTable compares them: its key stands in
+// for its tags, which Key orders as tagset.Compare does.
+type entryOf struct {
+	Key   tagset.Key
+	Value coeff
+}
+
 // checkTable requires the heap to be a valid min-heap (root ranks last)
 // holding exactly the best min(bound, n) entries of a sort of everything.
 func checkTable(t *testing.T, label string, tb *Table[coeff], bound int, rank func(a, b coeff) int) {
 	t.Helper()
-	byRank := func(a, b Entry[coeff]) int { return Compare(rank, a, b) }
-	top := tb.Top()
+	byRank := func(a, b entryOf) int {
+		if c := rank(a.Value, b.Value); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Key, b.Key)
+	}
+	at := func(slot int32) entryOf {
+		tags, v := tb.Entry(slot)
+		return entryOf{Key: tags.Key(), Value: v}
+	}
+	top := make([]entryOf, 0, len(tb.Top()))
+	for _, slot := range tb.Top() {
+		top = append(top, at(slot))
+	}
 	for i := 1; i < len(top); i++ {
 		if byRank(top[i], top[(i-1)/2]) > 0 {
 			t.Fatalf("%s: heap order broken at slot %d", label, i)
 		}
 	}
-	want := make([]Entry[coeff], 0, len(tb.Values()))
-	for k, v := range tb.Values() {
-		want = append(want, Entry[coeff]{Key: k, Value: v})
+	want := make([]entryOf, 0, tb.Len())
+	for slot := range int32(tb.Len()) {
+		want = append(want, at(slot))
 	}
 	slices.SortFunc(want, byRank)
 	want = want[:min(bound, len(want))]
@@ -67,7 +86,8 @@ func TestTableMatchesSortEverything(t *testing.T) {
 		for _, bound := range []int{1, 2, 3, 8, 64} {
 			t.Run(fmt.Sprintf("%s/bound=%d", r.name, bound), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(bound)))
-				key := func() tagset.Key { return tagset.New(tagset.Tag(rng.Intn(keys))).Key() }
+				key := func() tagset.Set { return tagset.New(tagset.Tag(rng.Intn(keys))) }
+				put := func(tb *Table[coeff], k tagset.Set, v coeff) bool { return tb.Put(tb.Find(Fold(k), k), k, v) }
 				value := func(cn int64) coeff { return coeff{J: float64(rng.Intn(5)) / 4, CN: cn} }
 				bounds := map[int64]int{}
 				tables := map[int64]*Table[coeff]{}
@@ -75,7 +95,7 @@ func TestTableMatchesSortEverything(t *testing.T) {
 				for op := 0; op < 4000; op++ {
 					p := int64(rng.Intn(3))
 					if tables[p] == nil {
-						tables[p] = NewTable(bound, 0, r.rank)
+						tables[p] = NewTable(bound, 0, 0, r.rank)
 						bounds[p] = bound
 					}
 					tb := tables[p]
@@ -92,26 +112,25 @@ func TestTableMatchesSortEverything(t *testing.T) {
 						// Demote a kept entry: the case only a rebuild can
 						// repair when others are excluded.
 						label = "demote"
-						e := tb.Top()[rng.Intn(len(tb.Top()))]
-						worse := e.Value
+						k, worse := tb.Entry(tb.Top()[rng.Intn(len(tb.Top()))])
 						worse.J -= float64(1+rng.Intn(2)) / 4
 						demotions++
-						if tb.Put(e.Key, worse) {
+						if put(tb, k, worse) {
 							rebuilds++
 						}
 					case n < 12:
 						label = "upgrade"
 						k := key()
-						prev, ok := tb.Values()[k]
-						if !ok {
-							prev.CN = 1
+						prev := coeff{CN: 1}
+						if slot, ok := tb.Find(Fold(k), k).Slot(); ok {
+							_, prev = tb.Entry(slot)
 						}
-						if tb.Put(k, value(prev.CN+1)) {
+						if put(tb, k, value(prev.CN+1)) {
 							rebuilds++
 						}
 					default:
 						label = "put"
-						if tb.Put(key(), value(int64(1+rng.Intn(5)))) {
+						if put(tb, key(), value(int64(1+rng.Intn(5)))) {
 							rebuilds++
 						}
 					}

@@ -155,8 +155,13 @@ type Stream struct {
 }
 
 // brokerBuffer sizes the broker's intake channel; events beyond it are
-// dropped (counted) rather than ever blocking the scoring path.
-const brokerBuffer = 1024
+// dropped (counted) rather than ever blocking the scoring path. The broker
+// goroutine a publish wakes waits for the publishing Trend task's
+// processor until that task blocks or is preempted, up to a scheduler time
+// slice (10 ms) on a saturated machine. A Trend task with batches queued
+// can publish more than a thousand events in that time, so the intake
+// holds sixteen thousand (1.4 MB while a subscriber is live).
+const brokerBuffer = 1 << 14
 
 // brokerFrame is one unit of broker work: an event to fan out, a sync
 // barrier to acknowledge, or a stop signal.
@@ -429,27 +434,23 @@ func (s *Stream) Predictor(k tagset.Key) (PredictorState, bool) {
 // shards' period heaps and never scans the scored-event tables; k <= 0 or
 // k > TopK falls back to a full gather.
 func (s *Stream) TopTrends(period int64, k int) []Event {
-	var cand []topselect.Entry[Event]
+	var cand []Event
 	heapPath := k > 0 && k <= s.cfg.TopK
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		t := sh.periods[period]
 		if heapPath {
-			cand = append(cand, t.Top()...)
-		} else {
-			for key, ev := range t.Values() {
-				cand = append(cand, topselect.Entry[Event]{Key: key, Value: ev})
+			for _, slot := range t.Top() {
+				cand = append(cand, tableEvent(t, slot))
 			}
+		} else {
+			cand = appendEvents(cand, t)
 		}
 		sh.mu.Unlock()
 	}
-	cand = topselect.Select(cand, k, func(a, b topselect.Entry[Event]) bool { return compareTrends(a, b) < 0 })
+	cand = topselect.Select(cand, k, func(a, b Event) bool { return compareTrends(a, b) < 0 })
 	slices.SortFunc(cand, compareTrends)
-	out := make([]Event, len(cand))
-	for i, e := range cand {
-		out[i] = e.Value
-	}
-	return out
+	return cand
 }
 
 // StatsSnapshot gathers the structural counters under the shard locks.
@@ -493,14 +494,46 @@ type streamPredictor struct {
 	seen   int
 }
 
-// compareScores ranks scored events by descending score; the period tables
-// break its ties by ascending tagset key, the batch Detector's order.
-func compareScores(a, b Event) int { return cmp.Compare(b.Score, a.Score) }
+// scoredEvent is an Event as a period table stores it: the event's tags
+// live in the table's arena, so the value holds no pointer.
+type scoredEvent struct {
+	Period                     int64
+	Predicted, Observed, Score float64
+	Rising                     bool
+	CN                         int64
+}
 
-// compareTrends is the batch Detector's event order over table entries:
-// descending score, then ascending tagset key.
-func compareTrends(a, b topselect.Entry[Event]) int {
-	return topselect.Compare(compareScores, a, b)
+// eventTable is one period's scored events of one shard.
+type eventTable = topselect.Table[scoredEvent]
+
+// tableEvent returns the event in one slot of t, its tags reattached from
+// the table's arena (read-only).
+func tableEvent(t *eventTable, slot int32) Event {
+	tags, e := t.Entry(slot)
+	return Event{Tags: tags, Period: e.Period, Predicted: e.Predicted, Observed: e.Observed,
+		Score: e.Score, Rising: e.Rising, CN: e.CN}
+}
+
+// appendEvents appends every event of t to evs.
+func appendEvents(evs []Event, t *eventTable) []Event {
+	for slot := range int32(t.Len()) {
+		evs = append(evs, tableEvent(t, slot))
+	}
+	return evs
+}
+
+// compareScores ranks scored events by descending score; the period tables
+// break its ties by their tags in tagset.Compare order — ascending tagset
+// key, the batch Detector's order.
+func compareScores(a, b scoredEvent) int { return cmp.Compare(b.Score, a.Score) }
+
+// compareTrends is the batch Detector's event order: descending score, then
+// ascending tagset key.
+func compareTrends(a, b Event) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return tagset.Compare(a.Tags, b.Tags)
 }
 
 // streamShard owns the predictors and per-period trend state of the tagset
@@ -510,7 +543,7 @@ func compareTrends(a, b topselect.Entry[Event]) int {
 type streamShard struct {
 	mu      sync.Mutex
 	preds   map[tagset.Key]*streamPredictor
-	periods map[int64]*topselect.Table[Event]
+	periods map[int64]*eventTable
 
 	bound    int   // heap bound per period
 	maxPreds int   // predictor cap; 0 unbounded
@@ -521,7 +554,7 @@ type streamShard struct {
 func newStreamShard(bound, maxPreds int) *streamShard {
 	return &streamShard{
 		preds:    make(map[tagset.Key]*streamPredictor),
-		periods:  make(map[int64]*topselect.Table[Event]),
+		periods:  make(map[int64]*eventTable),
 		bound:    bound,
 		maxPreds: maxPreds,
 		floor:    math.MinInt64,
@@ -576,19 +609,21 @@ func (sh *streamShard) observe(alpha float64, period int64, key tagset.Key, c ja
 		Rising:    rising,
 		CN:        c.CN,
 	}
-	sh.record(period, key, ev)
+	sh.record(ev)
 	return ev, true, false, false
 }
 
-// record stores ev in the period's table, whose heap keeps the period's
+// record stores ev in its period's table, whose heap keeps the period's
 // best events.
-func (sh *streamShard) record(period int64, key tagset.Key, ev Event) {
-	t := sh.periods[period]
+func (sh *streamShard) record(ev Event) {
+	t := sh.periods[ev.Period]
 	if t == nil {
-		t = topselect.NewTable(sh.bound, 0, compareScores)
-		sh.periods[period] = t
+		t = topselect.NewTable(sh.bound, 0, 0, compareScores)
+		sh.periods[ev.Period] = t
 	}
-	if t.Put(key, ev) {
+	v := scoredEvent{Period: ev.Period, Predicted: ev.Predicted, Observed: ev.Observed,
+		Score: ev.Score, Rising: ev.Rising, CN: ev.CN}
+	if t.Put(t.Find(topselect.Fold(ev.Tags), ev.Tags), ev.Tags, v) {
 		sh.rebuilds++
 	}
 }

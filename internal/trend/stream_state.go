@@ -110,9 +110,7 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 		pe := PeriodTrendEvents{Period: p}
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			for _, ev := range sh.periods[p].Values() {
-				pe.Events = append(pe.Events, ev)
-			}
+			pe.Events = appendEvents(pe.Events, sh.periods[p])
 			sh.mu.Unlock()
 		}
 		tagset.SortBy(pe.Events, func(ev Event) tagset.Set { return ev.Tags })
@@ -147,10 +145,9 @@ func (s *Stream) ImportState(st StreamState) {
 	}
 	for _, pe := range st.Periods {
 		for _, ev := range pe.Events {
-			key := ev.Tags.Key()
-			sh := s.shardOf(key)
+			sh := s.shards[ev.Tags.KeyHash()&s.mask]
 			sh.mu.Lock()
-			sh.record(pe.Period, key, ev)
+			sh.record(ev)
 			sh.mu.Unlock()
 		}
 	}
