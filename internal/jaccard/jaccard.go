@@ -19,9 +19,10 @@
 // sort; Centralized.Report does. Count, UnionCount and Jaccard are the
 // single-set definitional path the report is tested against.
 //
-// Counters are keyed by a tagset.Fold of their tags, not by a key string,
-// and every hit is confirmed against the tags, so counting allocates nothing
-// per subset and a fold collision costs a longer probe, never a wrong count.
+// Counters are indexed by a tagset.Fold of their tags in a tagset.FoldIndex,
+// not by a key string, and every hit is confirmed against the tags, so
+// counting allocates nothing per subset and a collision costs a longer
+// probe, never a wrong count.
 //
 // The same table fed with unrestricted tagsets is the exact centralized
 // baseline of Section 8.2.3.
@@ -57,16 +58,12 @@ var foldTag = tagset.FoldTag
 // of observations containing that subset. It is not safe for concurrent use;
 // each Calculator owns one.
 //
-// A table never deletes one counter, only all of them (Reset). That is what
-// makes the probe chains exact: a chain is the keys fold, fold.Next(), …
-// up to the first key absent from index, and no key in the middle of a
-// chain is ever removed, so a lookup that stops at an absent key has seen
-// every counter that could hold its tags.
+// A table never deletes one counter, only all of them (Reset), so its
+// FoldIndex is exact (see tagset.FoldIndex).
 type CounterTable struct {
-	// index maps a counter's key (the fold of its tags, advanced along its
-	// probe chain) to its slot in counters. Keys and values hold no
-	// pointers, so the GC does not scan the map.
-	index    map[tagset.Fold]int32
+	// index maps the fold of a counter's tags to its slot in counters. It
+	// holds no pointer, so the GC does not scan it.
+	index    tagset.FoldIndex
 	counters []counter
 	// arena holds the tags of every root back to back. A document creates
 	// counters only if its whole tagset is new (a counter's subsets all
@@ -100,7 +97,7 @@ type counter struct {
 
 // NewCounterTable returns an empty table.
 func NewCounterTable() *CounterTable {
-	return &CounterTable{index: make(map[tagset.Fold]int32)}
+	return &CounterTable{}
 }
 
 // Observe records one document carrying tagset s, incrementing the counter
@@ -120,7 +117,7 @@ func (ct *CounterTable) Observe(s tagset.Set) {
 	off := -1 // s's offset in the arena once a counter needs it
 	full := uint32(1)<<n - 1
 	for mask := uint32(1); mask <= full; mask++ {
-		i, key := ct.lookup(folds[mask], s, mask)
+		i := ct.lookup(folds[mask], s, mask)
 		if i >= 0 {
 			ct.counters[i].n++
 			continue
@@ -130,7 +127,7 @@ func (ct *CounterTable) Observe(s tagset.Set) {
 			ct.arena = append(ct.arena, s...)
 		}
 		i = int32(len(ct.counters))
-		ct.index[key] = i
+		ct.index.Insert(folds[mask], i)
 		ct.counters = append(ct.counters, counter{n: 1, off: uint32(off), mask: mask})
 		if mask&(mask-1) != 0 {
 			ct.multi++
@@ -160,23 +157,10 @@ func (ct *CounterTable) foldSubsets(tags []tagset.Tag) []tagset.Fold {
 	return f
 }
 
-// lookup finds the counter of the subset of tags that mask selects, whose
-// fold is key. It returns the counter's slot and key, or -1 and the key at
-// the end of the probe chain, where the counter belongs.
-func (ct *CounterTable) lookup(key tagset.Fold, tags []tagset.Tag, mask uint32) (int32, tagset.Fold) {
-	for probes := 0; ; probes++ {
-		i, ok := ct.index[key]
-		if !ok {
-			return -1, key
-		}
-		if ct.holds(i, tags, mask) {
-			return i, key
-		}
-		if probes >= len(ct.counters) {
-			panic("jaccard: probe chain longer than the table")
-		}
-		key = key.Next()
-	}
+// lookup returns the slot of the counter of the subset of tags that mask
+// selects, whose fold is f, or -1 when the table has none.
+func (ct *CounterTable) lookup(f tagset.Fold, tags []tagset.Tag, mask uint32) int32 {
+	return ct.index.Find(f, func(i int32) bool { return ct.holds(i, tags, mask) })
 }
 
 // holds reports whether counter i counts exactly the subset of tags that
@@ -211,7 +195,7 @@ func (ct *CounterTable) Count(s tagset.Set) int64 {
 	for _, t := range s {
 		key = key.Add(foldTag(t))
 	}
-	if i, _ := ct.lookup(key, s, uint32(1)<<len(s)-1); i >= 0 {
+	if i := ct.lookup(key, s, uint32(1)<<len(s)-1); i >= 0 {
 		return ct.counters[i].n
 	}
 	return 0
@@ -301,7 +285,7 @@ func (ct *CounterTable) transform(out []Coefficient, r int32, n int, minCN int64
 	slot, sum := ct.slot, ct.sum
 	sum[0] = 0
 	for mask := 1; mask < size; mask++ {
-		i, _ := ct.lookup(folds[mask], root, uint32(mask))
+		i := ct.lookup(folds[mask], root, uint32(mask))
 		slot[mask] = i
 		if bits.OnesCount(uint(mask))%2 == 1 {
 			sum[mask] = ct.counters[i].n
@@ -339,7 +323,7 @@ func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Reset deletes all counters, as the Calculator does after each report.
 func (ct *CounterTable) Reset() {
-	clear(ct.index)
+	ct.index.Reset()
 	ct.counters = ct.counters[:0]
 	ct.arena = ct.arena[:0]
 	for n := range ct.roots {

@@ -149,3 +149,34 @@ func BenchmarkTrackerReport(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTrackerLookup times the point read behind /pairs: 16 shards, two
+// retained periods of 60 000 coefficients each (distinct random pairs), and
+// Lookup cycling over 1 000 keys of the newest period, so every call is a
+// hit in the shard's newest table.
+func BenchmarkTrackerLookup(b *testing.B) {
+	const n = 60_000
+	tr := NewTrackerWith(16, 128, 0)
+	rng := rand.New(rand.NewSource(42))
+	var keys []tagset.Key
+	for p := int64(0); p < 2; p++ {
+		cs := make([]jaccard.Coefficient, n)
+		for i := range cs {
+			a := tagset.Tag(rng.Intn(1 << 24))
+			cs[i] = jaccard.Coefficient{Tags: tagset.New(a, a+1+tagset.Tag(rng.Intn(1<<10))), J: rng.Float64(), CN: int64(1 + rng.Intn(50))}
+		}
+		tr.Execute(coeffBatchTuple(p, cs...), nil)
+		if p == 1 {
+			for _, c := range cs[:1000] {
+				keys = append(keys, c.Tags.Key())
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := tr.Lookup(keys[i%len(keys)]); !ok {
+			b.Fatalf("key %d not found", i%len(keys))
+		}
+	}
+}

@@ -245,10 +245,16 @@ func TestMetricsScrapeDuringSaturatedRun(t *testing.T) {
 		t.Error(err)
 	}
 
+	// Ingest must still advance after the scrapes: poll the counter under
+	// a generous deadline rather than judge one fixed sleep.
 	before := pipe.Snapshot(1).DocsProcessed
-	time.Sleep(100 * time.Millisecond)
-	if after := pipe.Snapshot(1).DocsProcessed; after <= before {
-		t.Errorf("ingest stalled during scrapes: %d then %d docs", before, after)
+	after := before
+	for deadline := time.Now().Add(10 * time.Second); after <= before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		after = pipe.Snapshot(1).DocsProcessed
+	}
+	if after <= before {
+		t.Errorf("ingest stalled during scrapes: %d docs, and still %d after 10 s", before, after)
 	}
 	stop()
 	h.Wait()

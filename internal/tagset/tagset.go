@@ -359,15 +359,112 @@ func FoldTag(t Tag) Fold {
 // Add returns the fold of the union of two disjoint sets folded to f and g.
 func (f Fold) Add(g Fold) Fold { return Fold{A: f.A + g.A, B: f.B + g.B} }
 
-// Next is the probe rule of every table keyed by Fold: an entry whose fold
-// is taken by another entry's is stored under f.Next(), then
-// f.Next().Next(), and so on. The step is odd, so a chain never revisits a
-// key. A table that never deletes a single entry can stop a lookup at the
-// first key absent from its index: no key in the middle of a chain is ever
-// removed, so the lookup has seen every entry that could hold its tags.
-func (f Fold) Next() Fold { return Fold{A: f.A + probeStep, B: f.B} }
+// FoldIndex is an open-addressed index from a Fold to an int32 slot in
+// its caller's own entries, for tables that store each entry's tags and can
+// confirm a hit against them. It never hashes a fold again: a bucket is one
+// word, fp<<32 | (slot+1), where fp is the fold's low 32 bits (uint32(f.A)),
+// and 0 marks an empty bucket. A fold's home bucket is fp·0x9e3779b1 in its
+// top log2(len) bits (Fibonacci hashing), and a probe walks on linearly.
+// Equal fingerprints are only candidates: Find confirms each one through
+// its caller, so a collision, of folds or of fingerprints, costs a longer
+// probe and never a wrong slot.
+//
+// The index never empties one bucket, only all of them (Reset). That makes
+// a miss exact: an entry sits somewhere in the run from its home bucket to
+// the first empty bucket after it, and Find stops only at an empty bucket,
+// so it has seen every entry that could hold the tags. The index fills to
+// at most 3/4 of its buckets and then doubles; growth re-homes every bucket
+// from its fp alone. The zero value is an empty index. A FoldIndex is not
+// safe for concurrent use.
+type FoldIndex struct {
+	buckets []uint64
+	n       int  // entries
+	shift   uint // 32 − log2(len(buckets))
+}
 
-const probeStep = 0x9e3779b97f4a7c15
+// NewFoldIndex returns an empty index presized to hold n entries before it
+// grows.
+func NewFoldIndex(n int) FoldIndex {
+	var x FoldIndex
+	if n > 0 {
+		x.alloc(n)
+	}
+	return x
+}
+
+// alloc replaces the buckets by empty ones, the fewest (a power of two, at
+// least 8) that hold n entries within the 3/4 load.
+func (x *FoldIndex) alloc(n int) {
+	size := 8
+	for 3*size < 4*n {
+		size *= 2
+	}
+	x.buckets = make([]uint64, size)
+	x.shift = uint(32 - bits.TrailingZeros(uint(size)))
+}
+
+// home returns the first bucket of the probe run for fingerprint fp.
+func (x *FoldIndex) home(fp uint32) int { return int(fp * 0x9e3779b1 >> x.shift) }
+
+// Find returns the first slot stored under a fingerprint equal to f's that
+// eq confirms, or −1 when there is none. eq is called only on fingerprint
+// matches and must compare the slot's tags with the ones being looked up.
+func (x *FoldIndex) Find(f Fold, eq func(slot int32) bool) int32 {
+	if x.n == 0 { // the zero value has no buckets to probe
+		return -1
+	}
+	fp := uint32(f.A)
+	last := len(x.buckets) - 1
+	for i := x.home(fp); ; i = (i + 1) & last {
+		b := x.buckets[i]
+		if b == 0 {
+			return -1
+		}
+		if uint32(b>>32) == fp {
+			if slot := int32(uint32(b)) - 1; eq(slot) {
+				return slot
+			}
+		}
+	}
+}
+
+// Insert stores slot (>= 0) under f. Call it only after Find missed for the
+// same tags: the index does not look for an entry already there.
+func (x *FoldIndex) Insert(f Fold, slot int32) {
+	if 4*(x.n+1) > 3*len(x.buckets) {
+		x.grow()
+	}
+	x.n++
+	x.place(uint64(uint32(f.A))<<32 | uint64(slot+1))
+}
+
+// place puts bucket word b in the first empty bucket of its probe run.
+func (x *FoldIndex) place(b uint64) {
+	last := len(x.buckets) - 1
+	i := x.home(uint32(b >> 32))
+	for x.buckets[i] != 0 {
+		i = (i + 1) & last
+	}
+	x.buckets[i] = b
+}
+
+// grow doubles the buckets (or makes the first 8), the fewest that hold one
+// more entry, and re-homes every entry by its fingerprint.
+func (x *FoldIndex) grow() {
+	old := x.buckets
+	x.alloc(x.n + 1)
+	for _, b := range old {
+		if b != 0 {
+			x.place(b)
+		}
+	}
+}
+
+// Reset empties the index and keeps its buckets.
+func (x *FoldIndex) Reset() {
+	clear(x.buckets)
+	x.n = 0
+}
 
 // mix64 is the splitmix64 finalizer, a bijection of uint64 whose output
 // bits each depend on every input bit.

@@ -22,14 +22,13 @@ func Fold(s tagset.Set) tagset.Fold {
 // Table holds one period's values of one shard by tagset, plus a bounded
 // min-heap over them.
 //
-// Layout: the index maps a tagset's fold (Fold, advanced along its probe
-// chain by tagset.Fold.Next) to the entry's slot; each entry holds the
-// offset and length of its tags in one arena, where the tags of all
-// entries sit back to back, and its value; the heap holds slots. None of
-// these holds a pointer as long as V holds none, so the GC never traces a
-// retained entry. A fold hit is confirmed against the arena tags, and a
-// mismatch probes the next key of the chain. That is exact because a table
-// never deletes a single entry, only the whole table (see Fold.Next).
+// Layout: the index (a tagset.FoldIndex) maps a tagset's fold (Fold) to
+// the entry's slot; each entry holds the offset and length of its tags in
+// one arena, where the tags of all entries sit back to back, and its value;
+// the heap holds slots. None of these holds a pointer as long as V holds
+// none, so the GC never traces a retained entry. Every index candidate is
+// confirmed against the arena tags. That is exact because a table never
+// deletes a single entry, only the whole table (see tagset.FoldIndex).
 //
 // Tags handed out (Entry) are capped sub-slices of the arena: appending to
 // one copies it, and the arena only ever grows by append, so a slice
@@ -46,7 +45,7 @@ func Fold(s tagset.Set) tagset.Fold {
 // heap from its entries. A Table is not safe for concurrent use; its
 // shard's lock guards it.
 type Table[V any] struct {
-	index   map[tagset.Fold]int32
+	index   tagset.FoldIndex
 	entries []entry[V]
 	arena   []tagset.Tag
 	top     []int32 // heap of slots; the root ranks last among them
@@ -61,11 +60,11 @@ type entry[V any] struct {
 	v      V
 }
 
-// Pos is where Find located a tagset: its slot, or, when the table does
-// not hold it, the key at the end of its probe chain, where Put stores it.
+// Pos is where Find located a tagset: its slot, and its fold, under which
+// Put indexes it when the table does not hold it.
 type Pos struct {
 	slot int32 // -1 when absent
-	key  tagset.Fold
+	fold tagset.Fold
 }
 
 // NewTable returns an empty table whose heap keeps the best bound (>= 1)
@@ -74,7 +73,7 @@ type Pos struct {
 // arena for tags tags in all, and the heap for bound.
 func NewTable[V any](bound, entries, tags int, rank func(a, b V) int) *Table[V] {
 	return &Table[V]{
-		index:   make(map[tagset.Fold]int32, entries),
+		index:   tagset.NewFoldIndex(entries),
 		entries: make([]entry[V], 0, entries),
 		arena:   make([]tagset.Tag, 0, tags),
 		top:     make([]int32, 0, bound),
@@ -131,21 +130,13 @@ func (t *Table[V]) Writes() uint64 {
 // Find locates s, whose fold is f (Fold(s)). A nil table holds nothing.
 func (t *Table[V]) Find(f tagset.Fold, s tagset.Set) Pos {
 	if t == nil {
-		return Pos{slot: -1, key: f}
+		return Pos{slot: -1, fold: f}
 	}
-	for probes := 0; ; probes++ {
-		i, ok := t.index[f]
-		if !ok {
-			return Pos{slot: -1, key: f}
-		}
-		if e := &t.entries[i]; slices.Equal(t.arena[e.off:e.off+e.n], s) {
-			return Pos{slot: i, key: f}
-		}
-		if probes >= len(t.entries) {
-			panic("topselect: probe chain longer than the table")
-		}
-		f = f.Next()
-	}
+	slot := t.index.Find(f, func(i int32) bool {
+		e := &t.entries[i]
+		return slices.Equal(t.arena[e.off:e.off+e.n], s)
+	})
+	return Pos{slot: slot, fold: f}
 }
 
 // Slot returns the slot Find found the tagset in, or false when the table
@@ -163,7 +154,7 @@ func (t *Table[V]) Put(p Pos, s tagset.Set, v V) (rebuilt bool) {
 		slot := int32(len(t.entries))
 		t.entries = append(t.entries, entry[V]{off: uint32(len(t.arena)), n: uint32(len(s)), v: v})
 		t.arena = append(t.arena, s...)
-		t.index[p.key] = slot
+		t.index.Insert(p.fold, slot)
 		t.offer(slot)
 		return false
 	}
