@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
 
 	"repro/internal/jaccard"
 	"repro/internal/tagset"
@@ -271,3 +272,22 @@ func compactName(from, to int64) string { return fmt.Sprintf("compact-%d-%d.seg"
 // authority for which compacted files exist and which periods each one
 // contains; it is only ever replaced whole via temp+rename.
 const manifestName = "MANIFEST"
+
+// syncDir fsyncs the directory dir, which makes the renames done in it
+// durable: a rename that publishes a file is a change to its directory,
+// and until that is on disk a power failure can undo it. Every temp+rename
+// publish calls it before anything the new file supersedes is deleted.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("archive: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("archive: sync %s: %w", dir, err)
+	}
+	return nil
+}

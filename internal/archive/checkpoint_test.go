@@ -2,6 +2,8 @@ package archive
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -135,5 +137,120 @@ func TestCheckpointReadsV1(t *testing.T) {
 	want.Seq = 1
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("v1 checkpoint differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCheckpointReadsV2 loads a version-2 file, written from
+// richCheckpoint by the encoder this package used before version 3 (the
+// Tracker periods in fixed-width binary, the rest in gob), into the
+// checkpoint it was written from.
+func TestCheckpointReadsV2(t *testing.T) {
+	path := filepath.Join("testdata", "checkpoint-v2.ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != ckptV2 {
+		t.Fatalf("fixture is version %d, want %d", v, ckptV2)
+	}
+	got, err := readCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := richCheckpoint()
+	want.Seq = 2
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("v2 checkpoint differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCheckpointRejectsCorruptSections loads every damaged copy of a
+// version-3 file that corruptCheckpoints derives (the fuzz target's seeds)
+// and requires each to fail: torn at a section boundary, a bad section
+// CRC, a section past the end, an unknown id, a repeated section or
+// period.
+func TestCheckpointRejectsCorruptSections(t *testing.T) {
+	v3 := encodeCheckpoint(richCheckpoint())
+	if _, err := decodeCheckpoint(v3); err != nil {
+		t.Fatalf("intact file: %v", err)
+	}
+	bad := corruptCheckpoints(v3)
+	if len(bad) < 8 {
+		t.Fatalf("%d corruptions, want one of each kind", len(bad))
+	}
+	for _, c := range bad {
+		if cp, err := decodeCheckpoint(c.data); err == nil {
+			t.Errorf("%s: loaded %+v", c.name, cp)
+		}
+	}
+}
+
+// benchCheckpointState is BenchmarkWriteCheckpoint's state: 8 Tracker
+// periods of 48 000 coefficients (pairs and triples over 20 000 tags),
+// 100 000 trend predictors and a dictionary of 20 000 tags.
+func benchCheckpointState() (periods [][]jaccard.Coefficient, preds []trend.TrendPredictor, dict []string) {
+	rng := rand.New(rand.NewSource(1))
+	set := func() tagset.Set {
+		a := tagset.Tag(rng.Intn(20000))
+		if rng.Intn(4) == 0 {
+			return tagset.New(a, a+1+tagset.Tag(rng.Intn(50)), a+60+tagset.Tag(rng.Intn(50)))
+		}
+		return tagset.New(a, a+1+tagset.Tag(rng.Intn(100)))
+	}
+	periods = make([][]jaccard.Coefficient, 8)
+	for i := range periods {
+		periods[i] = make([]jaccard.Coefficient, 48000)
+		for j := range periods[i] {
+			periods[i][j] = jaccard.Coefficient{Tags: set(), J: rng.Float64(), CN: int64(1 + rng.Intn(100))}
+		}
+	}
+	preds = make([]trend.TrendPredictor, 100000)
+	for i := range preds {
+		preds[i] = trend.TrendPredictor{Tags: set(), Expectation: rng.Float64(), Base: rng.Float64(),
+			Period: int64(1 + rng.Intn(8)), Seen: 1 + rng.Intn(8)}
+	}
+	dict = make([]string, 20000)
+	for i := range dict {
+		dict[i] = fmt.Sprintf("tag-%d", i)
+	}
+	return periods, preds, dict
+}
+
+// BenchmarkWriteCheckpoint writes checkpoints of benchCheckpointState
+// through one Writer as the pipeline's checkpoint writer does: before each
+// write 2 of the 8 Tracker periods take writes, so their sections are
+// encoded afresh and the other 6 are written from the section cache; the
+// predictors, encoded in full every time, and the fsync are included.
+func BenchmarkWriteCheckpoint(b *testing.B) {
+	periods, preds, dict := benchCheckpointState()
+	w, err := OpenWriter(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	writes := make([]uint64, len(periods))
+	build := func(c *SectionCache) *Checkpoint {
+		cp := &Checkpoint{ReplayPeriod: int64(len(periods) + 1), Dict: dict,
+			Trend: &trend.StreamState{Predictors: preds}}
+		for i, coeffs := range periods {
+			pc := operators.PeriodCoefficients{Period: int64(i + 1)}
+			if !c.TrackerPeriod(pc.Period, writes[i]) {
+				pc.Coeffs = coeffs
+			}
+			cp.Tracker.Periods = append(cp.Tracker.Periods, pc)
+		}
+		return cp
+	}
+	if err := w.WriteCheckpointFrom(build); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		writes[(2*i)%len(periods)]++
+		writes[(2*i+1)%len(periods)]++
+		if err := w.WriteCheckpointFrom(build); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

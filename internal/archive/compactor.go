@@ -127,7 +127,9 @@ func readManifestDir(dir string) (*manifest, error) {
 	return m, nil
 }
 
-// writeManifestDir publishes m as dir's manifest via temp+rename+fsync.
+// writeManifestDir publishes m as dir's manifest via temp+rename+fsync,
+// the directory's fsync included, so a caller may delete what the new
+// manifest supersedes as soon as it returns.
 func writeManifestDir(dir string, m *manifest) error {
 	var buf bytes.Buffer
 	buf.WriteString(manMagic)
@@ -148,7 +150,7 @@ func writeManifestDir(dir string, m *manifest) error {
 		os.Remove(tmp)
 		return fmt.Errorf("archive: %w", err)
 	}
-	return nil
+	return syncDir(dir)
 }
 
 // writeFileSync writes data to path and fsyncs before returning.
@@ -431,6 +433,9 @@ func (c *Compactor) compactBatch(m *manifest, periods []int64) error {
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("archive: %w", err)
+	}
+	if err := syncDir(c.dir); err != nil {
+		return err
 	}
 
 	m.entries = append(m.entries, compactEntry{file: name, from: from, to: to, periods: append([]int64(nil), periods...)})

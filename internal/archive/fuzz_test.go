@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -139,40 +140,42 @@ func FuzzSegmentRecord(f *testing.F) {
 
 // FuzzReadCheckpoint throws arbitrary bytes at the checkpoint decoder:
 // checkpoint files come from disk, so it must accept anything. With
-// reframe set, the input's length and CRC fields are rewritten first, so
-// mutations of a payload get past the frame check and reach the period and
-// gob decoders. Checked invariants:
+// reframe set, the input's length and CRC fields are rewritten first
+// (reframeCheckpoint), so mutations of a payload get past the frame and
+// section checks and reach the section, period and gob decoders. Checked
+// invariants:
 //
 //   - decoding never panics;
 //   - every count is bounded by the bytes left, so a corrupt count cannot
 //     make the decode allocate more than a small multiple of the input
-//     (plus gob's bounded read chunk);
-//   - an input that validates re-writes to a file that loads back to the
-//     same checkpoint.
+//     (plus gob's bounded read chunk, for versions 1 and 2);
+//   - an input that validates re-writes to a version-3 file that loads
+//     back to the same checkpoint.
 func FuzzReadCheckpoint(f *testing.F) {
-	v2, err := encodeCheckpoint(richCheckpoint())
-	if err != nil {
-		f.Fatal(err)
+	v3 := encodeCheckpoint(richCheckpoint())
+	var old []byte
+	for _, name := range []string{"checkpoint-v1.ckpt", "checkpoint-v2.ckpt"} {
+		var err error
+		if old, err = os.ReadFile(filepath.Join("testdata", name)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old, false)
+		f.Add(old, true)
 	}
-	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v1.ckpt"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2, false)
-	f.Add(v1, false)
-	f.Add(v2[:len(v2)-1], false) // torn tail
-	f.Add(v2, true)
-	f.Add(v1, true)
-	huge := slices.Clone(v2) // a period count far beyond the payload
+	huge := slices.Clone(old) // a v2 period count far beyond the payload
 	binary.LittleEndian.PutUint32(huge[ckptHeaderLen:], 1<<31)
 	f.Add(huge, true)
+	f.Add(v3, false)
+	f.Add(v3, true)
+	for _, bad := range corruptCheckpoints(v3) {
+		f.Add(bad.data, false)
+		f.Add(bad.data, true)
+	}
 	f.Add([]byte{}, false)
 
 	f.Fuzz(func(t *testing.T, data []byte, reframe bool) {
-		if reframe && len(data) >= ckptHeaderLen {
-			data = slices.Clone(data)
-			binary.LittleEndian.PutUint64(data[12:], uint64(len(data)-ckptHeaderLen))
-			binary.LittleEndian.PutUint32(data[20:], crc32.ChecksumIEEE(data[ckptHeaderLen:]))
+		if reframe {
+			data = reframeCheckpoint(data)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -186,10 +189,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := encodeCheckpoint(cp)
-		if err != nil {
-			t.Fatalf("re-write: %v", err)
-		}
+		again := slices.Clone(encodeCheckpoint(cp))
 		back, err := decodeCheckpoint(again)
 		if err != nil {
 			t.Fatalf("re-written checkpoint does not load: %v", err)
@@ -197,14 +197,94 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if reflect.DeepEqual(back, cp) {
 			return
 		}
-		// DeepEqual is false for a NaN, and for an empty non-nil slice a
-		// crafted gob part can carry, which gob writes back as nil. The
+		// DeepEqual is false for a NaN, for an empty non-nil slice a crafted
+		// gob part can carry, which a re-write loads back as nil, and for a
+		// v1 or v2 trend event whose period is not its period's. The
 		// re-written bytes decide then: loading and re-writing them must
 		// reproduce them exactly.
-		if again2, err := encodeCheckpoint(back); err != nil || !bytes.Equal(again2, again) {
+		if again2 := encodeCheckpoint(back); !bytes.Equal(again2, again) {
 			t.Fatalf("re-written checkpoint loads to a different one:\n got %+v\nwant %+v", back, cp)
 		}
 	})
+}
+
+// reframeCheckpoint returns a copy of data with its length field
+// rewritten and its CRCs recomputed: for a version-3 file, every section
+// CRC whose row lies inside the file and then the table CRC; for an older
+// one, the payload CRC.
+func reframeCheckpoint(data []byte) []byte {
+	if len(data) < ckptHeaderLen {
+		return data
+	}
+	data = slices.Clone(data)
+	le := binary.LittleEndian
+	le.PutUint64(data[12:], uint64(len(data)-ckptHeaderLen))
+	if le.Uint32(data[8:]) != ckptVersion {
+		le.PutUint32(data[20:], crc32.ChecksumIEEE(data[ckptHeaderLen:]))
+		return data
+	}
+	if len(data) < ckptHeaderLen+4 {
+		return data
+	}
+	n := uint64(le.Uint32(data[ckptHeaderLen:]))
+	if n > uint64((len(data)-ckptHeaderLen-4)/ckptRowLen) {
+		return data
+	}
+	tableEnd := ckptHeaderLen + 4 + int(n)*ckptRowLen
+	for i := range int(n) {
+		row := data[ckptHeaderLen+4+i*ckptRowLen:]
+		if off, size := le.Uint64(row[10:]), le.Uint64(row[18:]); off <= uint64(len(data)) && size <= uint64(len(data))-off {
+			le.PutUint32(row[26:], crc32.ChecksumIEEE(data[off:off+size]))
+		}
+	}
+	le.PutUint32(data[20:], crc32.ChecksumIEEE(data[ckptHeaderLen:tableEnd]))
+	return data
+}
+
+// corruptCheckpoint is one way a version-3 file can be damaged.
+type corruptCheckpoint struct {
+	name string
+	data []byte
+}
+
+// corruptCheckpoints derives damaged copies of a valid version-3 file v3:
+// torn at every section boundary and one byte short of the end, a section
+// whose bytes no longer match its CRC, and — with the table CRC
+// recomputed, so that only the section check can object — a section whose
+// offset or size runs past the end, one with an unknown id, a repeated
+// section and a repeated period.
+func corruptCheckpoints(v3 []byte) []corruptCheckpoint {
+	le := binary.LittleEndian
+	n := int(le.Uint32(v3[ckptHeaderLen:]))
+	tableEnd := ckptHeaderLen + 4 + n*ckptRowLen
+	row := func(data []byte, i int) []byte { return data[ckptHeaderLen+4+i*ckptRowLen:] }
+	var out []corruptCheckpoint
+	for i := range n {
+		if off := le.Uint64(row(v3, i)[10:]); off < uint64(len(v3)) {
+			out = append(out, corruptCheckpoint{fmt.Sprintf("torn before section %d", i), v3[:off]})
+		}
+	}
+	out = append(out, corruptCheckpoint{"torn tail", v3[:len(v3)-1]})
+	flipped := slices.Clone(v3)
+	flipped[tableEnd] ^= 0xff // the first byte of the first section
+	out = append(out, corruptCheckpoint{"bad section CRC", flipped})
+	edit := func(name string, fn func(data []byte)) {
+		data := slices.Clone(v3)
+		fn(data)
+		le.PutUint32(data[20:], crc32.ChecksumIEEE(data[ckptHeaderLen:tableEnd]))
+		out = append(out, corruptCheckpoint{name, data})
+	}
+	edit("offset past the end", func(data []byte) { le.PutUint64(row(data, n-1)[10:], uint64(len(data)+1)) })
+	edit("size past the end", func(data []byte) { le.PutUint64(row(data, n-1)[18:], 1<<40) })
+	edit("unknown section id", func(data []byte) { le.PutUint16(row(data, n-1), 99) })
+	edit("repeated section", func(data []byte) { le.PutUint16(row(data, 1), secCursor) })
+	for i := 1; i < n; i++ {
+		if id := le.Uint16(row(v3, i)); id == secPeriod && le.Uint16(row(v3, i-1)) == secPeriod {
+			edit("repeated period", func(data []byte) { copy(row(data, i)[2:10], row(data, i-1)[2:10]) })
+			break
+		}
+	}
+	return out
 }
 
 // TestDecodeSegmentTornTail pins the torn-tail contract on the real

@@ -23,14 +23,15 @@ const maxOpenSegments = 8
 // detector (AppendEvent, SealPeriod) and is safe for concurrent use.
 //
 // Two mutexes, taken in this order: ckptMu serialises checkpoint writes
-// (encode, write, fsync, rename, retention) and is held by nothing else
-// but Close; mu guards the open segments and the sequence number, and is
+// (build, encode, write, fsync, rename, retention) and is held by nothing
+// else but Close; mu guards the open segments and the sequence number, and is
 // held only for short appends and flushes, so a checkpoint being written
 // never stalls an append.
 type Writer struct {
 	dir string
 
-	ckptMu sync.Mutex
+	ckptMu   sync.Mutex
+	sections SectionCache // the checkpoint encoder; guarded by ckptMu
 
 	mu     sync.Mutex
 	open   map[int64]*segFile

@@ -112,10 +112,8 @@ func (c *sourceCursor) cut(replayPeriod int64) (docsFed, replayFrom int64) {
 // freshly opened periods, a checkpoint is due. The hook runs on a
 // reporting task's goroutine — directly on the hot path — so it does
 // nothing but mark the due flag and wake the writer goroutine, which
-// builds the snapshot and writes it off the hot path (buildCheckpoint
-// only touches mutex-protected state; the synchronous Checkpoint path
-// already calls it from arbitrary goroutines). Dues arriving while the
-// writer is busy coalesce into one — each snapshot is a complete
+// builds the snapshot and writes it off the hot path. Dues arriving while
+// the writer is busy coalesce into one — each snapshot is a complete
 // recovery point, so under pressure the periodic cadence degrades to the
 // writer's pace instead of stalling ingest. Write errors are remembered
 // for ArchiveErr rather than propagated into the dataflow.
@@ -139,30 +137,53 @@ func (p *Pipeline) onPeriodOpen(period int64) {
 	p.ckptStallNS.Add(time.Since(start).Nanoseconds())
 }
 
-// buildCheckpoint snapshots the restartable state: every sealed reporting
-// period, the partitioning layer, the tag dictionary and the source
-// cursor. The exports deep-copy everything mutable (tagset backing arrays
-// are immutable by package contract), so the returned checkpoint can be
-// encoded on another goroutine while the pipeline keeps running.
-func (p *Pipeline) buildCheckpoint() *archive.Checkpoint {
-	// Cut strictly before the newest period the Tracker knows: that period
-	// may still be partially flushed (other Calculators get to it when
-	// their next notification arrives), so it is replayed, not persisted.
-	cut, ok := p.tracker.NewestPeriod()
-	if !ok {
-		cut = math.MaxInt64 // nothing flushed yet: export the empty state
+// buildCheckpoint snapshots the restartable state as one cut: every sealed
+// reporting period, the trend detector, the partitioning layer, the tag
+// dictionary and the source cursor. It runs inside the archive Writer's
+// checkpoint write (writeCheckpoint), whose section cache it consults, so
+// a Tracker or trend-event period unchanged since the last checkpoint is
+// neither gathered nor encoded again. The exports copy everything mutable
+// (tagset backing arrays are immutable by package contract).
+//
+// The cut is the newest period the Tracker knows: that period may still be
+// partially flushed (other Calculators get to it when their next
+// notification arrives), so it is replayed, not persisted. It is read
+// while the trend detector's intake is paused (trend.Stream.ExportCut), so
+// the detector's export holds the observations below the cut and none
+// after it (DESIGN.md §Archive & recovery has the argument). The
+// dictionary is read after the exports, so it names every tag they hold;
+// it is append-only, so the names of the last build are kept and only the
+// tags interned since are added to them.
+func (p *Pipeline) buildCheckpoint(cache *archive.SectionCache) *archive.Checkpoint {
+	start := time.Now()
+	defer func() { p.ckptBuildHist.Record(time.Since(start)) }()
+	var cut int64
+	var flushed bool
+	readCut := func() int64 {
+		if cut, flushed = p.tracker.NewestPeriod(); !flushed {
+			cut = math.MaxInt64 // nothing flushed yet: export the empty state
+		}
+		return cut
 	}
-	cp := &archive.Checkpoint{
-		ReplayPeriod: cut,
-		Dict:         p.cfg.ArchiveDict.Snapshot(),
-		Tracker:      p.tracker.ExportState(cut),
-		Partitions:   p.merger.PartitionsSnapshot(),
-		Merges:       p.merger.MergeCount(),
+	cp := &archive.Checkpoint{}
+	if p.trends != nil {
+		st := p.trends.ExportCut(readCut, cache.TrendPeriod)
+		cp.Trend = &st
+	} else {
+		readCut()
 	}
-	if !ok {
-		cp.ReplayPeriod = 0
+	cp.Tracker = p.tracker.ExportStateReusing(cut, cache.TrackerPeriod)
+	if flushed {
+		cp.ReplayPeriod = cut
 	}
 	cp.DocsFed, cp.ReplayFrom = p.cursor.cut(cut)
+	dict := p.cfg.ArchiveDict
+	for t, n := len(p.ckptDict), dict.Len(); t < n; t++ {
+		p.ckptDict = append(p.ckptDict, dict.String(tagset.Tag(t)))
+	}
+	cp.Dict = p.ckptDict
+	cp.Partitions = p.merger.PartitionsSnapshot()
+	cp.Merges = p.merger.MergeCount()
 	for _, d := range p.disseminators {
 		if epoch, _ := d.Epoch(); epoch > cp.Epoch {
 			cp.Epoch = epoch
@@ -171,54 +192,32 @@ func (p *Pipeline) buildCheckpoint() *archive.Checkpoint {
 	if len(p.disseminators) > 0 {
 		cp.RefAvgCom, cp.RefMaxLoad, cp.HasRef = p.disseminators[0].QualityRefs()
 	}
-	if p.trends != nil {
-		st := p.trends.ExportState(cut)
-		cp.Trend = &st
-	}
 	return cp
 }
 
-// buildCheckpointTimed wraps buildCheckpoint with the build-latency
-// histogram (the state export + deep copy, not the encode or fsync).
-func (p *Pipeline) buildCheckpointTimed() *archive.Checkpoint {
-	start := time.Now()
-	cp := p.buildCheckpoint()
-	p.ckptBuildHist.Record(time.Since(start))
-	return cp
-}
-
-// ckptLoop is the dedicated checkpoint writer: it serves pending
-// synchronous snapshots and due periodic checkpoints — state export,
-// encode, fsync, rename all off the hot path — then wakes synchronous
-// Checkpoint callers. A pending snapshot takes priority over a due flag
-// (its write is newer state than the due that preceded it, so it covers
-// the due as well). It exits after closeCkptWriter, writing any final
-// pending snapshot first; a bare due flag is dropped at close because
-// the drain path checkpoints synchronously right before closing.
+// ckptLoop is the dedicated checkpoint writer: it serves requested and due
+// checkpoints — state export, encode, fsync, rename all off the hot path —
+// then wakes synchronous Checkpoint callers. One write covers every
+// request and due raised before it started. It exits after
+// closeCkptWriter, writing a final requested checkpoint first; a bare due
+// flag is dropped at close because the drain path checkpoints
+// synchronously right before closing.
 func (p *Pipeline) ckptLoop() {
 	defer close(p.ckptDone)
 	for {
 		p.ckptMu.Lock()
-		for p.ckptPending == nil && !p.ckptDue && !p.ckptClosed {
+		for p.ckptSeq == p.ckptWritten && !p.ckptDue && !p.ckptClosed {
 			p.ckptCond.Wait()
 		}
-		cp, seq := p.ckptPending, p.ckptSeq
-		p.ckptPending = nil
+		seq, requested := p.ckptSeq, p.ckptSeq > p.ckptWritten
 		p.ckptDue = false
 		closed := p.ckptClosed
 		p.ckptMu.Unlock()
 
-		if cp == nil && closed {
+		if !requested && closed {
 			return
 		}
-		start := time.Now()
-		if cp == nil {
-			// Periodic checkpoint: build here, off the hot path. No seq is
-			// involved — synchronous waiters are only ever satisfied by the
-			// write of an enqueued snapshot (or a newer one).
-			cp = p.buildCheckpointTimed()
-		}
-		err := p.writeCheckpoint(cp, start)
+		err := p.writeCheckpoint(time.Now())
 		if err != nil {
 			p.archMu.Lock()
 			if p.archErr == nil {
@@ -227,17 +226,15 @@ func (p *Pipeline) ckptLoop() {
 			p.archMu.Unlock()
 		}
 		p.ckptMu.Lock()
-		if seq > p.ckptWritten {
-			p.ckptWritten = seq
-		}
+		p.ckptWritten = seq
 		p.ckptErr = err
 		p.ckptCond.Broadcast()
 		p.ckptMu.Unlock()
 	}
 }
 
-// closeCkptWriter stops the writer goroutine, letting it drain a pending
-// snapshot first, and waits for it to exit. Idempotent.
+// closeCkptWriter stops the writer goroutine, letting it write a requested
+// checkpoint first, and waits for it to exit. Idempotent.
 func (p *Pipeline) closeCkptWriter() {
 	if p.ckptDone == nil {
 		return
@@ -256,25 +253,23 @@ func (p *Pipeline) closeCkptWriter() {
 // after the run — from any goroutine; the tagcorrd daemon calls it on
 // SIGTERM before draining, and the pipeline itself checkpoints every
 // Config.CheckpointEvery periods (asynchronously, via the period hook)
-// and once more when the run drains. If a newer snapshot supersedes this
-// one in the queue, its write satisfies the wait — the archived state is
-// then strictly newer than requested.
+// and once more when the run drains. The writer goroutine builds the
+// checkpoint after the call, so the archived state is at least as new as
+// the call; concurrent calls may share one write.
 func (p *Pipeline) Checkpoint() error {
 	if p.arch == nil {
 		return fmt.Errorf("core: archive not configured (Config.ArchiveDir)")
 	}
-	cp := p.buildCheckpointTimed()
 	p.ckptMu.Lock()
 	if p.ckptClosed {
 		p.ckptMu.Unlock()
 		// The writer goroutine is gone (the run drained). Write directly:
 		// during shutdown this still succeeds; after the archive closed it
 		// returns the writer-closed error, as it always has.
-		return p.writeCheckpoint(cp, time.Now())
+		return p.writeCheckpoint(time.Now())
 	}
 	p.ckptSeq++
 	seq := p.ckptSeq
-	p.ckptPending = cp
 	p.ckptCond.Broadcast()
 	for p.ckptWritten < seq {
 		p.ckptCond.Wait()
@@ -284,17 +279,22 @@ func (p *Pipeline) Checkpoint() error {
 	return err
 }
 
-// writeCheckpoint is the one checkpoint write: the checkpoint_begin flight
-// event, the encode + fsync + rename, and the accounting of a completed
-// write. began is when the work behind this checkpoint started — the
-// writer goroutine passes the moment it picked the checkpoint up, so the
-// cumulative write time includes a periodic checkpoint's build.
-func (p *Pipeline) writeCheckpoint(cp *archive.Checkpoint, began time.Time) error {
-	p.cfg.Flight.RecordEvent(flight.EventCheckpointBegin,
-		fmt.Sprintf("replay_period=%d docs_fed=%d", cp.ReplayPeriod, cp.DocsFed))
-	wstart := time.Now()
-	err := p.arch.WriteCheckpoint(cp)
-	took := time.Since(wstart)
+// writeCheckpoint is the one checkpoint write: the build, run inside the
+// archive Writer's checkpoint write so that it sees the section cache the
+// encode then uses, the checkpoint_begin flight event, the encode + fsync
+// + rename, and the accounting of a completed write. began is when the
+// work behind this checkpoint started, so the cumulative write time
+// includes the build; the write histogram records what follows it.
+func (p *Pipeline) writeCheckpoint(began time.Time) error {
+	built := began
+	err := p.arch.WriteCheckpointFrom(func(cache *archive.SectionCache) *archive.Checkpoint {
+		cp := p.buildCheckpoint(cache)
+		p.cfg.Flight.RecordEvent(flight.EventCheckpointBegin,
+			fmt.Sprintf("replay_period=%d docs_fed=%d", cp.ReplayPeriod, cp.DocsFed))
+		built = time.Now()
+		return cp
+	})
+	took := time.Since(built)
 	p.ckptWriteHist.Record(took)
 	p.ckptWriteNS.Add(time.Since(began).Nanoseconds())
 	p.ckptCount.Add(1)

@@ -105,23 +105,27 @@ type Pipeline struct {
 	periodsOpened int64
 
 	// The checkpoint writer goroutine: the period hook just marks a
-	// checkpoint due; ckptLoop builds the state snapshot and does the
-	// encode + fsync, all off the hot path. Synchronous Checkpoint callers
-	// enqueue a pre-built snapshot into the single pending slot instead.
-	// Both paths are single-flight, newest-wins: dues coalesce, a newer
-	// pending snapshot replaces an unwritten older one (each snapshot is a
-	// complete recovery point, so skipping a superseded one loses
-	// nothing). ckptWritten is the highest enqueue seq covered by a
-	// completed write; synchronous Checkpoint callers wait on it.
+	// checkpoint due, and a synchronous Checkpoint call requests one (its
+	// ckptSeq); ckptLoop builds the state snapshot and does the encode +
+	// fsync, all off the hot path. Dues and requests raised while a
+	// checkpoint is being written coalesce into the next one, whose build
+	// starts after all of them (each snapshot is a complete recovery point,
+	// so one write covers them all). ckptWritten is the highest request seq
+	// covered by a completed write; synchronous Checkpoint callers wait on
+	// it.
 	ckptMu      sync.Mutex
 	ckptCond    *sync.Cond
-	ckptPending *archive.Checkpoint
 	ckptDue     bool // a periodic checkpoint is due (coalesces)
 	ckptSeq     uint64
 	ckptWritten uint64
 	ckptErr     error // error of the most recent completed write
 	ckptClosed  bool
 	ckptDone    chan struct{}
+
+	// ckptDict is the archive dictionary's names as of the last checkpoint
+	// build; builds run one at a time, under the archive Writer's
+	// checkpoint mutex.
+	ckptDict []string
 
 	// ckptCount counts completed checkpoint writes. ckptStallNS is
 	// cumulative hot-path time: what the period hook spent marking

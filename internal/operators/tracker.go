@@ -55,10 +55,6 @@ type Tracker struct {
 	reg *topselect.Registry
 	lru *evictedLRU // nil when disabled
 
-	// exports is ExportState's copy of each retained period it has
-	// exported, reused while the period's tables are unchanged.
-	exports exportCache
-
 	// scratch is a free list of reportBatch's per-batch arrays, reused
 	// across batches; it holds one for each ingest that has run at once.
 	scratchMu sync.Mutex
@@ -138,10 +134,9 @@ func NewTrackerWith(shards, topKBound, evictedCap int) *Tracker {
 		topKBound = defaultTopKBound
 	}
 	tr := &Tracker{
-		shards:  make([]*trackerShard, n),
-		mask:    uint64(n - 1),
-		reg:     topselect.NewRegistry(0),
-		exports: exportCache{periods: make(map[int64]periodExport)},
+		shards: make([]*trackerShard, n),
+		mask:   uint64(n - 1),
+		reg:    topselect.NewRegistry(0),
 	}
 	for i := range tr.shards {
 		tr.shards[i] = &trackerShard{
@@ -434,7 +429,6 @@ func (tr *Tracker) prunePeriod(p int64) {
 			tr.lru.add(set.Key(), coefficient(set, v), p)
 		}
 	}
-	tr.exports.drop(p)
 	if tr.archive != nil {
 		tr.archive.SealPeriod(p)
 	}
@@ -461,32 +455,29 @@ func (tr *Tracker) Periods() []int64 { return tr.reg.Periods() }
 // Report returns the deduplicated coefficients of one period, sorted by
 // descending J.
 func (tr *Tracker) Report(period int64) []jaccard.Coefficient {
-	out, _ := tr.gather(period)
+	out := tr.gather(period)
 	sortCoefficients(out)
 	return out
 }
 
-// gather copies one period's coefficients out of the shards, in no
-// particular order, and sums the write counts of the tables it copied, each
-// read under the lock it copied under. A first pass over the shards' table
-// sizes sizes the slice, so it is allocated once (reports landing between
-// the two passes merely grow it).
-func (tr *Tracker) gather(period int64) (out []jaccard.Coefficient, writes uint64) {
+// gather copies one period's coefficients out of the shards in table
+// order: shard by shard, each in slot order. A first pass over the shards'
+// table sizes sizes the slice, so it is allocated once (reports landing
+// between the two passes merely grow it).
+func (tr *Tracker) gather(period int64) []jaccard.Coefficient {
 	n := 0
 	for _, s := range tr.shards {
 		s.mu.Lock()
 		n += s.periods[period].Len()
 		s.mu.Unlock()
 	}
-	out = make([]jaccard.Coefficient, 0, n)
+	out := make([]jaccard.Coefficient, 0, n)
 	for _, s := range tr.shards {
 		s.mu.Lock()
-		t := s.periods[period]
-		out = appendAll(out, t)
-		writes += t.Writes()
+		out = appendAll(out, s.periods[period])
 		s.mu.Unlock()
 	}
-	return out, writes
+	return out
 }
 
 // writes sums one period's table write counts over the shards.

@@ -34,11 +34,12 @@ func refExport(r *refTracker, before int64) []PeriodCoefficients {
 // TestExportStateReuseDifferential runs a seeded script of fresh reports,
 // CN upgrades, ignored duplicates, reports into older retained periods,
 // late reports into pruned ones and prunes, while two goroutines export
-// concurrently, and after every step requires ExportState — full and cut
-// before the newest period, as a checkpoint cuts — to equal an export
-// gathered and sorted afresh. Exports reuse the copy of a period whose
-// tables took no write since, so a missed write count on any path shows
-// here as a stale period.
+// concurrently, and after every step requires ExportStateReusing — full
+// and cut before the newest period, as a checkpoint cuts — to equal an
+// export gathered afresh, each period's coefficients sorted by tagset key
+// on both sides (an export is in table order). A period whose tables took
+// no write since its last export is taken from that export, so a missed
+// write count on any path shows here as a stale period.
 func TestExportStateReuseDifferential(t *testing.T) {
 	ops := 1500
 	if testing.Short() {
@@ -72,7 +73,33 @@ func TestExportStateReuseDifferential(t *testing.T) {
 		}
 
 		var fresh, upgrades, ignored, older, late, reused int
-		prev := map[int64]*jaccard.Coefficient{} // first coefficient of each period's last full export
+		// The reuse a checkpoint writer makes of ExportStateReusing: each
+		// period's last full export, kept under the write count read before
+		// its gather, stands in for a period exported without coefficients.
+		type cached struct {
+			writes uint64
+			coeffs []jaccard.Coefficient
+		}
+		cache := map[int64]cached{}
+		asked := map[int64]uint64{}
+		export := func(cut int64) []PeriodCoefficients {
+			clear(asked)
+			got := tr.ExportStateReusing(cut, func(p int64, writes uint64) bool {
+				asked[p] = writes
+				e, ok := cache[p]
+				return ok && e.writes == writes
+			}).Periods
+			for i, pc := range got {
+				if pc.Coeffs == nil { // reused: a gather returns a non-nil slice
+					got[i].Coeffs = cache[pc.Period].coeffs
+					reused++
+					continue
+				}
+				slices.SortFunc(pc.Coeffs, func(a, b jaccard.Coefficient) int { return tagset.Compare(a.Tags, b.Tags) })
+				cache[pc.Period] = cached{asked[pc.Period], pc.Coeffs}
+			}
+			return got
+		}
 		period := int64(1)
 		for op := 0; op < ops; op++ {
 			if rng.Intn(25) == 0 {
@@ -107,19 +134,10 @@ func TestExportStateReuseDifferential(t *testing.T) {
 
 			newest, _ = tr.NewestPeriod()
 			for _, cut := range []int64{math.MaxInt64, newest} {
-				got, want := tr.ExportState(cut).Periods, refExport(ref, cut)
+				got, want := export(cut), refExport(ref, cut)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("shards %d keep %d, op %d (report into period %d), cut %d: export\n%v\nfresh\n%v",
 						tc.shards, tc.keep, op, p, cut, got, want)
-				}
-				if cut != math.MaxInt64 {
-					continue
-				}
-				for _, pc := range got {
-					if &pc.Coeffs[0] == prev[pc.Period] {
-						reused++
-					}
-					prev[pc.Period] = &pc.Coeffs[0]
 				}
 			}
 		}

@@ -1,11 +1,9 @@
 package operators
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/jaccard"
-	"repro/internal/tagset"
 	"repro/internal/topselect"
 )
 
@@ -36,7 +34,11 @@ func (tr *Tracker) SetPeriodHook(fn func(period int64)) { tr.periodHook = fn }
 func (tr *Tracker) NewestPeriod() (int64, bool) { return tr.reg.Newest() }
 
 // PeriodCoefficients is one reporting period's deduplicated coefficients in
-// a TrackerState export, sorted by tagset key for deterministic encoding.
+// a TrackerState export, in table order: shard by shard, each shard's
+// entries in the order they arrived (topselect.Table slot order). That
+// order is a function of the reports' arrival order, which the sequential
+// executor repeats, so an export — and the checkpoint written from it — is
+// deterministic without a sort.
 type PeriodCoefficients struct {
 	Period int64
 	Coeffs []jaccard.Coefficient
@@ -73,15 +75,25 @@ type TrackerState struct {
 // newest period is typically excluded: it may still be partially flushed,
 // and the recovery protocol replays it from the stream instead.
 //
-// A period whose tables have taken no write since its last export is served
-// from that export, with no gather and no sort (exportCache), so the
-// Periods' Coeffs may be shared with earlier and later exports: callers
-// read them and never write them.
-//
 // On an archived Tracker the export returns only once every report it
 // holds has been appended to the archive (the intake barrier), so a
 // checkpoint of it never references a report its segments lack.
 func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
+	return tr.ExportStateReusing(beforePeriod, nil)
+}
+
+// ExportStateReusing is ExportState for a checkpoint writer that keeps
+// each period's last encoding (archive.SectionCache): for every exported
+// period it first reads the period's write count — the sum over shards of
+// its tables' topselect.Table.Writes, each read under its shard's lock —
+// and a period for which reused(period, writes) reports true is exported
+// with no coefficients and never gathered. reused may be nil.
+//
+// While a period is retained its tables are never replaced, so every
+// shard's count only grows. An encoding cached under the count read before
+// its gather therefore matches a later equal count only if no shard took a
+// write since that read, and then it is what a fresh gather would encode.
+func (tr *Tracker) ExportStateReusing(beforePeriod int64, reused func(period int64, writes uint64) bool) TrackerState {
 	st := TrackerState{
 		Received:   atomic.LoadInt64(&tr.Received),
 		Duplicates: atomic.LoadInt64(&tr.Duplicates),
@@ -90,7 +102,11 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 	rs := tr.reg.View(beforePeriod, nil)
 	st.Floor, st.Pruned = rs.Floor, rs.Pruned
 	for _, p := range rs.Periods {
-		st.Periods = append(st.Periods, PeriodCoefficients{Period: p, Coeffs: tr.exportPeriod(p)})
+		pc := PeriodCoefficients{Period: p}
+		if reused == nil || !reused(p, tr.writes(p)) {
+			pc.Coeffs = tr.gather(p)
+		}
+		st.Periods = append(st.Periods, pc)
 	}
 
 	if tr.lru != nil {
@@ -111,60 +127,6 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 	tr.intake.Lock()
 	tr.intake.Unlock()
 	return st
-}
-
-// exportCache keeps, for each retained period ExportState has exported, the
-// export's coefficients sorted by tagset key and the sum over shards of the
-// period's table write counts (topselect.Table.Writes) that the copy was
-// taken at, each shard's count read under the lock its entries were copied
-// under. While the period is retained its tables are never replaced, so
-// every shard's count only grows: an unchanged sum, read after the cached
-// export was stored, means no shard took a write since its copy, and the
-// copy is what a fresh gather and sort would return. prunePeriod drops a
-// period's entry. The mutex guards the map only; gathers and sorts run
-// outside it, so concurrent exports (Pipeline.Checkpoint beside the
-// checkpoint writer) never wait on each other's sort, and a prune on the
-// report path never waits on an export.
-type exportCache struct {
-	mu      sync.Mutex
-	periods map[int64]periodExport
-}
-
-type periodExport struct {
-	writes uint64
-	coeffs []jaccard.Coefficient
-}
-
-// exportPeriod returns one retained period's coefficients sorted by tagset
-// key: the cached export when the period's write count has not moved since
-// it was taken, otherwise a fresh gather and sort, which replaces it. The
-// entry is read before the counts are, so the counts compared against it
-// are read after every copy behind it.
-func (tr *Tracker) exportPeriod(p int64) []jaccard.Coefficient {
-	cache := &tr.exports
-	cache.mu.Lock()
-	e, ok := cache.periods[p]
-	cache.mu.Unlock()
-	if ok && e.writes == tr.writes(p) {
-		return e.coeffs
-	}
-	coeffs, writes := tr.gather(p)
-	tagset.SortBy(coeffs, func(c jaccard.Coefficient) tagset.Set { return c.Tags })
-	cache.mu.Lock()
-	// A period pruned since the gather stays out: the registry raises the
-	// floor before prunePeriod drops the entry under this lock.
-	if p > tr.reg.Floor() {
-		cache.periods[p] = periodExport{writes: writes, coeffs: coeffs}
-	}
-	cache.mu.Unlock()
-	return coeffs
-}
-
-// drop forgets a pruned period's export.
-func (c *exportCache) drop(p int64) {
-	c.mu.Lock()
-	delete(c.periods, p)
-	c.mu.Unlock()
 }
 
 // ImportState loads an exported state into a freshly constructed Tracker.

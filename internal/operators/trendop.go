@@ -44,9 +44,7 @@ func (tb *Trend) Prepare(*storm.TaskContext) {}
 func (tb *Trend) Execute(t storm.Tuple, _ storm.Collector) {
 	msg := t.Values[0].(TrendBatch)
 	start := telemetry.Now()
-	for _, c := range msg.Coeffs {
-		tb.det.Observe(msg.Period, c)
-	}
+	tb.det.ObserveBatch(msg.Period, msg.Coeffs)
 	atomic.AddInt64(&tb.Observed, int64(len(msg.Coeffs)))
 	if msg.Trace != 0 {
 		tb.flight.Span(msg.Trace, flight.StageTrend, start, telemetry.Now())

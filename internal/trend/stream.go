@@ -152,6 +152,13 @@ type Stream struct {
 	// archive receives every scored deviation and period seals
 	// (SetArchive); set before the run starts, read-only afterwards.
 	archive EventArchive
+
+	// intake is the detector's pause for a checkpoint's cut: ObserveBatch
+	// and Observe read-hold it, and ExportCut holds it for writing while it
+	// reads the cut and copies the state. onPaused, when set by a test,
+	// runs when an ObserveBatch finds the intake paused, before it waits.
+	intake   sync.RWMutex
+	onPaused func()
 }
 
 // brokerBuffer sizes the broker's intake channel; events beyond it are
@@ -213,6 +220,24 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 // routing hash.
 func (s *Stream) shardOf(k tagset.Key) *streamShard { return s.shards[k.Hash()&s.mask] }
 
+// ObserveBatch feeds one period's reports, in order, as Observe does, with
+// one wait at the intake (ExportCut's pause) for the whole batch: the
+// Trend operator's path.
+func (s *Stream) ObserveBatch(period int64, cs []jaccard.Coefficient) {
+	if !s.intake.TryRLock() {
+		if s.onPaused != nil {
+			s.onPaused()
+		}
+		s.intake.RLock()
+	}
+	defer s.intake.RUnlock()
+	for _, c := range cs {
+		if !s.filter(c) {
+			s.observe(period, c)
+		}
+	}
+}
+
 // Observe feeds one deduplicated coefficient report. The Tracker emits every
 // accepted report exactly once per (period, tagset) value — fresh reports
 // and CN upgrades — so Observe must handle both: an upgrade for the
@@ -220,10 +245,27 @@ func (s *Stream) shardOf(k tagset.Key) *streamShard { return s.shards[k.Hash()&s
 // corrects the smoothed expectation, exactly as if only the final value had
 // been observed. Events at or above Threshold are pushed to subscribers.
 func (s *Stream) Observe(period int64, c jaccard.Coefficient) {
-	if c.CN < s.cfg.MinSupport {
-		atomic.AddInt64(&s.filtered, 1)
+	if s.filter(c) {
 		return
 	}
+	s.intake.RLock()
+	s.observe(period, c)
+	s.intake.RUnlock()
+}
+
+// filter counts and reports an observation below MinSupport, which touches
+// no state but the filtered counter and so needs no intake lock.
+func (s *Stream) filter(c jaccard.Coefficient) bool {
+	if c.CN < s.cfg.MinSupport {
+		atomic.AddInt64(&s.filtered, 1)
+		return true
+	}
+	return false
+}
+
+// observe applies one report of at least MinSupport. The caller holds the
+// intake for reading.
+func (s *Stream) observe(period int64, c jaccard.Coefficient) {
 	retained, _, prune := s.reg.Ensure(period)
 	for _, p := range prune {
 		for _, sh := range s.shards {

@@ -29,7 +29,8 @@ type TrendPredictor struct {
 }
 
 // PeriodTrendEvents is one period's scored events in a StreamState export,
-// sorted by tagset key for deterministic encoding.
+// in table order: shard by shard, each shard's events in the order they
+// were first scored (topselect.Table slot order).
 type PeriodTrendEvents struct {
 	Period int64
 	Events []Event
@@ -59,13 +60,31 @@ type StreamState struct {
 }
 
 // ExportState copies the detector's restartable state restricted to periods
-// strictly before beforePeriod (pass math.MaxInt64 for everything). A
-// predictor whose newest observed period is the cut period is exported as
-// its pre-cut self: expectation back to the base it scored the cut against,
-// period one below the cut, seen decremented — the next replayed
-// observation re-advances it identically. A predictor established in the
-// cut period is dropped (the replay re-establishes it).
+// strictly before beforePeriod (pass math.MaxInt64 for everything): ExportCut
+// with a fixed cut and no reuse.
 func (s *Stream) ExportState(beforePeriod int64) StreamState {
+	return s.ExportCut(func() int64 { return beforePeriod }, nil)
+}
+
+// ExportCut pauses the detector's intake (ObserveBatch and Observe wait),
+// reads the cut with readCut, copies the state strictly before the cut, and
+// resumes. A checkpoint reads the Tracker's newest period as its cut inside
+// readCut. The Tracker registers a period before it emits any of its
+// reports, so while the intake is paused the detector holds no observation
+// of a period after the cut, and rolling one period back is exact: a
+// predictor whose newest observed period is the cut is exported as its
+// pre-cut self — expectation back to the base it scored the cut against,
+// period one below the cut, seen decremented — and the next replayed
+// observation re-advances it identically; a predictor established in the
+// cut period is dropped (the replay re-establishes it).
+//
+// The event periods are reused like the Tracker's
+// (operators.Tracker.ExportStateReusing): a period for which
+// reused(period, writes) reports true, writes being the sum over shards of
+// its tables' write counts, is exported with no events. reused may be nil.
+func (s *Stream) ExportCut(readCut func() int64, reused func(period int64, writes uint64) bool) StreamState {
+	s.intake.Lock()
+	beforePeriod := readCut()
 	st := StreamState{
 		Scored:     atomic.LoadInt64(&s.scored),
 		Filtered:   atomic.LoadInt64(&s.filtered),
@@ -84,39 +103,63 @@ func (s *Stream) ExportState(beforePeriod int64) StreamState {
 		st.Latest = beforePeriod - 1
 	}
 
+	// The predictors' tags are decoded from their keys into one arena, sized
+	// by a first pass (the paused intake keeps the predictors still); each
+	// predictor's window into it is capped.
+	var n, tags int
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for key, p := range sh.preds {
-			switch {
-			case p.period < beforePeriod:
-				st.Predictors = append(st.Predictors, TrendPredictor{
-					Tags: key.Set(), Expectation: p.exp, Base: p.base,
-					Period: p.period, Seen: p.seen,
-				})
-			case p.seen <= 1:
-				// Established in the cut period: nothing to keep.
-			default:
-				st.Predictors = append(st.Predictors, TrendPredictor{
-					Tags: key.Set(), Expectation: p.base, Base: p.base,
-					Period: beforePeriod - 1, Seen: p.seen - 1,
-				})
-			}
+		n += len(sh.preds)
+		for key := range sh.preds {
+			tags += len(key) / 4
 		}
 		sh.mu.Unlock()
 	}
-	tagset.SortBy(st.Predictors, func(p TrendPredictor) tagset.Set { return p.Tags })
+	st.Predictors = make([]TrendPredictor, 0, n)
+	arena := make(tagset.Set, 0, tags)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for key, p := range sh.preds {
+			tp := TrendPredictor{Expectation: p.exp, Base: p.base, Period: p.period, Seen: p.seen}
+			switch {
+			case p.period < beforePeriod:
+			case p.seen <= 1:
+				continue // established in the cut period: nothing to keep
+			default:
+				tp.Expectation, tp.Period, tp.Seen = p.base, beforePeriod-1, p.seen-1
+			}
+			start := len(arena)
+			arena = key.AppendSet(arena)
+			tp.Tags = arena[start:len(arena):len(arena)]
+			st.Predictors = append(st.Predictors, tp)
+		}
+		sh.mu.Unlock()
+	}
 
 	for _, p := range rs.Periods {
 		pe := PeriodTrendEvents{Period: p}
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			pe.Events = appendEvents(pe.Events, sh.periods[p])
-			sh.mu.Unlock()
+		if reused == nil || !reused(p, s.writes(p)) {
+			for _, sh := range s.shards {
+				sh.mu.Lock()
+				pe.Events = appendEvents(pe.Events, sh.periods[p])
+				sh.mu.Unlock()
+			}
 		}
-		tagset.SortBy(pe.Events, func(ev Event) tagset.Set { return ev.Tags })
 		st.Periods = append(st.Periods, pe)
 	}
+	s.intake.Unlock()
+	tagset.SortBy(st.Predictors, func(p TrendPredictor) tagset.Set { return p.Tags })
 	return st
+}
+
+// writes sums one period's table write counts over the shards.
+func (s *Stream) writes(period int64) (n uint64) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		n += sh.periods[period].Writes()
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // ImportState loads an exported state into a freshly constructed Stream.
