@@ -3,9 +3,6 @@
 //
 //	go run ./cmd/tagcorrvet ./...                    # whole tree
 //	go run ./cmd/tagcorrvet ./internal/storm/        # one package
-//	go run ./cmd/tagcorrvet -run metricnames ./...   # one analyzer
-//	go run ./cmd/tagcorrvet -catalog - ./...         # metric catalog JSON
-//	go run ./cmd/tagcorrvet -readme README.md ./...  # README catalog drift
 //
 // Diagnostics print as file:line: [analyzer] message; the exit status is 1
 // when anything was reported, 2 on usage or load errors, 0 on a clean
@@ -24,35 +21,7 @@ import (
 )
 
 func main() {
-	var (
-		run     = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-		list    = flag.Bool("list", false, "list the registered analyzers and exit")
-		catalog = flag.String("catalog", "", "write the extracted metric catalog as JSON to this file (- for stdout)")
-		readme  = flag.String("readme", "", "cross-check the extracted metric catalog against this README file")
-	)
 	flag.Parse()
-
-	analyzers := vet.Analyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *run != "" {
-		byName := map[string]*vet.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*run, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fatalf("unknown analyzer %q (use -list)", name)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -70,39 +39,16 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	res, err := vet.Run(loader, paths, analyzers)
+	res, err := vet.Run(loader, paths, vet.Analyzers())
 	if err != nil {
 		fatalf("%v", err)
 	}
-
-	if *catalog != "" {
-		data, err := res.Catalog.JSON()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *catalog == "-" {
-			fmt.Println(string(data))
-		} else if err := os.WriteFile(*catalog, append(data, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-	}
-
-	exit := 0
 	for _, d := range res.Diagnostics {
 		fmt.Println(rel(wd, d))
-		exit = 1
 	}
-	if *readme != "" {
-		data, err := os.ReadFile(*readme)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for _, p := range vet.CrossCheckREADME(data, res.Catalog.Families()) {
-			fmt.Printf("%s: [readme] %s\n", *readme, p)
-			exit = 1
-		}
+	if len(res.Diagnostics) > 0 {
+		os.Exit(1)
 	}
-	os.Exit(exit)
 }
 
 // rel shortens diagnostic paths to be relative to the working directory.

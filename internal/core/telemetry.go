@@ -89,10 +89,10 @@ func (p *Pipeline) registerDissemMetrics(reg *telemetry.Registry, s *Stats) {
 			"Post-bootstrap repartition requests by trigger cause.",
 			telemetry.Labels{"cause": cause}, func() int64 { return int64(*n) })
 	}
-	reg.GaugeFunc("tagcorr_dissem_communication", //vet:ok metricnames -- the paper's dimensionless communication measure (Section 8.2.1); the name is kept verbatim so dashboards match the paper's terminology
+	reg.GaugeFunc("tagcorr_dissem_communication",
 		"Run-average notifications per notified document (paper Section 8.2.1).",
 		nil, func() float64 { return s.Communication })
-	reg.GaugeFunc("tagcorr_dissem_load_gini", //vet:ok metricnames -- Gini coefficient of the paper's load measure (Section 8.2.2); dimensionless by definition and named after the paper
+	reg.GaugeFunc("tagcorr_dissem_load_gini",
 		"Gini coefficient of cumulative per-Calculator notifications (paper Section 8.2.2).",
 		nil, func() float64 { return s.LoadGini })
 }

@@ -383,8 +383,8 @@ func TestTrackerDeduplicatesByCN(t *testing.T) {
 	emit(1, 7, 0.6) // higher CN wins
 	emit(1, 5, 0.4) // lower CN ignored
 	emit(2, 1, 0.9) // different period kept separately
-	if tr.Received != 4 || tr.Duplicates != 2 {
-		t.Errorf("Received=%d Duplicates=%d", tr.Received, tr.Duplicates)
+	if tr.Received.Load() != 4 || tr.Duplicates.Load() != 2 {
+		t.Errorf("Received=%d Duplicates=%d", tr.Received.Load(), tr.Duplicates.Load())
 	}
 	rep := tr.Report(1)
 	if len(rep) != 1 || rep[0].CN != 7 || rep[0].J != 0.6 {

@@ -102,11 +102,10 @@ type Tracker struct {
 	// Received counts all incoming coefficients; Duplicates counts those
 	// that collided with an existing report for the same tagset and period;
 	// Late counts reports dropped because their period was already pruned.
-	// All three are updated atomically; read them via StatsSnapshot while
-	// a run is in flight.
-	Received   int64
-	Duplicates int64
-	Late       int64
+	// StatsSnapshot reads all three at once.
+	Received   atomic.Int64
+	Duplicates atomic.Int64
+	Late       atomic.Int64
 }
 
 const (
@@ -231,14 +230,14 @@ func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 // ingest is Execute without its timing: registry, shards, archive and the
 // TrendBatch of one CoeffBatch.
 func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
-	atomic.AddInt64(&tr.Received, int64(len(msg.Coeffs)))
+	tr.Received.Add(int64(len(msg.Coeffs)))
 
 	retained, fresh, pruned := tr.reg.Ensure(msg.Period)
 	for _, p := range pruned {
 		tr.prunePeriod(p)
 	}
 	if !retained {
-		atomic.AddInt64(&tr.Late, int64(len(msg.Coeffs)))
+		tr.Late.Add(int64(len(msg.Coeffs)))
 		return
 	}
 	// The period hook fires before the first report of the new period is
@@ -257,8 +256,8 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 	sc := tr.getScratch()
 	defer tr.putScratch(sc)
 	n, dups, lates := tr.reportBatch(msg.Period, msg.Coeffs, sc)
-	atomic.AddInt64(&tr.Duplicates, dups)
-	atomic.AddInt64(&tr.Late, lates)
+	tr.Duplicates.Add(dups)
+	tr.Late.Add(lates)
 	split := emit && tr.trendTasks > 1
 	var accepted []jaccard.Coefficient
 	if (emit || archived) && n > 0 {
@@ -637,9 +636,9 @@ func (tr *Tracker) ConsistentView(k int) (top []jaccard.Coefficient, periods []i
 func (tr *Tracker) view(visit func(*trackerShard)) (periods []int64, st TrackerStats) {
 	st = TrackerStats{
 		Shards:     len(tr.shards),
-		Received:   atomic.LoadInt64(&tr.Received),
-		Duplicates: atomic.LoadInt64(&tr.Duplicates),
-		Late:       atomic.LoadInt64(&tr.Late),
+		Received:   tr.Received.Load(),
+		Duplicates: tr.Duplicates.Load(),
+		Late:       tr.Late.Load(),
 	}
 	rs := tr.reg.View(math.MaxInt64, func(rs topselect.State) {
 		for _, s := range tr.shards {

@@ -91,7 +91,7 @@ func TestTrackerConcurrentStress(t *testing.T) {
 	readWG.Add(1)
 	go func() {
 		defer readWG.Done()
-		for atomic.LoadInt64(&tr.Received) < reporters*int64(iters)/2 && !done.Load() {
+		for tr.Received.Load() < reporters*int64(iters)/2 && !done.Load() {
 			runtime.Gosched()
 		}
 		tr.EnsureTopKBound(bound)

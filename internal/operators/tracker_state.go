@@ -1,8 +1,6 @@
 package operators
 
 import (
-	"sync/atomic"
-
 	"repro/internal/jaccard"
 	"repro/internal/topselect"
 )
@@ -95,9 +93,9 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 // write since that read, and then it is what a fresh gather would encode.
 func (tr *Tracker) ExportStateReusing(beforePeriod int64, reused func(period int64, writes uint64) bool) TrackerState {
 	st := TrackerState{
-		Received:   atomic.LoadInt64(&tr.Received),
-		Duplicates: atomic.LoadInt64(&tr.Duplicates),
-		Late:       atomic.LoadInt64(&tr.Late),
+		Received:   tr.Received.Load(),
+		Duplicates: tr.Duplicates.Load(),
+		Late:       tr.Late.Load(),
 	}
 	rs := tr.reg.View(beforePeriod, nil)
 	st.Floor, st.Pruned = rs.Floor, rs.Pruned
@@ -157,7 +155,7 @@ func (tr *Tracker) ImportState(st TrackerState) {
 		tr.lru.hits = st.EvictedHits
 		tr.lru.mu.Unlock()
 	}
-	atomic.StoreInt64(&tr.Received, st.Received)
-	atomic.StoreInt64(&tr.Duplicates, st.Duplicates)
-	atomic.StoreInt64(&tr.Late, st.Late)
+	tr.Received.Store(st.Received)
+	tr.Duplicates.Store(st.Duplicates)
+	tr.Late.Store(st.Late)
 }

@@ -1,7 +1,6 @@
 package operators
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/jaccard"
@@ -190,7 +189,7 @@ func TestTrendBoltFeedsDetector(t *testing.T) {
 	}
 	feed(1, 0.2)
 	feed(2, 0.8)
-	if got := atomic.LoadInt64(&bolt.Observed); got != 2 {
+	if got := bolt.Observed.Load(); got != 2 {
 		t.Errorf("Observed = %d", got)
 	}
 	if bolt.Detector() != det {

@@ -22,9 +22,9 @@ type Trend struct {
 	det    *trend.Stream
 	flight *flight.Recorder
 
-	// Observed counts the reports this instance fed to the detector
-	// (atomic: read mid-run by tests and snapshots).
-	Observed int64
+	// Observed counts the reports this instance fed to the detector (read
+	// mid-run by tests and snapshots).
+	Observed atomic.Int64
 }
 
 // NewTrend returns a Trend bolt feeding det.
@@ -45,7 +45,7 @@ func (tb *Trend) Execute(t storm.Tuple, _ storm.Collector) {
 	msg := t.Values[0].(TrendBatch)
 	start := telemetry.Now()
 	tb.det.ObserveBatch(msg.Period, msg.Coeffs)
-	atomic.AddInt64(&tb.Observed, int64(len(msg.Coeffs)))
+	tb.Observed.Add(int64(len(msg.Coeffs)))
 	if msg.Trace != 0 {
 		tb.flight.Span(msg.Trace, flight.StageTrend, start, telemetry.Now())
 	}

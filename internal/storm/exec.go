@@ -191,7 +191,7 @@ func (m *mailbox) get() (envelope, bool) {
 		}
 		m.items = m.items[:n]
 		m.head = 0
-		atomic.AddInt64(&m.stats.mailboxCompact, 1)
+		m.stats.mailboxCompact.Add(1)
 	}
 	return e, true
 }
@@ -258,11 +258,11 @@ type conExecutor struct {
 	wakeAt  int64 // broadcast threshold: ceil(pending/2), >= 1 so a
 	// throttle of 1 still wakes when the dataflow fully drains
 	boxes    []*mailbox
-	inflight int64
+	inflight atomic.Int64
 	quiet    chan struct{} // closed... signalled via checkQuiet
 	quietMu  sync.Mutex
 	spoutsWG sync.WaitGroup
-	spoutsDn int32
+	spoutsDn atomic.Bool
 
 	// throttle parks spouts. Stats.parked counts the spouts registered on
 	// it (incremented under throttleMu before they re-check and park), so
@@ -273,16 +273,16 @@ type conExecutor struct {
 }
 
 func (ex *conExecutor) send(dst TaskID, t Tuple) {
-	atomic.AddInt64(&ex.inflight, 1)
+	ex.inflight.Add(1)
 	ex.boxes[dst].put(envelope{to: dst, t: t})
 }
 
 func (ex *conExecutor) done(n int64) {
-	left := atomic.AddInt64(&ex.inflight, -n)
-	if left == 0 && atomic.LoadInt32(&ex.spoutsDn) == 1 {
+	left := ex.inflight.Add(-n)
+	if left == 0 && ex.spoutsDn.Load() {
 		ex.signalQuiet()
 	}
-	if left < ex.wakeAt && atomic.LoadInt64(&ex.tp.stats.parked) > 0 {
+	if left < ex.wakeAt && ex.tp.stats.parked.Load() > 0 {
 		// The broadcast must hold throttleMu: a spout that has registered
 		// but not yet parked in Wait would otherwise miss it and — if this
 		// was the last in-flight tuple — sleep forever. A spout not yet
@@ -297,18 +297,18 @@ func (ex *conExecutor) done(n int64) {
 // waitBelowPending blocks spouts while the in-flight tuple count is at the
 // cap. Workers always drain independently, so this cannot deadlock.
 func (ex *conExecutor) waitBelowPending() {
-	if atomic.LoadInt64(&ex.inflight) < ex.pending {
+	if ex.inflight.Load() < ex.pending {
 		return
 	}
 	if h := ex.tp.satHook; h != nil {
 		h()
 	}
 	ex.throttleMu.Lock()
-	atomic.AddInt64(&ex.tp.stats.parked, 1)
-	for atomic.LoadInt64(&ex.inflight) >= ex.pending {
+	ex.tp.stats.parked.Add(1)
+	for ex.inflight.Load() >= ex.pending {
 		ex.throttle.Wait()
 	}
-	atomic.AddInt64(&ex.tp.stats.parked, -1)
+	ex.tp.stats.parked.Add(-1)
 	ex.throttleMu.Unlock()
 }
 
@@ -422,8 +422,8 @@ func (tp *Topology) StartConcurrent() *Run {
 	go func() {
 		defer close(r.done)
 		ex.spoutsWG.Wait()
-		atomic.StoreInt32(&ex.spoutsDn, 1)
-		if atomic.LoadInt64(&ex.inflight) == 0 {
+		ex.spoutsDn.Store(true)
+		if ex.inflight.Load() == 0 {
 			ex.signalQuiet()
 		}
 		<-ex.quiet

@@ -1,6 +1,9 @@
 package storm
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 // TestMailboxZeroesAndCompacts pins the mailbox's memory behavior: consumed
 // slots must not keep their envelope payloads reachable, and a drained
@@ -10,7 +13,7 @@ import "testing"
 // testMailbox returns a mailbox wired to a standalone Stats so tests can
 // also observe the depth/compaction telemetry.
 func testMailbox() *mailbox {
-	return newMailbox(&Stats{mailboxHW: make([]int64, 1)}, 0)
+	return newMailbox(&Stats{mailboxHW: make([]atomic.Int64, 1)}, 0)
 }
 
 func TestMailboxZeroesAndCompacts(t *testing.T) {
@@ -119,7 +122,7 @@ func TestMailboxCompactsUnderSteadyBacklog(t *testing.T) {
 	if m.stats.MailboxCompactions() == 0 {
 		t.Error("steady-backlog compactions were not counted")
 	}
-	if hw := m.stats.mailboxHW[0]; hw < total {
+	if hw := m.stats.mailboxHW[0].Load(); hw < total {
 		t.Errorf("mailbox high-water %d, want >= %d", hw, total)
 	}
 }

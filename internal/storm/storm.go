@@ -125,7 +125,7 @@ type edge struct {
 	from, to *node
 	kind     groupingKind
 	key      KeyFunc
-	rr       []uint32 // per-producer-task round-robin cursor (shuffle/local)
+	rr       []atomic.Uint32 // per-producer-task round-robin cursor (shuffle/local)
 }
 
 type node struct {
@@ -295,7 +295,7 @@ func (b *Builder) Build() (*Topology, error) {
 			tp.tasks = append(tp.tasks, t)
 		}
 		for _, e := range n.outs {
-			e.rr = make([]uint32, n.parallel)
+			e.rr = make([]atomic.Uint32, n.parallel)
 		}
 	}
 	if !hasSpout {
@@ -312,34 +312,34 @@ func (b *Builder) Build() (*Topology, error) {
 // so the dataflow does not serialize on its own bookkeeping as component
 // parallelism grows.
 type Stats struct {
-	emitted  map[string]*int64 // per component; map immutable after Build
-	received map[string]*int64 // per component; map immutable after Build
-	perTask  []int64           // atomic; indexed by TaskID
+	emitted  map[string]*atomic.Int64 // per component; map immutable after Build
+	received map[string]*atomic.Int64 // per component; map immutable after Build
+	perTask  []atomic.Int64           // indexed by TaskID
 	names    []string
 
 	// Mailbox pressure, populated by the concurrent executor only: the
 	// high-water queue depth per task, and the total number of steady-
 	// backlog compactions (dead-prefix slides) across all mailboxes.
-	mailboxHW      []int64 // atomic; indexed by TaskID
-	mailboxCompact int64   // atomic
+	mailboxHW      []atomic.Int64 // indexed by TaskID
+	mailboxCompact atomic.Int64
 
 	// parked is the number of spouts parked on the throttle right now
 	// (concurrent executor only). A spout parked while no document makes
 	// progress is the signature of a stalled consumer.
-	parked int64 // atomic
+	parked atomic.Int64
 }
 
 func newStats(tp *Topology) *Stats {
 	s := &Stats{
-		emitted:   make(map[string]*int64, len(tp.nodes)),
-		received:  make(map[string]*int64, len(tp.nodes)),
-		perTask:   make([]int64, len(tp.tasks)),
+		emitted:   make(map[string]*atomic.Int64, len(tp.nodes)),
+		received:  make(map[string]*atomic.Int64, len(tp.nodes)),
+		perTask:   make([]atomic.Int64, len(tp.tasks)),
 		names:     make([]string, len(tp.tasks)),
-		mailboxHW: make([]int64, len(tp.tasks)),
+		mailboxHW: make([]atomic.Int64, len(tp.tasks)),
 	}
 	for _, n := range tp.nodes {
-		s.emitted[n.name] = new(int64)
-		s.received[n.name] = new(int64)
+		s.emitted[n.name] = new(atomic.Int64)
+		s.received[n.name] = new(atomic.Int64)
 	}
 	for i, t := range tp.tasks {
 		s.names[i] = t.ctx.Component
@@ -348,12 +348,12 @@ func newStats(tp *Topology) *Stats {
 }
 
 func (s *Stats) addEmit(component string, n int64) {
-	atomic.AddInt64(s.emitted[component], n)
+	s.emitted[component].Add(n)
 }
 
 func (s *Stats) addRecv(task TaskID) {
-	atomic.AddInt64(s.received[s.names[task]], 1)
-	atomic.AddInt64(&s.perTask[task], 1)
+	s.received[s.names[task]].Add(1)
+	s.perTask[task].Add(1)
 }
 
 // Emitted returns the number of tuples emitted by the named component.
@@ -362,7 +362,7 @@ func (s *Stats) Emitted(component string) int64 {
 	if c == nil {
 		return 0
 	}
-	return atomic.LoadInt64(c)
+	return c.Load()
 }
 
 // Received returns the number of tuples received by the named component.
@@ -371,7 +371,7 @@ func (s *Stats) Received(component string) int64 {
 	if c == nil {
 		return 0
 	}
-	return atomic.LoadInt64(c)
+	return c.Load()
 }
 
 // Totals returns copies of the per-component emitted and received counter
@@ -381,13 +381,13 @@ func (s *Stats) Received(component string) int64 {
 func (s *Stats) Totals() (emitted, received map[string]int64) {
 	emitted = make(map[string]int64, len(s.emitted))
 	for k, c := range s.emitted {
-		if v := atomic.LoadInt64(c); v != 0 {
+		if v := c.Load(); v != 0 {
 			emitted[k] = v
 		}
 	}
 	received = make(map[string]int64, len(s.received))
 	for k, c := range s.received {
-		if v := atomic.LoadInt64(c); v != 0 {
+		if v := c.Load(); v != 0 {
 			received[k] = v
 		}
 	}
@@ -398,8 +398,8 @@ func (s *Stats) Totals() (emitted, received map[string]int64) {
 // keeping the high-water mark.
 func (s *Stats) noteMailboxDepth(task TaskID, depth int64) {
 	for {
-		cur := atomic.LoadInt64(&s.mailboxHW[task])
-		if depth <= cur || atomic.CompareAndSwapInt64(&s.mailboxHW[task], cur, depth) {
+		cur := s.mailboxHW[task].Load()
+		if depth <= cur || s.mailboxHW[task].CompareAndSwap(cur, depth) {
 			return
 		}
 	}
@@ -415,7 +415,7 @@ func (s *Stats) MailboxHighWater(tp *Topology, component string) []int64 {
 	}
 	out := make([]int64, len(n.tasks))
 	for i, id := range n.tasks {
-		out[i] = atomic.LoadInt64(&s.mailboxHW[id])
+		out[i] = s.mailboxHW[id].Load()
 	}
 	return out
 }
@@ -423,7 +423,7 @@ func (s *Stats) MailboxHighWater(tp *Topology, component string) []int64 {
 // MailboxCompactions returns the total number of steady-backlog mailbox
 // compactions across all tasks.
 func (s *Stats) MailboxCompactions() int64 {
-	return atomic.LoadInt64(&s.mailboxCompact)
+	return s.mailboxCompact.Load()
 }
 
 // SpoutsParked returns the number of spouts parked on the max-spout-pending
@@ -431,7 +431,7 @@ func (s *Stats) MailboxCompactions() int64 {
 // the spout once and keeps it parked, so this gauge stays up for the whole
 // stall while the park itself happens only once.
 func (s *Stats) SpoutsParked() int64 {
-	return atomic.LoadInt64(&s.parked)
+	return s.parked.Load()
 }
 
 // TaskReceived returns per-task received counts for the named component.
@@ -442,7 +442,7 @@ func (s *Stats) TaskReceived(tp *Topology, component string) []int64 {
 	}
 	out := make([]int64, len(n.tasks))
 	for i, id := range n.tasks {
-		out[i] = atomic.LoadInt64(&s.perTask[id])
+		out[i] = s.perTask[id].Load()
 	}
 	return out
 }
@@ -455,7 +455,7 @@ func (tp *Topology) Stats() *Stats { return tp.stats }
 func (e *edge) route(t Tuple, fromIdx int) []TaskID {
 	switch e.kind {
 	case groupShuffle, groupLocal:
-		i := atomic.AddUint32(&e.rr[fromIdx], 1)
+		i := e.rr[fromIdx].Add(1)
 		return e.to.tasks[int(i)%len(e.to.tasks) : int(i)%len(e.to.tasks)+1]
 	case groupAll:
 		return e.to.tasks

@@ -129,14 +129,14 @@ type Stream struct {
 	mask   uint64
 
 	reg    *topselect.Registry
-	latest int64 // atomic: newest period observed
+	latest atomic.Int64 // newest period observed
 
-	scored     int64 // atomic
-	filtered   int64 // atomic
-	outOfOrder int64 // atomic
-	late       int64 // atomic
-	published  int64 // atomic
-	dropped    int64 // atomic
+	scored     atomic.Int64
+	filtered   atomic.Int64
+	outOfOrder atomic.Int64
+	late       atomic.Int64
+	published  atomic.Int64
+	dropped    atomic.Int64
 
 	// Subscriptions are served by a single broker goroutine: publish hands
 	// an event to the broker channel with one non-blocking send, and the
@@ -210,9 +210,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	for i := range s.shards {
 		s.shards[i] = newStreamShard(cfg.TopK, maxPerShard)
 	}
-	// latest is read atomically for the rest of the Stream's life; store it
-	// atomically here too so every access of the field is uniform.
-	atomic.StoreInt64(&s.latest, math.MinInt64)
+	s.latest.Store(math.MinInt64)
 	return s, nil
 }
 
@@ -257,7 +255,7 @@ func (s *Stream) Observe(period int64, c jaccard.Coefficient) {
 // no state but the filtered counter and so needs no intake lock.
 func (s *Stream) filter(c jaccard.Coefficient) bool {
 	if c.CN < s.cfg.MinSupport {
-		atomic.AddInt64(&s.filtered, 1)
+		s.filtered.Add(1)
 		return true
 	}
 	return false
@@ -280,7 +278,7 @@ func (s *Stream) observe(period int64, c jaccard.Coefficient) {
 	if !retained {
 		// At or below the pruning floor: scoring would resurrect evicted
 		// period state that retention could never prune again.
-		atomic.AddInt64(&s.late, 1)
+		s.late.Add(1)
 		return
 	}
 
@@ -292,23 +290,23 @@ func (s *Stream) observe(period int64, c jaccard.Coefficient) {
 
 	if shardLate {
 		// Pruned between the registry check and the shard lock.
-		atomic.AddInt64(&s.late, 1)
+		s.late.Add(1)
 		return
 	}
 	if outOfOrder {
-		atomic.AddInt64(&s.outOfOrder, 1)
+		s.outOfOrder.Add(1)
 		return
 	}
 	if !scored {
 		return
 	}
-	atomic.AddInt64(&s.scored, 1)
+	s.scored.Add(1)
 	if s.archive != nil {
 		s.archive.AppendEvent(ev)
 	}
 	for {
-		cur := atomic.LoadInt64(&s.latest)
-		if period <= cur || atomic.CompareAndSwapInt64(&s.latest, cur, period) {
+		cur := s.latest.Load()
+		if period <= cur || s.latest.CompareAndSwap(cur, period) {
 			break
 		}
 	}
@@ -328,7 +326,7 @@ func (s *Stream) publish(ev Event) {
 	select {
 	case ch <- brokerFrame{ev: ev}:
 	default:
-		atomic.AddInt64(&s.dropped, 1)
+		s.dropped.Add(1)
 	}
 }
 
@@ -357,12 +355,12 @@ func (s *Stream) fanout(ev Event) {
 		case ch <- ev:
 			delivered = true
 		default:
-			atomic.AddInt64(&s.dropped, 1)
+			s.dropped.Add(1)
 		}
 	}
 	s.subMu.Unlock()
 	if delivered {
-		atomic.AddInt64(&s.published, 1)
+		s.published.Add(1)
 	}
 }
 
@@ -435,7 +433,7 @@ func (s *Stream) Config() StreamConfig { return s.cfg }
 
 // LatestPeriod returns the newest period a deviation was scored in
 // (math.MinInt64 before the first event).
-func (s *Stream) LatestPeriod() int64 { return atomic.LoadInt64(&s.latest) }
+func (s *Stream) LatestPeriod() int64 { return s.latest.Load() }
 
 // PruneFloor returns the retention pruning floor: every period at or
 // below it has been evicted and late observations for those periods are
@@ -500,12 +498,12 @@ func (s *Stream) StatsSnapshot() StreamStats {
 	st := StreamStats{
 		Shards:     len(s.shards),
 		TopKBound:  s.cfg.TopK,
-		Scored:     atomic.LoadInt64(&s.scored),
-		Filtered:   atomic.LoadInt64(&s.filtered),
-		OutOfOrder: atomic.LoadInt64(&s.outOfOrder),
-		Late:       atomic.LoadInt64(&s.late),
-		Published:  atomic.LoadInt64(&s.published),
-		Dropped:    atomic.LoadInt64(&s.dropped),
+		Scored:     s.scored.Load(),
+		Filtered:   s.filtered.Load(),
+		OutOfOrder: s.outOfOrder.Load(),
+		Late:       s.late.Load(),
+		Published:  s.published.Load(),
+		Dropped:    s.dropped.Load(),
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()

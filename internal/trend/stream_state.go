@@ -1,8 +1,6 @@
 package trend
 
 import (
-	"sync/atomic"
-
 	"repro/internal/tagset"
 	"repro/internal/topselect"
 )
@@ -86,17 +84,17 @@ func (s *Stream) ExportCut(readCut func() int64, reused func(period int64, write
 	s.intake.Lock()
 	beforePeriod := readCut()
 	st := StreamState{
-		Scored:     atomic.LoadInt64(&s.scored),
-		Filtered:   atomic.LoadInt64(&s.filtered),
-		OutOfOrder: atomic.LoadInt64(&s.outOfOrder),
-		Late:       atomic.LoadInt64(&s.late),
-		Published:  atomic.LoadInt64(&s.published),
-		Dropped:    atomic.LoadInt64(&s.dropped),
+		Scored:     s.scored.Load(),
+		Filtered:   s.filtered.Load(),
+		OutOfOrder: s.outOfOrder.Load(),
+		Late:       s.late.Load(),
+		Published:  s.published.Load(),
+		Dropped:    s.dropped.Load(),
 	}
 	rs := s.reg.View(beforePeriod, nil)
 	st.Floor, st.Pruned = rs.Floor, rs.Pruned
 
-	st.Latest = atomic.LoadInt64(&s.latest)
+	st.Latest = s.latest.Load()
 	if st.Latest >= beforePeriod {
 		// The newest scored period is being cut; the replay will re-raise
 		// the sentinel as it re-scores the cut period.
@@ -171,7 +169,7 @@ func (s *Stream) ImportState(st StreamState) {
 		rs.Periods = append(rs.Periods, pe.Period)
 	}
 	s.reg.Import(rs)
-	atomic.StoreInt64(&s.latest, st.Latest)
+	s.latest.Store(st.Latest)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.floor = st.Floor
@@ -194,10 +192,10 @@ func (s *Stream) ImportState(st StreamState) {
 			sh.mu.Unlock()
 		}
 	}
-	atomic.StoreInt64(&s.scored, st.Scored)
-	atomic.StoreInt64(&s.filtered, st.Filtered)
-	atomic.StoreInt64(&s.outOfOrder, st.OutOfOrder)
-	atomic.StoreInt64(&s.late, st.Late)
-	atomic.StoreInt64(&s.published, st.Published)
-	atomic.StoreInt64(&s.dropped, st.Dropped)
+	s.scored.Store(st.Scored)
+	s.filtered.Store(st.Filtered)
+	s.outOfOrder.Store(st.OutOfOrder)
+	s.late.Store(st.Late)
+	s.published.Store(st.Published)
+	s.dropped.Store(st.Dropped)
 }

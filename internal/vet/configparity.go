@@ -3,33 +3,20 @@ package vet
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
-// ConfigParity keeps the configuration surface honest:
-//
-//   - every field of a struct type named *Config that has a Validate
-//     method must be referenced inside that Validate (or carry a
-//     //vet:ok configparity allowlist line stating why any value is
-//     valid) — fields silently accepted with no validation are how NaN
-//     thresholds and negative windows slip into a running pipeline;
-//   - every command-line flag declared in a main package must actually be
-//     read somewhere: a flag that parses but never reaches a Config field
-//     (or any other consumer) is dead configuration surface. Binding to a
-//     nonexistent field is already a compile error, so parity reduces to
-//     liveness.
+// ConfigParity keeps the configuration surface honest: every field of a
+// struct type named *Config that has a Validate method must be referenced
+// inside that Validate, or carry a //vet:ok configparity allowlist line
+// stating why any value is valid. Fields silently accepted with no
+// validation are how NaN thresholds and negative windows slip into a
+// running pipeline. Nothing else catches this: a Config field added
+// without a Validate case compiles, vets and passes every test.
 var ConfigParity = &Analyzer{
 	Name: "configparity",
-	Doc:  "Config fields must be checked in Validate or allowlisted; declared flags must be consumed",
-	Run:  runConfigParity,
-}
-
-func runConfigParity(pass *Pass) {
-	checkConfigValidate(pass)
-	if pass.Pkg.Types.Name() == "main" {
-		checkFlagLiveness(pass)
-	}
+	Doc:  "Config fields must be checked in Validate or allowlisted",
+	Run:  checkConfigValidate,
 }
 
 func checkConfigValidate(pass *Pass) {
@@ -93,90 +80,11 @@ func findValidateDecl(pass *Pass, typeName string) *ast.FuncDecl {
 	return nil
 }
 
-// flagFuncs are the flag-package constructors that return a pointer bound
-// to a new flag.
-var flagFuncs = map[string]bool{
-	"Bool": true, "Duration": true, "Float64": true, "Int": true,
-	"Int64": true, "String": true, "Uint": true, "Uint64": true,
-}
-
-func checkFlagLiveness(pass *Pass) {
-	info := pass.Pkg.Info
-
-	// Collect flag variables: x := flag.Int("name", ...) / var x = flag...
-	type declared struct {
-		obj      types.Object
-		flagName string
-		at       ast.Node
-	}
-	var flags []declared
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		call, ok := rhs.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !flagFuncs[sel.Sel.Name] || len(call.Args) < 1 {
-			return
-		}
-		fn, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
-			return
-		}
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			return
-		}
-		name := "?"
-		if lit, ok := call.Args[0].(*ast.BasicLit); ok {
-			if s, err := strconv.Unquote(lit.Value); err == nil {
-				name = s
-			}
-		}
-		flags = append(flags, declared{obj: obj, flagName: name, at: id})
-	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i := range n.Lhs {
-						record(n.Lhs[i], n.Rhs[i])
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i := range n.Names {
-						record(n.Names[i], n.Values[i])
-					}
-				}
-			}
-			return true
-		})
-	}
-	if len(flags) == 0 {
-		return
-	}
-
-	// A flag is live when any identifier outside its declaration uses it.
-	used := map[types.Object]bool{}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := info.Uses[id]; obj != nil {
-					used[obj] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, fl := range flags {
-		if !used[fl.obj] {
-			pass.Reportf(fl.at.Pos(), "flag -%s is parsed but its value is never read; bind it to a Config field or delete it", fl.flagName)
+func fieldVar(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		if v, ok := s.Obj().(*types.Var); ok {
+			return v
 		}
 	}
+	return nil
 }

@@ -16,7 +16,7 @@ import (
 // Package is one type-checked package of the tree under analysis, with the
 // full type information the analyzers need.
 type Package struct {
-	Path  string // import path ("repro/internal/storm", "fixture/emitaliasing")
+	Path  string // import path ("repro/internal/storm", "fixture/lockdiscipline")
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File

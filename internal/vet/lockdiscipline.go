@@ -6,43 +6,41 @@ import (
 	"go/types"
 )
 
-// LockDiscipline enforces the pipeline's locking rules:
+// LockDiscipline enforces the pipeline's locking rule: no channel send,
+// channel receive, storm Emit/EmitDirect, sync.WaitGroup.Wait or
+// time.Sleep while a sync.Mutex/RWMutex acquired in the same function is
+// still held (the Tracker and trend detector publish outside their shard
+// locks for exactly this reason). Non-blocking sends/receives — the comm
+// clause of a select with a default case — are exempt, as is
+// sync.Cond.Wait, which requires the lock by contract.
 //
-//   - no channel send, channel receive, storm Emit/EmitDirect,
-//     sync.WaitGroup.Wait or time.Sleep while a sync.Mutex/RWMutex
-//     acquired in the same function is still held (the Tracker and trend
-//     detector publish outside their shard locks for exactly this reason);
-//     non-blocking sends/receives — the comm clause of a select with a
-//     default case — are exempt, as is sync.Cond.Wait, which requires the
-//     lock by contract;
-//   - no lock-by-value copies: value receivers on lock-containing types and
-//     assignments copying an existing lock-containing value.
+// Nothing else catches this rule's bug. Moving tr.intake.RUnlock() in
+// Tracker.ingest below the TrendBatch emits leaves go vet, go test and
+// -race green (today's mailboxes are unbounded, so the emit never blocks);
+// only this analyzer reports it.
 //
 // The analysis is per function and linear: a lock is considered held from
 // x.Lock() until x.Unlock() on the same expression (deferred unlocks hold
-// to the end of the function). It does not chase locks across calls; the
-// point is the local pattern "lock, blocking op, unlock", which is where
-// every deadlock and latency stall in this codebase's history lived.
+// to the end of the function). It does not chase locks across calls, so
+// an emit one call below the lock is unseen. Disseminator.Execute is the
+// case in point: it holds d.mu for the whole call and emits through
+// onDoc, flushNotify and evaluateBatch. That is harmless while mailboxes
+// are unbounded; with bounded rings a full Calculator ring would hold d.mu,
+// and SnapshotStats (/stats) would wait behind it.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "blocking operations under a mutex held in the same function; lock-by-value copies",
+	Doc:  "blocking operations under a mutex held in the same function",
 	Run:  runLockDiscipline,
 }
 
 func runLockDiscipline(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkLockScopes(pass, fd.Body)
 			}
-			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				checkValueReceiver(pass, fd)
-			}
-			checkLockScopes(pass, fd.Body)
 		}
 	}
-	checkLockCopies(pass)
 }
 
 func checkLockScopes(pass *Pass, body *ast.BlockStmt) {
@@ -125,7 +123,7 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt) {
 				return
 			}
 			if anyHeld(held) {
-				if _, ok := stormEmitTupleArg(info, n); ok {
+				if isStormEmit(info, n) {
 					pass.Reportf(n.Pos(), "storm Emit while %s is held; emit after unlocking (the send can block on the mailbox)", heldName(held))
 					return
 				}
@@ -226,89 +224,29 @@ func typeName(t types.Type) string {
 	return ""
 }
 
-// checkValueReceiver flags methods declared on a lock-containing type with
-// a value receiver: every call copies the lock.
-func checkValueReceiver(pass *Pass, fd *ast.FuncDecl) {
-	field := fd.Recv.List[0]
-	tv, ok := pass.Pkg.Info.Types[field.Type]
+// isStormEmit reports whether call is a storm Collector Emit/EmitDirect.
+func isStormEmit(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return
-	}
-	if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-		return
-	}
-	if containsLock(tv.Type, 0) {
-		pass.Reportf(field.Pos(), "method %s copies its lock-containing receiver %s; use a pointer receiver", fd.Name.Name, types.TypeString(tv.Type, types.RelativeTo(pass.Pkg.Types)))
-	}
-}
-
-// checkLockCopies flags assignments that copy an existing lock-containing
-// value (x := y, x := *p, x = y). Composite literals and function calls
-// construct fresh values and are fine.
-func checkLockCopies(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			if len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for _, rhs := range as.Rhs {
-				if !copiesExistingValue(rhs) {
-					continue
-				}
-				tv, ok := info.Types[rhs]
-				if !ok || tv.Type == nil {
-					continue
-				}
-				if containsLock(tv.Type, 0) {
-					pass.Reportf(rhs.Pos(), "assignment copies a value of lock-containing type %s", types.TypeString(tv.Type, types.RelativeTo(pass.Pkg.Types)))
-				}
-			}
-			return true
-		})
-	}
-}
-
-// copiesExistingValue reports whether evaluating e yields a copy of a value
-// that already lives elsewhere (identifier, field selection, deref, index).
-func copiesExistingValue(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		return true
-	case *ast.ParenExpr:
-		return copiesExistingValue(e.X)
-	}
-	return false
-}
-
-// containsLock reports whether t (by value) contains a sync.Mutex,
-// RWMutex, Cond, WaitGroup or Once.
-func containsLock(t types.Type, depth int) bool {
-	if depth > 10 {
 		return false
 	}
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "Cond", "WaitGroup", "Once":
-				return true
-			}
-		}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || !pkgHasSuffix(fn.Pkg().Path(), "internal/storm") {
+		return false
 	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), depth+1) {
-				return true
-			}
+	return fn.Name() == "Emit" || fn.Name() == "EmitDirect"
+}
+
+// inspectScope walks body in source order without descending into nested
+// function literals.
+func inspectScope(body *ast.BlockStmt, visit func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
 		}
-	case *types.Array:
-		return containsLock(u.Elem(), depth+1)
-	}
-	return false
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
 }

@@ -1,11 +1,8 @@
-// Command configparity seeds config-parity violations: a Config field
-// Validate never checks, an allowlisted field, and a dead flag.
-package main
+// Package configparity seeds config-parity violations: a Config field
+// Validate never checks and an allowlisted field.
+package configparity
 
-import (
-	"flag"
-	"fmt"
-)
+import "fmt"
 
 // ServeConfig drives the fixture server.
 type ServeConfig struct {
@@ -20,17 +17,4 @@ func (c ServeConfig) Validate() error {
 		return fmt.Errorf("port = %d", c.Port)
 	}
 	return nil
-}
-
-var (
-	port = flag.Int("port", 8080, "listen port")
-	dead = flag.String("mode", "fast", "tuning knob nothing reads") // want `flag -mode is parsed but its value is never read`
-)
-
-func main() {
-	flag.Parse()
-	cfg := ServeConfig{Port: *port}
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 }

@@ -2,7 +2,7 @@
 // the driver reports them under the pseudo-analyzer "directive".
 package directive
 
-//vet:ok metricnames
+//vet:ok lockdiscipline
 var missingReason = 1
 
 //vet:ok nosuchanalyzer -- misspelled analyzer name

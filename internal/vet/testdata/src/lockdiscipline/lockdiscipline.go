@@ -1,5 +1,5 @@
 // Package lockdiscipline seeds violations for the lockdiscipline analyzer:
-// blocking operations under a held mutex and lock-by-value copies.
+// blocking operations under a held mutex.
 package lockdiscipline
 
 import (
@@ -68,19 +68,4 @@ func sendAfterUnlock(s *shard) {
 	v := s.vals[0]
 	s.mu.Unlock()
 	s.out <- v
-}
-
-// Len copies the receiver — and the mutex inside it — on every call.
-func (s shard) Len() int { // want `method Len copies its lock-containing receiver shard`
-	return len(s.vals)
-}
-
-func snapshot(s *shard) shard {
-	c := *s // want `assignment copies a value of lock-containing type shard`
-	return c
-}
-
-// fresh constructs a new value: no existing lock is copied.
-func fresh() *shard {
-	return &shard{out: make(chan int, 1)}
 }

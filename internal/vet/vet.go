@@ -1,11 +1,11 @@
 // Package vet is the project's static-analysis suite: a zero-dependency
-// (stdlib go/ast + go/types) driver running analyzers that enforce the
-// pipeline's load-bearing invariants — storm tuples are not mutated after
-// Emit, locks are not held across blocking operations, telemetry family
-// names follow the tagcorr_<subsystem>_<name>_<unit> scheme, atomically
-// accessed fields are never touched plainly, and configuration surface
-// stays in parity with validation and flags. cmd/tagcorrvet is the CLI;
-// DESIGN.md ("Static analysis") documents each invariant.
+// (stdlib go/ast + go/types) driver running the two checks nothing else in
+// the build makes — no blocking operation under a lock held in the same
+// function, and every Config field checked in its Validate. Lock copies
+// are go vet's, emit aliasing is -race's, atomic access is the type
+// system's and the metric catalog is a test over the live registry.
+// cmd/tagcorrvet is the CLI; DESIGN.md ("Static analysis") documents each
+// rule and where the retired ones went.
 //
 // A finding an analyzer cannot see is fine can be suppressed at the site
 // with a directive comment on the same line (or the line above):
@@ -26,12 +26,6 @@ import (
 // Pass carries one package through one analyzer.
 type Pass struct {
 	Pkg *Package
-	// ModulePath is the analyzed module's path, so analyzers can recognise
-	// project packages without hard-coding the module name.
-	ModulePath string
-	// Catalog accumulates the telemetry families metricnames extracts; it
-	// is shared by every pass of one run.
-	Catalog *MetricCatalog
 
 	report func(pos token.Pos, msg string)
 }
@@ -50,13 +44,7 @@ type Analyzer struct {
 
 // Analyzers returns the full registry in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		EmitAliasing,
-		LockDiscipline,
-		MetricNames,
-		AtomicMix,
-		ConfigParity,
-	}
+	return []*Analyzer{LockDiscipline, ConfigParity}
 }
 
 // Diagnostic is one finding, resolved to a position.
@@ -73,16 +61,16 @@ func (d Diagnostic) String() string {
 // Result is one run over a set of packages.
 type Result struct {
 	Diagnostics []Diagnostic
-	Catalog     *MetricCatalog
 }
 
 // Run loads every path and applies the analyzers, honouring //vet:ok
-// suppression directives. Malformed directives (unknown analyzer, missing
-// reason) are reported under the pseudo-analyzer "directive".
+// suppression directives. Malformed directives (an analyzer missing from
+// the full registry, a missing reason) are reported under the
+// pseudo-analyzer "directive", whichever analyzers this run applies.
 func Run(l *Loader, paths []string, analyzers []*Analyzer) (*Result, error) {
-	res := &Result{Catalog: NewMetricCatalog()}
+	res := &Result{}
 	known := map[string]bool{}
-	for _, a := range analyzers {
+	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
 	for _, path := range paths {
@@ -94,9 +82,7 @@ func Run(l *Loader, paths []string, analyzers []*Analyzer) (*Result, error) {
 		for _, a := range analyzers {
 			a := a
 			pass := &Pass{
-				Pkg:        pkg,
-				ModulePath: l.ModulePath,
-				Catalog:    res.Catalog,
+				Pkg: pkg,
 				report: func(pos token.Pos, msg string) {
 					p := l.Fset.Position(pos)
 					if supp.suppressed(a.Name, p) {

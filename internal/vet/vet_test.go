@@ -16,10 +16,7 @@ import (
 // Each is loaded as import path "fixture/<name>" and checked against the
 // // want `regex` expectations embedded in its source.
 var fixtureNames = []string{
-	"emitaliasing",
 	"lockdiscipline",
-	"metricnames",
-	"atomicmix",
 	"configparity",
 }
 
@@ -54,30 +51,6 @@ func testLoader(t *testing.T) *vet.Loader {
 		t.Fatalf("building loader: %v", loaderErr)
 	}
 	return loader
-}
-
-// cleanTree caches one full run of every analyzer over the whole module.
-var (
-	cleanOnce sync.Once
-	cleanRes  *vet.Result
-	cleanErr  error
-)
-
-func cleanTreeRun(t *testing.T) *vet.Result {
-	t.Helper()
-	l := testLoader(t)
-	cleanOnce.Do(func() {
-		paths, err := l.Expand([]string{"./..."})
-		if err != nil {
-			cleanErr = err
-			return
-		}
-		cleanRes, cleanErr = vet.Run(l, paths, vet.Analyzers())
-	})
-	if cleanErr != nil {
-		t.Fatalf("running analyzers over the module: %v", cleanErr)
-	}
-	return cleanRes
 }
 
 func analyzerByName(name string) *vet.Analyzer {
@@ -201,27 +174,31 @@ func matchDiagnostics(t *testing.T, diags []vet.Diagnostic, wants []*want) {
 // TestDirectiveValidation pins the driver's handling of malformed //vet:ok
 // directives, which report under the pseudo-analyzer "directive" (their
 // position is the directive comment itself, so the fixture cannot carry
-// // want comments for them).
+// // want comments for them). Directive names are checked against the full
+// registry, so a run of one analyzer reports the same two diagnostics and
+// does not mistake the other analyzer's directives for unknown ones.
 func TestDirectiveValidation(t *testing.T) {
 	l := testLoader(t)
-	res, err := vet.Run(l, []string{"fixture/directive"}, vet.Analyzers())
-	if err != nil {
-		t.Fatalf("running on directive fixture: %v", err)
-	}
 	wantSubstrings := []string{
 		"//vet:ok needs a justification",
 		`unknown analyzer "nosuchanalyzer"`,
 	}
-	if len(res.Diagnostics) != len(wantSubstrings) {
-		t.Fatalf("got %d diagnostics, want %d:\n%v", len(res.Diagnostics), len(wantSubstrings), res.Diagnostics)
-	}
-	for i, sub := range wantSubstrings {
-		d := res.Diagnostics[i]
-		if d.Analyzer != "directive" {
-			t.Errorf("diagnostic %d reported by %q, want \"directive\"", i, d.Analyzer)
+	for _, run := range [][]*vet.Analyzer{vet.Analyzers(), {vet.LockDiscipline}} {
+		res, err := vet.Run(l, []string{"fixture/directive"}, run)
+		if err != nil {
+			t.Fatalf("running on directive fixture: %v", err)
 		}
-		if !strings.Contains(d.Message, sub) {
-			t.Errorf("diagnostic %d = %q, want substring %q", i, d.Message, sub)
+		if len(res.Diagnostics) != len(wantSubstrings) {
+			t.Fatalf("%d analyzers: got %d diagnostics, want %d:\n%v", len(run), len(res.Diagnostics), len(wantSubstrings), res.Diagnostics)
+		}
+		for i, sub := range wantSubstrings {
+			d := res.Diagnostics[i]
+			if d.Analyzer != "directive" {
+				t.Errorf("%d analyzers: diagnostic %d reported by %q, want \"directive\"", len(run), i, d.Analyzer)
+			}
+			if !strings.Contains(d.Message, sub) {
+				t.Errorf("%d analyzers: diagnostic %d = %q, want substring %q", len(run), i, d.Message, sub)
+			}
 		}
 	}
 }
@@ -233,30 +210,16 @@ func TestCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module analysis type-checks the standard library from source; skipped with -short")
 	}
-	res := cleanTreeRun(t)
+	l := testLoader(t)
+	paths, err := l.Expand([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := vet.Run(l, paths, vet.Analyzers())
+	if err != nil {
+		t.Fatalf("running analyzers over the module: %v", err)
+	}
 	for _, d := range res.Diagnostics {
 		t.Errorf("tree is not vet-clean: %s", d)
-	}
-}
-
-// TestREADMECatalogParity cross-checks the README metric table against the
-// catalog metricnames extracts from the source: a family documented but not
-// registered, or registered but not documented, fails either way.
-func TestREADMECatalogParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs the full-module catalog; skipped with -short")
-	}
-	l := testLoader(t)
-	res := cleanTreeRun(t)
-	fams := res.Catalog.Families()
-	if len(fams) == 0 {
-		t.Fatal("full-module run extracted no telemetry families")
-	}
-	readme, err := os.ReadFile(filepath.Join(l.ModuleDir, "README.md"))
-	if err != nil {
-		t.Fatalf("reading README.md: %v", err)
-	}
-	for _, p := range vet.CrossCheckREADME(readme, fams) {
-		t.Errorf("README drift: %s", p)
 	}
 }
