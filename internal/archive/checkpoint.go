@@ -96,7 +96,8 @@ type Checkpoint struct {
 // the detector append them to segments. The records segments have no kind
 // for carry their tags* as varints (appendVarintTags). secTrend and
 // secEvents are present exactly when the checkpoint has trend state.
-// Versions 1 and 2 are still read (checkpoint_legacy.go).
+// Only version 3 is read: a file of an earlier version fails as any other
+// invalid checkpoint does.
 const (
 	ckptVersion   = 3
 	ckptHeaderLen = 24
@@ -532,22 +533,19 @@ func readCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // decodeCheckpoint verifies a checkpoint file's frame and decodes its
-// payload, version 1, 2 or 3.
+// payload, which must be version 3.
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < ckptHeaderLen || string(data[:8]) != ckptMagic {
 		return nil, fmt.Errorf("bad magic")
 	}
 	v := binary.LittleEndian.Uint32(data[8:12])
-	if v != ckptV1 && v != ckptV2 && v != ckptVersion {
+	if v != ckptVersion {
 		return nil, fmt.Errorf("version %d", v)
 	}
 	n := binary.LittleEndian.Uint64(data[12:20])
 	crc := binary.LittleEndian.Uint32(data[20:24])
 	if uint64(len(data)-ckptHeaderLen) != n {
 		return nil, fmt.Errorf("torn payload (%d of %d bytes)", len(data)-ckptHeaderLen, n)
-	}
-	if v != ckptVersion {
-		return decodeLegacy(v, data[ckptHeaderLen:], crc)
 	}
 	return decodeSections(data, crc)
 }

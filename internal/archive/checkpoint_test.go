@@ -18,8 +18,7 @@ import (
 
 // richCheckpoint is a checkpoint with every part filled: several Tracker
 // periods, one of them empty, the evicted LRU, trend predictors and events,
-// and partitions. Empty slices are nil, as gob decodes them.
-// testdata/checkpoint-v1.ckpt holds it as a version-1 file, Seq 1.
+// and partitions. Empty slices are nil, as the decoder leaves them.
 func richCheckpoint() *Checkpoint {
 	set := tagset.New
 	return &Checkpoint{
@@ -113,54 +112,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// The writer leaves the caller's Tracker periods in place.
 	if len(cp.Tracker.Periods) != 3 {
 		t.Fatalf("written checkpoint lost its periods: %+v", cp.Tracker.Periods)
-	}
-}
-
-// TestCheckpointReadsV1 loads a version-1 file, written by the gob-only
-// encoder this package used before the periods got their own part, into
-// the checkpoint it was written from: a daemon upgraded mid-life restarts
-// from its last checkpoint.
-func TestCheckpointReadsV1(t *testing.T) {
-	path := filepath.Join("testdata", "checkpoint-v1.ckpt")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != ckptV1 {
-		t.Fatalf("fixture is version %d, want %d", v, ckptV1)
-	}
-	got, err := readCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := richCheckpoint()
-	want.Seq = 1
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 checkpoint differs:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestCheckpointReadsV2 loads a version-2 file, written from
-// richCheckpoint by the encoder this package used before version 3 (the
-// Tracker periods in fixed-width binary, the rest in gob), into the
-// checkpoint it was written from.
-func TestCheckpointReadsV2(t *testing.T) {
-	path := filepath.Join("testdata", "checkpoint-v2.ckpt")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != ckptV2 {
-		t.Fatalf("fixture is version %d, want %d", v, ckptV2)
-	}
-	got, err := readCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := richCheckpoint()
-	want.Seq = 2
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v2 checkpoint differs:\n got %+v\nwant %+v", got, want)
 	}
 }
 

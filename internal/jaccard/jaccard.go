@@ -19,6 +19,11 @@
 // sort; Centralized.Report does. Count, UnionCount and Jaccard are the
 // single-set definitional path the report is tested against.
 //
+// A report's coefficients share one tag arena: each Coefficient.Tags is a
+// window of it capped at its own length, so an append by a consumer copies
+// instead of writing over the next coefficient's tags. One flush makes one
+// coefficient array and one arena, whatever the number of coefficients.
+//
 // Counters are indexed by a tagset.Fold of their tags in a tagset.FoldIndex,
 // not by a key string, and every hit is confirmed against the tags, so
 // counting allocates nothing per subset and a collision costs a longer
@@ -74,10 +79,11 @@ type CounterTable struct {
 	// superset of the maximal counters, which are the roots of
 	// Coefficients' transforms.
 	roots [maxTags + 1][]int32
-	// multi is the number of counters of at least two tags: the most
-	// coefficients a flush can report.
-	multi int
-	docs  int64
+	// multi is the number of counters of at least two tags, the most
+	// coefficients a flush can report, and multiTags the sum of their tag
+	// counts, the most tags those coefficients can carry.
+	multi, multiTags int
+	docs             int64
 
 	// Scratch reused across calls: the fold of every subset of the set
 	// being observed or transformed, and Coefficients' per-counter marks
@@ -131,6 +137,7 @@ func (ct *CounterTable) Observe(s tagset.Set) {
 		ct.counters = append(ct.counters, counter{n: 1, off: uint32(off), mask: mask})
 		if mask&(mask-1) != 0 {
 			ct.multi++
+			ct.multiTags += bits.OnesCount32(mask)
 		}
 		if mask == full {
 			ct.roots[n] = append(ct.roots[n], i)
@@ -256,7 +263,8 @@ func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
 //
 // The scratch arrays hold 2ⁿ entries for the largest tagset seen, no more
 // than the 2ⁿ counters Observe already created for it, so the n ≤ 30 limit
-// of Observe is the only size limit here too.
+// of Observe is the only size limit here too. The result and its tag arena
+// are sized for every counter of two tags or more, so neither grows.
 func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
 	if minCN < 1 {
 		minCN = 1
@@ -264,10 +272,11 @@ func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
 	ct.done = resized(ct.done, len(ct.counters))
 	clear(ct.done)
 	out := make([]Coefficient, 0, ct.multi)
+	arena := make([]tagset.Tag, 0, ct.multiTags)
 	for n := maxTags; n >= 1; n-- {
 		for _, r := range ct.roots[n] {
 			if !ct.done[r] {
-				out = ct.transform(out, r, n, minCN)
+				out, arena = ct.transform(out, arena, r, n, minCN)
 			}
 		}
 	}
@@ -275,8 +284,9 @@ func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
 }
 
 // transform reports, from the root counter in slot r and its n tags, every
-// counter under it not yet marked done, and marks them.
-func (ct *CounterTable) transform(out []Coefficient, r int32, n int, minCN int64) []Coefficient {
+// counter under it not yet marked done, and marks them. Each reported
+// coefficient's tags are appended to arena, whose capacity covers them all.
+func (ct *CounterTable) transform(out []Coefficient, arena []tagset.Tag, r int32, n int, minCN int64) ([]Coefficient, []tagset.Tag) {
 	off := int(ct.counters[r].off)
 	root := ct.arena[off : off+n]
 	size := 1 << n
@@ -308,13 +318,13 @@ func (ct *CounterTable) transform(out []Coefficient, r int32, n int, minCN int64
 		if mask&(mask-1) == 0 || cn < minCN || union <= 0 {
 			continue
 		}
-		tags := make(tagset.Set, 0, bits.OnesCount(uint(mask)))
+		lo := len(arena)
 		for m := mask; m != 0; m &= m - 1 {
-			tags = append(tags, root[bits.TrailingZeros(uint(m))])
+			arena = append(arena, root[bits.TrailingZeros(uint(m))])
 		}
-		out = append(out, Coefficient{Tags: tags, J: float64(cn) / float64(union), CN: cn})
+		out = append(out, Coefficient{Tags: arena[lo:len(arena):len(arena)], J: float64(cn) / float64(union), CN: cn})
 	}
-	return out
+	return out, arena
 }
 
 // resized returns s with length n and unspecified contents, reusing its
@@ -329,7 +339,7 @@ func (ct *CounterTable) Reset() {
 	for n := range ct.roots {
 		ct.roots[n] = ct.roots[n][:0]
 	}
-	ct.multi = 0
+	ct.multi, ct.multiTags = 0, 0
 	ct.docs = 0
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/tagset"
@@ -432,5 +433,35 @@ func TestObserveAllocations(t *testing.T) {
 	period()
 	if got := testing.AllocsPerRun(5, period); got != 0 {
 		t.Errorf("a period of %d documents after Reset: %.0f allocations, want 0", len(docs), got)
+	}
+}
+
+// TestCoefficientsOneArena pins the report's shape: one coefficient array
+// and one tag arena per call, however many coefficients, and every
+// coefficient's tags a window of the arena capped at its own length, so an
+// append to one copies instead of overwriting its neighbour. The collector
+// is off while it counts: a cycle the arrays start allocates on its own
+// account.
+func TestCoefficientsOneArena(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ct := NewCounterTable()
+	for _, d := range wideStream(11, 300, 8) {
+		ct.Observe(d)
+	}
+	report := ct.Coefficients(1)
+	if len(report) < 100 {
+		t.Fatalf("the stream reported only %d coefficients", len(report))
+	}
+	for i, c := range report {
+		if cap(c.Tags) != len(c.Tags) {
+			t.Fatalf("coefficient %d: tags have cap %d beyond their %d", i, cap(c.Tags), len(c.Tags))
+		}
+		grown := append(c.Tags, 0)
+		if &grown[0] == &c.Tags[0] {
+			t.Fatalf("coefficient %d: an append wrote into the arena", i)
+		}
+	}
+	if got := testing.AllocsPerRun(5, func() { ct.Coefficients(1) }); got != 2 {
+		t.Errorf("a report of %d coefficients: %.0f allocations, want 2 (array and arena)", len(report), got)
 	}
 }

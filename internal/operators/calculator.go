@@ -29,8 +29,10 @@ type Calculator struct {
 	// trackerTasks is the Tracker's parallelism, read from the topology at
 	// Prepare: flushes split their coefficients into one sub-batch per
 	// task, grouped by the shared routeHash, so fields grouping (CoeffKey)
-	// keeps every tagset on one Tracker task. 1 outside a topology.
+	// keeps every tagset on one Tracker task. 1 outside a topology. route
+	// is splitByRoute's per-coefficient scratch, reused across flushes.
 	trackerTasks int
+	route        []int32
 
 	// Reports counts emitted reporting rounds; Observed counts received
 	// notifications.
@@ -96,7 +98,9 @@ func (c *Calculator) Cleanup(out storm.Collector) {
 // sub-batch per involved Tracker task, each carrying the coefficients whose
 // tagset-key hash routes to it (CoeffKey reads the Route field). Either
 // way the hot path's dataflow counters and mailbox pressure stay
-// proportional to periods rather than pairs.
+// proportional to periods rather than pairs. The sub-batches are windows
+// of the report's one array, handed over with it: the Calculator keeps no
+// reference to a report it emitted.
 func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 	coeffs := c.table.Coefficients(1)
 	period := int64(c.boundary / c.cfg.ReportEvery)
@@ -107,7 +111,7 @@ func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 			CoeffBatch{Period: period, Coeffs: coeffs, Ingest: ingest, Trace: trace},
 		}})
 	default:
-		for g, part := range splitByRoute(coeffs, c.trackerTasks) {
+		for g, part := range c.splitByRoute(coeffs) {
 			if len(part) == 0 {
 				continue
 			}
@@ -120,6 +124,16 @@ func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 		c.Reports++
 	}
 	c.table.Reset()
+}
+
+// splitByRoute groups a report in place into one part per Tracker task by
+// routeHash % tasks, each tagset hashed once into c.route (groupByRoute).
+func (c *Calculator) splitByRoute(coeffs []jaccard.Coefficient) [][]jaccard.Coefficient {
+	c.route = resized(c.route, len(coeffs))
+	for i := range coeffs {
+		c.route[i] = int32(routeHashSet(coeffs[i].Tags) % uint64(c.trackerTasks))
+	}
+	return groupByRoute(coeffs, c.route, c.trackerTasks)
 }
 
 // alignUp returns the smallest multiple of step strictly greater than t.

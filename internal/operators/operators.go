@@ -110,12 +110,18 @@ type NotifyBatch struct {
 // CoeffBatch is one Calculator's report for one period: a single tuple
 // carrying a coefficient slice, so a flush of n coefficients costs one
 // emission and one Tracker mailbox delivery instead of n. With Tracker
-// parallelism > 1 a period flush is split into per-Tracker-task sub-batches
-// (every coefficient routed by its tagset-key hash), and Route carries the
-// destination task index so CoeffKey fields grouping delivers each
-// sub-batch to the task owning its tagsets. Coeffs come in the flush's
-// order (jaccard.CounterTable.Coefficients): unspecified but deterministic,
-// and not sorted; the Tracker needs no order.
+// parallelism > 1 a period flush is grouped in place into per-Tracker-task
+// sub-batches (every coefficient routed by its tagset-key hash), capped
+// windows of the flush's one array, and Route carries the destination task
+// index so CoeffKey fields grouping delivers each sub-batch to the task
+// owning its tagsets. Coeffs come in the flush's order
+// (jaccard.CounterTable.Coefficients): unspecified but deterministic, and
+// not sorted; the Tracker needs no order.
+//
+// Once emitted, Coeffs belong to the receiving Tracker task: the emitter
+// never reads or writes them again, and the Tracker compacts its accepted
+// reports into their prefix when it has an archive or a Trend feed. With
+// neither it only reads them.
 type CoeffBatch struct {
 	Period int64
 	Route  uint64
@@ -132,10 +138,12 @@ type CoeffBatch struct {
 // TrendBatch carries the reports of one CoeffBatch that changed the
 // Tracker's tables — fresh (period, tagset) values and CN upgrades, in
 // arrival order — towards the Trend operator, so the stream carries exactly
-// the values the tables converge to at one tuple per ingested batch. With
-// Trend parallelism > 1 the Tracker splits the accepted reports by
-// tagset-key hash the way Calculator.flush splits a period, and Route
-// carries the destination task index for TrendKey.
+// the values the tables converge to at one tuple per ingested batch. Coeffs
+// is a prefix of the CoeffBatch's own array, where the Tracker compacted
+// the accepted reports; once emitted it belongs to the receiving Trend
+// task. With Trend parallelism > 1 the Tracker groups the accepted reports
+// in place by tagset-key hash the way Calculator.flush groups a period,
+// and Route carries the destination task index for TrendKey.
 type TrendBatch struct {
 	Period int64
 	Route  uint64
@@ -427,34 +435,35 @@ func CoeffKey(t storm.Tuple) uint64 {
 	return t.Values[0].(CoeffBatch).Route
 }
 
-// splitByRoute groups coefficients into one slice per consumer task by
-// routeHash % tasks, preserving arrival order within each — how a period
-// flush reaches the Tracker task that owns each tagset.
-func splitByRoute(coeffs []jaccard.Coefficient, tasks int) [][]jaccard.Coefficient {
-	return splitByHash(coeffs, tasks, func(i int) uint64 { return routeHashSet(coeffs[i].Tags) })
-}
-
-// splitByHash is splitByRoute over route hashes already computed: hash(i)
-// is coeffs[i]'s. The Tracker splits an accepted batch for the Trend tasks
-// with the hashes its shard grouping computed. A counting pass sizes every
-// part exactly; the parts are capped windows of one array.
-func splitByHash(coeffs []jaccard.Coefficient, tasks int, hash func(i int) uint64) [][]jaccard.Coefficient {
-	route := make([]uint32, len(coeffs))
-	sizes := make([]int, tasks)
-	for i := range coeffs {
-		g := hash(i) % uint64(tasks)
-		route[i] = uint32(g)
-		sizes[g]++
+// groupByRoute reorders coeffs in place so that the coefficients of each
+// consumer task are contiguous and keep their order, and returns each
+// task's part as a window of coeffs capped at its end. route[i] is
+// coeffs[i]'s task, below tasks; it is overwritten. A counting pass gives
+// every coefficient its destination, and the entries then move along the
+// cycles of that permutation, each swap putting one in its place. This is
+// how a period flush is split for the Tracker tasks and an accepted batch
+// for the Trend tasks, without a copy of either.
+func groupByRoute(coeffs []jaccard.Coefficient, route []int32, tasks int) [][]jaccard.Coefficient {
+	next := make([]int32, tasks)
+	for _, g := range route {
+		next[g]++
 	}
-	all := make([]jaccard.Coefficient, len(coeffs))
 	parts := make([][]jaccard.Coefficient, tasks)
-	lo := 0
-	for g, n := range sizes {
-		parts[g] = all[lo : lo : lo+n]
+	lo := int32(0)
+	for g, n := range next {
+		parts[g] = coeffs[lo : lo+n : lo+n]
+		next[g] = lo
 		lo += n
 	}
-	for i, co := range coeffs {
-		parts[route[i]] = append(parts[route[i]], co)
+	for i, g := range route { // route[i] becomes coeffs[i]'s destination
+		route[i] = next[g]
+		next[g]++
+	}
+	for i := range coeffs {
+		for d := route[i]; d != int32(i); d = route[i] {
+			coeffs[i], coeffs[d] = coeffs[d], coeffs[i]
+			route[i], route[d] = route[d], d
+		}
 	}
 	return parts
 }

@@ -209,12 +209,13 @@ func (tr *Tracker) SetFlight(rec *flight.Recorder) { tr.flightRec = rec }
 // may prune old ones); the batch is then grouped by shard, and each shard
 // is locked once for its run of reports (reportBatch). A report costs one
 // fold of its tags and one table lookup, and allocates nothing: a fresh
-// entry's tags are copied into its table's arena. The reports that changed
-// the tables are gathered, in arrival order, in a slice of their own sized
-// exactly (msg.Coeffs belongs to the emitter and is never written),
-// appended to the archive in one call and emitted as one TrendBatch (one
-// per Trend task when there are several, split by the route hashes the
-// shard grouping computed).
+// entry's tags are copied into its table's arena. msg.Coeffs belongs to
+// this task once emitted (CoeffBatch): when there is an archive or a Trend
+// feed, the reports that changed the tables are compacted, in arrival
+// order, into its prefix, appended to the archive in one call and emitted
+// as one TrendBatch (one per Trend task when there are several, grouped in
+// place by the route hashes the shard grouping computed). With neither,
+// msg.Coeffs is only read.
 func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 	msg := t.Values[0].(CoeffBatch)
 	start := telemetry.Now()
@@ -258,19 +259,9 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 	n, dups, lates := tr.reportBatch(msg.Period, msg.Coeffs, sc)
 	tr.Duplicates.Add(dups)
 	tr.Late.Add(lates)
-	split := emit && tr.trendTasks > 1
 	var accepted []jaccard.Coefficient
 	if (emit || archived) && n > 0 {
-		accepted = make([]jaccard.Coefficient, 0, n)
-		sc.trendHash = sc.trendHash[:0]
-		for i, keep := range sc.accepted {
-			if keep {
-				accepted = append(accepted, msg.Coeffs[i])
-				if split {
-					sc.trendHash = append(sc.trendHash, sc.hash[i])
-				}
-			}
-		}
+		accepted = tr.compact(msg.Coeffs, sc, emit && tr.trendTasks > 1)
 	}
 	if archived {
 		if tr.afterReports != nil {
@@ -282,13 +273,12 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 
 	switch {
 	case !emit || len(accepted) == 0:
-	case !split:
+	case tr.trendTasks <= 1:
 		out.Emit(storm.Tuple{Stream: StreamTrend, Values: []interface{}{
 			TrendBatch{Period: msg.Period, Coeffs: accepted, Trace: msg.Trace},
 		}})
 	default:
-		parts := splitByHash(accepted, tr.trendTasks, func(i int) uint64 { return sc.trendHash[i] })
-		for g, part := range parts {
+		for g, part := range groupByRoute(accepted, sc.route, tr.trendTasks) {
 			if len(part) == 0 {
 				continue
 			}
@@ -297,6 +287,27 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 			}})
 		}
 	}
+}
+
+// compact moves the reports reportBatch accepted to the front of cs, in
+// arrival order, and returns that prefix. cs is the batch this task owns
+// (CoeffBatch), so no copy of it is made. With split it also sets
+// sc.route to each accepted report's Trend task, from the route hash the
+// shard grouping computed.
+func (tr *Tracker) compact(cs []jaccard.Coefficient, sc *intakeScratch, split bool) []jaccard.Coefficient {
+	n := 0
+	sc.route = sc.route[:0]
+	for i, keep := range sc.accepted {
+		if !keep {
+			continue
+		}
+		cs[n] = cs[i]
+		n++
+		if split {
+			sc.route = append(sc.route, int32(sc.hash[i]%uint64(tr.trendTasks)))
+		}
+	}
+	return cs[:n:n]
 }
 
 // appendArchive hands a batch's accepted reports, in arrival order, to the
@@ -317,11 +328,11 @@ func (tr *Tracker) appendArchive(msg CoeffBatch, accepted []jaccard.Coefficient)
 // intakeScratch is reportBatch's per-batch state, reused from batch to
 // batch through Tracker.scratch.
 type intakeScratch struct {
-	hash      []uint64 // each report's route hash
-	order     []int32  // report indices grouped by shard, in arrival order within each
-	start     []int32  // shard i's run ends at order[start[i]] once grouped
-	accepted  []bool   // whether each report changed its table
-	trendHash []uint64 // the route hash of each accepted report, for the Trend split
+	hash     []uint64 // each report's route hash
+	order    []int32  // report indices grouped by shard, in arrival order within each
+	start    []int32  // shard i's run ends at order[start[i]] once grouped
+	accepted []bool   // whether each report changed its table
+	route    []int32  // each accepted report's Trend task, for the Trend split
 }
 
 // getScratch takes an intakeScratch off the free list, or makes one.

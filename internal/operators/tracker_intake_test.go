@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -102,9 +103,12 @@ func (discard) EmitDirect(storm.TaskID, storm.Tuple) {}
 // TestTrackerIntakeAllocations pins the intake path's allocation budget
 // with trend emission on: a batch of reports the tables already hold costs
 // nothing, and a batch of fresh ones costs a constant for the batch (the
-// accepted slice, the TrendBatch tuple, one presized table per shard for
-// the new period), nothing per coefficient.
+// TrendBatch tuple and one presized table per shard for the new period;
+// the accepted reports are compacted into the batch itself), nothing per
+// coefficient. The collector is off while it counts, as in
+// TestCalculatorFlushAllocations.
 func TestTrackerIntakeAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 1000
 	batch := func(period int64) storm.Tuple {
 		cs := make([]jaccard.Coefficient, n)
@@ -136,11 +140,55 @@ func TestTrackerIntakeAllocations(t *testing.T) {
 		tr.Execute(fresh[next], out)
 		next++
 	})
-	const perBatch = 40
+	const perBatch = 22
 	if avg > perBatch {
 		t.Errorf("a fresh batch of %d allocates %.1f times, want at most %d", n, avg, perBatch)
 	}
 	if st := tr.StatsSnapshot(); st.Retained != (runs+2)*n {
 		t.Fatalf("retained = %d, want %d: the batches were not all fresh", st.Retained, (runs+2)*n)
+	}
+}
+
+// TestCalculatorFlushAllocations pins a period flush's allocations to a
+// constant for 1 and 4 Tracker tasks: the report's coefficient array and
+// tag arena, the grouping's two small arrays with more than one task, and
+// one tuple per sub-batch, the same for a period of 40 documents as for
+// one of 2 000. The flush's coefficients are grouped in place and their
+// tags share the arena, so nothing is allocated per coefficient. The
+// collector is off while it counts: a cycle started by the large arrays
+// allocates on its own account and would be counted too.
+func TestCalculatorFlushAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(3))
+	docs := make([]tagset.Set, 2000)
+	for i := range docs {
+		tags := make([]tagset.Tag, 2+rng.Intn(4))
+		for j := range tags {
+			tags[j] = tagset.Tag(rng.Intn(400))
+		}
+		docs[i] = tagset.New(tags...)
+	}
+	for _, tasks := range []int{1, 4} {
+		c := NewCalculator(Config{ReportEvery: 1000})
+		c.trackerTasks = tasks
+		var out discard
+		period := func(n int) func() {
+			return func() {
+				for _, d := range docs[:n] {
+					c.table.Observe(d)
+				}
+				c.flush(out, 0, 0)
+			}
+		}
+		period(len(docs))() // grows the table and the grouping scratch once
+		small := testing.AllocsPerRun(5, period(40))
+		large := testing.AllocsPerRun(5, period(len(docs)))
+		if small != large {
+			t.Errorf("%d Tracker tasks: a flush allocates %.1f times after 40 documents, %.1f after %d",
+				tasks, small, large, len(docs))
+		}
+		if want := map[int]float64{1: 2 + 2, 4: 2 + 2 + 4*2}[tasks]; large > want {
+			t.Errorf("%d Tracker tasks: a flush allocates %.1f times, want at most %.0f", tasks, large, want)
+		}
 	}
 }

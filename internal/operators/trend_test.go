@@ -1,6 +1,8 @@
 package operators
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/jaccard"
@@ -112,36 +114,124 @@ func TestTrackerTrendEmissionMixedBatch(t *testing.T) {
 	}
 }
 
-// TestTrackerExecuteLeavesBatchUntouched: the CoeffBatch slice belongs to
-// its emitter (the benchmark's layer replay executes the same tuples more
-// than once), so Execute must read it only — also when it forwards accepted
-// reports, which travel in a slice of their own.
+// TestTrackerExecuteLeavesBatchUntouched: a Tracker with neither an
+// archive nor a Trend feed only reads the batch it is handed (the
+// benchmark's layer replay executes the same tuples more than once), even
+// when the batch holds reports it rejects, which a compaction would move.
+// Trend emission with no collector, as the replay runs it, is no feed.
 func TestTrackerExecuteLeavesBatchUntouched(t *testing.T) {
-	tr := NewTrackerWith(4, 8, 0)
-	tr.EnableTrendEmit()
 	var coeffs []jaccard.Coefficient
 	for a := tagset.Tag(0); a < 50; a++ {
-		coeffs = append(coeffs, jaccard.Coefficient{Tags: tagset.New(a%20, a%20+1), J: float64(a) / 50, CN: int64(a)})
+		cn := int64(10) // fresh
+		switch {
+		case a >= 40:
+			cn = 20 // a CN upgrade
+		case a >= 20:
+			cn = 5 // a duplicate that loses
+		}
+		coeffs = append(coeffs, jaccard.Coefficient{Tags: tagset.New(a%20, a%20+1), J: float64(a) / 50, CN: cn})
 	}
-	before := make([]jaccard.Coefficient, len(coeffs))
-	copy(before, coeffs)
-	tuple := coeffBatchTuple(1, coeffs...)
-	for run := 0; run < 2; run++ {
-		out := newCollector()
-		tr.Execute(tuple, out)
-		got := tuple.Values[0].(CoeffBatch).Coeffs
-		if len(got) != len(before) {
-			t.Fatalf("run %d: batch has %d coefficients, had %d", run, len(got), len(before))
-		}
-		for i := range before {
-			if !got[i].Tags.Equal(before[i].Tags) || got[i].J != before[i].J || got[i].CN != before[i].CN {
-				t.Fatalf("run %d: coefficient %d = %+v, was %+v", run, i, got[i], before[i])
+	before := append([]jaccard.Coefficient(nil), coeffs...)
+	emitting := NewTrackerWith(4, 8, 0)
+	emitting.EnableTrendEmit()
+	for name, run := range map[string]func(storm.Tuple){
+		"no feed":            func(t storm.Tuple) { NewTrackerWith(4, 8, 0).Execute(t, newCollector()) },
+		"emit, no collector": func(t storm.Tuple) { emitting.Execute(t, nil) },
+	} {
+		tuple := coeffBatchTuple(1, coeffs...)
+		for i := 0; i < 2; i++ {
+			run(tuple)
+			if !reflect.DeepEqual(coeffs, before) {
+				t.Fatalf("%s, run %d: the batch changed\n got %v\nwant %v", name, i, coeffs, before)
 			}
 		}
-		for _, b := range trendBatches(out) {
-			if len(b.Coeffs) > 0 && &b.Coeffs[0] == &coeffs[0] {
-				t.Fatalf("run %d: the TrendBatch aliases the CoeffBatch slice", run)
+	}
+}
+
+// within reports whether part is a window of whole, capped at its end.
+func within(part, whole []jaccard.Coefficient) bool {
+	if len(part) == 0 || cap(part) != len(part) {
+		return false
+	}
+	for k := range whole {
+		if &whole[k] == &part[0] {
+			return k+len(part) <= len(whole)
+		}
+	}
+	return false
+}
+
+// TestTrackerCompactsInItsWindow: two Tracker tasks ingest the two
+// sub-batches of one flush at once, with trend emission on and four Trend
+// tasks. Each compacts its accepted reports into the front of its own
+// window and groups them there for the Trend tasks, so every TrendBatch is
+// a window of that prefix holding its task's accepted reports in arrival
+// order, and nothing outside the prefix is written: -race sees any
+// overlap, and the tail past the prefix is left as it was.
+func TestTrackerCompactsInItsWindow(t *testing.T) {
+	const trendTasks = 4
+	var flush []jaccard.Coefficient
+	for a := tagset.Tag(0); a < 60; a++ {
+		// Every tagset twice, first with the higher CN: the repeat is rejected.
+		s := tagset.New(a%30/2, a%30+100)
+		flush = append(flush, jaccard.Coefficient{Tags: s, J: float64(a) / 60, CN: int64(100 - a)})
+	}
+	parts := (&Calculator{trackerTasks: 2}).splitByRoute(flush)
+	if len(parts[0]) == 0 || len(parts[1]) == 0 {
+		t.Fatalf("the flush did not reach both tasks: %d and %d", len(parts[0]), len(parts[1]))
+	}
+	before := append([]jaccard.Coefficient(nil), flush...)
+
+	tr := NewTrackerWith(4, 8, 0)
+	tr.EnableTrendEmit()
+	tr.trendTasks = trendTasks
+	outs := [2]*collector{newCollector(), newCollector()}
+	var wg sync.WaitGroup
+	for g, part := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr.Execute(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{
+				CoeffBatch{Period: 1, Route: uint64(g), Coeffs: part},
+			}}, outs[g])
+		}()
+	}
+	wg.Wait()
+
+	lo := 0
+	for g, part := range parts {
+		old := before[lo : lo+len(part)]
+		lo += len(part)
+		var accepted int
+		want := make(map[uint64][]jaccard.Coefficient) // by Trend task
+		seen := make(map[tagset.Key]bool)
+		for _, c := range old {
+			if k := c.Tags.Key(); !seen[k] {
+				seen[k] = true
+				accepted++
+				r := routeHash(k) % trendTasks
+				want[r] = append(want[r], c)
 			}
+		}
+		if !reflect.DeepEqual(part[accepted:], old[accepted:]) {
+			t.Errorf("task %d: the tail past the accepted prefix changed", g)
+		}
+		batches := trendBatches(outs[g])
+		if len(batches) < 2 {
+			t.Fatalf("task %d: %d TrendBatches, want the Trend split to reorder", g, len(batches))
+		}
+		emitted := 0
+		for _, b := range batches {
+			emitted += len(b.Coeffs)
+			if !within(b.Coeffs, part[:accepted]) {
+				t.Errorf("task %d: the TrendBatch for Trend task %d is not a window of the accepted prefix", g, b.Route)
+			}
+			if !reflect.DeepEqual(b.Coeffs, want[b.Route]) {
+				t.Errorf("task %d, Trend task %d:\n got %v\nwant %v", g, b.Route, b.Coeffs, want[b.Route])
+			}
+		}
+		if emitted != accepted {
+			t.Errorf("task %d emitted %d reports, want %d", g, emitted, accepted)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -318,11 +317,15 @@ func (s *Stream) observe(period int64, c jaccard.Coefficient) {
 // publish hands ev to the broker goroutine with a single non-blocking
 // send: N slow subscribers cost the scoring path one channel operation.
 // With no live subscribers (no broker) the event is discarded outright.
+// A published event gets its own copy of its tags: a report's tags are a
+// window of its flush's whole tag arena (jaccard.Coefficients), which a
+// subscriber's buffer would otherwise keep alive.
 func (s *Stream) publish(ev Event) {
 	ch, _ := s.broker.Load().(chan brokerFrame)
 	if ch == nil {
 		return
 	}
+	ev.Tags = ev.Tags.Clone()
 	select {
 	case ch <- brokerFrame{ev: ev}:
 	default:
@@ -678,7 +681,9 @@ func (sh *streamShard) evictPeriod(p int64) {
 }
 
 // evictPredictors enforces the predictor cap, dropping the stalest eighth
-// in one pass so the scan amortizes instead of firing per insert.
+// in one pass so the scan amortizes instead of firing per insert. Staleness
+// is the last period, ties broken by key, so which predictors survive does
+// not depend on map order.
 func (sh *streamShard) evictPredictors() {
 	if sh.maxPreds <= 0 || len(sh.preds) <= sh.maxPreds {
 		return
@@ -691,7 +696,7 @@ func (sh *streamShard) evictPredictors() {
 	for k, p := range sh.preds {
 		all = append(all, entry{k, p.period})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].last < all[j].last })
+	slices.SortFunc(all, func(a, b entry) int { return cmp.Or(cmp.Compare(a.last, b.last), cmp.Compare(a.k, b.k)) })
 	drop := len(sh.preds) - sh.maxPreds + sh.maxPreds/8
 	if drop > len(all) {
 		drop = len(all)

@@ -2,6 +2,7 @@ package trend
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -451,4 +452,74 @@ func TestStreamConcurrentStress(t *testing.T) {
 	if got := atomic.LoadInt64(&consumed); got == 0 {
 		t.Error("subscriber consumed nothing")
 	}
+}
+
+// TestPredictorEvictionBreaksTiesByKey: 40 same-period reports into a
+// stream and a batch detector capped at 16 predictors. Every predictor has
+// the same last period, so which ones survive is decided by key alone:
+// each eviction pass drops the smallest keys, as a sorted reference does,
+// on every run, whatever the maps' iteration order.
+func TestPredictorEvictionBreaksTiesByKey(t *testing.T) {
+	const maxTracked = 16
+	rng := rand.New(rand.NewSource(4))
+	var reports []jaccard.Coefficient
+	for _, i := range rng.Perm(40) {
+		a := tagset.Tag(3 * i)
+		reports = append(reports, coeff(0.5, 5, a, a+1+tagset.Tag(i%3)))
+	}
+	// The stream's shard drops the stalest eighth past the cap on each
+	// insert that exceeds it.
+	var live []tagset.Key
+	for _, c := range reports {
+		live = append(live, c.Tags.Key())
+		if len(live) > maxTracked {
+			slices.Sort(live)
+			live = live[len(live)-maxTracked+maxTracked/8:]
+		}
+	}
+	slices.Sort(live)
+	// The batch detector evicts once, after the period, down to the cap.
+	var keys []tagset.Key
+	for _, c := range reports {
+		keys = append(keys, c.Tags.Key())
+	}
+	slices.Sort(keys)
+	wantDetector := keys[len(keys)-maxTracked:]
+
+	for run := 0; run < 5; run++ {
+		s := mustStream(t, StreamConfig{Alpha: 0.5, MinSupport: 1, MaxTracked: maxTracked, Shards: 1})
+		s.ObserveBatch(1, reports)
+		var got []tagset.Key
+		for _, k := range keys {
+			if _, ok := s.Predictor(k); ok {
+				got = append(got, k)
+			}
+		}
+		if !slices.Equal(got, live) {
+			t.Fatalf("run %d: stream survivors %v, want %v", run, keySets(got), keySets(live))
+		}
+
+		cfg := DefaultConfig()
+		cfg.MinSupport, cfg.MaxTracked = 1, maxTracked
+		d := mustDetector(t, cfg)
+		d.Feed(1, reports)
+		got = got[:0]
+		for _, k := range keys {
+			if d.state[k] != nil {
+				got = append(got, k)
+			}
+		}
+		if !slices.Equal(got, wantDetector) {
+			t.Fatalf("run %d: detector survivors %v, want %v", run, keySets(got), keySets(wantDetector))
+		}
+	}
+}
+
+// keySets renders keys as their tagsets for a failure message.
+func keySets(keys []tagset.Key) []tagset.Set {
+	sets := make([]tagset.Set, len(keys))
+	for i, k := range keys {
+		sets[i] = k.Set()
+	}
+	return sets
 }

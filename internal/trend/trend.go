@@ -7,7 +7,9 @@
 package trend
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/jaccard"
@@ -124,7 +126,8 @@ func (d *Detector) Feed(period int64, report []jaccard.Coefficient) []Event {
 	return events
 }
 
-// evict drops the stalest predictors beyond MaxTracked.
+// evict drops the stalest predictors beyond MaxTracked: the oldest last
+// period first, ties broken by key, whatever the map order.
 func (d *Detector) evict(now int64) {
 	if d.cfg.MaxTracked <= 0 || len(d.state) <= d.cfg.MaxTracked {
 		return
@@ -137,7 +140,7 @@ func (d *Detector) evict(now int64) {
 	for k, p := range d.state {
 		all = append(all, entry{k, p.lastPeriod})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].last < all[j].last })
+	slices.SortFunc(all, func(a, b entry) int { return cmp.Or(cmp.Compare(a.last, b.last), cmp.Compare(a.k, b.k)) })
 	for _, e := range all[:len(d.state)-d.cfg.MaxTracked] {
 		delete(d.state, e.k)
 	}
