@@ -10,7 +10,7 @@
 // subsets, which exist by construction because every received document
 // increments every subset of its (partition-restricted) tagset.
 //
-// The periodic report (Coefficients) does not evaluate Eq. 2 once per
+// The periodic report (AppendCoefficients) does not evaluate Eq. 2 once per
 // tagset: it runs one signed subset-sum transform per maximal tagset, which
 // yields the union count of every subset of that tagset at once, and reports
 // each counter exactly once, in the order the transforms visit them. That
@@ -21,8 +21,11 @@
 //
 // A report's coefficients share one tag arena: each Coefficient.Tags is a
 // window of it capped at its own length, so an append by a consumer copies
-// instead of writing over the next coefficient's tags. One flush makes one
-// coefficient array and one arena, whatever the number of coefficients.
+// instead of writing over the next coefficient's tags. AppendCoefficients
+// writes a report into a coefficient array and an arena the caller gives
+// it, grown once when too small, so a caller that reuses them allocates
+// nothing per report; Coefficients makes a new array and arena, two
+// allocations whatever the number of coefficients.
 //
 // Counters are indexed by a tagset.Fold of their tags in a tagset.FoldIndex,
 // not by a key string, and every hit is confirmed against the tags, so
@@ -74,11 +77,17 @@ type CounterTable struct {
 	// counters only if its whole tagset is new (a counter's subsets all
 	// exist), so each new counter is a subset of the root created with it.
 	arena []tagset.Tag
-	// roots[n] holds, in creation order, the slot of every counter of n
+	// roots[n] holds, in creation order, one entry for every counter of n
 	// tags that was created as a document's whole tagset: together a
 	// superset of the maximal counters, which are the roots of
-	// Coefficients' transforms.
+	// Coefficients' transforms. The entry is where the root's subsets
+	// start in sub.
 	roots [maxTags + 1][]int32
+	// sub holds, root after root, the slots of a root's 2ⁿ−1 subsets,
+	// indexed by the bitmask that selects them less one (the root's own
+	// slot last). Observe found them while creating the root, so a
+	// transform reads them here instead of folding and probing again.
+	sub []int32
 	// multi is the number of counters of at least two tags, the most
 	// coefficients a flush can report, and multiTags the sum of their tag
 	// counts, the most tags those coefficients can carry.
@@ -86,11 +95,10 @@ type CounterTable struct {
 	docs             int64
 
 	// Scratch reused across calls: the fold of every subset of the set
-	// being observed or transformed, and Coefficients' per-counter marks
-	// and per-root 2ⁿ arrays.
+	// being observed, and AppendCoefficients' per-counter marks and
+	// per-root 2ⁿ sums.
 	folds []tagset.Fold
 	done  []bool
-	slot  []int32
 	sum   []int64
 }
 
@@ -122,10 +130,16 @@ func (ct *CounterTable) Observe(s tagset.Set) {
 	folds := ct.foldSubsets(s)
 	off := -1 // s's offset in the arena once a counter needs it
 	full := uint32(1)<<n - 1
+	// The subsets' slots go to the end of sub, kept only if s becomes a
+	// root: a counter is created only when s is new, and then s is too.
+	base := len(ct.sub)
+	ct.sub = slices.Grow(ct.sub, int(full))[:base+int(full)]
+	sub := ct.sub[base:]
 	for mask := uint32(1); mask <= full; mask++ {
 		i := ct.lookup(folds[mask], s, mask)
 		if i >= 0 {
 			ct.counters[i].n++
+			sub[mask-1] = i
 			continue
 		}
 		if off < 0 {
@@ -135,14 +149,17 @@ func (ct *CounterTable) Observe(s tagset.Set) {
 		i = int32(len(ct.counters))
 		ct.index.Insert(folds[mask], i)
 		ct.counters = append(ct.counters, counter{n: 1, off: uint32(off), mask: mask})
+		sub[mask-1] = i
 		if mask&(mask-1) != 0 {
 			ct.multi++
 			ct.multiTags += bits.OnesCount32(mask)
 		}
-		if mask == full {
-			ct.roots[n] = append(ct.roots[n], i)
-		}
 	}
+	if off < 0 {
+		ct.sub = ct.sub[:base]
+		return
+	}
+	ct.roots[n] = append(ct.roots[n], int32(base))
 }
 
 // foldSubsets returns the fold of every subset of tags, indexed by the
@@ -244,63 +261,82 @@ func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
 }
 
 // Coefficients computes the Jaccard coefficient for every tracked tagset of
-// at least two tags whose intersection counter is at least minCN. This is
-// the Calculator's periodic report (Section 6.2): the "maximum possible
-// number of Jaccard coefficients" from the current counters. Results come
-// in the order the transforms below visit them. That order is unspecified
-// but deterministic: the same sequence of Observe calls, with or without a
-// Reset before it, gives the same slice. A caller that needs an order sorts.
+// at least two tags whose intersection counter is at least minCN, in a new
+// coefficient array and tag arena: AppendCoefficients(nil, nil, minCN),
+// except that an empty report is an empty slice, not nil.
+func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
+	out, _ := ct.AppendCoefficients(nil, nil, minCN)
+	if out == nil {
+		out = []Coefficient{}
+	}
+	return out
+}
+
+// AppendCoefficients appends to out the Jaccard coefficient of every
+// tracked tagset of at least two tags whose intersection counter is at
+// least minCN, their tags to arena, and returns both. This is the
+// Calculator's periodic report (Section 6.2): the "maximum possible number
+// of Jaccard coefficients" from the current counters. Results come in the
+// order the transforms below visit them. That order is unspecified but
+// deterministic: the same sequence of Observe calls, with or without a
+// Reset before it, gives the same coefficients. A caller that needs an
+// order sorts.
 //
 // Eq. 2 is not evaluated per tagset. Every counter is a subset of a maximal
 // counter M, a document's whole tagset, all of whose 2ⁿ−1 subsets have
-// counters because Observe created them together. With the subsets of M
-// indexed by bitmask and g(T) = (−1)^(|T|+1)·count(T), the union count of
-// every S ⊆ M is the subset sum Σ_{T⊆S} g(T), and one in-place zeta
-// transform (n·2ⁿ additions) yields all 2ⁿ of them from 2ⁿ lookups. Roots
-// are visited largest first, so a counter still unmarked when its turn
-// comes has no superset in the table; each counter is marked by the first
-// root that covers it and reported from that root only.
+// counters because Observe created them together, and recorded their
+// slots. With the subsets of M indexed by bitmask and
+// g(T) = (−1)^(|T|+1)·count(T), the union count of every S ⊆ M is the
+// subset sum Σ_{T⊆S} g(T), and one in-place zeta transform (n·2ⁿ
+// additions) yields all 2ⁿ of them from the recorded slots, with no lookup.
+// Roots are visited largest first, so a counter still unmarked when its
+// turn comes has no superset in the table; each counter is marked by the
+// first root that covers it and reported from that root only.
 //
 // The scratch arrays hold 2ⁿ entries for the largest tagset seen, no more
 // than the 2ⁿ counters Observe already created for it, so the n ≤ 30 limit
-// of Observe is the only size limit here too. The result and its tag arena
-// are sized for every counter of two tags or more, so neither grows.
-func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
+// of Observe is the only size limit here too. out and arena are grown once,
+// up front, by every counter of two tags or more and by their tags, so
+// neither grows during the report: given arrays that large, the call
+// allocates nothing. Each coefficient's tags are a window of arena capped
+// at its own length.
+func (ct *CounterTable) AppendCoefficients(out []Coefficient, arena []tagset.Tag, minCN int64) ([]Coefficient, []tagset.Tag) {
 	if minCN < 1 {
 		minCN = 1
 	}
 	ct.done = resized(ct.done, len(ct.counters))
 	clear(ct.done)
-	out := make([]Coefficient, 0, ct.multi)
-	arena := make([]tagset.Tag, 0, ct.multiTags)
+	out = slices.Grow(out, ct.multi)
+	arena = slices.Grow(arena, ct.multiTags)
 	for n := maxTags; n >= 1; n-- {
-		for _, r := range ct.roots[n] {
-			if !ct.done[r] {
-				out, arena = ct.transform(out, arena, r, n, minCN)
+		size := 1 << n
+		for _, base := range ct.roots[n] {
+			sub := ct.sub[base : int(base)+size-1]
+			if !ct.done[sub[size-2]] {
+				out, arena = ct.transform(out, arena, sub, n, minCN)
 			}
 		}
 	}
-	return out
+	return out, arena
 }
 
-// transform reports, from the root counter in slot r and its n tags, every
-// counter under it not yet marked done, and marks them. Each reported
-// coefficient's tags are appended to arena, whose capacity covers them all.
-func (ct *CounterTable) transform(out []Coefficient, arena []tagset.Tag, r int32, n int, minCN int64) ([]Coefficient, []tagset.Tag) {
-	off := int(ct.counters[r].off)
+// transform reports, from a root of n tags whose subsets' slots are sub
+// (sub[mask-1] for the subset mask selects), every counter under it not yet
+// marked done, and marks them. Each reported coefficient's tags are
+// appended to arena, whose capacity covers them all.
+func (ct *CounterTable) transform(out []Coefficient, arena []tagset.Tag, sub []int32, n int, minCN int64) ([]Coefficient, []tagset.Tag) {
+	off := int(ct.counters[sub[len(sub)-1]].off)
 	root := ct.arena[off : off+n]
 	size := 1 << n
-	folds := ct.foldSubsets(root)
-	ct.slot, ct.sum = resized(ct.slot, size), resized(ct.sum, size)
-	slot, sum := ct.slot, ct.sum
+	ct.sum = resized(ct.sum, size)
+	sum := ct.sum
 	sum[0] = 0
 	for mask := 1; mask < size; mask++ {
-		i := ct.lookup(folds[mask], root, uint32(mask))
-		slot[mask] = i
+		c := ct.counters[sub[mask-1]].n
 		if bits.OnesCount(uint(mask))%2 == 1 {
-			sum[mask] = ct.counters[i].n
+			sum[mask] = c
 		} else {
-			sum[mask] = -ct.counters[i].n
+			sum[mask] = -c
 		}
 	}
 	for bit := 1; bit < size; bit <<= 1 {
@@ -309,7 +345,7 @@ func (ct *CounterTable) transform(out []Coefficient, arena []tagset.Tag, r int32
 		}
 	}
 	for mask := 1; mask < size; mask++ {
-		i := slot[mask]
+		i := sub[mask-1]
 		if ct.done[i] {
 			continue
 		}
@@ -336,6 +372,7 @@ func (ct *CounterTable) Reset() {
 	ct.index.Reset()
 	ct.counters = ct.counters[:0]
 	ct.arena = ct.arena[:0]
+	ct.sub = ct.sub[:0]
 	for n := range ct.roots {
 		ct.roots[n] = ct.roots[n][:0]
 	}

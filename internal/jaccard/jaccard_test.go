@@ -414,8 +414,10 @@ func TestCoefficientsAfterReset(t *testing.T) {
 // TestObserveAllocations guards the allocation-free counter keys: on a warm
 // table (every subset already has its counter) Observe allocates nothing,
 // and after a Reset a period no larger than the last one is counted into
-// the memory the table already owns.
+// the memory the table already owns. The collector is off while it counts:
+// a cycle allocates on its own account and would be counted too.
 func TestObserveAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ct := NewCounterTable()
 	s := tagset.New(1, 255, 256, 257, 65536, 70000, 1<<24, 1<<31)
 	ct.Observe(s)
@@ -464,4 +466,54 @@ func TestCoefficientsOneArena(t *testing.T) {
 	if got := testing.AllocsPerRun(5, func() { ct.Coefficients(1) }); got != 2 {
 		t.Errorf("a report of %d coefficients: %.0f allocations, want 2 (array and arena)", len(report), got)
 	}
+}
+
+// TestAppendCoefficientsReuses pins the report into given arrays: a second
+// report of the same period into the first one's arrays allocates nothing
+// and gives the same coefficients, and Coefficients gives them too.
+func TestAppendCoefficientsReuses(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ct := NewCounterTable()
+	for _, d := range wideStream(12, 300, 8) {
+		ct.Observe(d)
+	}
+	want := ct.Coefficients(1)
+	out, arena := ct.AppendCoefficients(nil, nil, 1)
+	if got := testing.AllocsPerRun(5, func() { out, arena = ct.AppendCoefficients(out[:0], arena[:0], 1) }); got != 0 {
+		t.Errorf("a report into arrays large enough: %.0f allocations, want 0", got)
+	}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("report into reused arrays differs from Coefficients")
+	}
+}
+
+// BenchmarkCounterTable times the two halves of a Calculator's period over
+// wideStream: Observe of every document into a reset table, and the report
+// into the arrays of the last one, as a Calculator reuses them.
+func BenchmarkCounterTable(b *testing.B) {
+	docs := wideStream(13, 1000, 10)
+	ct := NewCounterTable()
+	period := func() {
+		ct.Reset()
+		for _, d := range docs {
+			ct.Observe(d)
+		}
+	}
+	b.Run("Observe", func(b *testing.B) {
+		period()
+		b.ReportAllocs()
+		for b.Loop() {
+			period()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(docs)), "ns/doc")
+	})
+	b.Run("Coefficients", func(b *testing.B) {
+		period()
+		out, arena := ct.AppendCoefficients(nil, nil, 1)
+		b.ReportAllocs()
+		for b.Loop() {
+			out, arena = ct.AppendCoefficients(out[:0], arena[:0], 1)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/coeff")
+	})
 }

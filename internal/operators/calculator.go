@@ -1,10 +1,14 @@
 package operators
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/flight"
 	"repro/internal/jaccard"
 	"repro/internal/storm"
 	"repro/internal/stream"
+	"repro/internal/tagset"
 	"repro/internal/telemetry"
 )
 
@@ -33,6 +37,10 @@ type Calculator struct {
 	// is splitByRoute's per-coefficient scratch, reused across flushes.
 	trackerTasks int
 	route        []int32
+
+	// reports is the free list of the report buffers this Calculator's
+	// flushes fill; the last reader of a report returns it here.
+	reports reportList
 
 	// Reports counts emitted reporting rounds; Observed counts received
 	// notifications.
@@ -98,28 +106,37 @@ func (c *Calculator) Cleanup(out storm.Collector) {
 // sub-batch per involved Tracker task, each carrying the coefficients whose
 // tagset-key hash routes to it (CoeffKey reads the Route field). Either
 // way the hot path's dataflow counters and mailbox pressure stay
-// proportional to periods rather than pairs. The sub-batches are windows
-// of the report's one array, handed over with it: the Calculator keeps no
-// reference to a report it emitted.
+// proportional to periods rather than pairs. The report is written into a
+// buffer from the Calculator's free list (reportBuf), and the sub-batches
+// are windows of its one array, each holding one reference to it: the
+// buffer comes back when the last batch reading it lets go.
 func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
-	coeffs := c.table.Coefficients(1)
+	buf := c.reports.get()
+	buf.coeffs, buf.arena = c.table.AppendCoefficients(buf.coeffs[:0], buf.arena[:0], 1)
+	coeffs := buf.coeffs
 	period := int64(c.boundary / c.cfg.ReportEvery)
+	// The flush holds a reference of its own while it emits, so a batch
+	// consumed before the next one is emitted cannot return the buffer.
+	buf.refs.Store(1)
 	switch {
 	case len(coeffs) == 0:
 	case c.trackerTasks <= 1:
+		buf.retain()
 		out.Emit(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{
-			CoeffBatch{Period: period, Coeffs: coeffs, Ingest: ingest, Trace: trace},
+			CoeffBatch{Period: period, Coeffs: coeffs, Ingest: ingest, Trace: trace, buf: buf},
 		}})
 	default:
 		for g, part := range c.splitByRoute(coeffs) {
 			if len(part) == 0 {
 				continue
 			}
+			buf.retain()
 			out.Emit(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{
-				CoeffBatch{Period: period, Route: uint64(g), Coeffs: part, Ingest: ingest, Trace: trace},
+				CoeffBatch{Period: period, Route: uint64(g), Coeffs: part, Ingest: ingest, Trace: trace, buf: buf},
 			}})
 		}
 	}
+	buf.release()
 	if len(coeffs) > 0 || c.table.Docs() > 0 {
 		c.Reports++
 	}
@@ -140,3 +157,70 @@ func (c *Calculator) splitByRoute(coeffs []jaccard.Coefficient) [][]jaccard.Coef
 func alignUp(t, step stream.Millis) stream.Millis {
 	return (t/step + 1) * step
 }
+
+// reportBuf is one flush's report, lent to the batches that carry it: the
+// coefficient array, the tag arena its coefficients' tags are windows of,
+// and the number of batches still holding it. Each CoeffBatch of the flush
+// holds one reference, and the Tracker takes one more for each TrendBatch
+// it emits from it; every holder releases its own once done reading, and
+// the last release returns the buffer to its Calculator's free list, whose
+// next flush writes over it. A batch that is never consumed only costs the
+// next flush a fresh buffer.
+type reportBuf struct {
+	coeffs []jaccard.Coefficient
+	arena  []tagset.Tag
+	refs   atomic.Int32
+	list   *reportList
+}
+
+// retain adds a holder, before buf is handed to one more batch. A nil
+// buffer (a batch not built by a flush) holds nothing.
+func (buf *reportBuf) retain() {
+	if buf != nil {
+		buf.refs.Add(1)
+	}
+}
+
+// release drops a holder; the last one returns buf to its free list. A nil
+// buffer releases nothing.
+func (buf *reportBuf) release() {
+	if buf != nil && buf.refs.Add(-1) == 0 {
+		buf.list.put(buf)
+	}
+}
+
+// reportList is a Calculator's free list of report buffers. Only the
+// Calculator takes from it; the Tracker and Trend tasks that release a
+// buffer last put it back.
+type reportList struct {
+	mu   sync.Mutex
+	free []*reportBuf
+}
+
+// get takes a buffer off the list, or makes an empty one.
+func (l *reportList) get() *reportBuf {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		buf := l.free[n-1]
+		l.free = l.free[:n-1]
+		return buf
+	}
+	return &reportBuf{list: l}
+}
+
+// put returns buf to the list. In a -race build it first poisons buf
+// (poisonReport), so a reader that outlives its reference reads values no
+// report holds.
+func (l *reportList) put(buf *reportBuf) {
+	if poisonReport != nil {
+		poisonReport(buf)
+	}
+	l.mu.Lock()
+	l.free = append(l.free, buf)
+	l.mu.Unlock()
+}
+
+// poisonReport, set only in -race builds (report_race.go), overwrites a
+// returned buffer before it can be reused.
+var poisonReport func(*reportBuf)

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/jaccard"
@@ -457,5 +458,89 @@ func TestDisseminatorNotifyBatching(t *testing.T) {
 	}
 	if got := out.direct[0][1].Values[0].(NotifyBatch); len(got.Msgs) != 1 || got.Msgs[0].Time != 40 {
 		t.Errorf("cleanup batch: %+v", got.Msgs)
+	}
+}
+
+// bufSeen is the Tracker bolt with a record of the report buffers its
+// batches carried.
+type bufSeen struct {
+	*Tracker
+	mu   sync.Mutex
+	bufs map[*reportBuf]bool
+}
+
+func (b *bufSeen) Execute(t storm.Tuple, out storm.Collector) {
+	b.mu.Lock()
+	b.bufs[t.Values[0].(CoeffBatch).buf] = true
+	b.mu.Unlock()
+	b.Tracker.Execute(t, out)
+}
+
+// TestReportBuffersComeBack runs the Calculator→Tracker→Trend segment, with
+// four Tracker tasks, two Trend tasks and retention of two periods so that
+// late batches occur, under both executors, and requires every report
+// buffer a batch carried to be back on its Calculator's free list once the
+// run has drained: the Calculators, the Tracker on every path and the
+// Trend tasks release each reference they hold, exactly once. The
+// Calculators must also have reused buffers, flushing more periods than
+// they made buffers.
+func TestReportBuffersComeBack(t *testing.T) {
+	tuples := fanoutScript(4000, 7)
+	for _, concurrent := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.K = 4
+		cfg.ReportEvery = 5000
+		cfg.WindowSpan = 1 << 40
+		cfg.StatsEvery = 1 << 30
+		cfg.NotifyBatch = 64
+		tr := &bufSeen{Tracker: NewTrackerWith(8, 32, 0), bufs: map[*reportBuf]bool{}}
+		tr.SetRetention(2)
+		tr.EnableTrendEmit()
+		det, err := trend.NewStream(trend.StreamConfig{Alpha: 0.5, MinSupport: 1, TopK: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calcs []*Calculator
+		b := storm.NewBuilder()
+		b.Spout("source", func() storm.Spout { return &scriptedSpout{tuples: tuples} }, 1)
+		b.Bolt("disseminator", func() storm.Bolt { return NewDisseminator(cfg) }, 1).Shuffle("source")
+		b.Bolt("calculator", func() storm.Bolt {
+			c := NewCalculator(cfg)
+			calcs = append(calcs, c)
+			return c
+		}, cfg.K).Direct("disseminator")
+		b.Bolt("tracker", func() storm.Bolt { return tr }, 4).Fields("calculator", CoeffKey)
+		b.Bolt("trend", func() storm.Bolt { return NewTrend(det) }, 2).Fields("tracker", TrendKey)
+		topo, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if concurrent {
+			topo.RunConcurrent()
+		} else {
+			topo.RunSequential()
+		}
+
+		free, flushes := map[*reportBuf]bool{}, 0
+		for _, c := range calcs {
+			for _, buf := range c.reports.free {
+				free[buf] = true
+			}
+			flushes += c.Reports
+		}
+		for buf := range tr.bufs {
+			if !free[buf] {
+				t.Errorf("concurrent=%v: a report buffer never came back (%d references held)", concurrent, buf.refs.Load())
+			}
+		}
+		if len(free) != len(tr.bufs) {
+			t.Errorf("concurrent=%v: %d buffers on the free lists, %d carried by batches", concurrent, len(free), len(tr.bufs))
+		}
+		if flushes <= len(tr.bufs) {
+			t.Errorf("concurrent=%v: %d flushes made %d buffers: none was reused", concurrent, flushes, len(tr.bufs))
+		}
+		if tr.StatsSnapshot().PrunedPeriods == 0 || det.Tracked() == 0 {
+			t.Fatalf("concurrent=%v: run not representative: nothing pruned or nothing tracked", concurrent)
+		}
 	}
 }

@@ -115,13 +115,19 @@ type NotifyBatch struct {
 // windows of the flush's one array, and Route carries the destination task
 // index so CoeffKey fields grouping delivers each sub-batch to the task
 // owning its tagsets. Coeffs come in the flush's order
-// (jaccard.CounterTable.Coefficients): unspecified but deterministic, and
-// not sorted; the Tracker needs no order.
+// (jaccard.CounterTable.AppendCoefficients): unspecified but deterministic,
+// and not sorted; the Tracker needs no order.
 //
-// Once emitted, Coeffs belong to the receiving Tracker task: the emitter
-// never reads or writes them again, and the Tracker compacts its accepted
-// reports into their prefix when it has an archive or a Trend feed. With
-// neither it only reads them.
+// Once emitted, Coeffs belong to the receiving Tracker task until it has
+// ingested the batch: the emitter never reads or writes them again, and the
+// Tracker compacts its accepted reports into their prefix when it has an
+// archive or a Trend feed; with neither it only reads them. The array and
+// the tags are lent, not given: a flush's batches carry its report buffer
+// (reportBuf), which goes back to the Calculator for a later flush once
+// every batch and TrendBatch reading it has been consumed, so no consumer
+// keeps a Coefficient or its Tags past its Execute. A batch built without
+// a flush (tests, the layer replay, ImportState) carries no buffer and is
+// never reused.
 type CoeffBatch struct {
 	Period int64
 	Route  uint64
@@ -133,6 +139,8 @@ type CoeffBatch struct {
 	// Trace is the flight-recorder trace ID of that same triggering
 	// document (0: untraced).
 	Trace uint64
+
+	buf *reportBuf // the flush's report buffer, one reference of it; nil when built without a flush
 }
 
 // TrendBatch carries the reports of one CoeffBatch that changed the
@@ -141,14 +149,18 @@ type CoeffBatch struct {
 // the values the tables converge to at one tuple per ingested batch. Coeffs
 // is a prefix of the CoeffBatch's own array, where the Tracker compacted
 // the accepted reports; once emitted it belongs to the receiving Trend
-// task. With Trend parallelism > 1 the Tracker groups the accepted reports
-// in place by tagset-key hash the way Calculator.flush groups a period,
-// and Route carries the destination task index for TrendKey.
+// task until Execute returns, and it holds one reference of the flush's
+// report buffer, which the Trend task releases after observing it. With
+// Trend parallelism > 1 the Tracker groups the accepted reports in place
+// by tagset-key hash the way Calculator.flush groups a period, and Route
+// carries the destination task index for TrendKey.
 type TrendBatch struct {
 	Period int64
 	Route  uint64
 	Coeffs []jaccard.Coefficient
 	Trace  uint64 // flight-recorder trace ID of the triggering document (0: untraced)
+
+	buf *reportBuf // as CoeffBatch.buf
 }
 
 // Config carries the paper's experiment parameters (Section 8.1).

@@ -34,8 +34,10 @@ import (
 //     coefficient. The best bound of the periods before a shard's newest
 //     are merged into one older block, so TopK(k) reads at most
 //     shards·2·bound entries whatever the retention and never scans the
-//     retained coefficient tables. Evicting a period
-//     drops its table, heap included.
+//     retained coefficient tables. Evicting a period drops its table, heap
+//     included, from the retained ones, and the table becomes its shard's
+//     spare: the next period the shard opens renews it
+//     (topselect.Table.Renew) instead of building one from nothing.
 //   - A global topselect.Registry enforces the retention bound
 //     (SetRetention): opening a new period prunes the oldest ones
 //     everywhere, and a floor mark makes late reports for pruned periods
@@ -229,8 +231,11 @@ func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 }
 
 // ingest is Execute without its timing: registry, shards, archive and the
-// TrendBatch of one CoeffBatch.
+// TrendBatch of one CoeffBatch. It releases the batch's reference of its
+// report buffer on every path, after taking one for each TrendBatch it
+// emits.
 func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
+	defer msg.buf.release()
 	tr.Received.Add(int64(len(msg.Coeffs)))
 
 	retained, fresh, pruned := tr.reg.Ensure(msg.Period)
@@ -274,16 +279,18 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 	switch {
 	case !emit || len(accepted) == 0:
 	case tr.trendTasks <= 1:
+		msg.buf.retain()
 		out.Emit(storm.Tuple{Stream: StreamTrend, Values: []interface{}{
-			TrendBatch{Period: msg.Period, Coeffs: accepted, Trace: msg.Trace},
+			TrendBatch{Period: msg.Period, Coeffs: accepted, Trace: msg.Trace, buf: msg.buf},
 		}})
 	default:
 		for g, part := range groupByRoute(accepted, sc.route, tr.trendTasks) {
 			if len(part) == 0 {
 				continue
 			}
+			msg.buf.retain()
 			out.Emit(storm.Tuple{Stream: StreamTrend, Values: []interface{}{
-				TrendBatch{Period: msg.Period, Route: uint64(g), Coeffs: part, Trace: msg.Trace},
+				TrendBatch{Period: msg.Period, Route: uint64(g), Coeffs: part, Trace: msg.Trace, buf: msg.buf},
 			}})
 		}
 	}
@@ -409,7 +416,11 @@ func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // keeps no evicted table's arena alive. (An entry already in the LRU
 // carries an older period than the one being pruned — periods are pruned
 // in ascending order — so the skipped adds could not have kept a newer
-// value either.)
+// value either.) Once the LRU is refilled, each shard's evicted table goes
+// back to it as its spare, under its lock, for the next period it opens.
+// Nothing reads an evicted table after that: every other reader holds a
+// table only under its shard's lock, and the renewal gives the table a
+// fresh arena, so the tags any reader copied out stay valid.
 func (tr *Tracker) prunePeriod(p int64) {
 	tables := make([]*coeffTable, len(tr.shards))
 	n := 0
@@ -441,6 +452,13 @@ func (tr *Tracker) prunePeriod(p int64) {
 	}
 	if tr.archive != nil {
 		tr.archive.SealPeriod(p)
+	}
+	for i, s := range tr.shards {
+		if tables[i] != nil {
+			s.mu.Lock()
+			s.spare = tables[i]
+			s.mu.Unlock()
+		}
 	}
 	tr.flightRec.RecordEvent(flight.EventRetentionPrune,
 		"period "+strconv.FormatInt(p, 10)+" pruned")
@@ -733,9 +751,13 @@ type trackerShard struct {
 	// peak and peakTags are the most entries and tags a period table of
 	// this shard has held; a new period's table is presized by them.
 	peak, peakTags int
-	floor          int64 // shard-local copy of the pruning floor
-	bound          int   // heap bound per period; only rises
-	rebuilds       int64
+	// spare is the table of a period retention evicted (prunePeriod), kept
+	// for the next period this shard opens, which renews it; nil when
+	// there is none.
+	spare    *coeffTable
+	floor    int64 // shard-local copy of the pruning floor
+	bound    int   // heap bound per period; only rises
+	rebuilds int64
 }
 
 // reportRun records one period's reports cs[i], i in run, in run order,
@@ -745,7 +767,9 @@ type trackerShard struct {
 // upgrade). Each report is one fold of its tags, one lookup and, for a
 // fresh or upgraded entry, one Put at the position the lookup found. Every
 // report of the run is late when the period was pruned between the
-// registry check and this lock.
+// registry check and this lock. A period the shard has no table for yet
+// gets the spare, renewed, or a new table, both presized by peak and
+// peakTags.
 func (s *trackerShard) reportRun(period int64, cs []jaccard.Coefficient, run []int32, accepted []bool) (n int, dups, lates int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -757,7 +781,12 @@ func (s *trackerShard) reportRun(period int64, cs []jaccard.Coefficient, run []i
 	}
 	t := s.periods[period]
 	if t == nil {
-		t = topselect.NewTable(s.bound, s.peak, s.peakTags, rankValues)
+		if t = s.spare; t != nil {
+			s.spare = nil
+			t.Renew(s.bound, s.peak, s.peakTags)
+		} else {
+			t = topselect.NewTable(s.bound, s.peak, s.peakTags, rankValues)
+		}
 		s.periods[period] = t
 		if period > s.newest {
 			s.fold(s.periods[s.newest])
@@ -833,9 +862,9 @@ func (s *trackerShard) candidates(cand []jaccard.Coefficient, k, shards int, sca
 }
 
 // dropPeriod removes one period from the shard and returns its table (for
-// the evicted LRU); its heap goes with it, and the older block goes stale
-// when it may have held some of its coefficients. The caller holds the
-// shard lock.
+// the evicted LRU, then the spare); its heap goes with it, and the older
+// block goes stale when it may have held some of its coefficients. The
+// caller holds the shard lock.
 func (s *trackerShard) dropPeriod(p int64) *coeffTable {
 	s.floor = max(s.floor, p)
 	t := s.periods[p]

@@ -149,14 +149,31 @@ func TestTrackerIntakeAllocations(t *testing.T) {
 	}
 }
 
+// consume is a collector that consumes what it is given as the Tracker and
+// Trend tasks do: it releases each batch's reference of its report buffer.
+type consume struct{}
+
+func (consume) Emit(t storm.Tuple) {
+	switch msg := t.Values[0].(type) {
+	case CoeffBatch:
+		msg.buf.release()
+	case TrendBatch:
+		msg.buf.release()
+	}
+}
+
+func (c consume) EmitDirect(_ storm.TaskID, t storm.Tuple) { c.Emit(t) }
+
 // TestCalculatorFlushAllocations pins a period flush's allocations to a
-// constant for 1 and 4 Tracker tasks: the report's coefficient array and
-// tag arena, the grouping's two small arrays with more than one task, and
-// one tuple per sub-batch, the same for a period of 40 documents as for
-// one of 2 000. The flush's coefficients are grouped in place and their
-// tags share the arena, so nothing is allocated per coefficient. The
-// collector is off while it counts: a cycle started by the large arrays
-// allocates on its own account and would be counted too.
+// constant for 1 and 4 Tracker tasks, with every batch consumed before the
+// next flush, as in steady state: the report buffer comes back and is
+// written over, so a flush allocates no report array and no arena, only
+// the grouping's two small arrays with more than one task and one tuple per
+// sub-batch, the same for a period of 40 documents as for one of 2 000.
+// The flush's coefficients are grouped in place and their tags share the
+// arena, so nothing is allocated per coefficient. The collector is off
+// while it counts: a cycle allocates on its own account and would be
+// counted too.
 func TestCalculatorFlushAllocations(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(3))
@@ -171,7 +188,7 @@ func TestCalculatorFlushAllocations(t *testing.T) {
 	for _, tasks := range []int{1, 4} {
 		c := NewCalculator(Config{ReportEvery: 1000})
 		c.trackerTasks = tasks
-		var out discard
+		var out consume
 		period := func(n int) func() {
 			return func() {
 				for _, d := range docs[:n] {
@@ -180,15 +197,18 @@ func TestCalculatorFlushAllocations(t *testing.T) {
 				c.flush(out, 0, 0)
 			}
 		}
-		period(len(docs))() // grows the table and the grouping scratch once
+		period(len(docs))() // grows the table, the report buffer and the grouping scratch once
 		small := testing.AllocsPerRun(5, period(40))
 		large := testing.AllocsPerRun(5, period(len(docs)))
 		if small != large {
 			t.Errorf("%d Tracker tasks: a flush allocates %.1f times after 40 documents, %.1f after %d",
 				tasks, small, large, len(docs))
 		}
-		if want := map[int]float64{1: 2 + 2, 4: 2 + 2 + 4*2}[tasks]; large > want {
+		if want := map[int]float64{1: 2, 4: 2 + 4*2}[tasks]; large > want {
 			t.Errorf("%d Tracker tasks: a flush allocates %.1f times, want at most %.0f", tasks, large, want)
+		}
+		if n := len(c.reports.free); n != 1 {
+			t.Errorf("%d Tracker tasks: %d report buffers after consumed flushes, want 1", tasks, n)
 		}
 	}
 }

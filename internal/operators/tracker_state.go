@@ -91,6 +91,9 @@ func (tr *Tracker) ExportState(beforePeriod int64) TrackerState {
 // shard's count only grows. An encoding cached under the count read before
 // its gather therefore matches a later equal count only if no shard took a
 // write since that read, and then it is what a fresh gather would encode.
+// A pruned period's table renewed for a later period starts its count at
+// zero again, but under the later period's id, and the cache is keyed by
+// period, so it cannot match the encoding of the period it served before.
 func (tr *Tracker) ExportStateReusing(beforePeriod int64, reused func(period int64, writes uint64) bool) TrackerState {
 	st := TrackerState{
 		Received:   tr.Received.Load(),

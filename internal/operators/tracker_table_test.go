@@ -1,11 +1,14 @@
 package operators
 
 import (
+	"fmt"
 	"iter"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/jaccard"
@@ -167,7 +170,8 @@ func TestPruneLRUOwnsTags(t *testing.T) {
 }
 
 // TestTrackerLookupAllocations pins Lookup on a warm Tracker, hits in every
-// retained period and misses alike, to no allocation.
+// retained period and misses alike, to no allocation. The collector is off
+// while it counts: a cycle allocates on its own account.
 func TestTrackerLookupAllocations(t *testing.T) {
 	tr := aliasTracker()
 	var keys []tagset.Key
@@ -177,6 +181,7 @@ func TestTrackerLookupAllocations(t *testing.T) {
 		}
 	}
 	keys = append(keys, tagset.New(5000, 5001).Key())
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if avg := testing.AllocsPerRun(20, func() {
 		for _, k := range keys {
 			tr.Lookup(k)
@@ -188,6 +193,107 @@ func TestTrackerLookupAllocations(t *testing.T) {
 		c, _, ok := tr.Lookup(k)
 		if !ok || !slices.Equal(c.Tags, k.Set()) {
 			t.Fatalf("Lookup(%v) = %v, %v", k.Set(), c, ok)
+		}
+	}
+}
+
+// TestPrunedTableServesNextPeriod is retention without rebuild, same
+// answers: with retention 1, each new period prunes the last one, and every
+// shard's pruned table is renewed for the new period. What TopK, Report
+// and ExportState handed out for a period must read the same after its
+// tables were renewed and refilled, and the Tracker must answer for the
+// new period exactly as one that never held the old.
+func TestPrunedTableServesNextPeriod(t *testing.T) {
+	batch := func(seed int64) []jaccard.Coefficient {
+		rng := rand.New(rand.NewSource(seed))
+		cs := make([]jaccard.Coefficient, 400)
+		for i := range cs {
+			a := tagset.Tag(rng.Intn(80))
+			cs[i] = jaccard.Coefficient{Tags: tagset.New(a, a+1+tagset.Tag(rng.Intn(50))), J: float64(rng.Intn(8)) / 8, CN: int64(1 + rng.Intn(9))}
+		}
+		return cs
+	}
+	render := func(cs []jaccard.Coefficient) []string {
+		out := make([]string, len(cs))
+		for i, c := range cs {
+			out[i] = c.Tags.String() + "=" + strconv.FormatFloat(c.J, 'g', -1, 64) + "/" + strconv.FormatInt(c.CN, 10)
+		}
+		return out
+	}
+	same := func(label string, got, want []string) {
+		t.Helper()
+		if i := slices.Compare(got, want); i != 0 {
+			n := 0
+			for n < min(len(got), len(want)) && got[n] == want[n] {
+				n++
+			}
+			t.Fatalf("%s: %d entries, want %d; first difference at %d", label, len(got), len(want), n)
+		}
+	}
+	tr := NewTrackerWith(4, 8, 0)
+	tr.SetRetention(1)
+	for p := int64(1); p <= 4; p++ {
+		tr.Execute(coeffBatchTuple(p, batch(p)...), nil)
+		top, report, export := tr.TopK(10), tr.Report(p), tr.ExportState(math.MaxInt64).Periods[0].Coeffs
+		want := slices.Concat(render(top), render(report), render(export))
+		tables := make([]*coeffTable, len(tr.shards))
+		for i, s := range tr.shards {
+			tables[i] = s.periods[p]
+		}
+
+		tr.Execute(coeffBatchTuple(p+1, batch(p+1)...), nil) // prunes p, renews its tables
+		for i, s := range tr.shards {
+			if s.periods[p] != nil || s.periods[p+1] != tables[i] {
+				t.Fatalf("period %d, shard %d: the next period's table is not the pruned one", p, i)
+			}
+		}
+		same(fmt.Sprintf("period %d: what the Tracker handed out, after its tables were renewed", p),
+			slices.Concat(render(top), render(report), render(export)), want)
+		fresh := NewTrackerWith(4, 8, 0)
+		fresh.Execute(coeffBatchTuple(p+1, batch(p+1)...), nil)
+		same(fmt.Sprintf("period %d: renewed tables against new ones", p+1),
+			[]string{trackerAnswers(tr)}, []string{trackerAnswers(fresh)})
+		same(fmt.Sprintf("period %d: Report on renewed tables against new ones", p+1),
+			render(tr.Report(p+1)), render(fresh.Report(p+1)))
+	}
+}
+
+// TestSpareTableAllocations pins what opening a period on a spare costs:
+// a shard whose last period was pruned opens the next one on that table,
+// renewed, and allocates only its fresh arena, where a new table costs its
+// index, entries, arena, heap and header.
+func TestSpareTableAllocations(t *testing.T) {
+	cs := make([]jaccard.Coefficient, 300)
+	for i := range cs {
+		cs[i] = jaccard.Coefficient{Tags: tagset.New(tagset.Tag(i), tagset.Tag(i+1000)), J: 0.5, CN: int64(1 + i%7)}
+	}
+	run := make([]int32, len(cs))
+	for i := range run {
+		run[i] = int32(i)
+	}
+	accepted := make([]bool, len(cs))
+	for _, spare := range []bool{true, false} {
+		s := NewTrackerWith(1, 8, 0).shards[0]
+		period := int64(1)
+		s.reportRun(period, cs, run, accepted)
+		next := func() {
+			s.mu.Lock()
+			t := s.dropPeriod(period)
+			if spare {
+				s.spare = t
+			}
+			s.mu.Unlock()
+			period++
+			if n, _, _ := s.reportRun(period, cs, run, accepted); n != len(cs) {
+				panic("a fresh period did not take every report")
+			}
+		}
+		next()
+		gc := debug.SetGCPercent(-1)
+		avg := testing.AllocsPerRun(5, next)
+		debug.SetGCPercent(gc)
+		if want := map[bool]float64{true: 1, false: 5}[spare]; avg != want {
+			t.Errorf("spare %v: opening a period of %d reports allocates %.1f times, want %.0f", spare, len(cs), avg, want)
 		}
 	}
 }

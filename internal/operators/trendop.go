@@ -46,6 +46,7 @@ func (tb *Trend) Execute(t storm.Tuple, _ storm.Collector) {
 	start := telemetry.Now()
 	tb.det.ObserveBatch(msg.Period, msg.Coeffs)
 	tb.Observed.Add(int64(len(msg.Coeffs)))
+	msg.buf.release()
 	if msg.Trace != 0 {
 		tb.flight.Span(msg.Trace, flight.StageTrend, start, telemetry.Now())
 	}

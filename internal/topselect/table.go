@@ -82,6 +82,22 @@ func NewTable[V any](bound, entries, tags int, rank func(a, b V) int) *Table[V] 
 	}
 }
 
+// Renew empties t for a new period, as NewTable(bound, entries, tags, rank)
+// with t's rank would make it, but keeps what t has already allocated: the
+// index is cleared and keeps its buckets, and the entries and heap arrays
+// keep theirs, grown to entries and bound when smaller. The arena is a
+// fresh one of tags tags, never the old one cleared, so every tags slice
+// Entry handed out stays valid and unchanged. The write count starts again
+// at zero.
+func (t *Table[V]) Renew(bound, entries, tags int) {
+	t.index.Reset()
+	t.entries = slices.Grow(t.entries[:0], entries)
+	t.arena = make([]tagset.Tag, 0, tags)
+	t.top = slices.Grow(t.top[:0], bound)
+	t.bound = bound
+	t.writes = 0
+}
+
 // Len returns how many entries the table holds. A nil table holds none.
 func (t *Table[V]) Len() int {
 	if t == nil {

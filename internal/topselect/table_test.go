@@ -145,3 +145,65 @@ func TestTableMatchesSortEverything(t *testing.T) {
 		}
 	}
 }
+
+// TestTableRenew fills a table, keeps the tags of every entry it handed
+// out, renews it with a larger bound and fills it again from other
+// tagsets, alongside a new table put through the same operations. The
+// renewed table must answer exactly as the new one — heap, entries, sizes
+// and write count — and every tags slice handed out before the renewal
+// must still read as it did.
+func TestTableRenew(t *testing.T) {
+	for _, r := range rankings {
+		rng := rand.New(rand.NewSource(5))
+		fill := func(lo tagset.Tag, tables ...*Table[coeff]) {
+			for range 300 {
+				k := tagset.New(lo+tagset.Tag(rng.Intn(60)), lo+100+tagset.Tag(rng.Intn(60)))
+				v := coeff{J: float64(rng.Intn(5)) / 4, CN: int64(1 + rng.Intn(5))}
+				for _, tb := range tables {
+					tb.Put(tb.Find(Fold(k), k), k, v)
+				}
+			}
+		}
+		tb := NewTable(4, 0, 0, r.rank)
+		fill(0, tb)
+		var handed []tagset.Set
+		var keys []tagset.Key
+		for slot := range int32(tb.Len()) {
+			tags, _ := tb.Entry(slot)
+			handed, keys = append(handed, tags), append(keys, tags.Key())
+		}
+
+		entries, tags := tb.Size()
+		tb.Renew(8, entries, tags)
+		if tb.Len() != 0 || tb.Writes() != 0 || len(tb.Top()) != 0 {
+			t.Fatalf("%s: renewed table holds %d entries, %d heap slots, %d writes", r.name, tb.Len(), len(tb.Top()), tb.Writes())
+		}
+		fresh := NewTable(8, 0, 0, r.rank)
+		fill(1000, tb, fresh)
+		checkTable(t, r.name+" renewed", tb, 8, r.rank)
+		if tb.Len() != fresh.Len() || tb.Writes() != fresh.Writes() || !slices.Equal(tb.Top(), fresh.Top()) {
+			t.Fatalf("%s: renewed table has %d entries, %d writes, heap %v; a new one %d, %d, %v",
+				r.name, tb.Len(), tb.Writes(), tb.Top(), fresh.Len(), fresh.Writes(), fresh.Top())
+		}
+		for slot := range int32(tb.Len()) {
+			gt, gv := tb.Entry(slot)
+			wt, wv := fresh.Entry(slot)
+			if !gt.Equal(wt) || gv != wv {
+				t.Fatalf("%s: slot %d holds %v %v, a new table %v %v", r.name, slot, gt, gv, wt, wv)
+			}
+			if got := tb.Find(Fold(wt), wt); got.slot != slot {
+				t.Fatalf("%s: Find(%v) = slot %d, want %d", r.name, wt, got.slot, slot)
+			}
+		}
+		for _, old := range [][2]tagset.Tag{{0, 100}, {59, 159}} {
+			if s := tagset.New(old[0], old[1]); tb.Find(Fold(s), s).slot >= 0 {
+				t.Fatalf("%s: renewed table still finds %v of the period before", r.name, s)
+			}
+		}
+		for i, s := range handed {
+			if s.Key() != keys[i] {
+				t.Fatalf("%s: tags handed out before the renewal changed: %v, was %v", r.name, s, keys[i].Set())
+			}
+		}
+	}
+}
