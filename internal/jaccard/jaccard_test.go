@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/tagset"
@@ -435,6 +436,38 @@ func TestObserveAllocations(t *testing.T) {
 	period()
 	if got := testing.AllocsPerRun(5, period); got != 0 {
 		t.Errorf("a period of %d documents after Reset: %.0f allocations, want 0", len(docs), got)
+	}
+}
+
+// TestResetKeepsCapacity is the Calculator's steady state on one table:
+// the same period of wideStream documents counted K times, with a Reset
+// between, must leave the capacities of the counters, the arena, the
+// subset slots, every roots[n] and the index buckets where the first
+// period left them. It reads the capacities, not an allocation count:
+// testing.AllocsPerRun floors its mean, so a growth that recurs only every
+// few periods would read as none.
+func TestResetKeepsCapacity(t *testing.T) {
+	ct := NewCounterTable()
+	docs := wideStream(5, 300, 10)
+	shape := func() []int {
+		caps := []int{cap(ct.counters), cap(ct.arena), cap(ct.sub), ct.index.Buckets()}
+		for _, r := range ct.roots {
+			caps = append(caps, cap(r))
+		}
+		return caps
+	}
+	var want []int
+	for period := range 8 {
+		ct.Reset()
+		for _, d := range docs {
+			ct.Observe(d)
+		}
+		if got := shape(); want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("period %d: capacities (counters, arena, sub, index buckets, roots[0..%d]) %v, after the first period %v",
+				period, maxTags, got, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package operators
 import (
 	"container/list"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -28,15 +29,15 @@ import (
 //     batch locks each shard it reports into once, so report-side
 //     contention drops as the number of reporting Calculators grows.
 //   - Every shard keeps one topselect.Table per retained period: the
-//     period's coefficients by tagset fold, their tags in one arena, plus a
-//     bounded min-heap of its best ones, updated on report and duplicate
-//     upgrade. A table holds no pointer, so the GC never traces a retained
-//     coefficient. The best bound of the periods before a shard's newest
-//     are merged into one older block, so TopK(k) reads at most
-//     shards·2·bound entries whatever the retention and never scans the
-//     retained coefficient tables. Evicting a period drops its table, heap
-//     included, from the retained ones, and the table becomes its shard's
-//     spare: the next period the shard opens renews it
+//     period's coefficients by tagset fold, they and their tags in
+//     fixed-size chunks, plus a bounded min-heap of its best ones, updated
+//     on report and duplicate upgrade. A table holds no pointer, so the GC
+//     never traces a retained coefficient. The best bound of the periods
+//     before a shard's newest are merged into one older block, so TopK(k)
+//     reads at most shards·2·bound entries whatever the retention and
+//     never scans the retained coefficient tables. Evicting a period drops
+//     its table, heap included, from the retained ones, and the table
+//     becomes its shard's spare: the next period the shard opens renews it
 //     (topselect.Table.Renew) instead of building one from nothing.
 //   - A global topselect.Registry enforces the retention bound
 //     (SetRetention): opening a new period prunes the oldest ones
@@ -431,18 +432,33 @@ func (tr *Tracker) prunePeriod(p int64) {
 		n += tables[i].Len()
 	}
 	if tr.lru != nil && n > 0 {
-		type slotRef struct{ shard, slot int32 }
+		// first is the entry's first tag byte-reversed (0 for no tag): two
+		// sets whose first tags differ compare as those do (tagset.Compare),
+		// so most comparisons of the selection read no table.
+		type slotRef struct {
+			shard, slot int32
+			first       uint32
+		}
 		refs := make([]slotRef, 0, n)
 		for i, t := range tables {
 			for slot := range int32(t.Len()) {
-				refs = append(refs, slotRef{int32(i), slot})
+				r := slotRef{shard: int32(i), slot: slot}
+				if tags, _ := t.Entry(slot); len(tags) > 0 {
+					r.first = bits.ReverseBytes32(uint32(tags[0]))
+				}
+				refs = append(refs, r)
 			}
 		}
 		tags := func(r slotRef) tagset.Set {
 			s, _ := tables[r.shard].Entry(r.slot)
 			return s
 		}
-		refs = topselect.Select(refs, tr.lru.cap, func(a, b slotRef) bool { return tagset.Compare(tags(a), tags(b)) > 0 })
+		refs = topselect.Select(refs, tr.lru.cap, func(a, b slotRef) bool {
+			if a.first != b.first {
+				return a.first > b.first
+			}
+			return tagset.Compare(tags(a), tags(b)) > 0
+		})
 		tagset.SortBy(refs, tags)
 		for _, r := range refs {
 			set, v := tables[r.shard].Entry(r.slot)
@@ -733,7 +749,8 @@ func appendTop(cs []jaccard.Coefficient, t *coeffTable) []jaccard.Coefficient {
 // trackerShard owns the coefficients whose tagset keys hash to it: one
 // topselect.Table per retained period, each holding the period's
 // coefficients and a heap of its best min(bound, len) under (descending J,
-// descending CN, ascending key).
+// descending CN, ascending key). A table's coefficients and tags fill
+// chunks allocated as they arrive; only its index is presized, by peak.
 //
 // older is the best bound coefficients of every table but the newest
 // period's, unordered: the read side's block for the periods reports have
@@ -748,9 +765,9 @@ type trackerShard struct {
 	newest     int64 // newest period this shard has opened a table for
 	older      []jaccard.Coefficient
 	olderStale bool
-	// peak and peakTags are the most entries and tags a period table of
-	// this shard has held; a new period's table is presized by them.
-	peak, peakTags int
+	// peak is the most entries a period table of this shard has held; a
+	// new period's index is presized by it.
+	peak int
 	// spare is the table of a period retention evicted (prunePeriod), kept
 	// for the next period this shard opens, which renews it; nil when
 	// there is none.
@@ -768,8 +785,8 @@ type trackerShard struct {
 // fresh or upgraded entry, one Put at the position the lookup found. Every
 // report of the run is late when the period was pruned between the
 // registry check and this lock. A period the shard has no table for yet
-// gets the spare, renewed, or a new table, both presized by peak and
-// peakTags.
+// gets the spare, renewed, or a new table, either with its index presized
+// by peak.
 func (s *trackerShard) reportRun(period int64, cs []jaccard.Coefficient, run []int32, accepted []bool) (n int, dups, lates int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -783,9 +800,9 @@ func (s *trackerShard) reportRun(period int64, cs []jaccard.Coefficient, run []i
 	if t == nil {
 		if t = s.spare; t != nil {
 			s.spare = nil
-			t.Renew(s.bound, s.peak, s.peakTags)
+			t.Renew(s.bound, s.peak)
 		} else {
-			t = topselect.NewTable(s.bound, s.peak, s.peakTags, rankValues)
+			t = topselect.NewTable(s.bound, s.peak, rankValues)
 		}
 		s.periods[period] = t
 		if period > s.newest {
@@ -811,8 +828,7 @@ func (s *trackerShard) reportRun(period int64, cs []jaccard.Coefficient, run []i
 	}
 	if n > 0 {
 		s.olderStale = s.olderStale || period != s.newest
-		entries, tags := t.Size()
-		s.peak, s.peakTags = max(s.peak, entries), max(s.peakTags, tags)
+		s.peak = max(s.peak, t.Len())
 	}
 	return n, dups, 0
 }

@@ -102,10 +102,12 @@ func (discard) EmitDirect(storm.TaskID, storm.Tuple) {}
 
 // TestTrackerIntakeAllocations pins the intake path's allocation budget
 // with trend emission on: a batch of reports the tables already hold costs
-// nothing, and a batch of fresh ones costs a constant for the batch (the
-// TrendBatch tuple and one presized table per shard for the new period;
-// the accepted reports are compacted into the batch itself), nothing per
-// coefficient. The collector is off while it counts, as in
+// nothing, and a batch of fresh ones costs the TrendBatch tuple and one
+// new table per shard for the new period, nothing per coefficient (the
+// accepted reports are compacted into the batch itself). A shard's table of
+// 250 reports and 750 tags is 19 allocations: header, index, heap, two
+// chunk directories, and first chunks that double from 8 to 256 entries
+// and from 8 to 1 024 tags. The collector is off while it counts, as in
 // TestCalculatorFlushAllocations.
 func TestTrackerIntakeAllocations(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -140,7 +142,7 @@ func TestTrackerIntakeAllocations(t *testing.T) {
 		tr.Execute(fresh[next], out)
 		next++
 	})
-	const perBatch = 22
+	const perBatch = 78
 	if avg > perBatch {
 		t.Errorf("a fresh batch of %d allocates %.1f times, want at most %d", n, avg, perBatch)
 	}

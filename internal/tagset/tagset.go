@@ -386,11 +386,28 @@ type FoldIndex struct {
 // grows.
 func NewFoldIndex(n int) FoldIndex {
 	var x FoldIndex
-	if n > 0 {
-		x.alloc(n)
-	}
+	x.Reserve(n)
 	return x
 }
+
+// Reserve makes the index hold n entries in all before it grows: when its
+// buckets do not, it replaces them by the fewest that do and re-homes every
+// entry by its fingerprint.
+func (x *FoldIndex) Reserve(n int) {
+	if 4*n <= 3*len(x.buckets) {
+		return
+	}
+	old := x.buckets
+	x.alloc(n)
+	for _, b := range old {
+		if b != 0 {
+			x.place(b)
+		}
+	}
+}
+
+// Buckets returns how many buckets the index has: what it allocated.
+func (x *FoldIndex) Buckets() int { return len(x.buckets) }
 
 // alloc replaces the buckets by empty ones, the fewest (a power of two, at
 // least 8) that hold n entries within the 3/4 load.
@@ -432,7 +449,7 @@ func (x *FoldIndex) Find(f Fold, eq func(slot int32) bool) int32 {
 // same tags: the index does not look for an entry already there.
 func (x *FoldIndex) Insert(f Fold, slot int32) {
 	if 4*(x.n+1) > 3*len(x.buckets) {
-		x.grow()
+		x.Reserve(x.n + 1)
 	}
 	x.n++
 	x.place(uint64(uint32(f.A))<<32 | uint64(slot+1))
@@ -446,18 +463,6 @@ func (x *FoldIndex) place(b uint64) {
 		i = (i + 1) & last
 	}
 	x.buckets[i] = b
-}
-
-// grow doubles the buckets (or makes the first 8), the fewest that hold one
-// more entry, and re-homes every entry by its fingerprint.
-func (x *FoldIndex) grow() {
-	old := x.buckets
-	x.alloc(x.n + 1)
-	for _, b := range old {
-		if b != 0 {
-			x.place(b)
-		}
-	}
 }
 
 // Reset empties the index and keeps its buckets.

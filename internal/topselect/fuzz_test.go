@@ -34,11 +34,12 @@ func fuzzSet(x byte) tagset.Set {
 
 // FuzzTable drives one table through put, upgrade, demotion and bound-raise
 // sequences decoded from ops, three bytes an operation (the first 512
-// operations), under the fold and ranking mode selects. After every
-// operation the heap must hold the sort-everything reference's best bound
-// (checkTable), and after every 16th and the last each tagset of the
-// universe must be found exactly when the reference holds it, with the
-// reference's value and tags.
+// operations), under the fold and ranking mode selects, on tiny chunks
+// (tinyChunks) so that most inputs cross them. After every operation the
+// heap must hold the sort-everything reference's best bound (checkTable),
+// and after every 16th and the last each tagset of the universe must be
+// found exactly when the reference holds it, with the reference's value
+// and tags.
 func FuzzTable(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for mode := range uint8(2 * len(fuzzFolds)) {
@@ -47,11 +48,12 @@ func FuzzTable(f *testing.F) {
 		f.Add(mode, uint8(rng.Intn(8)), ops)
 	}
 	f.Fuzz(func(t *testing.T, mode, bound uint8, ops []byte) {
+		tinyChunks(t)
 		defer func(f func(tagset.Tag) tagset.Fold) { foldTag = f }(foldTag)
 		foldTag = fuzzFolds[int(mode)%len(fuzzFolds)]
 		rank := rankings[int(mode)/len(fuzzFolds)%len(rankings)].rank
 		b := 1 + int(bound)%16
-		tb := NewTable(b, 0, 0, rank)
+		tb := NewTable(b, 0, rank)
 		ref := map[tagset.Key]coeff{}
 		put := func(s tagset.Set, v coeff) {
 			tb.Put(tb.Find(Fold(s), s), s, v)

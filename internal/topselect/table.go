@@ -19,20 +19,34 @@ func Fold(s tagset.Set) tagset.Fold {
 	return f
 }
 
+// entryShift and tagShift are the log2 of how many entries and how many
+// tags a full chunk of a Table holds. A full chunk of Tracker entries
+// (24 bytes each) or of tags (4 bytes each) is then 24 KB or 16 KB, under
+// the runtime's 32 KB large-object size. A test sets them tiny, so that most
+// of its inputs cross chunks.
+var entryShift, tagShift uint = 10, 12
+
 // Table holds one period's values of one shard by tagset, plus a bounded
 // min-heap over them.
 //
 // Layout: the index (a tagset.FoldIndex) maps a tagset's fold (Fold) to
-// the entry's slot; each entry holds the offset and length of its tags in
-// one arena, where the tags of all entries sit back to back, and its value;
-// the heap holds slots. None of these holds a pointer as long as V holds
-// none, so the GC never traces a retained entry. Every index candidate is
-// confirmed against the arena tags. That is exact because a table never
-// deletes a single entry, only the whole table (see tagset.FoldIndex).
+// the entry's slot; each entry holds where its tags sit in the arena, and
+// its value; the heap holds slots. Entries sit in chunks of 1<<entryShift,
+// slot by slot, and tags in arena chunks of 1<<tagShift, the tags of one
+// entry after another's and never across two chunks: tags that do not fit
+// in the last chunk start a new one. Only the first chunk of each grows,
+// by copy, up to the full size, so a small table stays small (one presized
+// for a chunk of entries or more allocates it full at once); every later
+// chunk is allocated full, and no chunk moves once full. None of these
+// holds a pointer as long as V holds none, so the GC never traces a
+// retained entry. Every index candidate is confirmed against the arena
+// tags. That is exact because a table never deletes a single entry, only
+// the whole table (see tagset.FoldIndex).
 //
-// Tags handed out (Entry) are capped sub-slices of the arena: appending to
-// one copies it, and the arena only ever grows by append, so a slice
-// handed out stays valid, and unchanged, after the arena moves.
+// Tags handed out (Entry) are capped sub-slices of an arena chunk:
+// appending to one copies it, and a chunk is only ever appended to, so a
+// slice handed out stays valid, and unchanged, after the first chunk grows
+// and moves.
 //
 // Invariant: the heap holds exactly the best min(bound, Len()) entries
 // under rank, ties broken by tagset.Compare on their tags. The invariant is
@@ -46,15 +60,18 @@ func Fold(s tagset.Set) tagset.Fold {
 // shard's lock guards it.
 type Table[V any] struct {
 	index   tagset.FoldIndex
-	entries []entry[V]
-	arena   []tagset.Tag
-	top     []int32 // heap of slots; the root ranks last among them
+	entries [][]entry[V]   // chunk slot>>entryShift holds slot
+	arena   [][]tagset.Tag // chunks of tags; the last one is being filled
+	n       int32          // entries
+	full    bool           // first chunks start full: presized for a chunk of entries
+	top     []int32        // heap of slots; the root ranks last among them
 	bound   int
 	rank    func(a, b V) int
 	writes  uint64 // Puts so far
 }
 
-// entry is one value and where its tags are: arena[off : off+n].
+// entry is one value and where its tags are: n tags at offset off&mask of
+// arena chunk off>>tagShift.
 type entry[V any] struct {
 	off, n uint32
 	v      V
@@ -69,30 +86,37 @@ type Pos struct {
 
 // NewTable returns an empty table whose heap keeps the best bound (>= 1)
 // entries under rank, a three-way comparison (negative when a ranks
-// first), with the index and entries presized for entries values and the
-// arena for tags tags in all, and the heap for bound.
-func NewTable[V any](bound, entries, tags int, rank func(a, b V) int) *Table[V] {
+// first), with the index presized for entries values and the heap for
+// bound. Entry and arena chunks are allocated as the entries arrive; when
+// entries fills a chunk or more, the first ones are allocated full instead
+// of grown.
+func NewTable[V any](bound, entries int, rank func(a, b V) int) *Table[V] {
 	return &Table[V]{
-		index:   tagset.NewFoldIndex(entries),
-		entries: make([]entry[V], 0, entries),
-		arena:   make([]tagset.Tag, 0, tags),
-		top:     make([]int32, 0, bound),
-		bound:   bound,
-		rank:    rank,
+		index: tagset.NewFoldIndex(entries),
+		full:  entries >= 1<<entryShift,
+		top:   make([]int32, 0, bound),
+		bound: bound,
+		rank:  rank,
 	}
 }
 
-// Renew empties t for a new period, as NewTable(bound, entries, tags, rank)
-// with t's rank would make it, but keeps what t has already allocated: the
-// index is cleared and keeps its buckets, and the entries and heap arrays
-// keep theirs, grown to entries and bound when smaller. The arena is a
-// fresh one of tags tags, never the old one cleared, so every tags slice
-// Entry handed out stays valid and unchanged. The write count starts again
-// at zero.
-func (t *Table[V]) Renew(bound, entries, tags int) {
+// Renew empties t for a new period, as NewTable(bound, entries, rank) with
+// t's rank would make it, but keeps what t has already allocated: the index
+// is cleared and keeps its buckets (grown to hold entries when smaller),
+// the entry chunks are truncated and filled again, and the heap keeps its
+// array. The arena chunks are dropped, never written again, so every tags
+// slice Entry handed out stays valid and unchanged; the new period's tags
+// go to fresh chunks. The write count starts again at zero.
+func (t *Table[V]) Renew(bound, entries int) {
 	t.index.Reset()
-	t.entries = slices.Grow(t.entries[:0], entries)
-	t.arena = make([]tagset.Tag, 0, tags)
+	t.index.Reserve(entries)
+	for i := range t.entries {
+		t.entries[i] = t.entries[i][:0]
+	}
+	clear(t.arena)
+	t.arena = t.arena[:0]
+	t.n = 0
+	t.full = entries >= 1<<entryShift
 	t.top = slices.Grow(t.top[:0], bound)
 	t.bound = bound
 	t.writes = 0
@@ -103,25 +127,26 @@ func (t *Table[V]) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.entries)
+	return int(t.n)
 }
 
-// Size returns how many entries the table holds and how many tags they
-// hold together, what NewTable presizes a table of the same size by. A nil
-// table holds none.
-func (t *Table[V]) Size() (entries, tags int) {
-	if t == nil {
-		return 0, 0
-	}
-	return len(t.entries), len(t.arena)
+// at returns the entry in slot (0 <= slot < Len()).
+func (t *Table[V]) at(slot int32) *entry[V] {
+	return &t.entries[uint32(slot)>>entryShift][uint32(slot)&(1<<entryShift-1)]
+}
+
+// tags returns e's tags, a window of its arena chunk capped at their end.
+func (t *Table[V]) tags(e *entry[V]) tagset.Set {
+	o := e.off & (1<<tagShift - 1)
+	return t.arena[e.off>>tagShift][o : o+e.n : o+e.n]
 }
 
 // Entry returns the tags and value in slot (0 <= slot < Len(), in insertion
 // order). The tags belong to the table: callers read them and never write
 // them.
 func (t *Table[V]) Entry(slot int32) (tagset.Set, V) {
-	e := &t.entries[slot]
-	return t.arena[e.off : e.off+e.n : e.off+e.n], e.v
+	e := t.at(slot)
+	return t.tags(e), e.v
 }
 
 // Top returns the slots the heap holds, the best min(bound, Len()), in heap
@@ -149,8 +174,7 @@ func (t *Table[V]) Find(f tagset.Fold, s tagset.Set) Pos {
 		return Pos{slot: -1, fold: f}
 	}
 	slot := t.index.Find(f, func(i int32) bool {
-		e := &t.entries[i]
-		return slices.Equal(t.arena[e.off:e.off+e.n], s)
+		return slices.Equal(t.tags(t.at(i)), s)
 	})
 	return Pos{slot: slot, fold: f}
 }
@@ -167,14 +191,12 @@ func (p Pos) Slot() (int32, bool) { return p.slot, p.slot >= 0 }
 func (t *Table[V]) Put(p Pos, s tagset.Set, v V) (rebuilt bool) {
 	t.writes++
 	if p.slot < 0 {
-		slot := int32(len(t.entries))
-		t.entries = append(t.entries, entry[V]{off: uint32(len(t.arena)), n: uint32(len(s)), v: v})
-		t.arena = append(t.arena, s...)
+		slot := t.push(entry[V]{off: t.store(s), n: uint32(len(s)), v: v})
 		t.index.Insert(p.fold, slot)
 		t.offer(slot)
 		return false
 	}
-	e := &t.entries[p.slot]
+	e := t.at(p.slot)
 	kept := t.keeps(p.slot)
 	prev := e.v
 	e.v = v
@@ -183,11 +205,67 @@ func (t *Table[V]) Put(p Pos, s tagset.Set, v V) (rebuilt bool) {
 		return false
 	}
 	t.fix(slices.Index(t.top, p.slot))
-	if len(t.entries) > len(t.top) && t.rank(prev, v) < 0 {
+	if int(t.n) > len(t.top) && t.rank(prev, v) < 0 {
 		t.rebuild()
 		return true
 	}
 	return false
+}
+
+// push appends e in the next slot and returns the slot. A slot past the
+// last chunk gets a new chunk of full size; the first chunk grows instead
+// (growFirst). A renewed table's chunks have room already.
+func (t *Table[V]) push(e entry[V]) int32 {
+	slot := t.n
+	c := int(uint32(slot) >> entryShift)
+	if c == len(t.entries) {
+		t.entries = append(t.entries, nil)
+	}
+	if ch := t.entries[c]; len(ch) == cap(ch) {
+		if c == 0 {
+			t.entries[0] = growFirst(ch, len(ch)+1, 1<<entryShift, t.full)
+		} else {
+			t.entries[c] = make([]entry[V], 0, 1<<entryShift)
+		}
+	}
+	t.entries[c] = append(t.entries[c], e)
+	t.n++
+	return slot
+}
+
+// store copies s to the end of the last arena chunk and returns where it
+// went, as an entry's off. Tags that do not fit there start a new chunk of
+// full size, unless the chunk is the first one and can grow to hold them
+// (growFirst); a set larger than a chunk gets one of its own size.
+func (t *Table[V]) store(s tagset.Set) uint32 {
+	size := 1 << tagShift
+	if len(t.arena) == 0 {
+		t.arena = append(t.arena, nil)
+	}
+	last := len(t.arena) - 1
+	if ch := t.arena[last]; len(ch)+len(s) > cap(ch) {
+		if last == 0 && len(ch)+len(s) <= size {
+			t.arena[0] = growFirst(ch, len(ch)+len(s), size, t.full)
+		} else {
+			t.arena = append(t.arena, make([]tagset.Tag, 0, max(size, len(s))))
+			last++
+		}
+	}
+	off := uint32(last)<<tagShift | uint32(len(t.arena[last]))
+	t.arena[last] = append(t.arena[last], s...)
+	return off
+}
+
+// growFirst returns a copy of a table's first chunk ch with room for need
+// elements in all: of size when full, and otherwise twice its capacity, at
+// least 8 and at least need, but no more than size. The old array is never
+// written again, so windows of it that Entry handed out stay unchanged.
+func growFirst[T any](ch []T, need, size int, full bool) []T {
+	n := size
+	if !full {
+		n = min(max(2*cap(ch), 8, need), size)
+	}
+	return append(make([]T, 0, n), ch...)
 }
 
 // SetBound raises the heap bound to n (a lower n is ignored) and reports
@@ -197,7 +275,7 @@ func (t *Table[V]) SetBound(n int) (rebuilt bool) {
 		return false
 	}
 	t.bound = n
-	if len(t.entries) == len(t.top) {
+	if int(t.n) == len(t.top) {
 		return false
 	}
 	t.rebuild()
@@ -208,8 +286,8 @@ func (t *Table[V]) SetBound(n int) (rebuilt bool) {
 // the heap's slice.
 func (t *Table[V]) rebuild() {
 	t.top = t.top[:0]
-	for i := range t.entries {
-		t.offer(int32(i))
+	for slot := range t.n {
+		t.offer(slot)
 	}
 }
 
@@ -217,11 +295,11 @@ func (t *Table[V]) rebuild() {
 // broken by their tags. Tags are unique within a table, so of two distinct
 // slots one ranks before the other.
 func (t *Table[V]) before(a, b int32) bool {
-	ea, eb := &t.entries[a], &t.entries[b]
+	ea, eb := t.at(a), t.at(b)
 	if c := t.rank(ea.v, eb.v); c != 0 {
 		return c < 0
 	}
-	return tagset.Compare(t.arena[ea.off:ea.off+ea.n], t.arena[eb.off:eb.off+eb.n]) < 0
+	return tagset.Compare(t.tags(ea), t.tags(eb)) < 0
 }
 
 // keeps reports whether slot, an entry of the table, is in the heap: all

@@ -95,7 +95,7 @@ func TestTableMatchesSortEverything(t *testing.T) {
 				for op := 0; op < 4000; op++ {
 					p := int64(rng.Intn(3))
 					if tables[p] == nil {
-						tables[p] = NewTable(bound, 0, 0, r.rank)
+						tables[p] = NewTable(bound, 0, r.rank)
 						bounds[p] = bound
 					}
 					tb := tables[p]
@@ -146,13 +146,24 @@ func TestTableMatchesSortEverything(t *testing.T) {
 	}
 }
 
+// tinyChunks makes a Table's chunks 16 entries and 32 tags until the test
+// ends, so that a few dozen entries cross entry chunks, grow the first
+// chunks, and often find too little room for their tags at the end of an
+// arena chunk.
+func tinyChunks(t testing.TB) {
+	e, g := entryShift, tagShift
+	entryShift, tagShift = 4, 5
+	t.Cleanup(func() { entryShift, tagShift = e, g })
+}
+
 // TestTableRenew fills a table, keeps the tags of every entry it handed
 // out, renews it with a larger bound and fills it again from other
-// tagsets, alongside a new table put through the same operations. The
-// renewed table must answer exactly as the new one — heap, entries, sizes
-// and write count — and every tags slice handed out before the renewal
-// must still read as it did.
+// tagsets, alongside a new table put through the same operations, on tiny
+// chunks. The renewed table must answer exactly as the new one — heap,
+// entries, sizes and write count — and every tags slice handed out before
+// the renewal must still read as it did.
 func TestTableRenew(t *testing.T) {
+	tinyChunks(t)
 	for _, r := range rankings {
 		rng := rand.New(rand.NewSource(5))
 		fill := func(lo tagset.Tag, tables ...*Table[coeff]) {
@@ -164,7 +175,7 @@ func TestTableRenew(t *testing.T) {
 				}
 			}
 		}
-		tb := NewTable(4, 0, 0, r.rank)
+		tb := NewTable(4, 0, r.rank)
 		fill(0, tb)
 		var handed []tagset.Set
 		var keys []tagset.Key
@@ -173,12 +184,11 @@ func TestTableRenew(t *testing.T) {
 			handed, keys = append(handed, tags), append(keys, tags.Key())
 		}
 
-		entries, tags := tb.Size()
-		tb.Renew(8, entries, tags)
+		tb.Renew(8, tb.Len())
 		if tb.Len() != 0 || tb.Writes() != 0 || len(tb.Top()) != 0 {
 			t.Fatalf("%s: renewed table holds %d entries, %d heap slots, %d writes", r.name, tb.Len(), len(tb.Top()), tb.Writes())
 		}
-		fresh := NewTable(8, 0, 0, r.rank)
+		fresh := NewTable(8, 0, r.rank)
 		fill(1000, tb, fresh)
 		checkTable(t, r.name+" renewed", tb, 8, r.rank)
 		if tb.Len() != fresh.Len() || tb.Writes() != fresh.Writes() || !slices.Equal(tb.Top(), fresh.Top()) {
@@ -205,5 +215,53 @@ func TestTableRenew(t *testing.T) {
 				t.Fatalf("%s: tags handed out before the renewal changed: %v, was %v", r.name, s, keys[i].Set())
 			}
 		}
+	}
+}
+
+// TestRenewedTableKeepsItsCapacity is the Tracker's steady state on one
+// table: renewed for each period's entry count and refilled with the same
+// entries, a table must keep the entry chunks (the same arrays), their
+// capacities and the number of index buckets it had after the first
+// period, so that a period no larger than the last allocates nothing but
+// its arena. It reads the capacities, not an allocation count, which would
+// floor a growth that recurs only every few periods to zero.
+func TestRenewedTableKeepsItsCapacity(t *testing.T) {
+	tinyChunks(t)
+	rng := rand.New(rand.NewSource(9))
+	sets := make([]tagset.Set, 500)
+	for i := range sets {
+		sets[i] = tagset.New(tagset.Tag(i), 1000+tagset.Tag(rng.Intn(1000)), 3000+tagset.Tag(rng.Intn(1000)))
+	}
+	tb := NewTable(8, 0, rankings[0].rank)
+	shape := func() ([]int, []*entry[coeff]) {
+		caps, arrays := []int{tb.index.Buckets()}, []*entry[coeff](nil)
+		for _, ch := range tb.entries {
+			caps, arrays = append(caps, cap(ch)), append(arrays, &ch[:1][0])
+		}
+		return caps, arrays
+	}
+	var want []int
+	var wantArrays []*entry[coeff]
+	for period := range 6 {
+		if period > 0 {
+			tb.Renew(8, tb.Len())
+		}
+		for i, s := range sets {
+			tb.Put(tb.Find(Fold(s), s), s, coeff{J: float64(i%7) / 7, CN: int64(i)})
+		}
+		if tb.Len() != len(sets) {
+			t.Fatalf("period %d: table holds %d entries, want %d", period, tb.Len(), len(sets))
+		}
+		got, arrays := shape()
+		if want == nil {
+			want, wantArrays = got, arrays
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("period %d: index buckets and entry chunk capacities %v, after the first period %v", period, got, want)
+		} else if !slices.Equal(arrays, wantArrays) {
+			t.Fatalf("period %d: the renewed table allocated new entry chunks", period)
+		}
+	}
+	if len(want) < 3 {
+		t.Fatalf("run not representative: %d entry chunks", len(want)-1)
 	}
 }

@@ -661,7 +661,7 @@ func (sh *streamShard) observe(alpha float64, period int64, key tagset.Key, c ja
 func (sh *streamShard) record(ev Event) {
 	t := sh.periods[ev.Period]
 	if t == nil {
-		t = topselect.NewTable(sh.bound, 0, 0, compareScores)
+		t = topselect.NewTable(sh.bound, 0, compareScores)
 		sh.periods[ev.Period] = t
 	}
 	v := scoredEvent{Period: ev.Period, Predicted: ev.Predicted, Observed: ev.Observed,
