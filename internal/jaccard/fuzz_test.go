@@ -77,7 +77,11 @@ func sorted(cs []Coefficient) []Coefficient {
 // intersection count, J = CN / inclusion–exclusion union, J in (0, 1]), the
 // per-set Jaccard query round-trips to the same value, and the list is
 // complete and duplicate-free: sorted, it equals referenceCoefficients
-// element for element, and no two neighbours share a tagset.
+// element for element, and no two neighbours share a tagset. The report
+// AppendCoefficients gives is the same one, with one hash per coefficient,
+// the KeyHash of its tags; after a Reset, the same documents observed in
+// reverse order report the same coefficients, and the hashes written over
+// the first report's are again each one's KeyHash.
 func FuzzCounterTableCoefficients(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x82})
@@ -139,5 +143,31 @@ func FuzzCounterTableCoefficients(f *testing.F) {
 				}
 			}
 		}
+
+		out, arena, hashes := ct.AppendCoefficients(nil, nil, nil, 1)
+		checkHashes(t, "first report", out, hashes, coeffs)
+		ct.Reset()
+		for i := len(observed) - 1; i >= 0; i-- {
+			ct.Observe(observed[i])
+		}
+		out, _, hashes = ct.AppendCoefficients(out[:0], arena[:0], hashes[:0], 1)
+		checkHashes(t, "after a Reset", out, hashes, coeffs)
 	})
+}
+
+// checkHashes requires a report from AppendCoefficients to hold the sorted
+// coefficients want and one hash per coefficient, its tags' KeyHash.
+func checkHashes(t *testing.T, label string, out []Coefficient, hashes []uint64, want []Coefficient) {
+	t.Helper()
+	if len(hashes) != len(out) {
+		t.Fatalf("%s: %d hashes for %d coefficients", label, len(hashes), len(out))
+	}
+	for i, c := range out {
+		if want := c.Tags.KeyHash(); hashes[i] != want {
+			t.Fatalf("%s: coefficient %d %v: hash %#x, KeyHash %#x", label, i, c.Tags, hashes[i], want)
+		}
+	}
+	if got := sorted(append([]Coefficient{}, out...)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: AppendCoefficients = %v\nCoefficients      = %v", label, got, want)
+	}
 }

@@ -25,7 +25,11 @@
 // writes a report into a coefficient array and an arena the caller gives
 // it, grown once when too small, so a caller that reuses them allocates
 // nothing per report; Coefficients makes a new array and arena, two
-// allocations whatever the number of coefficients.
+// allocations whatever the number of coefficients. AppendCoefficients also
+// gives each coefficient the key hash of its tags (tagset.Set.KeyHash),
+// which a Calculator's consumers route the coefficient by; each subset's
+// hash extends the one of a smaller subset, so a report hashes each
+// coefficient in one step instead of one per tag.
 //
 // Counters are indexed by a tagset.Fold of their tags in a tagset.FoldIndex,
 // not by a key string, and every hit is confirmed against the tags, so
@@ -96,10 +100,11 @@ type CounterTable struct {
 
 	// Scratch reused across calls: the fold of every subset of the set
 	// being observed, and AppendCoefficients' per-counter marks and
-	// per-root 2ⁿ sums.
+	// per-root 2ⁿ sums and key hashes.
 	folds []tagset.Fold
 	done  []bool
 	sum   []int64
+	hash  []uint64
 }
 
 // counter is one subset's count and where its tags are: the bits of mask
@@ -262,22 +267,26 @@ func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
 
 // Coefficients computes the Jaccard coefficient for every tracked tagset of
 // at least two tags whose intersection counter is at least minCN, in a new
-// coefficient array and tag arena: AppendCoefficients(nil, nil, minCN),
-// except that an empty report is an empty slice, not nil.
+// coefficient array and tag arena: AppendCoefficients(nil, nil, nil,
+// minCN) without the hashes, except that an empty report is an empty slice,
+// not nil.
 func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
-	out, _ := ct.AppendCoefficients(nil, nil, minCN)
-	if out == nil {
-		out = []Coefficient{}
+	r := report{}
+	ct.appendReport(&r, minCN)
+	if r.coeffs == nil {
+		return []Coefficient{}
 	}
-	return out
+	return r.coeffs
 }
 
 // AppendCoefficients appends to out the Jaccard coefficient of every
 // tracked tagset of at least two tags whose intersection counter is at
-// least minCN, their tags to arena, and returns both. This is the
+// least minCN, their tags to arena and the KeyHash of each one's tags to
+// hashes, in the same order as out, and returns all three. This is the
 // Calculator's periodic report (Section 6.2): the "maximum possible number
-// of Jaccard coefficients" from the current counters. Results come in the
-// order the transforms below visit them. That order is unspecified but
+// of Jaccard coefficients" from the current counters, and the hash its
+// consumers route each coefficient by. Results come in the order the
+// transforms below visit them. That order is unspecified but
 // deterministic: the same sequence of Observe calls, with or without a
 // Reset before it, gives the same coefficients. A caller that needs an
 // order sorts.
@@ -289,42 +298,61 @@ func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
 // g(T) = (−1)^(|T|+1)·count(T), the union count of every S ⊆ M is the
 // subset sum Σ_{T⊆S} g(T), and one in-place zeta transform (n·2ⁿ
 // additions) yields all 2ⁿ of them from the recorded slots, with no lookup.
-// Roots are visited largest first, so a counter still unmarked when its
-// turn comes has no superset in the table; each counter is marked by the
-// first root that covers it and reported from that root only.
+// The key hash of each S ⊆ M extends that of S without its largest tag
+// (tagset.ExtendKeyHash), one step per subset. Roots are visited largest
+// first, so a counter still unmarked when its turn comes has no superset in
+// the table; each counter is marked by the first root that covers it and
+// reported from that root only.
 //
 // The scratch arrays hold 2ⁿ entries for the largest tagset seen, no more
 // than the 2ⁿ counters Observe already created for it, so the n ≤ 30 limit
-// of Observe is the only size limit here too. out and arena are grown once,
-// up front, by every counter of two tags or more and by their tags, so
-// neither grows during the report: given arrays that large, the call
+// of Observe is the only size limit here too. out, arena and hashes are
+// grown once, up front, by every counter of two tags or more and by their
+// tags, so none grows during the report: given arrays that large, the call
 // allocates nothing. Each coefficient's tags are a window of arena capped
 // at its own length.
-func (ct *CounterTable) AppendCoefficients(out []Coefficient, arena []tagset.Tag, minCN int64) ([]Coefficient, []tagset.Tag) {
+func (ct *CounterTable) AppendCoefficients(out []Coefficient, arena []tagset.Tag, hashes []uint64, minCN int64) ([]Coefficient, []tagset.Tag, []uint64) {
+	r := report{coeffs: out, arena: arena, hashes: hashes, hashed: true}
+	ct.appendReport(&r, minCN)
+	return r.coeffs, r.arena, r.hashes
+}
+
+// report is the arrays one report appends to.
+type report struct {
+	coeffs []Coefficient
+	arena  []tagset.Tag
+	hashes []uint64
+	hashed bool // append each coefficient's KeyHash to hashes
+}
+
+// appendReport appends the report of every counter to r (AppendCoefficients).
+func (ct *CounterTable) appendReport(r *report, minCN int64) {
 	if minCN < 1 {
 		minCN = 1
 	}
 	ct.done = resized(ct.done, len(ct.counters))
 	clear(ct.done)
-	out = slices.Grow(out, ct.multi)
-	arena = slices.Grow(arena, ct.multiTags)
+	r.coeffs = slices.Grow(r.coeffs, ct.multi)
+	r.arena = slices.Grow(r.arena, ct.multiTags)
+	if r.hashed {
+		r.hashes = slices.Grow(r.hashes, ct.multi)
+	}
 	for n := maxTags; n >= 1; n-- {
 		size := 1 << n
 		for _, base := range ct.roots[n] {
 			sub := ct.sub[base : int(base)+size-1]
 			if !ct.done[sub[size-2]] {
-				out, arena = ct.transform(out, arena, sub, n, minCN)
+				ct.transform(r, sub, n, minCN)
 			}
 		}
 	}
-	return out, arena
 }
 
-// transform reports, from a root of n tags whose subsets' slots are sub
-// (sub[mask-1] for the subset mask selects), every counter under it not yet
-// marked done, and marks them. Each reported coefficient's tags are
-// appended to arena, whose capacity covers them all.
-func (ct *CounterTable) transform(out []Coefficient, arena []tagset.Tag, sub []int32, n int, minCN int64) ([]Coefficient, []tagset.Tag) {
+// transform reports to r, from a root of n tags whose subsets' slots are
+// sub (sub[mask-1] for the subset mask selects), every counter under it not
+// yet marked done, and marks them. r's arrays have the capacity for them
+// all.
+func (ct *CounterTable) transform(r *report, sub []int32, n int, minCN int64) {
 	off := int(ct.counters[sub[len(sub)-1]].off)
 	root := ct.arena[off : off+n]
 	size := 1 << n
@@ -344,6 +372,18 @@ func (ct *CounterTable) transform(out []Coefficient, arena []tagset.Tag, sub []i
 			sum[mask] += sum[mask^bit]
 		}
 	}
+	var hash []uint64
+	if r.hashed {
+		ct.hash = resized(ct.hash, size)
+		hash = ct.hash
+		hash[0] = tagset.EmptyKeyHash
+		for top := 0; top < n; top++ { // the subsets whose largest tag is root[top]
+			bit := 1 << top
+			for mask := range bit {
+				hash[bit|mask] = tagset.ExtendKeyHash(hash[mask], root[top])
+			}
+		}
+	}
 	for mask := 1; mask < size; mask++ {
 		i := sub[mask-1]
 		if ct.done[i] {
@@ -354,13 +394,15 @@ func (ct *CounterTable) transform(out []Coefficient, arena []tagset.Tag, sub []i
 		if mask&(mask-1) == 0 || cn < minCN || union <= 0 {
 			continue
 		}
-		lo := len(arena)
+		lo := len(r.arena)
 		for m := mask; m != 0; m &= m - 1 {
-			arena = append(arena, root[bits.TrailingZeros(uint(m))])
+			r.arena = append(r.arena, root[bits.TrailingZeros(uint(m))])
 		}
-		out = append(out, Coefficient{Tags: arena[lo:len(arena):len(arena)], J: float64(cn) / float64(union), CN: cn})
+		r.coeffs = append(r.coeffs, Coefficient{Tags: r.arena[lo:len(r.arena):len(r.arena)], J: float64(cn) / float64(union), CN: cn})
+		if r.hashed {
+			r.hashes = append(r.hashes, hash[mask])
+		}
 	}
-	return out, arena
 }
 
 // resized returns s with length n and unspecified contents, reusing its

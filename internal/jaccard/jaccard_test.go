@@ -471,6 +471,10 @@ func TestResetKeepsCapacity(t *testing.T) {
 	}
 }
 
+// coefficientsAllocs is what a Coefficients call allocates: its array and
+// its arena. A -race build counts more (race_test.go).
+var coefficientsAllocs float64 = 2
+
 // TestCoefficientsOneArena pins the report's shape: one coefficient array
 // and one tag arena per call, however many coefficients, and every
 // coefficient's tags a window of the arena capped at its own length, so an
@@ -496,14 +500,15 @@ func TestCoefficientsOneArena(t *testing.T) {
 			t.Fatalf("coefficient %d: an append wrote into the arena", i)
 		}
 	}
-	if got := testing.AllocsPerRun(5, func() { ct.Coefficients(1) }); got != 2 {
-		t.Errorf("a report of %d coefficients: %.0f allocations, want 2 (array and arena)", len(report), got)
+	if got := testing.AllocsPerRun(5, func() { ct.Coefficients(1) }); got != coefficientsAllocs {
+		t.Errorf("a report of %d coefficients: %.0f allocations, want %.0f (array and arena)", len(report), got, coefficientsAllocs)
 	}
 }
 
 // TestAppendCoefficientsReuses pins the report into given arrays: a second
 // report of the same period into the first one's arrays allocates nothing
-// and gives the same coefficients, and Coefficients gives them too.
+// and gives the same coefficients and hashes, and Coefficients gives the
+// same coefficients too.
 func TestAppendCoefficientsReuses(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ct := NewCounterTable()
@@ -511,12 +516,18 @@ func TestAppendCoefficientsReuses(t *testing.T) {
 		ct.Observe(d)
 	}
 	want := ct.Coefficients(1)
-	out, arena := ct.AppendCoefficients(nil, nil, 1)
-	if got := testing.AllocsPerRun(5, func() { out, arena = ct.AppendCoefficients(out[:0], arena[:0], 1) }); got != 0 {
+	out, arena, hashes := ct.AppendCoefficients(nil, nil, nil, 1)
+	first := slices.Clone(hashes)
+	if got := testing.AllocsPerRun(5, func() {
+		out, arena, hashes = ct.AppendCoefficients(out[:0], arena[:0], hashes[:0], 1)
+	}); got != 0 {
 		t.Errorf("a report into arrays large enough: %.0f allocations, want 0", got)
 	}
 	if !reflect.DeepEqual(out, want) {
 		t.Fatalf("report into reused arrays differs from Coefficients")
+	}
+	if !slices.Equal(hashes, first) {
+		t.Fatalf("hashes of the report into reused arrays differ from the first report's")
 	}
 }
 
@@ -542,10 +553,10 @@ func BenchmarkCounterTable(b *testing.B) {
 	})
 	b.Run("Coefficients", func(b *testing.B) {
 		period()
-		out, arena := ct.AppendCoefficients(nil, nil, 1)
+		out, arena, hashes := ct.AppendCoefficients(nil, nil, nil, 1)
 		b.ReportAllocs()
 		for b.Loop() {
-			out, arena = ct.AppendCoefficients(out[:0], arena[:0], 1)
+			out, arena, hashes = ct.AppendCoefficients(out[:0], arena[:0], hashes[:0], 1)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/coeff")
 	})

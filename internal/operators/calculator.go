@@ -32,9 +32,10 @@ type Calculator struct {
 
 	// trackerTasks is the Tracker's parallelism, read from the topology at
 	// Prepare: flushes split their coefficients into one sub-batch per
-	// task, grouped by the shared routeHash, so fields grouping (CoeffKey)
-	// keeps every tagset on one Tracker task. 1 outside a topology. route
-	// is splitByRoute's per-coefficient scratch, reused across flushes.
+	// task, grouped by the route hash the report carries, so fields
+	// grouping (CoeffKey) keeps every tagset on one Tracker task. 1 outside
+	// a topology. route is splitByRoute's per-coefficient scratch, reused
+	// across flushes.
 	trackerTasks int
 	route        []int32
 
@@ -107,12 +108,13 @@ func (c *Calculator) Cleanup(out storm.Collector) {
 // tagset-key hash routes to it (CoeffKey reads the Route field). Either
 // way the hot path's dataflow counters and mailbox pressure stay
 // proportional to periods rather than pairs. The report is written into a
-// buffer from the Calculator's free list (reportBuf), and the sub-batches
-// are windows of its one array, each holding one reference to it: the
-// buffer comes back when the last batch reading it lets go.
+// buffer from the Calculator's free list (reportBuf), with each
+// coefficient's route hash beside it, and the sub-batches are windows of
+// its arrays, each holding one reference to it: the buffer comes back when
+// the last batch reading it lets go.
 func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 	buf := c.reports.get()
-	buf.coeffs, buf.arena = c.table.AppendCoefficients(buf.coeffs[:0], buf.arena[:0], 1)
+	buf.coeffs, buf.arena, buf.hashes = c.table.AppendCoefficients(buf.coeffs[:0], buf.arena[:0], buf.hashes[:0], 1)
 	coeffs := buf.coeffs
 	period := int64(c.boundary / c.cfg.ReportEvery)
 	// The flush holds a reference of its own while it emits, so a batch
@@ -123,17 +125,20 @@ func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 	case c.trackerTasks <= 1:
 		buf.retain()
 		out.Emit(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{
-			CoeffBatch{Period: period, Coeffs: coeffs, Ingest: ingest, Trace: trace, buf: buf},
+			CoeffBatch{Period: period, Coeffs: coeffs, Ingest: ingest, Trace: trace, hashes: buf.hashes, buf: buf},
 		}})
 	default:
-		for g, part := range c.splitByRoute(coeffs) {
+		lo := 0
+		for g, part := range c.splitByRoute(coeffs, buf.hashes) {
 			if len(part) == 0 {
 				continue
 			}
+			hi := lo + len(part)
 			buf.retain()
 			out.Emit(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{
-				CoeffBatch{Period: period, Route: uint64(g), Coeffs: part, Ingest: ingest, Trace: trace, buf: buf},
+				CoeffBatch{Period: period, Route: uint64(g), Coeffs: part, Ingest: ingest, Trace: trace, hashes: buf.hashes[lo:hi:hi], buf: buf},
 			}})
+			lo = hi
 		}
 	}
 	buf.release()
@@ -143,14 +148,14 @@ func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 	c.table.Reset()
 }
 
-// splitByRoute groups a report in place into one part per Tracker task by
-// routeHash % tasks, each tagset hashed once into c.route (groupByRoute).
-func (c *Calculator) splitByRoute(coeffs []jaccard.Coefficient) [][]jaccard.Coefficient {
+// splitByRoute groups a report and its route hashes in place into one part
+// per Tracker task by hash % tasks (groupByRoute).
+func (c *Calculator) splitByRoute(coeffs []jaccard.Coefficient, hashes []uint64) [][]jaccard.Coefficient {
 	c.route = resized(c.route, len(coeffs))
-	for i := range coeffs {
-		c.route[i] = int32(routeHashSet(coeffs[i].Tags) % uint64(c.trackerTasks))
+	for i, h := range hashes {
+		c.route[i] = int32(h % uint64(c.trackerTasks))
 	}
-	return groupByRoute(coeffs, c.route, c.trackerTasks)
+	return groupByRoute(coeffs, hashes, c.route, c.trackerTasks)
 }
 
 // alignUp returns the smallest multiple of step strictly greater than t.
@@ -160,15 +165,17 @@ func alignUp(t, step stream.Millis) stream.Millis {
 
 // reportBuf is one flush's report, lent to the batches that carry it: the
 // coefficient array, the tag arena its coefficients' tags are windows of,
-// and the number of batches still holding it. Each CoeffBatch of the flush
-// holds one reference, and the Tracker takes one more for each TrendBatch
-// it emits from it; every holder releases its own once done reading, and
-// the last release returns the buffer to its Calculator's free list, whose
-// next flush writes over it. A batch that is never consumed only costs the
-// next flush a fresh buffer.
+// each coefficient's route hash (routeHashSet of its tags, hashes[i] for
+// coeffs[i]), and the number of batches still holding it. Each CoeffBatch
+// of the flush holds one reference, and the Tracker takes one more for each
+// TrendBatch it emits from it; every holder releases its own once done
+// reading, and the last release returns the buffer to its Calculator's
+// free list, whose next flush writes over it. A batch that is never
+// consumed only costs the next flush a fresh buffer.
 type reportBuf struct {
 	coeffs []jaccard.Coefficient
 	arena  []tagset.Tag
+	hashes []uint64
 	refs   atomic.Int32
 	list   *reportList
 }

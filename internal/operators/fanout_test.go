@@ -227,7 +227,7 @@ func TestCoeffKeyRoutesBatchesAndSinglesAlike(t *testing.T) {
 				b := tagset.Tag(rng.Intn(100))
 				flush = append(flush, jaccard.Coefficient{Tags: tagset.New(b, b+7), J: 0.1, CN: 1})
 			}
-			for g, part := range (&Calculator{trackerTasks: tasks}).splitByRoute(flush) {
+			for g, part := range (&Calculator{trackerTasks: tasks}).splitByRoute(flush, routeHashes(flush)) {
 				if len(part) == 0 || !part[0].Tags.Equal(set) {
 					continue
 				}

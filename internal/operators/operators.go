@@ -127,7 +127,11 @@ type NotifyBatch struct {
 // every batch and TrendBatch reading it has been consumed, so no consumer
 // keeps a Coefficient or its Tags past its Execute. A batch built without
 // a flush (tests, the layer replay, ImportState) carries no buffer and is
-// never reused.
+// never reused. A flush's batches also carry each coefficient's route hash
+// (hashes, a window of the buffer's hash column beside Coeffs), which the
+// Tracker groups its shards and splits its Trend batch by; a batch built
+// without a flush carries none, and the Tracker hashes its tagsets once at
+// intake.
 type CoeffBatch struct {
 	Period int64
 	Route  uint64
@@ -140,7 +144,8 @@ type CoeffBatch struct {
 	// document (0: untraced).
 	Trace uint64
 
-	buf *reportBuf // the flush's report buffer, one reference of it; nil when built without a flush
+	hashes []uint64   // routeHashSet of each Coeffs[i]'s tags; nil when built without a flush
+	buf    *reportBuf // the flush's report buffer, one reference of it; nil when built without a flush
 }
 
 // TrendBatch carries the reports of one CoeffBatch that changed the
@@ -450,12 +455,14 @@ func CoeffKey(t storm.Tuple) uint64 {
 // groupByRoute reorders coeffs in place so that the coefficients of each
 // consumer task are contiguous and keep their order, and returns each
 // task's part as a window of coeffs capped at its end. route[i] is
-// coeffs[i]'s task, below tasks; it is overwritten. A counting pass gives
-// every coefficient its destination, and the entries then move along the
-// cycles of that permutation, each swap putting one in its place. This is
-// how a period flush is split for the Tracker tasks and an accepted batch
-// for the Trend tasks, without a copy of either.
-func groupByRoute(coeffs []jaccard.Coefficient, route []int32, tasks int) [][]jaccard.Coefficient {
+// coeffs[i]'s task, below tasks; it is overwritten. hashes, when not nil,
+// is a column beside coeffs (hashes[i] belongs to coeffs[i]) and is
+// reordered with it, so each part's hashes are the same window of hashes.
+// A counting pass gives every coefficient its destination, and the entries
+// then move along the cycles of that permutation, each swap putting one in
+// its place. This is how a period flush is split for the Tracker tasks and
+// an accepted batch for the Trend tasks, without a copy of either.
+func groupByRoute(coeffs []jaccard.Coefficient, hashes []uint64, route []int32, tasks int) [][]jaccard.Coefficient {
 	next := make([]int32, tasks)
 	for _, g := range route {
 		next[g]++
@@ -474,6 +481,9 @@ func groupByRoute(coeffs []jaccard.Coefficient, route []int32, tasks int) [][]ja
 	for i := range coeffs {
 		for d := route[i]; d != int32(i); d = route[i] {
 			coeffs[i], coeffs[d] = coeffs[d], coeffs[i]
+			if hashes != nil {
+				hashes[i], hashes[d] = hashes[d], hashes[i]
+			}
 			route[i], route[d] = route[d], d
 		}
 	}
@@ -482,12 +492,15 @@ func groupByRoute(coeffs []jaccard.Coefficient, route []int32, tasks int) [][]ja
 
 // routeHash is the FNV-1a tagset-key hash shared by the Tracker's shard
 // routing and the Calculator's per-Tracker-task sub-batch grouping, so one
-// tagset always maps to one Tracker task and one shard.
+// tagset always maps to one Tracker task and one shard. A flush computes it
+// once per coefficient (jaccard.CounterTable.AppendCoefficients) and its
+// batches carry it to the Tracker.
 func routeHash(k tagset.Key) uint64 { return k.Hash() }
 
 // routeHashSet is routeHash(s.Key()) without building the key, so the
-// fields groupings and the Calculator's sub-batch grouping place every
-// tagset where the Tracker's key-indexed shard routing expects it.
+// fields groupings, the hashes a report carries (the same KeyHash) and the
+// Tracker's intake of a batch without them place every tagset where the
+// Tracker's key-indexed shard routing expects it.
 func routeHashSet(s tagset.Set) uint64 { return s.KeyHash() }
 
 // Source adapts any document iterator (generator, slice, JSONL reader) to a

@@ -1,11 +1,21 @@
 package operators
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/jaccard"
 	"repro/internal/tagset"
 )
+
+// routeHashes is the route hash column of a batch built without a flush.
+func routeHashes(cs []jaccard.Coefficient) []uint64 {
+	hashes := make([]uint64, len(cs))
+	for i, c := range cs {
+		hashes[i] = routeHashSet(c.Tags)
+	}
+	return hashes
+}
 
 // splitReference is the copying split groupByRoute replaced: a counting
 // pass sizes every part, and each coefficient is copied, in arrival order,
@@ -33,7 +43,9 @@ func splitReference(coeffs []jaccard.Coefficient, route []int32, tasks int) [][]
 // spread by a multiplicative hash), including batches of none or one and
 // tasks that receive nothing, every part equals the reference's element
 // for element, and the parts tile the batch in task order, each capped at
-// the end of its own window.
+// the end of its own window. A hash column grouped with the batch moves
+// with it: each part's window of the column holds its own coefficients'
+// hashes, and grouping without a column gives the same parts.
 func FuzzGroupByRoute(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{})
@@ -45,13 +57,17 @@ func FuzzGroupByRoute(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tasksByte uint8, hashes []byte) {
 		tasks := 1 + int(tasksByte%8)
 		coeffs := make([]jaccard.Coefficient, len(hashes))
+		column := make([]uint64, len(hashes))
 		route := make([]int32, len(hashes))
 		for i, h := range hashes {
 			coeffs[i] = jaccard.Coefficient{Tags: tagset.New(tagset.Tag(i)), J: float64(h) / 256, CN: int64(i)}
+			column[i] = uint64(i) << 8
 			route[i] = int32(uint64(h) * 0x9e3779b97f4a7c15 >> 32 % uint64(tasks))
 		}
 		want := splitReference(coeffs, route, tasks)
-		parts := groupByRoute(coeffs, route, tasks)
+		bare := append([]jaccard.Coefficient(nil), coeffs...)
+		bareParts := groupByRoute(bare, nil, append([]int32(nil), route...), tasks)
+		parts := groupByRoute(coeffs, column, route, tasks)
 		if len(parts) != tasks {
 			t.Fatalf("%d parts for %d tasks", len(parts), tasks)
 		}
@@ -71,7 +87,71 @@ func FuzzGroupByRoute(f *testing.F) {
 			if len(part) > 0 && &part[0] != &coeffs[lo] {
 				t.Fatalf("task %d: its part does not start at entry %d of the batch", g, lo)
 			}
+			for i := range part {
+				if column[lo+i] != uint64(part[i].CN)<<8 {
+					t.Fatalf("task %d, entry %d: hash %#x beside coefficient %d", g, i, column[lo+i], part[i].CN)
+				}
+				if bareParts[g][i].CN != part[i].CN {
+					t.Fatalf("task %d, entry %d: without a hash column, coefficient %d; with one, %d", g, i, bareParts[g][i].CN, part[i].CN)
+				}
+			}
 			lo += len(part)
 		}
 	})
+}
+
+// TestFlushCarriesRouteHashes checks the hashes a flush hands the Tracker:
+// for 1 and 4 Tracker tasks and over two periods, the second written into
+// the first one's returned buffer, every CoeffBatch carries one hash per
+// coefficient, each the routeHashSet of its tags, routing it to the
+// batch's task, and the batches together carry the whole report.
+func TestFlushCarriesRouteHashes(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	period := func(n int) []tagset.Set {
+		docs := make([]tagset.Set, n)
+		for i := range docs {
+			tags := make([]tagset.Tag, 1+rng.Intn(6))
+			for j := range tags {
+				tags[j] = tagset.Tag(rng.Intn(60)) << (8 * rng.Intn(4))
+			}
+			docs[i] = tagset.New(tags...)
+		}
+		return docs
+	}
+	for _, tasks := range []int{1, 4} {
+		c := NewCalculator(Config{ReportEvery: 1000})
+		c.trackerTasks = tasks
+		for p, docs := range [][]tagset.Set{period(400), period(300)} {
+			for _, d := range docs {
+				c.table.Observe(d)
+			}
+			want := len(c.table.Coefficients(1))
+			out := newCollector()
+			c.flush(out, 0, 0)
+			total := 0
+			for _, tu := range out.byStream(StreamCoeff) {
+				b := tu.Values[0].(CoeffBatch)
+				if len(b.hashes) != len(b.Coeffs) {
+					t.Fatalf("tasks=%d, period %d: %d hashes for %d coefficients", tasks, p, len(b.hashes), len(b.Coeffs))
+				}
+				for i, co := range b.Coeffs {
+					h := routeHashSet(co.Tags)
+					if b.hashes[i] != h {
+						t.Fatalf("tasks=%d, period %d, batch %d, entry %d %v: hash %#x, want %#x", tasks, p, b.Route, i, co.Tags, b.hashes[i], h)
+					}
+					if h%uint64(tasks) != b.Route {
+						t.Fatalf("tasks=%d, period %d: %v routes to task %d, sent in the batch of %d", tasks, p, co.Tags, h%uint64(tasks), b.Route)
+					}
+				}
+				total += len(b.Coeffs)
+				b.buf.release()
+			}
+			if total != want || want == 0 {
+				t.Fatalf("tasks=%d, period %d: the batches carried %d coefficients of a report of %d", tasks, p, total, want)
+			}
+			if n := len(c.reports.free); n != 1 {
+				t.Fatalf("tasks=%d, period %d: %d report buffers free after the batches were consumed, want 1", tasks, p, n)
+			}
+		}
+	}
 }

@@ -210,15 +210,16 @@ func (tr *Tracker) SetFlight(rec *flight.Recorder) { tr.flightRec = rec }
 // Calculator's period flush, or its sub-batch for this task — per tuple.
 // The period registry is consulted once for the batch (opening a new period
 // may prune old ones); the batch is then grouped by shard, and each shard
-// is locked once for its run of reports (reportBatch). A report costs one
-// fold of its tags and one table lookup, and allocates nothing: a fresh
-// entry's tags are copied into its table's arena. msg.Coeffs belongs to
-// this task once emitted (CoeffBatch): when there is an archive or a Trend
-// feed, the reports that changed the tables are compacted, in arrival
-// order, into its prefix, appended to the archive in one call and emitted
-// as one TrendBatch (one per Trend task when there are several, grouped in
-// place by the route hashes the shard grouping computed). With neither,
-// msg.Coeffs is only read.
+// is locked once for its run of reports (reportBatch), by the route hash
+// the batch carries from its flush (hashed here, once, for a batch built
+// without one). A report costs one fold of its tags and one table lookup,
+// and allocates nothing: a fresh entry's tags are copied into its table's
+// arena. msg.Coeffs belongs to this task once emitted (CoeffBatch): when
+// there is an archive or a Trend feed, the reports that changed the tables
+// are compacted, in arrival order, into its prefix, appended to the
+// archive in one call and emitted as one TrendBatch (one per Trend task
+// when there are several, grouped in place by the same route hashes). With
+// neither, msg.Coeffs is only read.
 func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 	msg := t.Values[0].(CoeffBatch)
 	start := telemetry.Now()
@@ -262,12 +263,16 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 	}
 	sc := tr.getScratch()
 	defer tr.putScratch(sc)
-	n, dups, lates := tr.reportBatch(msg.Period, msg.Coeffs, sc)
+	hash := msg.hashes
+	if hash == nil { // a batch built without a flush
+		hash = sc.keyHashes(msg.Coeffs)
+	}
+	n, dups, lates := tr.reportBatch(msg.Period, msg.Coeffs, hash, sc)
 	tr.Duplicates.Add(dups)
 	tr.Late.Add(lates)
 	var accepted []jaccard.Coefficient
 	if (emit || archived) && n > 0 {
-		accepted = tr.compact(msg.Coeffs, sc, emit && tr.trendTasks > 1)
+		accepted = tr.compact(msg.Coeffs, hash, sc, emit && tr.trendTasks > 1)
 	}
 	if archived {
 		if tr.afterReports != nil {
@@ -285,7 +290,7 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 			TrendBatch{Period: msg.Period, Coeffs: accepted, Trace: msg.Trace, buf: msg.buf},
 		}})
 	default:
-		for g, part := range groupByRoute(accepted, sc.route, tr.trendTasks) {
+		for g, part := range groupByRoute(accepted, nil, sc.route, tr.trendTasks) {
 			if len(part) == 0 {
 				continue
 			}
@@ -300,9 +305,9 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 // compact moves the reports reportBatch accepted to the front of cs, in
 // arrival order, and returns that prefix. cs is the batch this task owns
 // (CoeffBatch), so no copy of it is made. With split it also sets
-// sc.route to each accepted report's Trend task, from the route hash the
-// shard grouping computed.
-func (tr *Tracker) compact(cs []jaccard.Coefficient, sc *intakeScratch, split bool) []jaccard.Coefficient {
+// sc.route to each accepted report's Trend task, from its route hash
+// (hash[i] for cs[i]).
+func (tr *Tracker) compact(cs []jaccard.Coefficient, hash []uint64, sc *intakeScratch, split bool) []jaccard.Coefficient {
 	n := 0
 	sc.route = sc.route[:0]
 	for i, keep := range sc.accepted {
@@ -312,7 +317,7 @@ func (tr *Tracker) compact(cs []jaccard.Coefficient, sc *intakeScratch, split bo
 		cs[n] = cs[i]
 		n++
 		if split {
-			sc.route = append(sc.route, int32(sc.hash[i]%uint64(tr.trendTasks)))
+			sc.route = append(sc.route, int32(hash[i]%uint64(tr.trendTasks)))
 		}
 	}
 	return cs[:n:n]
@@ -336,7 +341,7 @@ func (tr *Tracker) appendArchive(msg CoeffBatch, accepted []jaccard.Coefficient)
 // intakeScratch is reportBatch's per-batch state, reused from batch to
 // batch through Tracker.scratch.
 type intakeScratch struct {
-	hash     []uint64 // each report's route hash
+	hash     []uint64 // each report's route hash, for a batch that carries none
 	order    []int32  // report indices grouped by shard, in arrival order within each
 	start    []int32  // shard i's run ends at order[start[i]] once grouped
 	accepted []bool   // whether each report changed its table
@@ -362,28 +367,35 @@ func (tr *Tracker) putScratch(sc *intakeScratch) {
 	tr.scratchMu.Unlock()
 }
 
+// keyHashes returns the route hash of every report of cs, in sc.hash: the
+// intake of a batch that carries none.
+func (sc *intakeScratch) keyHashes(cs []jaccard.Coefficient) []uint64 {
+	sc.hash = resized(sc.hash, len(cs))
+	for i := range cs {
+		sc.hash[i] = routeHashSet(cs[i].Tags)
+	}
+	return sc.hash
+}
+
 // reportBatch records one period's reports, sets sc.accepted, and counts
 // the accepted reports (fresh entries and CN upgrades), the duplicates and
-// the late ones. A counting pass groups the reports by shard — by the route
-// hash the Calculators group sub-batches with, so the shards of one Tracker
-// task are its own — and each shard's run is reported under one lock, in
-// arrival order.
-func (tr *Tracker) reportBatch(period int64, cs []jaccard.Coefficient, sc *intakeScratch) (accepted int, dups, lates int64) {
+// the late ones. A counting pass groups the reports by shard — by their
+// route hashes (hash[i] for cs[i]), which the Calculators group
+// sub-batches by too, so the shards of one Tracker task are its own — and
+// each shard's run is reported under one lock, in arrival order.
+func (tr *Tracker) reportBatch(period int64, cs []jaccard.Coefficient, hash []uint64, sc *intakeScratch) (accepted int, dups, lates int64) {
 	shards := len(tr.shards)
-	sc.hash = resized(sc.hash, len(cs))
 	sc.order = resized(sc.order, len(cs))
 	sc.accepted = resized(sc.accepted, len(cs))
 	sc.start = resized(sc.start, shards+1)
 	clear(sc.start)
-	for i, c := range cs {
-		h := routeHashSet(c.Tags)
-		sc.hash[i] = h
+	for _, h := range hash {
 		sc.start[h&tr.mask+1]++
 	}
 	for i := 1; i <= shards; i++ {
 		sc.start[i] += sc.start[i-1]
 	}
-	for i, h := range sc.hash { // start[s] advances from shard s's start to its end
+	for i, h := range hash { // start[s] advances from shard s's start to its end
 		s := h & tr.mask
 		sc.order[sc.start[s]] = int32(i)
 		sc.start[s]++

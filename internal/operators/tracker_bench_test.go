@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/jaccard"
+	"repro/internal/storm"
 	"repro/internal/tagset"
+	"repro/internal/twitgen"
 )
 
 // populateTracker fills tr with n distinct retained pairs spread over four
@@ -179,4 +181,68 @@ func BenchmarkTrackerLookup(b *testing.B) {
 			b.Fatalf("key %d not found", i%len(keys))
 		}
 	}
+}
+
+// wideFlush is one period of wide documents (the benchmark's ingest-wide
+// shape: 1 to 10 tags a document, uniformly, over 16-tag topic
+// vocabularies), counted by a Calculator and flushed for tasks Tracker
+// tasks: the CoeffBatch sub-batches, as the Tracker tasks receive them.
+// The batches are detached from their report buffer, so they can be
+// ingested again and again.
+func wideFlush(tb testing.TB, docs, tasks int) []CoeffBatch {
+	cfg := twitgen.Default()
+	cfg.DriftInterval, cfg.NewTagProb = 0, 0
+	cfg.Topics, cfg.TagsPerTopic, cfg.MaxTags, cfg.LengthSkew = 5000, 16, 10, 0
+	g, err := twitgen.New(cfg, tagset.NewDictionary())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := NewCalculator(Config{ReportEvery: 1000})
+	c.trackerTasks = tasks
+	for _, d := range g.Generate(docs) {
+		c.table.Observe(d.Tags)
+	}
+	out := newCollector()
+	c.flush(out, 0, 0)
+	var batches []CoeffBatch
+	for _, t := range out.byStream(StreamCoeff) {
+		b := t.Values[0].(CoeffBatch)
+		b.buf = nil
+		batches = append(batches, b)
+	}
+	return batches
+}
+
+// BenchmarkTrackerIntake times the Tracker's report path on what a flush
+// hands it: one period of 1 000 wide documents, flushed by a Calculator
+// into four Tracker-task sub-batches, each ingested by Tracker.Execute (16
+// shards, KeepPeriods 8, no archive, no Trend feed, so the batches are
+// only read). Every iteration ingests the same flush as the next period,
+// so from the ninth on each one prunes the oldest period and renews its
+// table.
+func BenchmarkTrackerIntake(b *testing.B) {
+	batches := wideFlush(b, 1000, 4)
+	coeffs := 0
+	for _, bt := range batches {
+		coeffs += len(bt.Coeffs)
+	}
+	tr := NewTrackerWith(16, 128, 0)
+	tr.SetRetention(8)
+	period := int64(0)
+	ingest := func() {
+		period++
+		for _, bt := range batches {
+			bt.Period = period
+			tr.Execute(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{bt}}, nil)
+		}
+	}
+	for range 8 {
+		ingest()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		ingest()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*coeffs), "ns/coeff")
+	b.ReportMetric(float64(coeffs), "coeffs/op")
 }

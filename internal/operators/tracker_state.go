@@ -148,7 +148,7 @@ func (tr *Tracker) ImportState(st TrackerState) {
 	}
 	var sc intakeScratch
 	for _, pc := range st.Periods {
-		tr.reportBatch(pc.Period, pc.Coeffs, &sc)
+		tr.reportBatch(pc.Period, pc.Coeffs, sc.keyHashes(pc.Coeffs), &sc)
 	}
 	if tr.lru != nil {
 		for _, e := range st.Evicted {

@@ -176,7 +176,7 @@ func TestTrackerCompactsInItsWindow(t *testing.T) {
 		s := tagset.New(a%30/2, a%30+100)
 		flush = append(flush, jaccard.Coefficient{Tags: s, J: float64(a) / 60, CN: int64(100 - a)})
 	}
-	parts := (&Calculator{trackerTasks: 2}).splitByRoute(flush)
+	parts := (&Calculator{trackerTasks: 2}).splitByRoute(flush, routeHashes(flush))
 	if len(parts[0]) == 0 || len(parts[1]) == 0 {
 		t.Fatalf("the flush did not reach both tasks: %d and %d", len(parts[0]), len(parts[1]))
 	}

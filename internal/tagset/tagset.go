@@ -341,23 +341,22 @@ func (s Set) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Fold is a fixed-width, pointer-free fold of a set's tags: two independent
-// 64-bit sums, over the set's tags, of two different mixes of each tag
-// (FoldTag). Equal sets have equal folds; distinct sets almost always have
-// distinct ones, but not always, so a table keyed by Fold must confirm a hit
-// against the tags it stores. Because the fold is a sum, it does not depend
-// on tag order, and the fold of S ∪ {t} (t ∉ S) is Fold(S).Add(FoldTag(t)):
-// the folds of all 2ⁿ subsets of a set cost one addition each. The empty
-// set folds to the zero value. No byte of it is persisted or served.
-type Fold struct{ A, B uint64 }
+// Fold is a fixed-width, pointer-free fold of a set's tags: one 64-bit
+// sum, over the set's tags, of a mix of each tag (FoldTag). Equal sets have
+// equal folds; distinct sets almost always have distinct ones, but not
+// always, so a table keyed by Fold must confirm a hit against the tags it
+// stores. Because the fold is a sum, it does not depend on tag order, and
+// the fold of S ∪ {t} (t ∉ S) is Fold(S).Add(FoldTag(t)): the folds of all
+// 2ⁿ subsets of a set cost one addition each. The empty set folds to the
+// zero value. A FoldIndex reads its low 32 bits; no byte of it is persisted
+// or served.
+type Fold struct{ A uint64 }
 
 // FoldTag returns the fold of the one-tag set {t}.
-func FoldTag(t Tag) Fold {
-	return Fold{A: mix64(uint64(t) ^ 0x243f6a8885a308d3), B: mix64(uint64(t) ^ 0x13198a2e03707344)}
-}
+func FoldTag(t Tag) Fold { return Fold{A: mix64(uint64(t) ^ 0x243f6a8885a308d3)} }
 
 // Add returns the fold of the union of two disjoint sets folded to f and g.
-func (f Fold) Add(g Fold) Fold { return Fold{A: f.A + g.A, B: f.B + g.B} }
+func (f Fold) Add(g Fold) Fold { return Fold{A: f.A + g.A} }
 
 // FoldIndex is an open-addressed index from a Fold to an int32 slot in
 // its caller's own entries, for tables that store each entry's tags and can
@@ -490,17 +489,28 @@ func (k Key) Hash() uint64 {
 	return h
 }
 
-// KeyHash returns s.Key().Hash() without building the key.
+// KeyHash returns s.Key().Hash() without building the key: ExtendKeyHash
+// over its tags in order, from EmptyKeyHash.
 func (s Set) KeyHash() uint64 {
-	h := uint64(fnvOffset64)
-	var b [4]byte
+	h := uint64(EmptyKeyHash)
 	for _, t := range s {
-		binary.LittleEndian.PutUint32(b[:], uint32(t))
-		for _, c := range b {
-			h = (h ^ uint64(c)) * fnvPrime64
-		}
+		h = ExtendKeyHash(h, t)
 	}
 	return h
+}
+
+// EmptyKeyHash is the KeyHash of the empty set.
+const EmptyKeyHash = fnvOffset64
+
+// ExtendKeyHash returns the KeyHash of S ∪ {t} from h, the KeyHash of S,
+// when t is larger than every tag of S: one FNV-1a step over t's four key
+// bytes. The hashes of all subsets of a set, each extended from the subset
+// without its largest tag, cost one step each.
+func ExtendKeyHash(h uint64, t Tag) uint64 {
+	h = (h ^ uint64(t&0xff)) * fnvPrime64
+	h = (h ^ uint64(t>>8&0xff)) * fnvPrime64
+	h = (h ^ uint64(t>>16&0xff)) * fnvPrime64
+	return (h ^ uint64(t>>24)) * fnvPrime64
 }
 
 // FNV-1a, 64 bit.
