@@ -240,10 +240,10 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 
 	// All Tracker tasks share the one thread-safe Tracker instance (shard
 	// locks, atomics, period registry — the same pattern Trend uses with
-	// the shared trend.Stream), wired fields-grouped on the tagset-key hash
+	// the shared trend.Stream), wired fields-grouped on the tagset's fold
 	// so per-tagset arrival order is preserved for CN-upgrade dedup and
 	// StreamTrend emission. Calculators split each period flush into
-	// per-task sub-batches with the same hash (CoeffBatch.Route).
+	// per-task sub-batches by that fold (CoeffBatch.Route).
 	b.Bolt("tracker", func() storm.Bolt {
 		if p.tracker == nil {
 			p.tracker = operators.NewTrackerWith(cfg.TrackerShards, cfg.TrackerTopK, cfg.EvictedPairs)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/tagset"
+	"repro/internal/topselect"
 )
 
 // wideTags is a small tag universe (so co-occurrence is dense) whose ids
@@ -78,10 +79,11 @@ func sorted(cs []Coefficient) []Coefficient {
 // per-set Jaccard query round-trips to the same value, and the list is
 // complete and duplicate-free: sorted, it equals referenceCoefficients
 // element for element, and no two neighbours share a tagset. The report
-// AppendCoefficients gives is the same one, with one hash per coefficient,
-// the KeyHash of its tags; after a Reset, the same documents observed in
-// reverse order report the same coefficients, and the hashes written over
-// the first report's are again each one's KeyHash.
+// AppendCoefficients gives is the same one, with one fold per coefficient,
+// the topselect.Fold of its tags that a Tracker indexes it by; after a
+// Reset, the same documents observed in reverse order report the same
+// coefficients, and the folds written over the first report's are again
+// each one's topselect.Fold.
 func FuzzCounterTableCoefficients(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x82})
@@ -144,27 +146,27 @@ func FuzzCounterTableCoefficients(f *testing.F) {
 			}
 		}
 
-		out, arena, hashes := ct.AppendCoefficients(nil, nil, nil, 1)
-		checkHashes(t, "first report", out, hashes, coeffs)
+		out, arena, folds := ct.AppendCoefficients(nil, nil, nil, 1)
+		checkFolds(t, "first report", out, folds, coeffs)
 		ct.Reset()
 		for i := len(observed) - 1; i >= 0; i-- {
 			ct.Observe(observed[i])
 		}
-		out, _, hashes = ct.AppendCoefficients(out[:0], arena[:0], hashes[:0], 1)
-		checkHashes(t, "after a Reset", out, hashes, coeffs)
+		out, _, folds = ct.AppendCoefficients(out[:0], arena[:0], folds[:0], 1)
+		checkFolds(t, "after a Reset", out, folds, coeffs)
 	})
 }
 
-// checkHashes requires a report from AppendCoefficients to hold the sorted
-// coefficients want and one hash per coefficient, its tags' KeyHash.
-func checkHashes(t *testing.T, label string, out []Coefficient, hashes []uint64, want []Coefficient) {
+// checkFolds requires a report from AppendCoefficients to hold the sorted
+// coefficients want and one fold per coefficient, its tags' topselect.Fold.
+func checkFolds(t *testing.T, label string, out []Coefficient, folds []tagset.Fold, want []Coefficient) {
 	t.Helper()
-	if len(hashes) != len(out) {
-		t.Fatalf("%s: %d hashes for %d coefficients", label, len(hashes), len(out))
+	if len(folds) != len(out) {
+		t.Fatalf("%s: %d folds for %d coefficients", label, len(folds), len(out))
 	}
 	for i, c := range out {
-		if want := c.Tags.KeyHash(); hashes[i] != want {
-			t.Fatalf("%s: coefficient %d %v: hash %#x, KeyHash %#x", label, i, c.Tags, hashes[i], want)
+		if want := topselect.Fold(c.Tags); folds[i] != want {
+			t.Fatalf("%s: coefficient %d %v: fold %#x, topselect.Fold %#x", label, i, c.Tags, folds[i].A, want.A)
 		}
 	}
 	if got := sorted(append([]Coefficient{}, out...)); !reflect.DeepEqual(got, want) {

@@ -26,10 +26,10 @@
 // it, grown once when too small, so a caller that reuses them allocates
 // nothing per report; Coefficients makes a new array and arena, two
 // allocations whatever the number of coefficients. AppendCoefficients also
-// gives each coefficient the key hash of its tags (tagset.Set.KeyHash),
-// which a Calculator's consumers route the coefficient by; each subset's
-// hash extends the one of a smaller subset, so a report hashes each
-// coefficient in one step instead of one per tag.
+// gives each coefficient the tagset.Fold of its tags, the one hash a
+// Calculator's consumers route, shard and index the coefficient by; a
+// transform folds every subset of its root with one addition each, as
+// Observe does.
 //
 // Counters are indexed by a tagset.Fold of their tags in a tagset.FoldIndex,
 // not by a key string, and every hit is confirmed against the tags, so
@@ -99,12 +99,11 @@ type CounterTable struct {
 	docs             int64
 
 	// Scratch reused across calls: the fold of every subset of the set
-	// being observed, and AppendCoefficients' per-counter marks and
-	// per-root 2ⁿ sums and key hashes.
+	// being observed or reported, and AppendCoefficients' per-counter marks
+	// and per-root 2ⁿ sums.
 	folds []tagset.Fold
 	done  []bool
 	sum   []int64
-	hash  []uint64
 }
 
 // counter is one subset's count and where its tags are: the bits of mask
@@ -268,7 +267,7 @@ func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
 // Coefficients computes the Jaccard coefficient for every tracked tagset of
 // at least two tags whose intersection counter is at least minCN, in a new
 // coefficient array and tag arena: AppendCoefficients(nil, nil, nil,
-// minCN) without the hashes, except that an empty report is an empty slice,
+// minCN) without the folds, except that an empty report is an empty slice,
 // not nil.
 func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
 	r := report{}
@@ -281,12 +280,12 @@ func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
 
 // AppendCoefficients appends to out the Jaccard coefficient of every
 // tracked tagset of at least two tags whose intersection counter is at
-// least minCN, their tags to arena and the KeyHash of each one's tags to
-// hashes, in the same order as out, and returns all three. This is the
+// least minCN, their tags to arena and the fold of each one's tags to
+// folds, in the same order as out, and returns all three. This is the
 // Calculator's periodic report (Section 6.2): the "maximum possible number
-// of Jaccard coefficients" from the current counters, and the hash its
-// consumers route each coefficient by. Results come in the order the
-// transforms below visit them. That order is unspecified but
+// of Jaccard coefficients" from the current counters, and the fold its
+// consumers route and index each coefficient by. Results come in the order
+// the transforms below visit them. That order is unspecified but
 // deterministic: the same sequence of Observe calls, with or without a
 // Reset before it, gives the same coefficients. A caller that needs an
 // order sorts.
@@ -298,31 +297,30 @@ func (ct *CounterTable) Coefficients(minCN int64) []Coefficient {
 // g(T) = (−1)^(|T|+1)·count(T), the union count of every S ⊆ M is the
 // subset sum Σ_{T⊆S} g(T), and one in-place zeta transform (n·2ⁿ
 // additions) yields all 2ⁿ of them from the recorded slots, with no lookup.
-// The key hash of each S ⊆ M extends that of S without its largest tag
-// (tagset.ExtendKeyHash), one step per subset. Roots are visited largest
-// first, so a counter still unmarked when its turn comes has no superset in
-// the table; each counter is marked by the first root that covers it and
-// reported from that root only.
+// The fold of each S ⊆ M is one addition (foldSubsets). Roots are visited
+// largest first, so a counter still unmarked when its turn comes has no
+// superset in the table; each counter is marked by the first root that
+// covers it and reported from that root only.
 //
 // The scratch arrays hold 2ⁿ entries for the largest tagset seen, no more
 // than the 2ⁿ counters Observe already created for it, so the n ≤ 30 limit
-// of Observe is the only size limit here too. out, arena and hashes are
+// of Observe is the only size limit here too. out, arena and folds are
 // grown once, up front, by every counter of two tags or more and by their
 // tags, so none grows during the report: given arrays that large, the call
 // allocates nothing. Each coefficient's tags are a window of arena capped
 // at its own length.
-func (ct *CounterTable) AppendCoefficients(out []Coefficient, arena []tagset.Tag, hashes []uint64, minCN int64) ([]Coefficient, []tagset.Tag, []uint64) {
-	r := report{coeffs: out, arena: arena, hashes: hashes, hashed: true}
+func (ct *CounterTable) AppendCoefficients(out []Coefficient, arena []tagset.Tag, folds []tagset.Fold, minCN int64) ([]Coefficient, []tagset.Tag, []tagset.Fold) {
+	r := report{coeffs: out, arena: arena, folds: folds, folded: true}
 	ct.appendReport(&r, minCN)
-	return r.coeffs, r.arena, r.hashes
+	return r.coeffs, r.arena, r.folds
 }
 
 // report is the arrays one report appends to.
 type report struct {
 	coeffs []Coefficient
 	arena  []tagset.Tag
-	hashes []uint64
-	hashed bool // append each coefficient's KeyHash to hashes
+	folds  []tagset.Fold
+	folded bool // append each coefficient's fold to folds
 }
 
 // appendReport appends the report of every counter to r (AppendCoefficients).
@@ -334,8 +332,8 @@ func (ct *CounterTable) appendReport(r *report, minCN int64) {
 	clear(ct.done)
 	r.coeffs = slices.Grow(r.coeffs, ct.multi)
 	r.arena = slices.Grow(r.arena, ct.multiTags)
-	if r.hashed {
-		r.hashes = slices.Grow(r.hashes, ct.multi)
+	if r.folded {
+		r.folds = slices.Grow(r.folds, ct.multi)
 	}
 	for n := maxTags; n >= 1; n-- {
 		size := 1 << n
@@ -372,17 +370,9 @@ func (ct *CounterTable) transform(r *report, sub []int32, n int, minCN int64) {
 			sum[mask] += sum[mask^bit]
 		}
 	}
-	var hash []uint64
-	if r.hashed {
-		ct.hash = resized(ct.hash, size)
-		hash = ct.hash
-		hash[0] = tagset.EmptyKeyHash
-		for top := 0; top < n; top++ { // the subsets whose largest tag is root[top]
-			bit := 1 << top
-			for mask := range bit {
-				hash[bit|mask] = tagset.ExtendKeyHash(hash[mask], root[top])
-			}
-		}
+	var folds []tagset.Fold
+	if r.folded {
+		folds = ct.foldSubsets(root)
 	}
 	for mask := 1; mask < size; mask++ {
 		i := sub[mask-1]
@@ -399,8 +389,8 @@ func (ct *CounterTable) transform(r *report, sub []int32, n int, minCN int64) {
 			r.arena = append(r.arena, root[bits.TrailingZeros(uint(m))])
 		}
 		r.coeffs = append(r.coeffs, Coefficient{Tags: r.arena[lo:len(r.arena):len(r.arena)], J: float64(cn) / float64(union), CN: cn})
-		if r.hashed {
-			r.hashes = append(r.hashes, hash[mask])
+		if r.folded {
+			r.folds = append(r.folds, folds[mask])
 		}
 	}
 }

@@ -424,7 +424,7 @@ func TestObserveAllocations(t *testing.T) {
 	ct.Observe(s)
 	if got := testing.AllocsPerRun(100, func() { ct.Observe(s) }); got != 0 {
 		t.Errorf("Observe of %d tags (%d subsets) on a warm table: %.0f allocations, want 0",
-			s.Len(), s.CountSubsets(1), got)
+			s.Len(), 1<<s.Len()-1, got)
 	}
 	docs := wideStream(5, 200, 8)
 	period := func() {
@@ -507,7 +507,7 @@ func TestCoefficientsOneArena(t *testing.T) {
 
 // TestAppendCoefficientsReuses pins the report into given arrays: a second
 // report of the same period into the first one's arrays allocates nothing
-// and gives the same coefficients and hashes, and Coefficients gives the
+// and gives the same coefficients and folds, and Coefficients gives the
 // same coefficients too.
 func TestAppendCoefficientsReuses(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -516,18 +516,18 @@ func TestAppendCoefficientsReuses(t *testing.T) {
 		ct.Observe(d)
 	}
 	want := ct.Coefficients(1)
-	out, arena, hashes := ct.AppendCoefficients(nil, nil, nil, 1)
-	first := slices.Clone(hashes)
+	out, arena, folds := ct.AppendCoefficients(nil, nil, nil, 1)
+	first := slices.Clone(folds)
 	if got := testing.AllocsPerRun(5, func() {
-		out, arena, hashes = ct.AppendCoefficients(out[:0], arena[:0], hashes[:0], 1)
+		out, arena, folds = ct.AppendCoefficients(out[:0], arena[:0], folds[:0], 1)
 	}); got != 0 {
 		t.Errorf("a report into arrays large enough: %.0f allocations, want 0", got)
 	}
 	if !reflect.DeepEqual(out, want) {
 		t.Fatalf("report into reused arrays differs from Coefficients")
 	}
-	if !slices.Equal(hashes, first) {
-		t.Fatalf("hashes of the report into reused arrays differ from the first report's")
+	if !slices.Equal(folds, first) {
+		t.Fatalf("folds of the report into reused arrays differ from the first report's")
 	}
 }
 
@@ -553,10 +553,10 @@ func BenchmarkCounterTable(b *testing.B) {
 	})
 	b.Run("Coefficients", func(b *testing.B) {
 		period()
-		out, arena, hashes := ct.AppendCoefficients(nil, nil, nil, 1)
+		out, arena, folds := ct.AppendCoefficients(nil, nil, nil, 1)
 		b.ReportAllocs()
 		for b.Loop() {
-			out, arena, hashes = ct.AppendCoefficients(out[:0], arena[:0], hashes[:0], 1)
+			out, arena, folds = ct.AppendCoefficients(out[:0], arena[:0], folds[:0], 1)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/coeff")
 	})

@@ -32,7 +32,7 @@ type Calculator struct {
 
 	// trackerTasks is the Tracker's parallelism, read from the topology at
 	// Prepare: flushes split their coefficients into one sub-batch per
-	// task, grouped by the route hash the report carries, so fields
+	// task, grouped by the fold the report carries, so fields
 	// grouping (CoeffKey) keeps every tagset on one Tracker task. 1 outside
 	// a topology. route is splitByRoute's per-coefficient scratch, reused
 	// across flushes.
@@ -105,16 +105,16 @@ func (c *Calculator) Cleanup(out storm.Collector) {
 // Tracker task, one emission and one mailbox delivery per flush, however
 // many coefficients the period produced; with Tracker parallelism > 1, one
 // sub-batch per involved Tracker task, each carrying the coefficients whose
-// tagset-key hash routes to it (CoeffKey reads the Route field). Either
+// fold routes to it (routeOf; CoeffKey reads the Route field). Either
 // way the hot path's dataflow counters and mailbox pressure stay
 // proportional to periods rather than pairs. The report is written into a
 // buffer from the Calculator's free list (reportBuf), with each
-// coefficient's route hash beside it, and the sub-batches are windows of
+// coefficient's fold beside it, and the sub-batches are windows of
 // its arrays, each holding one reference to it: the buffer comes back when
 // the last batch reading it lets go.
 func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 	buf := c.reports.get()
-	buf.coeffs, buf.arena, buf.hashes = c.table.AppendCoefficients(buf.coeffs[:0], buf.arena[:0], buf.hashes[:0], 1)
+	buf.coeffs, buf.arena, buf.folds = c.table.AppendCoefficients(buf.coeffs[:0], buf.arena[:0], buf.folds[:0], 1)
 	coeffs := buf.coeffs
 	period := int64(c.boundary / c.cfg.ReportEvery)
 	// The flush holds a reference of its own while it emits, so a batch
@@ -125,18 +125,18 @@ func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 	case c.trackerTasks <= 1:
 		buf.retain()
 		out.Emit(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{
-			CoeffBatch{Period: period, Coeffs: coeffs, Ingest: ingest, Trace: trace, hashes: buf.hashes, buf: buf},
+			CoeffBatch{Period: period, Coeffs: coeffs, Ingest: ingest, Trace: trace, folds: buf.folds, buf: buf},
 		}})
 	default:
 		lo := 0
-		for g, part := range c.splitByRoute(coeffs, buf.hashes) {
+		for g, part := range c.splitByRoute(coeffs, buf.folds) {
 			if len(part) == 0 {
 				continue
 			}
 			hi := lo + len(part)
 			buf.retain()
 			out.Emit(storm.Tuple{Stream: StreamCoeff, Values: []interface{}{
-				CoeffBatch{Period: period, Route: uint64(g), Coeffs: part, Ingest: ingest, Trace: trace, hashes: buf.hashes[lo:hi:hi], buf: buf},
+				CoeffBatch{Period: period, Route: uint64(g), Coeffs: part, Ingest: ingest, Trace: trace, folds: buf.folds[lo:hi:hi], buf: buf},
 			}})
 			lo = hi
 		}
@@ -148,14 +148,14 @@ func (c *Calculator) flush(out storm.Collector, ingest int64, trace uint64) {
 	c.table.Reset()
 }
 
-// splitByRoute groups a report and its route hashes in place into one part
-// per Tracker task by hash % tasks (groupByRoute).
-func (c *Calculator) splitByRoute(coeffs []jaccard.Coefficient, hashes []uint64) [][]jaccard.Coefficient {
+// splitByRoute groups a report and its folds in place into one part per
+// Tracker task by routeOf(fold) % tasks (groupByRoute).
+func (c *Calculator) splitByRoute(coeffs []jaccard.Coefficient, folds []tagset.Fold) [][]jaccard.Coefficient {
 	c.route = resized(c.route, len(coeffs))
-	for i, h := range hashes {
-		c.route[i] = int32(h % uint64(c.trackerTasks))
+	for i, f := range folds {
+		c.route[i] = int32(routeOf(f) % uint64(c.trackerTasks))
 	}
-	return groupByRoute(coeffs, hashes, c.route, c.trackerTasks)
+	return groupByRoute(coeffs, folds, c.route, c.trackerTasks)
 }
 
 // alignUp returns the smallest multiple of step strictly greater than t.
@@ -165,8 +165,8 @@ func alignUp(t, step stream.Millis) stream.Millis {
 
 // reportBuf is one flush's report, lent to the batches that carry it: the
 // coefficient array, the tag arena its coefficients' tags are windows of,
-// each coefficient's route hash (routeHashSet of its tags, hashes[i] for
-// coeffs[i]), and the number of batches still holding it. Each CoeffBatch
+// each coefficient's fold (the fold of its tags, folds[i] for coeffs[i]),
+// and the number of batches still holding it. Each CoeffBatch
 // of the flush holds one reference, and the Tracker takes one more for each
 // TrendBatch it emits from it; every holder releases its own once done
 // reading, and the last release returns the buffer to its Calculator's
@@ -175,7 +175,7 @@ func alignUp(t, step stream.Millis) stream.Millis {
 type reportBuf struct {
 	coeffs []jaccard.Coefficient
 	arena  []tagset.Tag
-	hashes []uint64
+	folds  []tagset.Fold
 	refs   atomic.Int32
 	list   *reportList
 }

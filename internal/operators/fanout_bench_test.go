@@ -55,7 +55,7 @@ func fanoutFlushPool(tasks, flushes, batchLen int) [][]storm.Tuple {
 		}
 		parts := make([][]jaccard.Coefficient, tasks)
 		for _, co := range coeffs {
-			g := routeHash(co.Tags.Key()) % uint64(tasks)
+			g := routeSet(co.Tags) % uint64(tasks)
 			parts[g] = append(parts[g], co)
 		}
 		for g, part := range parts {

@@ -2,7 +2,6 @@ package operators
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -219,7 +218,7 @@ func TestCoeffKeyRoutesBatchesAndSinglesAlike(t *testing.T) {
 			set := tagset.New(a, a+1+tagset.Tag(rng.Intn(5)))
 			c := jaccard.Coefficient{Tags: set, J: 0.5, CN: 3}
 			single := storm.Tuple{Stream: StreamCoeff, Values: []interface{}{CoeffBatch{
-				Period: 1, Route: routeHash(set.Key()) % uint64(tasks), Coeffs: []jaccard.Coefficient{c},
+				Period: 1, Route: routeSet(set) % uint64(tasks), Coeffs: []jaccard.Coefficient{c},
 			}}}
 			// The sub-batch of a flush that also holds other tagsets.
 			flush := []jaccard.Coefficient{c}
@@ -227,7 +226,7 @@ func TestCoeffKeyRoutesBatchesAndSinglesAlike(t *testing.T) {
 				b := tagset.Tag(rng.Intn(100))
 				flush = append(flush, jaccard.Coefficient{Tags: tagset.New(b, b+7), J: 0.1, CN: 1})
 			}
-			for g, part := range (&Calculator{trackerTasks: tasks}).splitByRoute(flush, routeHashes(flush)) {
+			for g, part := range (&Calculator{trackerTasks: tasks}).splitByRoute(flush, foldColumn(flush)) {
 				if len(part) == 0 || !part[0].Tags.Equal(set) {
 					continue
 				}
@@ -243,30 +242,9 @@ func TestCoeffKeyRoutesBatchesAndSinglesAlike(t *testing.T) {
 	}
 }
 
-// TestRouteHashSetEqualsKeyHash pins routeHashSet to routeHash over the
-// set's key — the hash the Tracker's shards are indexed by, and the FNV-1a
-// the fields groupings used before — on random sets, including the empty
-// set and tags in every byte of the encoding: placement must not move.
-func TestRouteHashSetEqualsKeyHash(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 2000; i++ {
-		tags := make([]tagset.Tag, rng.Intn(11))
-		for j := range tags {
-			tags[j] = tagset.Tag(rng.Uint32() >> (8 * rng.Intn(4)))
-		}
-		set := tagset.New(tags...)
-		want := fnv.New64a()
-		want.Write([]byte(set.Key()))
-		if got := routeHashSet(set); got != routeHash(set.Key()) || got != want.Sum64() {
-			t.Fatalf("routeHashSet(%v) = %#x, routeHash(Key) = %#x, fnv.New64a = %#x",
-				set, got, routeHash(set.Key()), want.Sum64())
-		}
-	}
-}
-
 // TestCalculatorSubBatchedFlush: with Tracker parallelism the flush splits
 // into per-task sub-batches whose union is exactly the single-task batch,
-// every coefficient routed by its tagset-key hash.
+// every coefficient routed by the fold of its tags.
 func TestCalculatorSubBatchedFlush(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReportEvery = 1000
@@ -311,8 +289,8 @@ func TestCalculatorSubBatchedFlush(t *testing.T) {
 			t.Errorf("sub-batch route = %d with 3 tasks", bt.Route)
 		}
 		for _, co := range bt.Coeffs {
-			if g := routeHash(co.Tags.Key()) % 3; g != bt.Route {
-				t.Errorf("%v in sub-batch %d, hash routes to %d", co.Tags, bt.Route, g)
+			if g := routeSet(co.Tags) % 3; g != bt.Route {
+				t.Errorf("%v in sub-batch %d, its fold routes to %d", co.Tags, bt.Route, g)
 			}
 			union = append(union, co)
 		}

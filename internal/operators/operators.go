@@ -111,10 +111,10 @@ type NotifyBatch struct {
 // carrying a coefficient slice, so a flush of n coefficients costs one
 // emission and one Tracker mailbox delivery instead of n. With Tracker
 // parallelism > 1 a period flush is grouped in place into per-Tracker-task
-// sub-batches (every coefficient routed by its tagset-key hash), capped
-// windows of the flush's one array, and Route carries the destination task
-// index so CoeffKey fields grouping delivers each sub-batch to the task
-// owning its tagsets. Coeffs come in the flush's order
+// sub-batches (every coefficient routed by the fold of its tags, routeOf),
+// capped windows of the flush's one array, and Route carries the
+// destination task index so CoeffKey fields grouping delivers each
+// sub-batch to the task owning its tagsets. Coeffs come in the flush's order
 // (jaccard.CounterTable.AppendCoefficients): unspecified but deterministic,
 // and not sorted; the Tracker needs no order.
 //
@@ -127,11 +127,11 @@ type NotifyBatch struct {
 // every batch and TrendBatch reading it has been consumed, so no consumer
 // keeps a Coefficient or its Tags past its Execute. A batch built without
 // a flush (tests, the layer replay, ImportState) carries no buffer and is
-// never reused. A flush's batches also carry each coefficient's route hash
-// (hashes, a window of the buffer's hash column beside Coeffs), which the
-// Tracker groups its shards and splits its Trend batch by; a batch built
-// without a flush carries none, and the Tracker hashes its tagsets once at
-// intake.
+// never reused. A flush's batches also carry each coefficient's fold
+// (folds, a window of the buffer's fold column beside Coeffs), which the
+// Tracker groups its shards, indexes its tables and splits its Trend batch
+// by; a batch built without a flush carries none, and the Tracker folds its
+// tagsets once at intake.
 type CoeffBatch struct {
 	Period int64
 	Route  uint64
@@ -144,8 +144,8 @@ type CoeffBatch struct {
 	// document (0: untraced).
 	Trace uint64
 
-	hashes []uint64   // routeHashSet of each Coeffs[i]'s tags; nil when built without a flush
-	buf    *reportBuf // the flush's report buffer, one reference of it; nil when built without a flush
+	folds []tagset.Fold // the fold of each Coeffs[i]'s tags; nil when built without a flush
+	buf   *reportBuf    // the flush's report buffer, one reference of it; nil when built without a flush
 }
 
 // TrendBatch carries the reports of one CoeffBatch that changed the
@@ -157,8 +157,9 @@ type CoeffBatch struct {
 // task until Execute returns, and it holds one reference of the flush's
 // report buffer, which the Trend task releases after observing it. With
 // Trend parallelism > 1 the Tracker groups the accepted reports in place
-// by tagset-key hash the way Calculator.flush groups a period, and Route
-// carries the destination task index for TrendKey.
+// by the route of their folds (routeOf), the way Calculator.flush groups a
+// period, and Route carries the destination task index for TrendKey. The
+// batch carries no fold column: the Trend detector keys its own shards.
 type TrendBatch struct {
 	Period int64
 	Route  uint64
@@ -235,11 +236,11 @@ type Config struct {
 	// TrackerTasks is the Tracker operator's parallelism (0: default 1).
 	// All tasks share the one thread-safe Tracker instance (its shard
 	// locks, atomics and period registry already support concurrent
-	// reporters); tuples are fields-grouped on the tagset-key hash
+	// reporters); tuples are fields-grouped on the tagset's fold
 	// (CoeffKey), so every report of one tagset passes through the same
 	// task and per-tagset arrival order — what CN-upgrade dedup and
 	// StreamTrend emission rely on — is preserved. Calculators split each
-	// period flush into per-task sub-batches with the same hash.
+	// period flush into per-task sub-batches by that fold.
 	TrackerTasks int
 
 	// NotifyBatch batches the Disseminator→Calculator notification stream:
@@ -439,15 +440,19 @@ func NewStages() *Stages {
 }
 
 // TagsetKey hashes a document's full tagset for fields grouping, so equal
-// tagsets always reach the same Partitioner instance (Section 6.2).
+// tagsets always reach the same Partitioner instance (Section 6.2). It keeps
+// the FNV-1a Set.KeyHash, not the fold the coefficient path routes by:
+// which Partitioner window sees which document decides the partitions, so
+// a change of this hash moves answers when there is more than one
+// Partitioner.
 func TagsetKey(t storm.Tuple) uint64 {
-	return routeHashSet(t.Values[0].(DocMsg).Tags)
+	return t.Values[0].(DocMsg).Tags.KeyHash()
 }
 
 // CoeffKey routes Calculator→Tracker tuples for fields grouping with
 // Tracker parallelism > 1: a CoeffBatch carries its destination task index
 // in Route (the Calculator already grouped the coefficients by
-// routeHash % tasks, so Route % tasks == Route).
+// routeOf(fold) % tasks, so Route % tasks == Route).
 func CoeffKey(t storm.Tuple) uint64 {
 	return t.Values[0].(CoeffBatch).Route
 }
@@ -455,14 +460,14 @@ func CoeffKey(t storm.Tuple) uint64 {
 // groupByRoute reorders coeffs in place so that the coefficients of each
 // consumer task are contiguous and keep their order, and returns each
 // task's part as a window of coeffs capped at its end. route[i] is
-// coeffs[i]'s task, below tasks; it is overwritten. hashes, when not nil,
-// is a column beside coeffs (hashes[i] belongs to coeffs[i]) and is
-// reordered with it, so each part's hashes are the same window of hashes.
+// coeffs[i]'s task, below tasks; it is overwritten. folds, when not nil,
+// is a column beside coeffs (folds[i] belongs to coeffs[i]) and is
+// reordered with it, so each part's folds are the same window of folds.
 // A counting pass gives every coefficient its destination, and the entries
 // then move along the cycles of that permutation, each swap putting one in
 // its place. This is how a period flush is split for the Tracker tasks and
 // an accepted batch for the Trend tasks, without a copy of either.
-func groupByRoute(coeffs []jaccard.Coefficient, hashes []uint64, route []int32, tasks int) [][]jaccard.Coefficient {
+func groupByRoute(coeffs []jaccard.Coefficient, folds []tagset.Fold, route []int32, tasks int) [][]jaccard.Coefficient {
 	next := make([]int32, tasks)
 	for _, g := range route {
 		next[g]++
@@ -481,8 +486,8 @@ func groupByRoute(coeffs []jaccard.Coefficient, hashes []uint64, route []int32, 
 	for i := range coeffs {
 		for d := route[i]; d != int32(i); d = route[i] {
 			coeffs[i], coeffs[d] = coeffs[d], coeffs[i]
-			if hashes != nil {
-				hashes[i], hashes[d] = hashes[d], hashes[i]
+			if folds != nil {
+				folds[i], folds[d] = folds[d], folds[i]
 			}
 			route[i], route[d] = route[d], d
 		}
@@ -490,18 +495,14 @@ func groupByRoute(coeffs []jaccard.Coefficient, hashes []uint64, route []int32, 
 	return parts
 }
 
-// routeHash is the FNV-1a tagset-key hash shared by the Tracker's shard
-// routing and the Calculator's per-Tracker-task sub-batch grouping, so one
-// tagset always maps to one Tracker task and one shard. A flush computes it
-// once per coefficient (jaccard.CounterTable.AppendCoefficients) and its
-// batches carry it to the Tracker.
-func routeHash(k tagset.Key) uint64 { return k.Hash() }
-
-// routeHashSet is routeHash(s.Key()) without building the key, so the
-// fields groupings, the hashes a report carries (the same KeyHash) and the
-// Tracker's intake of a batch without them place every tagset where the
-// Tracker's key-indexed shard routing expects it.
-func routeHashSet(s tagset.Set) uint64 { return s.KeyHash() }
+// routeOf is the word a coefficient is routed by, the high word of its
+// tagset's fold: its Tracker task (routeOf % tasks), its Tracker shard
+// (routeOf & mask) and its Trend task (routeOf % tasks) all come from it,
+// so one tagset always maps to one task and one shard, and the shards of a
+// Tracker task are its own when the task count divides the shard count.
+// The index fingerprint of a fold (tagset.FoldIndex) reads only the low
+// word, so the route and the bucket are independent.
+func routeOf(f tagset.Fold) uint64 { return f.A >> 32 }
 
 // Source adapts any document iterator (generator, slice, JSONL reader) to a
 // storm spout. The next function returns false when the stream ends.

@@ -12,12 +12,12 @@ import (
 // list is overwritten before a later flush reuses it, so the concurrent and
 // differential tests run over poisoned reuse: a reader that kept a report
 // past its release reads J NaN, CN −1, every tag the largest id and every
-// route hash its coefficient's position in the report, which sends one
-// tagset to different shards and tasks from report to report, and its
-// answers differ.
+// fold its coefficient's position in the report, in both words, which sends
+// one tagset to different shards, tasks and index buckets from report to
+// report, and its answers differ.
 func init() { poisonReport = poison }
 
-// poison overwrites every coefficient, tag and route hash of buf.
+// poison overwrites every coefficient, tag and fold of buf.
 func poison(buf *reportBuf) {
 	for i := range buf.coeffs {
 		buf.coeffs[i].J, buf.coeffs[i].CN = math.NaN(), -1
@@ -25,7 +25,7 @@ func poison(buf *reportBuf) {
 	for i := range buf.arena {
 		buf.arena[i] = tagset.Tag(math.MaxUint32)
 	}
-	for i := range buf.hashes {
-		buf.hashes[i] = uint64(i)
+	for i := range buf.folds {
+		buf.folds[i] = tagset.Fold{A: uint64(i)<<32 | uint64(i)}
 	}
 }

@@ -210,15 +210,15 @@ func (tr *Tracker) SetFlight(rec *flight.Recorder) { tr.flightRec = rec }
 // Calculator's period flush, or its sub-batch for this task — per tuple.
 // The period registry is consulted once for the batch (opening a new period
 // may prune old ones); the batch is then grouped by shard, and each shard
-// is locked once for its run of reports (reportBatch), by the route hash
-// the batch carries from its flush (hashed here, once, for a batch built
-// without one). A report costs one fold of its tags and one table lookup,
-// and allocates nothing: a fresh entry's tags are copied into its table's
+// is locked once for its run of reports (reportBatch), by the folds the
+// batch carries from its flush (folded here, once, for a batch built
+// without them). A report costs one table lookup by its carried fold, and
+// allocates nothing: a fresh entry's tags are copied into its table's
 // arena. msg.Coeffs belongs to this task once emitted (CoeffBatch): when
 // there is an archive or a Trend feed, the reports that changed the tables
 // are compacted, in arrival order, into its prefix, appended to the
 // archive in one call and emitted as one TrendBatch (one per Trend task
-// when there are several, grouped in place by the same route hashes). With
+// when there are several, grouped in place by the same folds). With
 // neither, msg.Coeffs is only read.
 func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 	msg := t.Values[0].(CoeffBatch)
@@ -263,16 +263,16 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 	}
 	sc := tr.getScratch()
 	defer tr.putScratch(sc)
-	hash := msg.hashes
-	if hash == nil { // a batch built without a flush
-		hash = sc.keyHashes(msg.Coeffs)
+	folds := msg.folds
+	if folds == nil { // a batch built without a flush
+		folds = sc.foldAll(msg.Coeffs)
 	}
-	n, dups, lates := tr.reportBatch(msg.Period, msg.Coeffs, hash, sc)
+	n, dups, lates := tr.reportBatch(msg.Period, msg.Coeffs, folds, sc)
 	tr.Duplicates.Add(dups)
 	tr.Late.Add(lates)
 	var accepted []jaccard.Coefficient
 	if (emit || archived) && n > 0 {
-		accepted = tr.compact(msg.Coeffs, hash, sc, emit && tr.trendTasks > 1)
+		accepted = tr.compact(msg.Coeffs, folds, sc, emit && tr.trendTasks > 1)
 	}
 	if archived {
 		if tr.afterReports != nil {
@@ -305,9 +305,9 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 // compact moves the reports reportBatch accepted to the front of cs, in
 // arrival order, and returns that prefix. cs is the batch this task owns
 // (CoeffBatch), so no copy of it is made. With split it also sets
-// sc.route to each accepted report's Trend task, from its route hash
-// (hash[i] for cs[i]).
-func (tr *Tracker) compact(cs []jaccard.Coefficient, hash []uint64, sc *intakeScratch, split bool) []jaccard.Coefficient {
+// sc.route to each accepted report's Trend task, from its fold (folds[i]
+// for cs[i]).
+func (tr *Tracker) compact(cs []jaccard.Coefficient, folds []tagset.Fold, sc *intakeScratch, split bool) []jaccard.Coefficient {
 	n := 0
 	sc.route = sc.route[:0]
 	for i, keep := range sc.accepted {
@@ -317,7 +317,7 @@ func (tr *Tracker) compact(cs []jaccard.Coefficient, hash []uint64, sc *intakeSc
 		cs[n] = cs[i]
 		n++
 		if split {
-			sc.route = append(sc.route, int32(hash[i]%uint64(tr.trendTasks)))
+			sc.route = append(sc.route, int32(routeOf(folds[i])%uint64(tr.trendTasks)))
 		}
 	}
 	return cs[:n:n]
@@ -341,11 +341,11 @@ func (tr *Tracker) appendArchive(msg CoeffBatch, accepted []jaccard.Coefficient)
 // intakeScratch is reportBatch's per-batch state, reused from batch to
 // batch through Tracker.scratch.
 type intakeScratch struct {
-	hash     []uint64 // each report's route hash, for a batch that carries none
-	order    []int32  // report indices grouped by shard, in arrival order within each
-	start    []int32  // shard i's run ends at order[start[i]] once grouped
-	accepted []bool   // whether each report changed its table
-	route    []int32  // each accepted report's Trend task, for the Trend split
+	folds    []tagset.Fold // each report's fold, for a batch that carries none
+	order    []int32       // report indices grouped by shard, in arrival order within each
+	start    []int32       // shard i's run ends at order[start[i]] once grouped
+	accepted []bool        // whether each report changed its table
+	route    []int32       // each accepted report's Trend task, for the Trend split
 }
 
 // getScratch takes an intakeScratch off the free list, or makes one.
@@ -367,43 +367,43 @@ func (tr *Tracker) putScratch(sc *intakeScratch) {
 	tr.scratchMu.Unlock()
 }
 
-// keyHashes returns the route hash of every report of cs, in sc.hash: the
-// intake of a batch that carries none.
-func (sc *intakeScratch) keyHashes(cs []jaccard.Coefficient) []uint64 {
-	sc.hash = resized(sc.hash, len(cs))
+// foldAll returns the fold of every report of cs, in sc.folds: the intake
+// of a batch that carries none.
+func (sc *intakeScratch) foldAll(cs []jaccard.Coefficient) []tagset.Fold {
+	sc.folds = resized(sc.folds, len(cs))
 	for i := range cs {
-		sc.hash[i] = routeHashSet(cs[i].Tags)
+		sc.folds[i] = topselect.Fold(cs[i].Tags)
 	}
-	return sc.hash
+	return sc.folds
 }
 
 // reportBatch records one period's reports, sets sc.accepted, and counts
 // the accepted reports (fresh entries and CN upgrades), the duplicates and
-// the late ones. A counting pass groups the reports by shard — by their
-// route hashes (hash[i] for cs[i]), which the Calculators group
+// the late ones. A counting pass groups the reports by shard — by the
+// route of their folds (folds[i] for cs[i]), which the Calculators group
 // sub-batches by too, so the shards of one Tracker task are its own — and
 // each shard's run is reported under one lock, in arrival order.
-func (tr *Tracker) reportBatch(period int64, cs []jaccard.Coefficient, hash []uint64, sc *intakeScratch) (accepted int, dups, lates int64) {
+func (tr *Tracker) reportBatch(period int64, cs []jaccard.Coefficient, folds []tagset.Fold, sc *intakeScratch) (accepted int, dups, lates int64) {
 	shards := len(tr.shards)
 	sc.order = resized(sc.order, len(cs))
 	sc.accepted = resized(sc.accepted, len(cs))
 	sc.start = resized(sc.start, shards+1)
 	clear(sc.start)
-	for _, h := range hash {
-		sc.start[h&tr.mask+1]++
+	for _, f := range folds {
+		sc.start[routeOf(f)&tr.mask+1]++
 	}
 	for i := 1; i <= shards; i++ {
 		sc.start[i] += sc.start[i-1]
 	}
-	for i, h := range hash { // start[s] advances from shard s's start to its end
-		s := h & tr.mask
+	for i, f := range folds { // start[s] advances from shard s's start to its end
+		s := routeOf(f) & tr.mask
 		sc.order[sc.start[s]] = int32(i)
 		sc.start[s]++
 	}
 	lo := int32(0)
 	for i, s := range tr.shards {
 		if hi := sc.start[i]; hi > lo {
-			a, d, l := s.reportRun(period, cs, sc.order[lo:hi], sc.accepted)
+			a, d, l := s.reportRun(period, cs, folds, sc.order[lo:hi], sc.accepted)
 			accepted, dups, lates = accepted+a, dups+d, lates+l
 			lo = hi
 		}
@@ -492,10 +492,10 @@ func (tr *Tracker) prunePeriod(p int64) {
 		"period "+strconv.FormatInt(p, 10)+" pruned")
 }
 
-// shardOf routes a tagset key to its shard (routeHash: FNV-1a over the key
-// bytes, the same hash the Calculators group sub-batches with).
-func (tr *Tracker) shardOf(k tagset.Key) *trackerShard {
-	return tr.shards[routeHash(k)&tr.mask]
+// shardOf returns the shard that holds the tagset folded to f (routeOf,
+// the route the Calculators group sub-batches by).
+func (tr *Tracker) shardOf(f tagset.Fold) *trackerShard {
+	return tr.shards[routeOf(f)&tr.mask]
 }
 
 // PruneFloor returns the retention pruning floor: every period at or
@@ -609,7 +609,7 @@ func (tr *Tracker) LookupDetail(k tagset.Key) (c jaccard.Coefficient, period int
 	var buf [16]tagset.Tag
 	tags := k.AppendSet(buf[:0])
 	f := topselect.Fold(tags)
-	s := tr.shardOf(k)
+	s := tr.shardOf(f)
 	s.mu.Lock()
 	find := func(p int64, t *coeffTable) {
 		if slot, here := t.Find(f, tags).Slot(); here {
@@ -789,17 +789,17 @@ type trackerShard struct {
 	rebuilds int64
 }
 
-// reportRun records one period's reports cs[i], i in run, in run order,
-// under one lock, sets accepted[i] to whether each changed the table, and
-// counts them, the duplicates and the late reports. A report already held
-// is a duplicate: it replaces the entry only with a larger CN (a CN
-// upgrade). Each report is one fold of its tags, one lookup and, for a
-// fresh or upgraded entry, one Put at the position the lookup found. Every
+// reportRun records one period's reports cs[i], whose folds are folds[i],
+// i in run, in run order, under one lock, sets accepted[i] to whether each
+// changed the table, and counts them, the duplicates and the late reports.
+// A report already held is a duplicate: it replaces the entry only with a
+// larger CN (a CN upgrade). Each report is one lookup by its fold and, for
+// a fresh or upgraded entry, one Put at the position the lookup found. Every
 // report of the run is late when the period was pruned between the
 // registry check and this lock. A period the shard has no table for yet
 // gets the spare, renewed, or a new table, either with its index presized
 // by peak.
-func (s *trackerShard) reportRun(period int64, cs []jaccard.Coefficient, run []int32, accepted []bool) (n int, dups, lates int64) {
+func (s *trackerShard) reportRun(period int64, cs []jaccard.Coefficient, folds []tagset.Fold, run []int32, accepted []bool) (n int, dups, lates int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if period <= s.floor {
@@ -824,7 +824,7 @@ func (s *trackerShard) reportRun(period int64, cs []jaccard.Coefficient, run []i
 	}
 	for _, i := range run {
 		c := &cs[i]
-		pos := t.Find(topselect.Fold(c.Tags), c.Tags)
+		pos := t.Find(folds[i], c.Tags)
 		if slot, dup := pos.Slot(); dup {
 			dups++
 			if _, prev := t.Entry(slot); c.CN <= prev.CN {

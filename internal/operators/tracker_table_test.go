@@ -280,10 +280,11 @@ func TestSpareTableAllocations(t *testing.T) {
 		run[i] = int32(i)
 	}
 	accepted := make([]bool, len(cs))
+	folds := foldColumn(cs)
 	for _, spare := range []bool{true, false} {
 		s := NewTrackerWith(1, 8, 0).shards[0]
 		period := int64(1)
-		s.reportRun(period, cs, run, accepted)
+		s.reportRun(period, cs, folds, run, accepted)
 		next := func() {
 			s.mu.Lock()
 			t := s.dropPeriod(period)
@@ -292,7 +293,7 @@ func TestSpareTableAllocations(t *testing.T) {
 			}
 			s.mu.Unlock()
 			period++
-			if n, _, _ := s.reportRun(period, cs, run, accepted); n != len(cs) {
+			if n, _, _ := s.reportRun(period, cs, folds, run, accepted); n != len(cs) {
 				panic("a fresh period did not take every report")
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/jaccard"
 	"repro/internal/storm"
 	"repro/internal/tagset"
+	"repro/internal/topselect"
 	"repro/internal/trend"
 )
 
@@ -76,15 +77,15 @@ func TestTrackerTrendEmissionMixedBatch(t *testing.T) {
 	// must not touch the other three reports.
 	lateTag := tagset.Tag(0)
 	for a := tagset.Tag(40); lateTag == 0; a++ {
-		s := tr.shardOf(tagset.New(a, a+1).Key())
-		if s != tr.shardOf(tagset.New(10, 11).Key()) && s != tr.shardOf(tagset.New(20, 21).Key()) &&
-			s != tr.shardOf(tagset.New(30, 31).Key()) {
+		s := tr.shardOf(topselect.Fold(tagset.New(a, a+1)))
+		if s != tr.shardOf(topselect.Fold(tagset.New(10, 11))) && s != tr.shardOf(topselect.Fold(tagset.New(20, 21))) &&
+			s != tr.shardOf(topselect.Fold(tagset.New(30, 31))) {
 			lateTag = a
 		}
 	}
 
 	tr.Execute(coeffBatchTuple(1, co(10, 0.5, 3), co(20, 0.5, 5)), nil)
-	lateShard := tr.shardOf(tagset.New(lateTag, lateTag+1).Key())
+	lateShard := tr.shardOf(topselect.Fold(tagset.New(lateTag, lateTag+1)))
 	lateShard.mu.Lock()
 	lateShard.floor = 1
 	lateShard.mu.Unlock()
@@ -176,7 +177,7 @@ func TestTrackerCompactsInItsWindow(t *testing.T) {
 		s := tagset.New(a%30/2, a%30+100)
 		flush = append(flush, jaccard.Coefficient{Tags: s, J: float64(a) / 60, CN: int64(100 - a)})
 	}
-	parts := (&Calculator{trackerTasks: 2}).splitByRoute(flush, routeHashes(flush))
+	parts := (&Calculator{trackerTasks: 2}).splitByRoute(flush, foldColumn(flush))
 	if len(parts[0]) == 0 || len(parts[1]) == 0 {
 		t.Fatalf("the flush did not reach both tasks: %d and %d", len(parts[0]), len(parts[1]))
 	}
@@ -209,7 +210,7 @@ func TestTrackerCompactsInItsWindow(t *testing.T) {
 			if k := c.Tags.Key(); !seen[k] {
 				seen[k] = true
 				accepted++
-				r := routeHash(k) % trendTasks
+				r := routeSet(c.Tags) % trendTasks
 				want[r] = append(want[r], c)
 			}
 		}
@@ -322,8 +323,8 @@ func TestTrendKeyStable(t *testing.T) {
 				t.Errorf("TrendKey differs for the same tagset %v: %d then %d", c.Tags, prev, key)
 			}
 			taskOf[k] = key
-			if want := routeHash(k) % tasks; key != want {
-				t.Errorf("tagset %v travels with key %d, its hash says %d", c.Tags, key, want)
+			if want := routeSet(c.Tags) % tasks; key != want {
+				t.Errorf("tagset %v travels with key %d, its fold says %d", c.Tags, key, want)
 			}
 		}
 	}
@@ -331,6 +332,6 @@ func TestTrendKeyStable(t *testing.T) {
 		t.Errorf("saw %d tagsets on the trend stream, want 40", len(taskOf))
 	}
 	if len(used) < 2 {
-		t.Errorf("all tagsets share %d Trend task (FNV should separate these)", len(used))
+		t.Errorf("all tagsets share %d Trend task (their folds should separate these)", len(used))
 	}
 }

@@ -13,7 +13,7 @@ import (
 // the Tracker that feeds the shared trend.Stream detector with every
 // accepted coefficient report, one TrendBatch per batch the Tracker
 // ingested. Its instances subscribe fields-grouped on the batch's Route
-// (TrendKey) — the Tracker splits each batch by tagset-key hash — so all
+// (TrendKey) — the Tracker splits each batch by its tagsets' folds — so all
 // reports of one tagset pass through the same task: per-tagset arrival
 // order is preserved however many Trend tasks run, which is what the
 // detector's upgrade-correction logic relies on. The detector itself is
@@ -54,8 +54,8 @@ func (tb *Trend) Execute(t storm.Tuple, _ storm.Collector) {
 
 // TrendKey routes Tracker→Trend tuples for fields grouping: a TrendBatch
 // carries its destination task index in Route (the Tracker grouped the
-// coefficients by routeHash % tasks), so every report of one tagset reaches
-// the same Trend task.
+// coefficients by routeOf(fold) % tasks), so every report of one tagset
+// reaches the same Trend task.
 func TrendKey(t storm.Tuple) uint64 {
 	return t.Values[0].(TrendBatch).Route
 }

@@ -276,44 +276,6 @@ func (s Set) Union(o Set) Set {
 	return out
 }
 
-// Diff returns the tags of s that are not in o.
-func (s Set) Diff(o Set) Set {
-	var out Set
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] == o[j]:
-			i++
-			j++
-		case s[i] < o[j]:
-			out = append(out, s[i])
-			i++
-		default:
-			j++
-		}
-	}
-	out = append(out, s[i:]...)
-	return out
-}
-
-// DiffLen returns |s \ o| without allocating.
-func (s Set) DiffLen(o Set) int {
-	n, i, j := 0, 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] == o[j]:
-			i++
-			j++
-		case s[i] < o[j]:
-			n++
-			i++
-		default:
-			j++
-		}
-	}
-	return n + len(s) - i
-}
-
 // Clone returns an independent copy of s.
 func (s Set) Clone() Set {
 	if s == nil {
@@ -489,28 +451,17 @@ func (k Key) Hash() uint64 {
 	return h
 }
 
-// KeyHash returns s.Key().Hash() without building the key: ExtendKeyHash
-// over its tags in order, from EmptyKeyHash.
+// KeyHash returns s.Key().Hash() without building the key: FNV-1a over
+// each tag's four key bytes in turn.
 func (s Set) KeyHash() uint64 {
-	h := uint64(EmptyKeyHash)
+	h := uint64(fnvOffset64)
 	for _, t := range s {
-		h = ExtendKeyHash(h, t)
+		for range 4 {
+			h = (h ^ uint64(t&0xff)) * fnvPrime64
+			t >>= 8
+		}
 	}
 	return h
-}
-
-// EmptyKeyHash is the KeyHash of the empty set.
-const EmptyKeyHash = fnvOffset64
-
-// ExtendKeyHash returns the KeyHash of S ∪ {t} from h, the KeyHash of S,
-// when t is larger than every tag of S: one FNV-1a step over t's four key
-// bytes. The hashes of all subsets of a set, each extended from the subset
-// without its largest tag, cost one step each.
-func ExtendKeyHash(h uint64, t Tag) uint64 {
-	h = (h ^ uint64(t&0xff)) * fnvPrime64
-	h = (h ^ uint64(t>>8&0xff)) * fnvPrime64
-	h = (h ^ uint64(t>>16&0xff)) * fnvPrime64
-	return (h ^ uint64(t>>24)) * fnvPrime64
 }
 
 // FNV-1a, 64 bit.
@@ -698,28 +649,4 @@ func (s Set) Subsets(minSize int, fn func(Set)) {
 		}
 		fn(buf)
 	}
-}
-
-// CountSubsets returns the number of subsets of s with at least minSize tags.
-func (s Set) CountSubsets(minSize int) int {
-	n := len(s)
-	total := 0
-	for size := minSize; size <= n; size++ {
-		total += binomial(n, size)
-	}
-	return total
-}
-
-func binomial(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	r := 1
-	for i := 1; i <= k; i++ {
-		r = r * (n - k + i) / i
-	}
-	return r
 }

@@ -213,8 +213,10 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	return s, nil
 }
 
-// shardOf routes a tagset key to its shard by Key.Hash, the Tracker's
-// routing hash.
+// shardOf routes a tagset key to its shard by its FNV-1a Key.Hash. The
+// Tracker routes by the fold instead; these shards keep the key hash
+// because the shard decides which predictors a full shard's MaxTracked cap
+// evicts, so a change of hash would move answers.
 func (s *Stream) shardOf(k tagset.Key) *streamShard { return s.shards[k.Hash()&s.mask] }
 
 // ObserveBatch feeds one period's reports, in order, as Observe does, with
