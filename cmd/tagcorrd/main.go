@@ -97,7 +97,7 @@ func main() {
 		shards  = flag.Int("tracker-shards", 0, "Tracker lock shards (0: default 16)")
 		evicted = flag.Int("evicted-pairs", 4096, "LRU capacity for coefficients pruned by -keep-periods (0: off)")
 		pending = flag.Int("spout-pending", 0, "spout throttle: max tuples in flight (0: default 4096)")
-		trTasks = flag.Int("tracker-tasks", 4, "Tracker task parallelism, fields-grouped on tagset hash (0: 1 task)")
+		trTasks = flag.Int("tracker-tasks", 4, "Tracker task parallelism, fields-grouped on the route word of the tagset's fold (0: 1 task)")
 		nBatch  = flag.Int("notify-batch", 64, "documents per Disseminator→Calculator notification batch (0: per-document tuples)")
 
 		trendOn    = flag.Bool("trend", true, "enable the streaming trend detector (/trends, /events)")

@@ -201,13 +201,8 @@ func appendPeriodRecord(buf []byte, kind byte, period int64, payload []byte) []b
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// decodeCoeff parses a coefficient record payload into a coefficient that
-// owns its tags.
-func decodeCoeff(payload []byte) (jaccard.Coefficient, error) {
-	return decodeCoeffIn(payload, nil)
-}
-
-// decodeCoeffIn is decodeCoeff with the tags placed in arena.
+// decodeCoeffIn parses a coefficient record payload into a coefficient
+// whose tags are placed in arena (nil: tags of its own).
 func decodeCoeffIn(payload []byte, arena *tagArena) (jaccard.Coefficient, error) {
 	n, err := payloadShape(payload, coeffTail)
 	if err != nil {
@@ -237,13 +232,8 @@ func encodeTrend(buf []byte, ev trend.Event) []byte {
 	return buf
 }
 
-// decodeTrend parses a trend-event record payload into an Event for the
-// given period that owns its tags.
-func decodeTrend(payload []byte, period int64) (trend.Event, error) {
-	return decodeTrendIn(payload, period, nil)
-}
-
-// decodeTrendIn is decodeTrend with the tags placed in arena.
+// decodeTrendIn parses a trend-event record payload into an Event for the
+// given period, its tags placed in arena (nil: tags of its own).
 func decodeTrendIn(payload []byte, period int64, arena *tagArena) (trend.Event, error) {
 	n, err := payloadShape(payload, trendTail)
 	if err != nil {

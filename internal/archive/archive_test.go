@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,25 @@ import (
 	"repro/internal/tagset"
 	"repro/internal/trend"
 )
+
+// decodeCoeff parses a coefficient record payload into a coefficient that
+// owns its tags.
+func decodeCoeff(payload []byte) (jaccard.Coefficient, error) {
+	return decodeCoeffIn(payload, nil)
+}
+
+// decodeTrend parses a trend-event record payload into an Event for the
+// given period that owns its tags.
+func decodeTrend(payload []byte, period int64) (trend.Event, error) {
+	return decodeTrendIn(payload, period, nil)
+}
+
+// encodeCheckpoint renders cp as a version-3 checkpoint file from scratch,
+// in one buffer of its own.
+func encodeCheckpoint(cp *Checkpoint) []byte {
+	var c SectionCache
+	return bytes.Join(c.encode(cp), nil)
+}
 
 func coeff(a, b tagset.Tag, j float64, cn int64) jaccard.Coefficient {
 	return jaccard.Coefficient{Tags: tagset.New(a, b), J: j, CN: cn}

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -432,13 +431,6 @@ func reserve(b []byte, size int) []byte {
 		return make([]byte, 0, size+size/4)
 	}
 	return b[:0]
-}
-
-// encodeCheckpoint renders cp as a version-3 checkpoint file from scratch,
-// in one buffer of its own.
-func encodeCheckpoint(cp *Checkpoint) []byte {
-	var c SectionCache
-	return bytes.Join(c.encode(cp), nil)
 }
 
 // A predictor's base is written only when it is neither its expectation

@@ -111,9 +111,6 @@ func OpenReader(dir string) *Reader {
 	return &Reader{dir: dir, cache: make(map[int64]*cachedSegment)}
 }
 
-// Dir returns the archive directory.
-func (r *Reader) Dir() string { return r.dir }
-
 // rawPeriods lists the period ids with a raw segment on disk, ascending.
 func (r *Reader) rawPeriods() ([]int64, error) {
 	entries, err := os.ReadDir(r.dir)

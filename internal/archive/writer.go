@@ -96,9 +96,6 @@ func OpenWriter(dir string) (*Writer, error) {
 	return w, nil
 }
 
-// Dir returns the archive directory.
-func (w *Writer) Dir() string { return w.dir }
-
 // AppendCoefficients appends a batch of accepted coefficient reports to
 // the period's segment, in order: one lock, one segment lookup, and every
 // record framed into the Writer's reused buffer, which is written once.

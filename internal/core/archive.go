@@ -316,24 +316,6 @@ func (p *Pipeline) noteCheckpointDone(err error, took time.Duration) {
 	p.cfg.Flight.RecordEvent(flight.EventCheckpointEnd, "written in "+took.String())
 }
 
-// CheckpointStats reports how many checkpoints the pipeline has completed
-// so far and the cumulative wall time the hot path spent on them — the
-// period hook's due-marking, surfaced by the benchmark harness as
-// checkpoint_stall_ms. With archiving off both are zero. The snapshot
-// build + encode + fsync time, which used to dominate this number when
-// the export ran on the Tracker task's goroutine, is metered separately
-// by CheckpointWriteTime.
-func (p *Pipeline) CheckpointStats() (count int64, stall time.Duration) {
-	return p.ckptCount.Load(), time.Duration(p.ckptStallNS.Load())
-}
-
-// CheckpointWriteTime reports the cumulative wall time the background
-// writer spent encoding and fsyncing checkpoints — work that happens off
-// the hot path.
-func (p *Pipeline) CheckpointWriteTime() time.Duration {
-	return time.Duration(p.ckptWriteNS.Load())
-}
-
 // CompactorStats reports the archive compactor's counters (zero when the
 // pipeline runs without archiving or without retention).
 func (p *Pipeline) CompactorStats() archive.CompactorStats {

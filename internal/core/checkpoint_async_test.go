@@ -114,7 +114,7 @@ func TestCheckpointAsyncWriter(t *testing.T) {
 	if err := pipe.Checkpoint(); err != nil {
 		t.Fatalf("second sync checkpoint: %v", err)
 	}
-	if n, _ := pipe.CheckpointStats(); n != 2 {
+	if n := pipe.ckptCount.Load(); n != 2 {
 		t.Fatalf("checkpoints written = %d, want 2", n)
 	}
 	if files := checkpointFiles(t, dir); len(files) != 2 {
@@ -127,10 +127,10 @@ func TestCheckpointAsyncWriter(t *testing.T) {
 	if err := pipe.Checkpoint(); err != nil {
 		t.Fatalf("direct checkpoint after writer close: %v", err)
 	}
-	if n, _ := pipe.CheckpointStats(); n != 3 {
+	if n := pipe.ckptCount.Load(); n != 3 {
 		t.Fatalf("checkpoints written = %d, want 3", n)
 	}
-	if pipe.CheckpointWriteTime() <= 0 {
+	if pipe.ckptWriteNS.Load() <= 0 {
 		t.Error("background write time not metered")
 	}
 
@@ -160,7 +160,7 @@ func TestCheckpointHookAsync(t *testing.T) {
 	pipe.onPeriodOpen(1)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if n, _ := pipe.CheckpointStats(); n >= 1 {
+		if n := pipe.ckptCount.Load(); n >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -175,7 +175,7 @@ func TestCheckpointHookAsync(t *testing.T) {
 	// Dues coalesce: with the writer parked, many hook firings collapse
 	// into one due flag, and un-parking it yields exactly one more write.
 	pipe.closeCkptWriter() // park: due flags are no longer consumed
-	base, _ := pipe.CheckpointStats()
+	base := pipe.ckptCount.Load()
 	for period := int64(2); period < 10; period++ {
 		pipe.onPeriodOpen(period)
 	}
@@ -185,7 +185,7 @@ func TestCheckpointHookAsync(t *testing.T) {
 	if !due || requested {
 		t.Fatalf("due = %v requested = %v, want coalesced due flag only", due, requested)
 	}
-	if n, _ := pipe.CheckpointStats(); n != base {
+	if n := pipe.ckptCount.Load(); n != base {
 		t.Fatalf("parked writer wrote %d checkpoints", n-base)
 	}
 }

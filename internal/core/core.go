@@ -84,11 +84,8 @@ type Pipeline struct {
 	cfg  Config
 	topo *storm.Topology
 
-	parsers       []*operators.Parser
-	partitioners  []*operators.Partitioner
 	merger        *operators.Merger
 	disseminators []*operators.Disseminator
-	calculators   []*operators.Calculator
 	tracker       *operators.Tracker
 	trends        *trend.Stream // nil unless cfg.Trend
 
@@ -204,15 +201,11 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 	}, 1)
 
 	b.Bolt("parser", func() storm.Bolt {
-		ps := operators.NewParser(cfg.MaxTags)
-		p.parsers = append(p.parsers, ps)
-		return ps
+		return operators.NewParser(cfg.MaxTags)
 	}, cfg.Parsers).Shuffle("source")
 
 	b.Bolt("partitioner", func() storm.Bolt {
-		pt := operators.NewPartitioner(cfg)
-		p.partitioners = append(p.partitioners, pt)
-		return pt
+		return operators.NewPartitioner(cfg)
 	}, cfg.P).
 		Fields("parser", operators.TagsetKey).
 		All("disseminator")
@@ -233,9 +226,7 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 		All("merger")
 
 	b.Bolt("calculator", func() storm.Bolt {
-		c := operators.NewCalculator(cfg)
-		p.calculators = append(p.calculators, c)
-		return c
+		return operators.NewCalculator(cfg)
 	}, cfg.K).Direct("disseminator")
 
 	// All Tracker tasks share the one thread-safe Tracker instance (shard
@@ -270,14 +261,16 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 		if p.arch != nil {
 			det.SetArchive(p.arch)
 		}
-		// One Trend task: the Tracker reads the task count from the
-		// topology and emits each accepted batch as a single, unsplit
-		// TrendBatch (TrendKey reads its Route).
+		// One Trend task: the detector's CN-upgrade correction needs each
+		// tagset's reports in arrival order. Every report of a tagset is
+		// accepted by the one Tracker task that owns it (CoeffKey), which
+		// emits its TrendBatches in order into this task's one mailbox, so
+		// that order holds whatever the Tracker's parallelism.
 		b.Bolt("trend", func() storm.Bolt {
 			tb := operators.NewTrend(det)
 			tb.SetFlight(cfg.Flight)
 			return tb
-		}, 1).Fields("tracker", operators.TrendKey)
+		}, 1).Shuffle("tracker")
 	}
 
 	topo, err := b.Build()
@@ -411,10 +404,6 @@ func (p *Pipeline) collect(st *storm.Stats) *Result {
 	}
 }
 
-// Flight returns the pipeline's flight recorder (nil when none was
-// configured).
-func (p *Pipeline) Flight() *flight.Recorder { return p.cfg.Flight }
-
 // Archiving reports whether the durability subsystem is active.
 func (p *Pipeline) Archiving() bool { return p.arch != nil }
 
@@ -437,14 +426,8 @@ func (p *Pipeline) SpoutProgress() (parked, dissemReceived int64) {
 	return st.SpoutsParked(), st.Received("disseminator")
 }
 
-// Merger exposes the merger bolt (current partitions after a run).
-func (p *Pipeline) Merger() *operators.Merger { return p.merger }
-
 // Partitions returns the final partitions (nil if no merge happened).
 func (p *Pipeline) Partitions() *partition.Result { return p.merger.Current() }
-
-// Calculators exposes the calculator bolts.
-func (p *Pipeline) Calculators() []*operators.Calculator { return p.calculators }
 
 // Disseminators exposes the disseminator bolts.
 func (p *Pipeline) Disseminators() []*operators.Disseminator { return p.disseminators }

@@ -70,12 +70,6 @@ func (d *DSU) Union(a, b int) (root int, merged bool) {
 	return ra, true
 }
 
-// Same reports whether a and b are currently in the same set.
-func (d *DSU) Same(a, b int) bool { return d.Find(a) == d.Find(b) }
-
-// SizeOf returns the number of elements in x's set.
-func (d *DSU) SizeOf(x int) int { return int(d.size[d.Find(x)]) }
-
 // Components returns, for each current set, the slice of its members.
 // Element order within a component follows element id order.
 func (d *DSU) Components() [][]int {

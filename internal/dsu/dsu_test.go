@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// Same reports whether a and b are currently in the same set.
+func (d *DSU) Same(a, b int) bool { return d.Find(a) == d.Find(b) }
+
+// SizeOf returns the number of elements in x's set.
+func (d *DSU) SizeOf(x int) int { return int(d.size[d.Find(x)]) }
+
 func TestSingletons(t *testing.T) {
 	d := New(5)
 	if d.Sets() != 5 || d.Len() != 5 {

@@ -16,8 +16,8 @@
 // each counter exactly once, in the order the transforms visit them. That
 // order is unspecified but deterministic: the same sequence of Observe calls
 // gives the same slice, after a Reset too. Consumers that need an order
-// sort; Centralized.Report does. Count, UnionCount and Jaccard are the
-// single-set definitional path the report is tested against.
+// sort; Centralized.Report does. The package's tests hold the report to
+// the single-set definitional path, Eq. 2 evaluated per tagset.
 //
 // A report's coefficients share one tag arena: each Coefficient.Tags is a
 // window of it capped at its own length, so an append by a consumer copies
@@ -212,57 +212,6 @@ func (ct *CounterTable) Docs() int64 { return ct.docs }
 
 // Counters reports the number of live subset counters.
 func (ct *CounterTable) Counters() int { return len(ct.counters) }
-
-// Count returns the number of observed documents containing all tags of s
-// (zero if the combination was never seen).
-func (ct *CounterTable) Count(s tagset.Set) int64 {
-	if len(s) == 0 || len(s) > maxTags {
-		return 0
-	}
-	var key tagset.Fold
-	for _, t := range s {
-		key = key.Add(foldTag(t))
-	}
-	if i := ct.lookup(key, s, uint32(1)<<len(s)-1); i >= 0 {
-		return ct.counters[i].n
-	}
-	return 0
-}
-
-// UnionCount returns the number of observed documents containing any tag of
-// s, by inclusion–exclusion over the subset counters (Eq. 2). Together with
-// Count and Jaccard it is the definitional single-set path; Coefficients
-// computes the same numbers for a whole period at once and is tested
-// against it.
-func (ct *CounterTable) UnionCount(s tagset.Set) int64 {
-	var total int64
-	s.Subsets(1, func(sub tagset.Set) {
-		c := ct.Count(sub)
-		if sub.Len()%2 == 1 {
-			total += c
-		} else {
-			total -= c
-		}
-	})
-	return total
-}
-
-// Jaccard returns the coefficient for s and whether it is defined (the
-// denominator is positive and s has at least two tags).
-func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
-	if s.Len() < 2 {
-		return 0, false
-	}
-	inter := ct.Count(s)
-	if inter == 0 {
-		return 0, false
-	}
-	union := ct.UnionCount(s)
-	if union <= 0 {
-		return 0, false
-	}
-	return float64(inter) / float64(union), true
-}
 
 // Coefficients computes the Jaccard coefficient for every tracked tagset of
 // at least two tags whose intersection counter is at least minCN, in a new

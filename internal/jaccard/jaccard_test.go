@@ -11,6 +11,56 @@ import (
 	"repro/internal/tagset"
 )
 
+// Count returns the number of observed documents containing all tags of s
+// (zero if the combination was never seen).
+func (ct *CounterTable) Count(s tagset.Set) int64 {
+	if len(s) == 0 || len(s) > maxTags {
+		return 0
+	}
+	var key tagset.Fold
+	for _, t := range s {
+		key = key.Add(foldTag(t))
+	}
+	if i := ct.lookup(key, s, uint32(1)<<len(s)-1); i >= 0 {
+		return ct.counters[i].n
+	}
+	return 0
+}
+
+// UnionCount returns the number of observed documents containing any tag of
+// s, by inclusion–exclusion over the subset counters (Eq. 2). Together with
+// Count and Jaccard it is the definitional single-set path, the oracle of
+// Coefficients, which computes the same numbers for a whole period at once.
+func (ct *CounterTable) UnionCount(s tagset.Set) int64 {
+	var total int64
+	s.Subsets(1, func(sub tagset.Set) {
+		c := ct.Count(sub)
+		if sub.Len()%2 == 1 {
+			total += c
+		} else {
+			total -= c
+		}
+	})
+	return total
+}
+
+// Jaccard returns the coefficient for s and whether it is defined (the
+// denominator is positive and s has at least two tags).
+func (ct *CounterTable) Jaccard(s tagset.Set) (float64, bool) {
+	if s.Len() < 2 {
+		return 0, false
+	}
+	inter := ct.Count(s)
+	if inter == 0 {
+		return 0, false
+	}
+	union := ct.UnionCount(s)
+	if union <= 0 {
+		return 0, false
+	}
+	return float64(inter) / float64(union), true
+}
+
 func TestObserveCounts(t *testing.T) {
 	ct := NewCounterTable()
 	ct.Observe(tagset.New(1, 2))
@@ -439,6 +489,12 @@ func TestObserveAllocations(t *testing.T) {
 	}
 }
 
+// indexBuckets is how many buckets x allocated. The index exports no
+// statistic of its size, so the test reads its bucket array's length.
+func indexBuckets(x *tagset.FoldIndex) int {
+	return reflect.ValueOf(x).Elem().FieldByName("buckets").Len()
+}
+
 // TestResetKeepsCapacity is the Calculator's steady state on one table:
 // the same period of wideStream documents counted K times, with a Reset
 // between, must leave the capacities of the counters, the arena, the
@@ -450,7 +506,7 @@ func TestResetKeepsCapacity(t *testing.T) {
 	ct := NewCounterTable()
 	docs := wideStream(5, 300, 10)
 	shape := func() []int {
-		caps := []int{cap(ct.counters), cap(ct.arena), cap(ct.sub), ct.index.Buckets()}
+		caps := []int{cap(ct.counters), cap(ct.arena), cap(ct.sub), indexBuckets(&ct.index)}
 		for _, r := range ct.roots {
 			caps = append(caps, cap(r))
 		}

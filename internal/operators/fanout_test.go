@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/jaccard"
@@ -80,11 +81,24 @@ type fanoutRun struct {
 	dups     int64
 }
 
+// taskCounter is one task of a shared bolt: it counts the tuples the task
+// executes.
+type taskCounter struct {
+	storm.Bolt
+	n atomic.Int64
+}
+
+func (c *taskCounter) Execute(t storm.Tuple, out storm.Collector) {
+	c.n.Add(1)
+	c.Bolt.Execute(t, out)
+}
+
 // runFanout executes the Disseminator→Calculator→Tracker→Trend segment over
 // the scripted stream with fixed partitions, so the dataflow is fully
 // deterministic under both executors and any fan-out configuration: fields
 // grouping keeps every tagset on one Tracker task, and direct grouping
-// keeps every Calculator's notification order.
+// keeps every Calculator's notification order. The Trend bolt is wired as
+// core wires it: one task, shuffle-subscribed to the Tracker.
 func runFanout(t *testing.T, tuples []storm.Tuple, trackerTasks, notifyBatch int, concurrent bool) fanoutRun {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -105,19 +119,26 @@ func runFanout(t *testing.T, tuples []storm.Tuple, trackerTasks, notifyBatch int
 	b.Spout("source", func() storm.Spout { return &scriptedSpout{tuples: tuples} }, 1)
 	b.Bolt("disseminator", func() storm.Bolt { return NewDisseminator(cfg) }, 1).Shuffle("source")
 	b.Bolt("calculator", func() storm.Bolt { return NewCalculator(cfg) }, cfg.K).Direct("disseminator")
-	b.Bolt("tracker", func() storm.Bolt { return tr }, trackerTasks).Fields("calculator", CoeffKey)
-	b.Bolt("trend", func() storm.Bolt { return NewTrend(det) }, 2).Fields("tracker", TrendKey)
+	var tasks []*taskCounter
+	b.Bolt("tracker", func() storm.Bolt {
+		c := &taskCounter{Bolt: tr}
+		tasks = append(tasks, c)
+		return c
+	}, trackerTasks).Fields("calculator", CoeffKey)
+	b.Bolt("trend", func() storm.Bolt { return NewTrend(det) }, 1).Shuffle("tracker")
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st *storm.Stats
 	if concurrent {
-		st = topo.RunConcurrent()
+		topo.RunConcurrent()
 	} else {
-		st = topo.RunSequential()
+		topo.RunSequential()
 	}
-	run := fanoutRun{tracker: tr, det: det, perTask: st.TaskReceived(topo, "tracker")}
+	run := fanoutRun{tracker: tr, det: det}
+	for _, c := range tasks {
+		run.perTask = append(run.perTask, c.n.Load())
+	}
 	ts := tr.StatsSnapshot()
 	run.received, run.dups = ts.Received, ts.Duplicates
 	return run
@@ -455,11 +476,12 @@ func (b *bufSeen) Execute(t storm.Tuple, out storm.Collector) {
 }
 
 // TestReportBuffersComeBack runs the Calculator→Tracker→Trend segment, with
-// four Tracker tasks, two Trend tasks and retention of two periods so that
-// late batches occur, under both executors, and requires every report
-// buffer a batch carried to be back on its Calculator's free list once the
-// run has drained: the Calculators, the Tracker on every path and the
-// Trend tasks release each reference they hold, exactly once. The
+// four Tracker tasks, one Trend task wired as core wires it and retention
+// of two periods so that late batches occur, under both executors, and
+// requires every report buffer a batch carried to be back on its
+// Calculator's free list once the run has drained: the Calculators, the
+// Tracker on every path and the Trend task release each reference they
+// hold, exactly once. The
 // Calculators must also have reused buffers, flushing more periods than
 // they made buffers.
 func TestReportBuffersComeBack(t *testing.T) {
@@ -488,7 +510,7 @@ func TestReportBuffersComeBack(t *testing.T) {
 			return c
 		}, cfg.K).Direct("disseminator")
 		b.Bolt("tracker", func() storm.Bolt { return tr }, 4).Fields("calculator", CoeffKey)
-		b.Bolt("trend", func() storm.Bolt { return NewTrend(det) }, 2).Fields("tracker", TrendKey)
+		b.Bolt("trend", func() storm.Bolt { return NewTrend(det) }, 1).Shuffle("tracker")
 		topo, err := b.Build()
 		if err != nil {
 			t.Fatal(err)

@@ -129,9 +129,9 @@ type NotifyBatch struct {
 // a flush (tests, the layer replay, ImportState) carries no buffer and is
 // never reused. A flush's batches also carry each coefficient's fold
 // (folds, a window of the buffer's fold column beside Coeffs), which the
-// Tracker groups its shards, indexes its tables and splits its Trend batch
-// by; a batch built without a flush carries none, and the Tracker folds its
-// tagsets once at intake.
+// Tracker groups its shards and indexes its tables by; a batch built
+// without a flush carries none, and the Tracker folds its tagsets once at
+// intake.
 type CoeffBatch struct {
 	Period int64
 	Route  uint64
@@ -155,14 +155,10 @@ type CoeffBatch struct {
 // is a prefix of the CoeffBatch's own array, where the Tracker compacted
 // the accepted reports; once emitted it belongs to the receiving Trend
 // task until Execute returns, and it holds one reference of the flush's
-// report buffer, which the Trend task releases after observing it. With
-// Trend parallelism > 1 the Tracker groups the accepted reports in place
-// by the route of their folds (routeOf), the way Calculator.flush groups a
-// period, and Route carries the destination task index for TrendKey. The
+// report buffer, which the Trend task releases after observing it. The
 // batch carries no fold column: the Trend detector keys its own shards.
 type TrendBatch struct {
 	Period int64
-	Route  uint64
 	Coeffs []jaccard.Coefficient
 	Trace  uint64 // flight-recorder trace ID of the triggering document (0: untraced)
 
@@ -211,8 +207,8 @@ type Config struct {
 
 	// TrackerShards sets how many lock shards the Tracker splits its
 	// retained coefficients into (rounded up to a power of two); reports
-	// lock only the shard owning their tag-pair hash. 0 uses the default
-	// (16).
+	// lock only the shard owning the route word of their tagset's fold
+	// (routeOf). 0 uses the default (16).
 	TrackerShards int
 
 	// TrackerTopK bounds the incrementally maintained top-k heaps, one per
@@ -460,13 +456,12 @@ func CoeffKey(t storm.Tuple) uint64 {
 // groupByRoute reorders coeffs in place so that the coefficients of each
 // consumer task are contiguous and keep their order, and returns each
 // task's part as a window of coeffs capped at its end. route[i] is
-// coeffs[i]'s task, below tasks; it is overwritten. folds, when not nil,
-// is a column beside coeffs (folds[i] belongs to coeffs[i]) and is
-// reordered with it, so each part's folds are the same window of folds.
-// A counting pass gives every coefficient its destination, and the entries
-// then move along the cycles of that permutation, each swap putting one in
-// its place. This is how a period flush is split for the Tracker tasks and
-// an accepted batch for the Trend tasks, without a copy of either.
+// coeffs[i]'s task, below tasks; it is overwritten. folds is a column
+// beside coeffs (folds[i] belongs to coeffs[i]) and is reordered with it,
+// so each part's folds are the same window of folds. A counting pass gives
+// every coefficient its destination, and the entries then move along the
+// cycles of that permutation, each swap putting one in its place. This is
+// how a period flush is split for the Tracker tasks, without a copy.
 func groupByRoute(coeffs []jaccard.Coefficient, folds []tagset.Fold, route []int32, tasks int) [][]jaccard.Coefficient {
 	next := make([]int32, tasks)
 	for _, g := range route {
@@ -486,9 +481,7 @@ func groupByRoute(coeffs []jaccard.Coefficient, folds []tagset.Fold, route []int
 	for i := range coeffs {
 		for d := route[i]; d != int32(i); d = route[i] {
 			coeffs[i], coeffs[d] = coeffs[d], coeffs[i]
-			if folds != nil {
-				folds[i], folds[d] = folds[d], folds[i]
-			}
+			folds[i], folds[d] = folds[d], folds[i]
 			route[i], route[d] = route[d], d
 		}
 	}
@@ -496,10 +489,10 @@ func groupByRoute(coeffs []jaccard.Coefficient, folds []tagset.Fold, route []int
 }
 
 // routeOf is the word a coefficient is routed by, the high word of its
-// tagset's fold: its Tracker task (routeOf % tasks), its Tracker shard
-// (routeOf & mask) and its Trend task (routeOf % tasks) all come from it,
-// so one tagset always maps to one task and one shard, and the shards of a
-// Tracker task are its own when the task count divides the shard count.
+// tagset's fold: its Tracker task (routeOf % tasks) and its Tracker shard
+// (routeOf & mask) both come from it, so one tagset always maps to one
+// task and one shard, and the shards of a Tracker task are its own when
+// the task count divides the shard count.
 // The index fingerprint of a fold (tagset.FoldIndex) reads only the low
 // word, so the route and the bucket are independent.
 func routeOf(f tagset.Fold) uint64 { return f.A >> 32 }

@@ -183,8 +183,8 @@ func TestPartitionerWindowAndPartial(t *testing.T) {
 	p.Execute(docTuple(0, 1, 2), out)
 	p.Execute(docTuple(1000, 1, 2), out)
 	p.Execute(docTuple(2000, 3, 4), out)
-	if p.WindowLen() != 3 {
-		t.Fatalf("window len = %d", p.WindowLen())
+	if p.window.Len() != 3 {
+		t.Fatalf("window len = %d", p.window.Len())
 	}
 	p.Execute(storm.Tuple{Stream: StreamRepartition, Values: []interface{}{RepartitionReq{Epoch: 1}}}, out)
 	partials := out.byStream(StreamPartial)
@@ -374,7 +374,7 @@ func TestCalculatorSkipsEmptyPeriods(t *testing.T) {
 }
 
 func TestTrackerDeduplicatesByCN(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTrackerWith(0, 0, 0)
 	tr.Prepare(&storm.TaskContext{})
 	emit := func(period int64, cn int64, j float64) {
 		tr.Execute(coeffTuple(period, tagset.New(1, 2), j, cn), nil)
@@ -638,7 +638,7 @@ func TestSourceEmitsDocs(t *testing.T) {
 }
 
 func TestTrackerRetentionAndTopK(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTrackerWith(0, 0, 0)
 	tr.SetRetention(2)
 	report := func(period int64, tag tagset.Tag, j float64, cn int64) {
 		tr.Execute(coeffTuple(period, tagset.New(tag, tag+1), j, cn), nil)

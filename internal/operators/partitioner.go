@@ -55,9 +55,6 @@ func NewPartitioner(cfg Config) *Partitioner {
 // Prepare implements storm.Bolt.
 func (p *Partitioner) Prepare(ctx *storm.TaskContext) { p.ctx = ctx }
 
-// WindowLen reports the live window size (for tests and diagnostics).
-func (p *Partitioner) WindowLen() int { return p.window.Len() }
-
 // Execute implements storm.Bolt.
 func (p *Partitioner) Execute(t storm.Tuple, out storm.Collector) {
 	switch t.Stream {

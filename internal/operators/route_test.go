@@ -22,8 +22,8 @@ func foldColumn(cs []jaccard.Coefficient) []tagset.Fold {
 }
 
 // routeSet is the word the pipeline routes a tagset by (routeOf of its
-// fold): its Tracker task, Tracker shard and Trend task are this modulo
-// their counts.
+// fold): its Tracker task and Tracker shard are this modulo their
+// counts.
 func routeSet(s tagset.Set) uint64 { return routeOf(topselect.Fold(s)) }
 
 // TestRouteBalance routes structured tagsets, {x, x+100} and {x, 3x+100},
@@ -80,9 +80,9 @@ func splitReference(coeffs []jaccard.Coefficient, route []int32, tasks int) [][]
 // spread by a multiplicative hash), including batches of none or one and
 // tasks that receive nothing, every part equals the reference's element
 // for element, and the parts tile the batch in task order, each capped at
-// the end of its own window. A fold column grouped with the batch moves
+// the end of its own window. The fold column grouped with the batch moves
 // with it: each part's window of the column holds its own coefficients'
-// folds, and grouping without a column gives the same parts.
+// folds.
 func FuzzGroupByRoute(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{})
@@ -102,8 +102,6 @@ func FuzzGroupByRoute(f *testing.F) {
 			route[i] = int32(uint64(h) * 0x9e3779b97f4a7c15 >> 32 % uint64(tasks))
 		}
 		want := splitReference(coeffs, route, tasks)
-		bare := append([]jaccard.Coefficient(nil), coeffs...)
-		bareParts := groupByRoute(bare, nil, append([]int32(nil), route...), tasks)
 		parts := groupByRoute(coeffs, column, route, tasks)
 		if len(parts) != tasks {
 			t.Fatalf("%d parts for %d tasks", len(parts), tasks)
@@ -127,9 +125,6 @@ func FuzzGroupByRoute(f *testing.F) {
 			for i := range part {
 				if column[lo+i].A != uint64(part[i].CN)<<8 {
 					t.Fatalf("task %d, entry %d: fold %#x beside coefficient %d", g, i, column[lo+i].A, part[i].CN)
-				}
-				if bareParts[g][i].CN != part[i].CN {
-					t.Fatalf("task %d, entry %d: without a fold column, coefficient %d; with one, %d", g, i, bareParts[g][i].CN, part[i].CN)
 				}
 			}
 			lo += len(part)

@@ -18,8 +18,8 @@ func TestCountWindowPartitioner(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Execute(docTuple(stream.Millis(i), tagset.Tag(i)), out)
 	}
-	if p.WindowLen() != 3 {
-		t.Errorf("count window len = %d, want 3", p.WindowLen())
+	if p.window.Len() != 3 {
+		t.Errorf("count window len = %d, want 3", p.window.Len())
 	}
 }
 

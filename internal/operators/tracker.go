@@ -25,9 +25,10 @@ import (
 // The Tracker is the live query state of the whole system, so it is built
 // for concurrent reads under a write-heavy report stream:
 //
-//   - Retained coefficients are sharded by a hash of the tagset key; a
-//     batch locks each shard it reports into once, so report-side
-//     contention drops as the number of reporting Calculators grows.
+//   - Retained coefficients are sharded by the route word of the tagset's
+//     fold (routeOf); a batch locks each shard it reports into once, so
+//     report-side contention drops as the number of reporting Calculators
+//     grows.
 //   - Every shard keeps one topselect.Table per retained period: the
 //     period's coefficients by tagset fold, they and their tags in
 //     fixed-size chunks, plus a bounded min-heap of its best ones, updated
@@ -64,11 +65,8 @@ type Tracker struct {
 	scratch   []*intakeScratch
 
 	// emitTrend forwards accepted reports on StreamTrend (EnableTrendEmit);
-	// trendTasks is the Trend operator's parallelism (Prepare; 0 outside a
-	// topology), which an accepted batch is split by when it exceeds one.
-	// Both are set during topology assembly, read-only once the run starts.
-	emitTrend  bool
-	trendTasks int
+	// set during topology assembly, read-only once the run starts.
+	emitTrend bool
 
 	// archive receives accepted reports and period seals (SetArchive);
 	// periodHook fires when a brand-new period registers (SetPeriodHook).
@@ -115,10 +113,6 @@ const (
 	defaultTrackerShards = 16
 	defaultTopKBound     = 128
 )
-
-// NewTracker returns a Tracker bolt with the default shard count and top-k
-// bound and no evicted-coefficient LRU.
-func NewTracker() *Tracker { return NewTrackerWith(0, 0, 0) }
 
 // NewTrackerWith returns a Tracker with the given shard count (rounded up
 // to a power of two; <= 0 uses the default 16), maintained top-k bound
@@ -183,13 +177,8 @@ func (tr *Tracker) EnsureTopKBound(n int) {
 	}
 }
 
-// Prepare implements storm.Bolt. It learns the Trend operator's
-// parallelism from the topology, as the Calculator learns the Tracker's;
-// every task of the shared instance reads the same value, before the run
-// starts.
-func (tr *Tracker) Prepare(ctx *storm.TaskContext) {
-	tr.trendTasks = len(ctx.TasksOf("trend"))
-}
+// Prepare implements storm.Bolt.
+func (tr *Tracker) Prepare(*storm.TaskContext) {}
 
 // EnableTrendEmit makes the Tracker forward every accepted report — fresh
 // (period, tagset) coefficients and CN upgrades — on StreamTrend, the feed
@@ -217,9 +206,8 @@ func (tr *Tracker) SetFlight(rec *flight.Recorder) { tr.flightRec = rec }
 // arena. msg.Coeffs belongs to this task once emitted (CoeffBatch): when
 // there is an archive or a Trend feed, the reports that changed the tables
 // are compacted, in arrival order, into its prefix, appended to the
-// archive in one call and emitted as one TrendBatch (one per Trend task
-// when there are several, grouped in place by the same folds). With
-// neither, msg.Coeffs is only read.
+// archive in one call and emitted as one TrendBatch. With neither,
+// msg.Coeffs is only read.
 func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 	msg := t.Values[0].(CoeffBatch)
 	start := telemetry.Now()
@@ -234,7 +222,7 @@ func (tr *Tracker) Execute(t storm.Tuple, out storm.Collector) {
 
 // ingest is Execute without its timing: registry, shards, archive and the
 // TrendBatch of one CoeffBatch. It releases the batch's reference of its
-// report buffer on every path, after taking one for each TrendBatch it
+// report buffer on every path, after taking one for the TrendBatch it
 // emits.
 func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 	defer msg.buf.release()
@@ -272,7 +260,7 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 	tr.Late.Add(lates)
 	var accepted []jaccard.Coefficient
 	if (emit || archived) && n > 0 {
-		accepted = tr.compact(msg.Coeffs, folds, sc, emit && tr.trendTasks > 1)
+		accepted = compact(msg.Coeffs, sc.accepted)
 	}
 	if archived {
 		if tr.afterReports != nil {
@@ -282,42 +270,23 @@ func (tr *Tracker) ingest(msg CoeffBatch, out storm.Collector) {
 		tr.intake.RUnlock()
 	}
 
-	switch {
-	case !emit || len(accepted) == 0:
-	case tr.trendTasks <= 1:
+	if emit && len(accepted) > 0 {
 		msg.buf.retain()
 		out.Emit(storm.Tuple{Stream: StreamTrend, Values: []interface{}{
 			TrendBatch{Period: msg.Period, Coeffs: accepted, Trace: msg.Trace, buf: msg.buf},
 		}})
-	default:
-		for g, part := range groupByRoute(accepted, nil, sc.route, tr.trendTasks) {
-			if len(part) == 0 {
-				continue
-			}
-			msg.buf.retain()
-			out.Emit(storm.Tuple{Stream: StreamTrend, Values: []interface{}{
-				TrendBatch{Period: msg.Period, Route: uint64(g), Coeffs: part, Trace: msg.Trace, buf: msg.buf},
-			}})
-		}
 	}
 }
 
-// compact moves the reports reportBatch accepted to the front of cs, in
-// arrival order, and returns that prefix. cs is the batch this task owns
-// (CoeffBatch), so no copy of it is made. With split it also sets
-// sc.route to each accepted report's Trend task, from its fold (folds[i]
-// for cs[i]).
-func (tr *Tracker) compact(cs []jaccard.Coefficient, folds []tagset.Fold, sc *intakeScratch, split bool) []jaccard.Coefficient {
+// compact moves the reports reportBatch accepted (accepted[i] for cs[i])
+// to the front of cs, in arrival order, and returns that prefix. cs is the
+// batch this task owns (CoeffBatch), so no copy of it is made.
+func compact(cs []jaccard.Coefficient, accepted []bool) []jaccard.Coefficient {
 	n := 0
-	sc.route = sc.route[:0]
-	for i, keep := range sc.accepted {
-		if !keep {
-			continue
-		}
-		cs[n] = cs[i]
-		n++
-		if split {
-			sc.route = append(sc.route, int32(routeOf(folds[i])%uint64(tr.trendTasks)))
+	for i, keep := range accepted {
+		if keep {
+			cs[n] = cs[i]
+			n++
 		}
 	}
 	return cs[:n:n]
@@ -345,7 +314,6 @@ type intakeScratch struct {
 	order    []int32       // report indices grouped by shard, in arrival order within each
 	start    []int32       // shard i's run ends at order[start[i]] once grouped
 	accepted []bool        // whether each report changed its table
-	route    []int32       // each accepted report's Trend task, for the Trend split
 }
 
 // getScratch takes an intakeScratch off the free list, or makes one.
@@ -567,18 +535,11 @@ func (tr *Tracker) All() []jaccard.Coefficient {
 // selects k of them after the locks are released: no scan of the retained
 // coefficient tables, so the cost is independent of how many coefficients
 // the Tracker holds. k <= 0 or k > bound falls back to a full gather.
-func (tr *Tracker) TopK(k int) []jaccard.Coefficient { return tr.topK(k, false) }
-
-// topKScan is TopK without the heaps: gather every retained coefficient,
-// then bounded-heap select. The stress test checks TopK against it, and
-// the benchmarks compare the two.
-func (tr *Tracker) topKScan(k int) []jaccard.Coefficient { return tr.topK(k, true) }
-
-func (tr *Tracker) topK(k int, scan bool) []jaccard.Coefficient {
+func (tr *Tracker) TopK(k int) []jaccard.Coefficient {
 	var cand []jaccard.Coefficient
 	for _, s := range tr.shards {
 		s.mu.Lock()
-		cand = s.candidates(cand, k, len(tr.shards), scan)
+		cand = s.candidates(cand, k, len(tr.shards))
 		s.mu.Unlock()
 	}
 	return selectTop(cand, k)
@@ -682,7 +643,7 @@ func (tr *Tracker) ConsistentView(k int) (top []jaccard.Coefficient, periods []i
 		s.mu.Unlock()
 	}
 	var cand []jaccard.Coefficient
-	periods, st = tr.view(func(s *trackerShard) { cand = s.candidates(cand, k, len(tr.shards), false) })
+	periods, st = tr.view(func(s *trackerShard) { cand = s.candidates(cand, k, len(tr.shards)) })
 	return selectTop(cand, k), periods, st
 }
 
@@ -870,12 +831,12 @@ func (s *trackerShard) olderBest() []jaccard.Coefficient {
 }
 
 // candidates appends the shard's share of a top-k read to cand: every
-// retained coefficient when scan is set or the heaps do not cover k (k <= 0
-// or k > bound), otherwise the older block and the newest period's heap.
+// retained coefficient when the heaps do not cover k (k <= 0 or
+// k > bound), otherwise the older block and the newest period's heap.
 // The first shard of a read sizes cand for shards of its own size. The
 // caller holds the lock.
-func (s *trackerShard) candidates(cand []jaccard.Coefficient, k, shards int, scan bool) []jaccard.Coefficient {
-	if scan || k <= 0 || k > s.bound {
+func (s *trackerShard) candidates(cand []jaccard.Coefficient, k, shards int) []jaccard.Coefficient {
+	if k <= 0 || k > s.bound {
 		for _, t := range s.periods {
 			cand = appendAll(cand, t)
 		}

@@ -51,7 +51,7 @@ func TestTrackerArchivesAcceptedBatch(t *testing.T) {
 		return jaccard.Coefficient{Tags: s, J: j, CN: cn}
 	}
 	arch := &recordingArchive{}
-	tr := NewTracker()
+	tr := NewTrackerWith(0, 0, 0)
 	tr.SetRetention(1)
 	tr.SetArchive(arch)
 
@@ -84,7 +84,7 @@ func TestTrackerArchivesAcceptedBatch(t *testing.T) {
 // never by a timer.
 func TestExportStateWaitsForArchiveAppend(t *testing.T) {
 	arch := &recordingArchive{}
-	tr := NewTracker()
+	tr := NewTrackerWith(0, 0, 0)
 	tr.SetArchive(arch)
 	first := jaccard.Coefficient{Tags: tagset.New(1, 2), J: 0.5, CN: 2}
 	tr.Execute(coeffBatchTuple(1, first), nil)

@@ -161,7 +161,7 @@ func TestTrackerIntakeAllocations(t *testing.T) {
 }
 
 // consume is a collector that consumes what it is given as the Tracker and
-// Trend tasks do: it releases each batch's reference of its report buffer.
+// Trend task do: it releases each batch's reference of its report buffer.
 type consume struct{}
 
 func (consume) Emit(t storm.Tuple) {

@@ -12,6 +12,21 @@ import (
 	"repro/internal/tagset"
 )
 
+// topKScan is TopK without the heaps: every retained coefficient gathered,
+// then selected. It is the oracle TopK's maintained heaps are checked
+// against, and the benchmarks compare the two.
+func (tr *Tracker) topKScan(k int) []jaccard.Coefficient {
+	var cand []jaccard.Coefficient
+	for _, s := range tr.shards {
+		s.mu.Lock()
+		for _, t := range s.periods {
+			cand = appendAll(cand, t)
+		}
+		s.mu.Unlock()
+	}
+	return selectTop(cand, k)
+}
+
 // coeffTuple wraps a coefficient report as the storm tuple the Tracker
 // consumes: a batch of one.
 func coeffTuple(period int64, tags tagset.Set, j float64, cn int64) storm.Tuple {

@@ -149,28 +149,13 @@ func TestTrackerExecuteLeavesBatchUntouched(t *testing.T) {
 	}
 }
 
-// within reports whether part is a window of whole, capped at its end.
-func within(part, whole []jaccard.Coefficient) bool {
-	if len(part) == 0 || cap(part) != len(part) {
-		return false
-	}
-	for k := range whole {
-		if &whole[k] == &part[0] {
-			return k+len(part) <= len(whole)
-		}
-	}
-	return false
-}
-
 // TestTrackerCompactsInItsWindow: two Tracker tasks ingest the two
-// sub-batches of one flush at once, with trend emission on and four Trend
-// tasks. Each compacts its accepted reports into the front of its own
-// window and groups them there for the Trend tasks, so every TrendBatch is
-// a window of that prefix holding its task's accepted reports in arrival
-// order, and nothing outside the prefix is written: -race sees any
+// sub-batches of one flush at once, with trend emission on. Each compacts
+// its accepted reports into the front of its own window, so it emits one
+// TrendBatch, which is that prefix holding the task's accepted reports in
+// arrival order, and nothing outside the prefix is written: -race sees any
 // overlap, and the tail past the prefix is left as it was.
 func TestTrackerCompactsInItsWindow(t *testing.T) {
-	const trendTasks = 4
 	var flush []jaccard.Coefficient
 	for a := tagset.Tag(0); a < 60; a++ {
 		// Every tagset twice, first with the higher CN: the repeat is rejected.
@@ -185,7 +170,6 @@ func TestTrackerCompactsInItsWindow(t *testing.T) {
 
 	tr := NewTrackerWith(4, 8, 0)
 	tr.EnableTrendEmit()
-	tr.trendTasks = trendTasks
 	outs := [2]*collector{newCollector(), newCollector()}
 	var wg sync.WaitGroup
 	for g, part := range parts {
@@ -203,36 +187,28 @@ func TestTrackerCompactsInItsWindow(t *testing.T) {
 	for g, part := range parts {
 		old := before[lo : lo+len(part)]
 		lo += len(part)
-		var accepted int
-		want := make(map[uint64][]jaccard.Coefficient) // by Trend task
+		var want []jaccard.Coefficient
 		seen := make(map[tagset.Key]bool)
 		for _, c := range old {
 			if k := c.Tags.Key(); !seen[k] {
 				seen[k] = true
-				accepted++
-				r := routeSet(c.Tags) % trendTasks
-				want[r] = append(want[r], c)
+				want = append(want, c)
 			}
 		}
+		accepted := len(want)
 		if !reflect.DeepEqual(part[accepted:], old[accepted:]) {
 			t.Errorf("task %d: the tail past the accepted prefix changed", g)
 		}
 		batches := trendBatches(outs[g])
-		if len(batches) < 2 {
-			t.Fatalf("task %d: %d TrendBatches, want the Trend split to reorder", g, len(batches))
+		if len(batches) != 1 {
+			t.Fatalf("task %d: %d TrendBatches, want 1", g, len(batches))
 		}
-		emitted := 0
-		for _, b := range batches {
-			emitted += len(b.Coeffs)
-			if !within(b.Coeffs, part[:accepted]) {
-				t.Errorf("task %d: the TrendBatch for Trend task %d is not a window of the accepted prefix", g, b.Route)
-			}
-			if !reflect.DeepEqual(b.Coeffs, want[b.Route]) {
-				t.Errorf("task %d, Trend task %d:\n got %v\nwant %v", g, b.Route, b.Coeffs, want[b.Route])
-			}
+		b := batches[0]
+		if len(b.Coeffs) != accepted || cap(b.Coeffs) != accepted || &b.Coeffs[0] != &part[0] {
+			t.Errorf("task %d: the TrendBatch is not the accepted prefix of the task's window", g)
 		}
-		if emitted != accepted {
-			t.Errorf("task %d emitted %d reports, want %d", g, emitted, accepted)
+		if !reflect.DeepEqual(b.Coeffs, want) {
+			t.Errorf("task %d:\n got %v\nwant %v", g, b.Coeffs, want)
 		}
 	}
 }
@@ -283,55 +259,8 @@ func TestTrendBoltFeedsDetector(t *testing.T) {
 	if got := bolt.Observed.Load(); got != 2 {
 		t.Errorf("Observed = %d", got)
 	}
-	if bolt.Detector() != det {
-		t.Error("Detector() accessor broken")
-	}
 	top := det.TopTrends(2, 10)
 	if len(top) != 1 || top[0].Predicted != 0.2 || top[0].Observed != 0.8 {
 		t.Errorf("detector state after bolt feed = %v", top)
-	}
-}
-
-// TestTrendKeyStable: fields grouping must route every report of a tagset
-// to the same Trend task. The key is the Route the Tracker stamps on each
-// sub-batch, so it is checked on what the Tracker emits: across batches and
-// values a tagset keeps its task, and the tagsets spread over several.
-func TestTrendKeyStable(t *testing.T) {
-	const tasks = 4
-	tr := NewTrackerWith(4, 8, 0)
-	tr.EnableTrendEmit()
-	tr.trendTasks = tasks
-	out := newCollector()
-	for period := int64(1); period <= 3; period++ {
-		var cs []jaccard.Coefficient
-		for a := tagset.Tag(0); a < 40; a++ {
-			cs = append(cs, jaccard.Coefficient{Tags: tagset.New(a, a+3), J: float64(period) / 10, CN: period})
-		}
-		tr.Execute(coeffBatchTuple(period, cs...), out)
-	}
-	taskOf := make(map[tagset.Key]uint64)
-	used := make(map[uint64]bool)
-	for _, tuple := range out.byStream(StreamTrend) {
-		key := TrendKey(tuple)
-		if key >= tasks {
-			t.Fatalf("TrendKey = %d with %d tasks", key, tasks)
-		}
-		used[key] = true
-		for _, c := range tuple.Values[0].(TrendBatch).Coeffs {
-			k := c.Tags.Key()
-			if prev, seen := taskOf[k]; seen && prev != key {
-				t.Errorf("TrendKey differs for the same tagset %v: %d then %d", c.Tags, prev, key)
-			}
-			taskOf[k] = key
-			if want := routeSet(c.Tags) % tasks; key != want {
-				t.Errorf("tagset %v travels with key %d, its fold says %d", c.Tags, key, want)
-			}
-		}
-	}
-	if len(taskOf) != 40 {
-		t.Errorf("saw %d tagsets on the trend stream, want 40", len(taskOf))
-	}
-	if len(used) < 2 {
-		t.Errorf("all tagsets share %d Trend task (their folds should separate these)", len(used))
 	}
 }

@@ -107,16 +107,6 @@ func (r *Result) Replication() float64 {
 	return float64(r.TotalAssignedTags()) / float64(d)
 }
 
-// Covers reports whether some partition fully contains s.
-func (r *Result) Covers(s tagset.Set) bool {
-	for _, p := range r.Parts {
-		if s.SubsetOf(p.Tags) {
-			return true
-		}
-	}
-	return false
-}
-
 // Options configures a partitioning run.
 type Options struct {
 	Algorithm Algorithm

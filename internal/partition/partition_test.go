@@ -9,6 +9,17 @@ import (
 	"repro/internal/tagset"
 )
 
+// Covers reports whether some partition fully contains s: the coverage
+// oracle the algorithms are checked against.
+func (r *Result) Covers(s tagset.Set) bool {
+	for _, p := range r.Parts {
+		if s.SubsetOf(p.Tags) {
+			return true
+		}
+	}
+	return false
+}
+
 func ws(count int64, tags ...tagset.Tag) stream.WeightedSet {
 	return stream.WeightedSet{Tags: tagset.New(tags...), Count: count}
 }

@@ -211,7 +211,8 @@ func TestStatSurfacesAgree(t *testing.T) {
 				t.Errorf("%s has %d series, %s names %d components", family, len(fams[family].Samples), sf.name, len(byComp))
 			}
 		}
-		if got, want := res.Storm.Emitted("disseminator"), sf.st.EmittedByComponent["disseminator"]; got != want {
+		emitted, _ := res.Storm.Totals()
+		if got, want := emitted["disseminator"], sf.st.EmittedByComponent["disseminator"]; got != want {
 			t.Errorf("Result.Storm disseminator emitted = %d, %d in %s", got, want, sf.name)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package storm is an in-process reproduction of the Storm stream-processing
 // substrate the paper builds on (Section 6.1): topologies of spouts (stream
 // sources) and bolts (operators), each with a configurable number of
-// parallel task instances, connected by the five Storm grouping rules —
-// shuffle, all, fields, local and direct.
+// parallel task instances, connected by Storm's grouping rules — shuffle,
+// all, fields and direct.
 //
 // Two executors are provided. The sequential executor runs the whole
 // topology on one goroutine with a FIFO tuple queue: deterministic,
@@ -18,7 +18,8 @@
 //
 // Shuffle grouping distributes round-robin per producer task, which meets
 // Storm's "approximately equal" contract while keeping runs deterministic.
-// Local grouping degenerates to shuffle in a single process, as documented.
+// Storm's local grouping is shuffle in a single process, so it is not
+// provided.
 package storm
 
 import (
@@ -99,7 +100,6 @@ const (
 	groupAll
 	groupFields
 	groupDirect
-	groupLocal
 )
 
 func (g groupingKind) String() string {
@@ -112,8 +112,6 @@ func (g groupingKind) String() string {
 		return "fields"
 	case groupDirect:
 		return "direct"
-	case groupLocal:
-		return "local"
 	}
 	return "unknown"
 }
@@ -125,7 +123,7 @@ type edge struct {
 	from, to *node
 	kind     groupingKind
 	key      KeyFunc
-	rr       []atomic.Uint32 // per-producer-task round-robin cursor (shuffle/local)
+	rr       []atomic.Uint32 // per-producer-task round-robin cursor (shuffle)
 }
 
 type node struct {
@@ -222,9 +220,6 @@ func (nd *Node) Fields(from string, key KeyFunc) *Node {
 // tasks via EmitDirect.
 func (nd *Node) Direct(from string) *Node { return nd.subscribe(from, groupDirect, nil) }
 
-// Local subscribes with local grouping; in-process it behaves as shuffle.
-func (nd *Node) Local(from string) *Node { return nd.subscribe(from, groupLocal, nil) }
-
 // Topology is a built, runnable operator graph.
 type Topology struct {
 	nodes      []*node
@@ -306,16 +301,15 @@ func (b *Builder) Build() (*Topology, error) {
 	return tp, nil
 }
 
-// Stats counts dataflow volumes per component and per task. The counters
-// are lock-free atomics over maps frozen at Build time: every tuple on the
-// hot path costs two atomic adds instead of two global mutex acquisitions,
+// Stats counts dataflow volumes per component. The counters are lock-free
+// atomics over maps frozen at Build time: every tuple on the hot path
+// costs two atomic adds instead of two global mutex acquisitions,
 // so the dataflow does not serialize on its own bookkeeping as component
 // parallelism grows.
 type Stats struct {
 	emitted  map[string]*atomic.Int64 // per component; map immutable after Build
 	received map[string]*atomic.Int64 // per component; map immutable after Build
-	perTask  []atomic.Int64           // indexed by TaskID
-	names    []string
+	names    []string                 // each task's component, indexed by TaskID
 
 	// Mailbox pressure, populated by the concurrent executor only: the
 	// high-water queue depth per task, and the total number of steady-
@@ -333,7 +327,6 @@ func newStats(tp *Topology) *Stats {
 	s := &Stats{
 		emitted:   make(map[string]*atomic.Int64, len(tp.nodes)),
 		received:  make(map[string]*atomic.Int64, len(tp.nodes)),
-		perTask:   make([]atomic.Int64, len(tp.tasks)),
 		names:     make([]string, len(tp.tasks)),
 		mailboxHW: make([]atomic.Int64, len(tp.tasks)),
 	}
@@ -353,16 +346,6 @@ func (s *Stats) addEmit(component string, n int64) {
 
 func (s *Stats) addRecv(task TaskID) {
 	s.received[s.names[task]].Add(1)
-	s.perTask[task].Add(1)
-}
-
-// Emitted returns the number of tuples emitted by the named component.
-func (s *Stats) Emitted(component string) int64 {
-	c := s.emitted[component]
-	if c == nil {
-		return 0
-	}
-	return c.Load()
 }
 
 // Received returns the number of tuples received by the named component.
@@ -434,19 +417,6 @@ func (s *Stats) SpoutsParked() int64 {
 	return s.parked.Load()
 }
 
-// TaskReceived returns per-task received counts for the named component.
-func (s *Stats) TaskReceived(tp *Topology, component string) []int64 {
-	n := tp.components[component]
-	if n == nil {
-		return nil
-	}
-	out := make([]int64, len(n.tasks))
-	for i, id := range n.tasks {
-		out[i] = s.perTask[id].Load()
-	}
-	return out
-}
-
 // Stats exposes the topology's dataflow counters.
 func (tp *Topology) Stats() *Stats { return tp.stats }
 
@@ -454,7 +424,7 @@ func (tp *Topology) Stats() *Stats { return tp.stats }
 // index fromIdx. Direct edges route nothing here (EmitDirect addresses them).
 func (e *edge) route(t Tuple, fromIdx int) []TaskID {
 	switch e.kind {
-	case groupShuffle, groupLocal:
+	case groupShuffle:
 		i := e.rr[fromIdx].Add(1)
 		return e.to.tasks[int(i)%len(e.to.tasks) : int(i)%len(e.to.tasks)+1]
 	case groupAll:

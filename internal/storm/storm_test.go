@@ -86,8 +86,8 @@ func TestShuffleRoundRobin(t *testing.T) {
 	if total != 9 {
 		t.Errorf("total = %d", total)
 	}
-	if st.Emitted("src") != 9 || st.Received("sink") != 9 {
-		t.Errorf("stats: emitted=%d received=%d", st.Emitted("src"), st.Received("sink"))
+	if emitted, _ := st.Totals(); emitted["src"] != 9 || st.Received("sink") != 9 {
+		t.Errorf("stats: emitted=%d received=%d", emitted["src"], st.Received("sink"))
 	}
 }
 
@@ -218,15 +218,9 @@ func TestChainedBoltsAndStats(t *testing.T) {
 	if sinks[0].byMe != 20 {
 		t.Errorf("sink got %d, want 20", sinks[0].byMe)
 	}
-	if st.Emitted("double") != 20 || st.Received("double") != 10 {
-		t.Errorf("double: emitted=%d received=%d", st.Emitted("double"), st.Received("double"))
-	}
-	per := st.TaskReceived(tp, "double")
-	if len(per) != 2 || per[0]+per[1] != 10 {
-		t.Errorf("TaskReceived = %v", per)
-	}
-	if st.TaskReceived(tp, "nope") != nil {
-		t.Error("unknown component should return nil")
+	emitted, _ := st.Totals()
+	if emitted["double"] != 20 || st.Received("double") != 10 {
+		t.Errorf("double: emitted=%d received=%d", emitted["double"], st.Received("double"))
 	}
 }
 
@@ -380,28 +374,6 @@ func TestTasksOf(t *testing.T) {
 	}
 }
 
-func TestLocalGroupingBehavesAsShuffle(t *testing.T) {
-	var sinks []*sink
-	b := NewBuilder()
-	b.Spout("src", func() Spout { return &listSpout{values: ints(8)} }, 1)
-	b.Bolt("sink", func() Bolt {
-		s := &sink{}
-		sinks = append(sinks, s)
-		return s
-	}, 2).Local("src")
-	tp, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp.RunSequential()
-	if sinks[0].byMe+sinks[1].byMe != 8 {
-		t.Errorf("local grouping lost tuples: %d+%d", sinks[0].byMe, sinks[1].byMe)
-	}
-	if sinks[0].byMe == 0 || sinks[1].byMe == 0 {
-		t.Error("local grouping did not distribute")
-	}
-}
-
 func TestParallelSpouts(t *testing.T) {
 	var sinks []*sink
 	b := NewBuilder()
@@ -419,8 +391,8 @@ func TestParallelSpouts(t *testing.T) {
 	if sinks[0].byMe != 15 {
 		t.Errorf("3 spout instances delivered %d tuples, want 15", sinks[0].byMe)
 	}
-	if st.Emitted("src") != 15 {
-		t.Errorf("emitted = %d", st.Emitted("src"))
+	if emitted, _ := st.Totals(); emitted["src"] != 15 {
+		t.Errorf("emitted = %d", emitted["src"])
 	}
 
 	// And concurrently.
@@ -450,8 +422,8 @@ func TestParallelSpouts(t *testing.T) {
 }
 
 func TestGroupingStrings(t *testing.T) {
-	kinds := []groupingKind{groupShuffle, groupAll, groupFields, groupDirect, groupLocal}
-	want := []string{"shuffle", "all", "fields", "direct", "local"}
+	kinds := []groupingKind{groupShuffle, groupAll, groupFields, groupDirect}
+	want := []string{"shuffle", "all", "fields", "direct"}
 	for i, k := range kinds {
 		if k.String() != want[i] {
 			t.Errorf("%d.String() = %q, want %q", i, k.String(), want[i])

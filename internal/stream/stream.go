@@ -138,9 +138,6 @@ func (w *SlidingWindow) Snapshot() []WeightedSet {
 	return out
 }
 
-// Span returns the configured window span.
-func (w *SlidingWindow) Span() Millis { return w.span }
-
 // CountWindow is a count-based sliding window keeping the last capacity
 // documents, aggregated per distinct tagset.
 type CountWindow struct {
@@ -319,6 +316,3 @@ func (s *JSONLSource) Next() (Document, bool) {
 
 // Err returns the first scan or parse error (nil at clean end of input).
 func (s *JSONLSource) Err() error { return s.err }
-
-// Lines reports the number of input lines consumed so far.
-func (s *JSONLSource) Lines() int { return s.line }

@@ -234,8 +234,8 @@ func TestJSONLSourceLazy(t *testing.T) {
 	if err := src.Err(); err != nil {
 		t.Errorf("clean end reports %v", err)
 	}
-	if src.Lines() != len(docs) {
-		t.Errorf("Lines() = %d, want %d", src.Lines(), len(docs))
+	if src.line != len(docs) {
+		t.Errorf("lines consumed = %d, want %d", src.line, len(docs))
 	}
 	// Next after end stays terminal.
 	if _, ok := src.Next(); ok {

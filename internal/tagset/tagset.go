@@ -200,25 +200,6 @@ func (s Set) SubsetOf(o Set) bool {
 	return i == len(s)
 }
 
-// Intersect returns the set of tags present in both s and o.
-func (s Set) Intersect(o Set) Set {
-	var out Set
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] == o[j]:
-			out = append(out, s[i])
-			i++
-			j++
-		case s[i] < o[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
 // IntersectLen returns |s ∩ o| without allocating.
 func (s Set) IntersectLen(o Set) int {
 	n, i, j := 0, 0, 0
@@ -366,9 +347,6 @@ func (x *FoldIndex) Reserve(n int) {
 		}
 	}
 }
-
-// Buckets returns how many buckets the index has: what it allocated.
-func (x *FoldIndex) Buckets() int { return len(x.buckets) }
 
 // alloc replaces the buckets by empty ones, the fewest (a power of two, at
 // least 8) that hold n entries within the 3/4 load.

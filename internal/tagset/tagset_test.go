@@ -13,6 +13,26 @@ import (
 	"testing/quick"
 )
 
+// Intersect returns the set of tags present in both s and o: the oracle
+// IntersectLen and Union are checked against.
+func (s Set) Intersect(o Set) Set {
+	var out Set
+	i, j := 0, 0
+	for i < len(s) && j < len(o) {
+		switch {
+		case s[i] == o[j]:
+			out = append(out, s[i])
+			i++
+			j++
+		case s[i] < o[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return out
+}
+
 func TestDictionaryIntern(t *testing.T) {
 	d := NewDictionary()
 	a := d.Intern("a")

@@ -95,16 +95,6 @@ func missProbability(v int64, m int) float64 {
 	return math.Exp(num - den)
 }
 
-// CommunicationLoad is ExpectedCommunication normalised to [0,1] overhead:
-// (E[comm]-1)/(k-1). 0 means one partition per tweet (no redundancy), 1
-// means broadcast to all.
-func CommunicationLoad(v, n, k int64, m int) float64 {
-	if k <= 1 {
-		return 0
-	}
-	return (ExpectedCommunication(v, n, k, m) - 1) / float64(k-1)
-}
-
 // PaperScenario reproduces the worked example of Section 5.1: the full
 // Twitter stream assumed to have 600,000 distinct tags and 7,000,000
 // distinct tweets per day, with a window of the given minutes.

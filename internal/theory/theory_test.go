@@ -162,15 +162,23 @@ func TestExpectedCommunicationDegenerate(t *testing.T) {
 	}
 }
 
+// TestCommunicationLoadNormalisation checks the two regimes of the
+// expected communication as a share of the broadcast overhead k-1: a
+// small vocabulary with many tweets touches nearly every partition, a
+// large one with few tweets nearly one, and one partition is never
+// exceeded.
 func TestCommunicationLoadNormalisation(t *testing.T) {
-	if got := CommunicationLoad(40, 10000, 10, 8); got < 0.9 {
+	load := func(v, n, k int64, m int) float64 {
+		return (ExpectedCommunication(v, n, k, m) - 1) / float64(k-1)
+	}
+	if got := load(40, 10000, 10, 8); got < 0.9 {
 		t.Errorf("broadcast regime load = %g, want ≈ 1", got)
 	}
-	if got := CommunicationLoad(600_000, 1000, 10, 2); got > 0.2 {
+	if got := load(600_000, 1000, 10, 2); got > 0.2 {
 		t.Errorf("sparse regime load = %g, want ≈ 0", got)
 	}
-	if CommunicationLoad(100, 100, 1, 2) != 0 {
-		t.Error("k=1 load should be 0")
+	if got := ExpectedCommunication(100, 100, 1, 2); got > 1 {
+		t.Errorf("one partition: E[comm] = %g, want at most 1", got)
 	}
 }
 

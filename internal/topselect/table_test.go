@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -218,6 +219,12 @@ func TestTableRenew(t *testing.T) {
 	}
 }
 
+// indexBuckets is how many buckets x allocated. The index exports no
+// statistic of its size, so the test reads its bucket array's length.
+func indexBuckets(x *tagset.FoldIndex) int {
+	return reflect.ValueOf(x).Elem().FieldByName("buckets").Len()
+}
+
 // TestRenewedTableKeepsItsCapacity is the Tracker's steady state on one
 // table: renewed for each period's entry count and refilled with the same
 // entries, a table must keep the entry chunks (the same arrays), their
@@ -234,7 +241,7 @@ func TestRenewedTableKeepsItsCapacity(t *testing.T) {
 	}
 	tb := NewTable(8, 0, rankings[0].rank)
 	shape := func() ([]int, []*entry[coeff]) {
-		caps, arrays := []int{tb.index.Buckets()}, []*entry[coeff](nil)
+		caps, arrays := []int{indexBuckets(&tb.index)}, []*entry[coeff](nil)
 		for _, ch := range tb.entries {
 			caps, arrays = append(caps, cap(ch)), append(arrays, &ch[:1][0])
 		}

@@ -15,11 +15,11 @@ import (
 )
 
 // StreamConfig tunes the streaming detector. Alpha, MinSupport and
-// MaxTracked have the batch Detector's semantics; the remaining knobs size
-// the concurrent structure.
+// MaxTracked set the scoring; the remaining knobs size the concurrent
+// structure.
 type StreamConfig struct {
 	// Alpha is the exponential-smoothing factor of the per-tagset
-	// predictor (see Config.Alpha).
+	// predictor: expectation ← alpha*observed + (1-alpha)*expectation.
 	Alpha float64
 	// MinSupport drops observations with a smaller intersection counter.
 	MinSupport int64
@@ -42,18 +42,6 @@ type StreamConfig struct {
 	// affected: they are the smoothed expectation state and persist across
 	// period pruning. Zero keeps every period — the batch default.
 	KeepPeriods int
-}
-
-// DefaultStreamConfig returns a moderate live-service configuration.
-func DefaultStreamConfig() StreamConfig {
-	return StreamConfig{
-		Alpha:      0.4,
-		MinSupport: 5,
-		MaxTracked: 1 << 18,
-		TopK:       64,
-		Threshold:  0.1,
-		Shards:     8,
-	}
 }
 
 // Validate reports the first configuration error, or nil.
@@ -114,14 +102,15 @@ type StreamStats struct {
 	Subscribers int `json:"subscribers"` // live event subscribers
 }
 
-// Stream is the concurrent streaming detector: the same EWMA scoring as the
-// batch Detector, restructured for a live pipeline. Observations arrive one
-// coefficient at a time (the Trend operator feeds it from the Tracker's
-// deduplicated report stream), predictors live in lock shards keyed by the
-// tagset-key hash, and every period's scored events live in a
-// topselect.Table per shard — the Tracker's per-period table — whose
-// bounded heap keeps the period's top trends, so top-trend queries never
-// scan the scored-event tables. All methods are safe for concurrent use.
+// Stream is the concurrent streaming detector: EWMA scoring of per-period
+// reports (which its tests check against a batch oracle), built for a live
+// pipeline. Observations arrive one coefficient at a time (the Trend
+// operator feeds it from the Tracker's deduplicated report stream),
+// predictors live in lock shards keyed by the tagset-key hash, and every
+// period's scored events live in a topselect.Table per shard — the
+// Tracker's per-period table — whose bounded heap keeps the period's top
+// trends, so top-trend queries never scan the scored-event tables. All
+// methods are safe for concurrent use.
 type Stream struct {
 	cfg    StreamConfig
 	shards []*streamShard
@@ -474,10 +463,10 @@ func (s *Stream) Predictor(k tagset.Key) (PredictorState, bool) {
 }
 
 // TopTrends returns the k highest-scoring events of one period, ordered by
-// descending score (ties: ascending tagset key) — the batch Detector's
-// event order. For k within the maintained bound the call merges the
-// shards' period heaps and never scans the scored-event tables; k <= 0 or
-// k > TopK falls back to a full gather.
+// descending score (ties: ascending tagset key), compareTrends's order.
+// For k within the maintained bound the call merges the shards' period
+// heaps and never scans the scored-event tables; k <= 0 or k > TopK falls
+// back to a full gather.
 func (s *Stream) TopTrends(period int64, k int) []Event {
 	var cand []Event
 	heapPath := k > 0 && k <= s.cfg.TopK
@@ -569,11 +558,11 @@ func appendEvents(evs []Event, t *eventTable) []Event {
 
 // compareScores ranks scored events by descending score; the period tables
 // break its ties by their tags in tagset.Compare order — ascending tagset
-// key, the batch Detector's order.
+// key, as compareTrends does.
 func compareScores(a, b scoredEvent) int { return cmp.Compare(b.Score, a.Score) }
 
-// compareTrends is the batch Detector's event order: descending score, then
-// ascending tagset key.
+// compareTrends is the event order: descending score, then ascending
+// tagset key.
 func compareTrends(a, b Event) int {
 	if c := cmp.Compare(b.Score, a.Score); c != 0 {
 		return c

@@ -37,7 +37,7 @@ func TestStreamValidate(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	s := mustStream(t, DefaultStreamConfig())
+	s := mustStream(t, StreamConfig{Alpha: 0.4, MinSupport: 5})
 	if got := s.Config().TopK; got != 64 {
 		t.Errorf("default TopK = %d", got)
 	}

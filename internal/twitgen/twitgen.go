@@ -127,7 +127,6 @@ type Generator struct {
 
 	nextID    uint64
 	nextDrift stream.Millis
-	newTags   int
 }
 
 // New constructs a generator. Tags are interned into dict so that
@@ -164,9 +163,6 @@ func New(cfg Config, dict *tagset.Dictionary) (*Generator, error) {
 // Dict returns the tag dictionary the generator interns into.
 func (g *Generator) Dict() *tagset.Dictionary { return g.dict }
 
-// NewTagsIntroduced reports how many brand-new tags drift has injected.
-func (g *Generator) NewTagsIntroduced() int { return g.newTags }
-
 // Next produces the next document. Every document has at least one tag
 // (untagged tweets never enter the topology: the Parser drops them, so the
 // generator models the tagged sub-stream directly).
@@ -202,7 +198,6 @@ func (g *Generator) drawTag(topic int) tagset.Tag {
 		idx := len(g.topics[topic])
 		tg := g.dict.Intern(fmt.Sprintf("t%d_%d", topic, idx))
 		g.topics[topic] = append(g.topics[topic], tg)
-		g.newTags++
 		return tg
 	}
 	if g.cfg.MixProb > 0 && g.cfg.Topics > 1 && g.rng.Float64() < g.cfg.MixProb {
@@ -248,7 +243,6 @@ func (g *Generator) maybeDrift(now stream.Millis) {
 				vocab = append(vocab, 0)
 				copy(vocab[1:], vocab)
 				vocab[0] = tg
-				g.newTags++
 			}
 			g.topics[surging] = vocab
 		}

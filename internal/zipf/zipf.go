@@ -16,7 +16,6 @@ import (
 // P(X = m) proportional to 1/m^s.
 type Dist struct {
 	n   int
-	s   float64
 	cdf []float64 // cdf[i] = P(X <= i+1)
 }
 
@@ -29,7 +28,7 @@ func New(n int, s float64) *Dist {
 	if s < 0 {
 		panic(fmt.Sprintf("zipf: s = %g < 0", s))
 	}
-	d := &Dist{n: n, s: s, cdf: make([]float64, n)}
+	d := &Dist{n: n, cdf: make([]float64, n)}
 	total := 0.0
 	for i := 1; i <= n; i++ {
 		total += math.Pow(float64(i), -s)
@@ -42,23 +41,6 @@ func New(n int, s float64) *Dist {
 	return d
 }
 
-// N returns the support size.
-func (d *Dist) N() int { return d.n }
-
-// S returns the skew parameter.
-func (d *Dist) S() float64 { return d.s }
-
-// PMF returns P(X = m). Values outside {1..n} have probability 0.
-func (d *Dist) PMF(m int) float64 {
-	if m < 1 || m > d.n {
-		return 0
-	}
-	if m == 1 {
-		return d.cdf[0]
-	}
-	return d.cdf[m-1] - d.cdf[m-2]
-}
-
 // Sample draws one value in {1..n} using r.
 func (d *Dist) Sample(r *rand.Rand) int {
 	u := r.Float64()
@@ -69,56 +51,3 @@ func (d *Dist) Sample(r *rand.Rand) int {
 	}
 	return i + 1
 }
-
-// Mean returns E[X].
-func (d *Dist) Mean() float64 {
-	mean := 0.0
-	for m := 1; m <= d.n; m++ {
-		mean += float64(m) * d.PMF(m)
-	}
-	return mean
-}
-
-// Weighted samples from an arbitrary finite discrete distribution given by
-// non-negative weights; index i is drawn with probability w[i]/sum(w).
-type Weighted struct {
-	cdf []float64
-}
-
-// NewWeighted builds a sampler over the given weights. It panics if weights
-// is empty, contains a negative value, or sums to zero.
-func NewWeighted(weights []float64) *Weighted {
-	if len(weights) == 0 {
-		panic("zipf: empty weights")
-	}
-	cdf := make([]float64, len(weights))
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic(fmt.Sprintf("zipf: invalid weight %g at %d", w, i))
-		}
-		total += w
-		cdf[i] = total
-	}
-	if total == 0 {
-		panic("zipf: all weights zero")
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	cdf[len(cdf)-1] = 1
-	return &Weighted{cdf: cdf}
-}
-
-// Sample draws an index using r.
-func (w *Weighted) Sample(r *rand.Rand) int {
-	u := r.Float64()
-	i := sort.SearchFloat64s(w.cdf, u)
-	if i >= len(w.cdf) {
-		i = len(w.cdf) - 1
-	}
-	return i
-}
-
-// Len returns the number of outcomes.
-func (w *Weighted) Len() int { return len(w.cdf) }

@@ -7,6 +7,27 @@ import (
 	"testing/quick"
 )
 
+// PMF returns P(X = m), read off the CDF Sample searches: the oracle the
+// samples are checked against. Values outside {1..n} have probability 0.
+func (d *Dist) PMF(m int) float64 {
+	if m < 1 || m > d.n {
+		return 0
+	}
+	if m == 1 {
+		return d.cdf[0]
+	}
+	return d.cdf[m-1] - d.cdf[m-2]
+}
+
+// Mean returns E[X], summed over the PMF.
+func (d *Dist) Mean() float64 {
+	mean := 0.0
+	for m := 1; m <= d.n; m++ {
+		mean += float64(m) * d.PMF(m)
+	}
+	return mean
+}
+
 func TestPMFSumsToOne(t *testing.T) {
 	for _, s := range []float64{0, 0.25, 1, 2.5} {
 		d := New(8, s)
@@ -99,39 +120,6 @@ func TestNewPanics(t *testing.T) {
 				}
 			}()
 			New(tc.n, tc.s)
-		}()
-	}
-}
-
-func TestWeighted(t *testing.T) {
-	w := NewWeighted([]float64{1, 0, 3})
-	r := rand.New(rand.NewSource(3))
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[w.Sample(r)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight outcome drawn %d times", counts[1])
-	}
-	if math.Abs(float64(counts[0])/n-0.25) > 0.01 {
-		t.Errorf("outcome 0 drawn %d times, want ~25%%", counts[0])
-	}
-	if w.Len() != 3 {
-		t.Errorf("Len = %d", w.Len())
-	}
-}
-
-func TestWeightedPanics(t *testing.T) {
-	cases := [][]float64{{}, {0, 0}, {1, -1}, {math.NaN()}}
-	for i, ws := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			NewWeighted(ws)
 		}()
 	}
 }
