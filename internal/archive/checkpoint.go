@@ -49,7 +49,7 @@ type Checkpoint struct {
 	Dict []string
 
 	// Epoch, Merges, Quality refs and Partitions restore the partitioning
-	// layer: the Merger's current result and the Disseminators' inverted
+	// layer: the Merger's current result and the Disseminator's inverted
 	// index plus monitoring baseline.
 	Epoch      int
 	Merges     int

@@ -184,14 +184,8 @@ func (p *Pipeline) buildCheckpoint(cache *archive.SectionCache) *archive.Checkpo
 	cp.Dict = p.ckptDict
 	cp.Partitions = p.merger.PartitionsSnapshot()
 	cp.Merges = p.merger.MergeCount()
-	for _, d := range p.disseminators {
-		if epoch, _ := d.Epoch(); epoch > cp.Epoch {
-			cp.Epoch = epoch
-		}
-	}
-	if len(p.disseminators) > 0 {
-		cp.RefAvgCom, cp.RefMaxLoad, cp.HasRef = p.disseminators[0].QualityRefs()
-	}
+	cp.Epoch, _ = p.disseminator.Epoch()
+	cp.RefAvgCom, cp.RefMaxLoad, cp.HasRef = p.disseminator.QualityRefs()
 	return cp
 }
 
@@ -430,7 +424,7 @@ func (r *Recovered) FastForward(src DocumentSource) DocumentSource {
 // Adopt imports recovered state into a freshly built pipeline. Call it
 // between NewPipeline and Start (never on a running pipeline): it loads
 // the Tracker's periods and evicted-pair LRU, the trend predictors and
-// events, installs the recovered partitions into the Merger and every
+// events, installs the recovered partitions into the Merger and the
 // Disseminator (so routing resumes at the recovered epoch instead of
 // re-bootstrapping), and seeds the source cursor so the next checkpoint's
 // ReplayFrom stays absolute in the original stream.
@@ -445,9 +439,7 @@ func (p *Pipeline) Adopt(r *Recovered) error {
 	}
 	if len(cp.Partitions) > 0 {
 		p.merger.RestorePartitions(cp.Partitions, cp.Merges)
-		for _, d := range p.disseminators {
-			d.RestorePartitions(cp.Epoch, cp.Partitions, cp.RefAvgCom, cp.RefMaxLoad, cp.HasRef)
-		}
+		p.disseminator.RestorePartitions(cp.Epoch, cp.Partitions, cp.RefAvgCom, cp.RefMaxLoad, cp.HasRef)
 	}
 	if p.cursor != nil {
 		p.cursor.mu.Lock()

@@ -22,7 +22,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/jaccard"
 	"repro/internal/operators"
-	"repro/internal/partition"
 	"repro/internal/storm"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -84,10 +83,10 @@ type Pipeline struct {
 	cfg  Config
 	topo *storm.Topology
 
-	merger        *operators.Merger
-	disseminators []*operators.Disseminator
-	tracker       *operators.Tracker
-	trends        *trend.Stream // nil unless cfg.Trend
+	merger       *operators.Merger
+	disseminator *operators.Disseminator
+	tracker      *operators.Tracker
+	trends       *trend.Stream // nil unless cfg.Trend
 
 	// Durability (nil / zero unless cfg.ArchiveDir): the segment/checkpoint
 	// writer, the source cursor checkpoints record, the background
@@ -154,9 +153,9 @@ type Pipeline struct {
 }
 
 // NewPipeline assembles the topology for the given configuration and input.
-// The returned pipeline is single-use: call exactly one of Run,
-// RunConcurrent or Start. Snapshot may be called at any time, including
-// while the run is streaming.
+// The returned pipeline is single-use: call exactly one of Run or Start.
+// Snapshot may be called at any time, including while the run is
+// streaming.
 func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -193,21 +192,20 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 		go p.ckptLoop()
 	}
 
+	// The topology the paper's experiments run: one Source, whose Parser
+	// step drops and cuts tagsets, and one Disseminator. Each document goes
+	// from the Source to its Partitioner and to the Disseminator.
 	b := storm.NewBuilder()
 	b.Spout("source", func() storm.Spout {
-		s := operators.NewSource(src)
+		s := operators.NewSource(src, cfg.MaxTags)
 		s.SetFlight(cfg.Flight)
 		return s
 	}, 1)
 
-	b.Bolt("parser", func() storm.Bolt {
-		return operators.NewParser(cfg.MaxTags)
-	}, cfg.Parsers).Shuffle("source")
-
 	b.Bolt("partitioner", func() storm.Bolt {
 		return operators.NewPartitioner(cfg)
 	}, cfg.P).
-		Fields("parser", operators.TagsetKey).
+		Fields("source", operators.TagsetKey).
 		All("disseminator")
 
 	b.Bolt("merger", func() storm.Bolt {
@@ -218,11 +216,10 @@ func NewPipeline(cfg Config, src DocumentSource) (*Pipeline, error) {
 		Shuffle("disseminator")
 
 	b.Bolt("disseminator", func() storm.Bolt {
-		d := operators.NewDisseminator(cfg)
-		p.disseminators = append(p.disseminators, d)
-		return d
-	}, cfg.Disseminators).
-		Shuffle("parser").
+		p.disseminator = operators.NewDisseminator(cfg)
+		return p.disseminator
+	}, 1).
+		Shuffle("source").
 		All("merger")
 
 	b.Bolt("calculator", func() storm.Bolt {
@@ -350,15 +347,13 @@ func (p *Pipeline) archiveSafeBelow() int64 {
 
 // Result summarises one pipeline run.
 type Result struct {
-	// Stats holds the run's final statistics, exact across Disseminator
-	// instances: Communication (Figure 3), LoadGini (Figure 4), the
-	// repartition requests split by trigger cause (Figure 6), and every
-	// structural counter a Snapshot carries.
+	// Stats holds the run's final statistics: Communication (Figure 3),
+	// LoadGini (Figure 4), the repartition requests split by trigger cause
+	// (Figure 6), and every structural counter a Snapshot carries.
 	Stats
 
-	// Dissem exposes the full per-run statistics (time series for
-	// Figures 8 and 9) of the first Disseminator instance; the figure time
-	// series are per-instance.
+	// Dissem is the Disseminator's full statistics, with the time series
+	// of Figures 8 and 9.
 	Dissem *operators.DissemStats
 
 	// Tracker grants access to per-period reports; Storm to raw dataflow
@@ -374,31 +369,26 @@ type Result struct {
 func (r *Result) Coefficients() []jaccard.Coefficient { return r.Tracker.All() }
 
 // Run executes the pipeline on the deterministic sequential executor and
-// gathers the results. The pipeline is single-use: Run, RunConcurrent and
-// Start are mutually exclusive and may be invoked at most once in total.
-// While a run is in progress, Snapshot (from another goroutine) exposes
-// the live state; after Run returns, the Result carries the final totals.
+// gathers the results. The pipeline is single-use: Run and Start are
+// mutually exclusive and may be invoked at most once in total. While a run
+// is in progress, Snapshot (from another goroutine) exposes the live
+// state; after Run returns, the Result carries the final totals.
 func (p *Pipeline) Run() *Result {
 	st := p.topo.RunSequential()
 	return p.collect(st)
 }
 
-// RunConcurrent executes the pipeline with one goroutine per task. Results
-// carry the same totals as Run, but interleaving-dependent details (exact
-// repartition positions, coefficient values near period boundaries) may
-// differ run to run.
-func (p *Pipeline) RunConcurrent() *Result {
-	st := p.topo.RunConcurrent()
-	return p.collect(st)
-}
-
+// collect is the one drain point of Run and Handle.Wait.
 func (p *Pipeline) collect(st *storm.Stats) *Result {
-	// The stream has drained: write the end-of-run checkpoint and close the
-	// segment files (no-op without Config.ArchiveDir).
+	// The stream has drained: decide the traces of the last windows, which
+	// no later document will rotate out, write the end-of-run checkpoint and
+	// close the segment files (no-ops without Config.Flight and
+	// Config.ArchiveDir).
+	p.cfg.Flight.FlushAll()
 	p.finishArchive()
 	return &Result{
 		Stats:   p.liveStats(),
-		Dissem:  &p.disseminators[0].Stats,
+		Dissem:  &p.disseminator.Stats,
 		Tracker: p.tracker,
 		Storm:   st,
 	}
@@ -419,15 +409,9 @@ func (p *Pipeline) LastCheckpointAge() (age time.Duration, ok bool) {
 
 // SpoutProgress reads two live storm counters: how many spouts are parked
 // on the max-spout-pending cap right now (concurrent executor only), and how
-// many tuples the Disseminators have received. A spout that stays parked
+// many tuples the Disseminator has received. A spout that stays parked
 // while the second stands still is the signature of a wedged consumer.
 func (p *Pipeline) SpoutProgress() (parked, dissemReceived int64) {
 	st := p.topo.Stats()
 	return st.SpoutsParked(), st.Received("disseminator")
 }
-
-// Partitions returns the final partitions (nil if no merge happened).
-func (p *Pipeline) Partitions() *partition.Result { return p.merger.Current() }
-
-// Disseminators exposes the disseminator bolts.
-func (p *Pipeline) Disseminators() []*operators.Disseminator { return p.disseminators }

@@ -92,7 +92,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 			if res.LoadGini < 0 || res.LoadGini >= 1 {
 				t.Errorf("load gini = %g", res.LoadGini)
 			}
-			if pipe.Partitions() == nil {
+			if pipe.merger.PartitionsSnapshot() == nil {
 				t.Error("no final partitions")
 			}
 		})
@@ -170,7 +170,7 @@ func TestPipelineConcurrentMatchesTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres := con.RunConcurrent()
+	cres := con.Start().Wait()
 
 	if cres.DocsProcessed != sres.DocsProcessed {
 		t.Errorf("docs: %d vs %d", cres.DocsProcessed, sres.DocsProcessed)
@@ -182,7 +182,7 @@ func TestPipelineConcurrentMatchesTotals(t *testing.T) {
 		t.Error("concurrent run sent no notifications")
 	}
 	// Scheduling still shifts how many of the documents queued at the
-	// install each Disseminator routes, so coefficient counts vary run to
+	// install the Disseminator routes, so coefficient counts vary run to
 	// run; require the same order of magnitude only.
 	nc, ns := len(cres.Coefficients()), len(sres.Coefficients())
 	if ratio := float64(nc) / float64(ns); ratio < 0.1 || ratio > 10 {
@@ -297,38 +297,54 @@ func TestSliceSourceExhausts(t *testing.T) {
 	}
 }
 
-// TestPipelineMultipleDisseminators exercises the paper's "multiple
-// instances of the Disseminator can be created" option (Section 6.2): two
-// Disseminators each route half the stream; partitions and addition
-// results are broadcast to both.
-func TestPipelineMultipleDisseminators(t *testing.T) {
-	docs, _ := shortStream(t, 30000, 21)
+// TestPipelineParserStep feeds the pipeline what twitgen never emits,
+// untagged documents and documents over MaxTags tags, and requires the
+// same answers as a run of the stream filtered and cut by hand: the
+// Source's Parser step drops the first and truncates the second.
+func TestPipelineParserStep(t *testing.T) {
+	docs, _ := shortStream(t, 20000, 9)
 	cfg := fastConfig(partition.DS)
-	cfg.Disseminators = 2
-	cfg.Parsers = 2
-	pipe, err := NewPipeline(cfg, SliceSource(docs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := pipe.Run()
-	if res.Merges < 1 {
-		t.Fatal("no merges with two disseminators")
-	}
-	if len(res.Coefficients()) == 0 {
-		t.Fatal("no coefficients with two disseminators")
-	}
-	ds := pipe.Disseminators()
-	if len(ds) != 2 {
-		t.Fatalf("disseminator instances = %d", len(ds))
-	}
-	// Both instances must have routed traffic (shuffle grouping).
-	for i, d := range ds {
-		if d.Stats.NotifiedDocs == 0 {
-			t.Errorf("disseminator %d routed nothing", i)
+	cfg.MaxTags = 4
+	var mixed, clean []stream.Document
+	long := 0
+	for i, d := range docs {
+		if i%11 == 0 {
+			mixed = append(mixed, stream.Document{ID: d.ID, Time: d.Time})
 		}
+		if i%7 == 0 && i+1 < len(docs) {
+			d.Tags = d.Tags.Union(docs[i+1].Tags)
+		}
+		mixed = append(mixed, d)
+		if d.Tags.Len() > cfg.MaxTags {
+			d.Tags = tagset.New(d.Tags[:cfg.MaxTags]...)
+			long++
+		}
+		clean = append(clean, d)
 	}
-	if res.DocsProcessed != 30000 {
-		t.Errorf("docs processed = %d", res.DocsProcessed)
+	if long == 0 {
+		t.Fatal("no document over MaxTags in the mixed stream")
+	}
+	run := func(docs []stream.Document) *Result {
+		pipe, err := NewPipeline(cfg, SliceSource(docs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pipe.Run()
+	}
+	a, b := run(mixed), run(clean)
+	if a.DocsProcessed != int64(len(clean)) || b.DocsProcessed != a.DocsProcessed {
+		t.Errorf("docs processed %d (mixed) and %d (clean), want %d", a.DocsProcessed, b.DocsProcessed, len(clean))
+	}
+	// The stage latencies are wall-clock readings; every other statistic
+	// must match.
+	for _, st := range []*Stats{&a.Stats, &b.Stats} {
+		st.StageDocPartition, st.StageDocCoefficient, st.StageDocTrackerAccept = StageLatency{}, StageLatency{}, StageLatency{}
+	}
+	if !reflect.DeepEqual(a.Stats, b.Stats) {
+		t.Errorf("stats diverged:\nmixed %+v\nclean %+v", a.Stats, b.Stats)
+	}
+	if ca, cb := a.Coefficients(), b.Coefficients(); len(ca) == 0 || !reflect.DeepEqual(ca, cb) {
+		t.Errorf("coefficients diverged (%d mixed, %d clean)", len(ca), len(cb))
 	}
 }
 
@@ -398,7 +414,7 @@ func TestPipelineConcurrentFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := pipe.RunConcurrent()
+	res := pipe.Start().Wait()
 	if res.DocsProcessed != 20000 {
 		t.Errorf("docs processed = %d", res.DocsProcessed)
 	}
@@ -420,16 +436,13 @@ func TestPipelineConcurrentFanout(t *testing.T) {
 	}
 }
 
-// TestPipelineMultiDisseminatorAggregatedMetrics: with several Disseminator
-// instances the headline Communication/LoadGini must cover all of them, not
-// just the first (a surface that silently reported a fraction of the
-// traffic is the bug this pins) — on the Result, on a Snapshot and on the
-// /metrics scrape alike.
+// TestPipelineMultiDisseminatorAggregatedMetrics: the headline
+// Communication/LoadGini and the notification count must be the
+// Disseminator's own, on the Result, on a Snapshot and on the /metrics
+// scrape alike.
 func TestPipelineMultiDisseminatorAggregatedMetrics(t *testing.T) {
 	docs, _ := shortStream(t, 30000, 21)
 	cfg := fastConfig(partition.DS)
-	cfg.Disseminators = 2
-	cfg.Parsers = 2
 	pipe, err := NewPipeline(cfg, SliceSource(docs))
 	if err != nil {
 		t.Fatal(err)
@@ -438,20 +451,12 @@ func TestPipelineMultiDisseminatorAggregatedMetrics(t *testing.T) {
 	pipe.RegisterMetrics(reg)
 	res := pipe.Run()
 
-	var notifications, notified int64
-	per := make([]int64, cfg.K)
-	for _, d := range pipe.Disseminators() {
-		notifications += d.Stats.Notifications
-		notified += d.Stats.NotifiedDocs
-		for i, n := range d.Stats.PerCalculator {
-			per[i] += n
-		}
+	ds := &pipe.disseminator.Stats
+	if ds.NotifiedDocs == 0 {
+		t.Fatal("no notified documents")
 	}
-	if notified == 0 {
-		t.Fatal("no notified documents with two disseminators")
-	}
-	wantComm := float64(notifications) / float64(notified)
-	wantGini := quality.GiniInts(per)
+	wantComm := float64(ds.Notifications) / float64(ds.NotifiedDocs)
+	wantGini := quality.GiniInts(ds.PerCalculator)
 
 	var body strings.Builder
 	if err := reg.WriteText(&body); err != nil {
@@ -478,20 +483,13 @@ func TestPipelineMultiDisseminatorAggregatedMetrics(t *testing.T) {
 		{"scrape", scraped("tagcorr_dissem_communication"), scraped("tagcorr_dissem_load_gini"), scraped("tagcorr_dissem_notifications_total")},
 	} {
 		if sf.comm != wantComm {
-			t.Errorf("%s: Communication = %g, want %g aggregated over both instances", sf.name, sf.comm, wantComm)
+			t.Errorf("%s: Communication = %g, want %g", sf.name, sf.comm, wantComm)
 		}
 		if sf.gini != wantGini {
-			t.Errorf("%s: LoadGini = %g, want %g aggregated over both instances", sf.name, sf.gini, wantGini)
+			t.Errorf("%s: LoadGini = %g, want %g", sf.name, sf.gini, wantGini)
 		}
-		if sf.notifs != float64(notifications) {
-			t.Errorf("%s: notifications = %g, want %d summed over both instances", sf.name, sf.notifs, notifications)
-		}
-	}
-	// Each instance routed only part of the stream, so the aggregate must
-	// count strictly more notifications than either instance alone.
-	for i, d := range pipe.Disseminators() {
-		if d.Stats.Notifications >= notifications {
-			t.Errorf("instance %d carries the whole notification count", i)
+		if sf.notifs != float64(ds.Notifications) {
+			t.Errorf("%s: notifications = %g, want %d", sf.name, sf.notifs, ds.Notifications)
 		}
 	}
 }

@@ -23,9 +23,8 @@ import (
 // be mutated in place.
 //
 // Unlike Result, which is only available once the stream has drained, a
-// Snapshot can be taken at any moment of a run started with Start (or
-// RunConcurrent on another goroutine): all the state it reads is guarded
-// by the operators' own locks.
+// Snapshot can be taken at any moment of a run started with Start: all the
+// state it reads is guarded by the operators' own locks.
 type Snapshot struct {
 	// TakenAt stamps the moment the Tracker's consistent pass ran,
 	// carrying Go's monotonic clock reading: time.Since(TakenAt) is the
@@ -59,9 +58,10 @@ type Snapshot struct {
 // definition of that payload) and /metrics reads its scalar families from
 // it, so a new statistic is one field, set in stats.
 type Stats struct {
-	// DocsProcessed counts parsed documents seen by the Disseminators; it
-	// is monotone over the lifetime of a run. DocsBeforeInstall counts the
-	// prefix that arrived before the first partitions were installed.
+	// DocsProcessed counts the documents the Disseminator has seen, those
+	// the Source's Parser step kept; it is monotone over the lifetime of a
+	// run. DocsBeforeInstall counts the prefix that arrived before the
+	// first partitions were installed.
 	DocsProcessed     int64 `json:"docs_processed"`
 	DocsBeforeInstall int64 `json:"docs_before_install"`
 	NotifiedDocs      int64 `json:"notified_docs"`
@@ -146,7 +146,7 @@ type Stats struct {
 	ReceivedByComponent map[string]int64 `json:"received_by_component"`
 }
 
-// stats reads every pipeline counter once: the Disseminator aggregate, the
+// stats reads every pipeline counter once: the Disseminator's, the
 // checkpoint and compactor counters, the storm per-component totals, the
 // stage-latency summaries and the trend detector's stats, around the
 // Tracker's period list and structural stats, which the caller takes from
@@ -155,35 +155,26 @@ type Stats struct {
 // from any goroutine at any time between NewPipeline and the end of the
 // process.
 func (p *Pipeline) stats(periods []int64, ts operators.TrackerStats) Stats {
-	// Quantities accumulated per Disseminator are summed across instances
-	// before the headline measures are derived: with Config.Disseminators
-	// > 1 each instance routes a fraction of the traffic.
-	var agg operators.DissemStats
-	epoch, pending := 0, false
-	for _, d := range p.disseminators {
-		agg.Merge(d.SnapshotStats())
-		e, awaiting := d.Epoch()
-		epoch = max(epoch, e)
-		pending = pending || awaiting
-	}
+	ds := p.disseminator.SnapshotStats()
+	epoch, pending := p.disseminator.Epoch()
 	cs := p.CompactorStats()
 	s := Stats{
-		DocsProcessed:     agg.Docs,
-		DocsBeforeInstall: agg.BeforePartition,
-		NotifiedDocs:      agg.NotifiedDocs,
-		Notifications:     agg.Notifications,
-		UncoveredDocs:     agg.UncoveredDocs,
-		Communication:     agg.Communication(),
-		LoadGini:          agg.LoadGini(),
-		PerCalculator:     agg.PerCalculator,
+		DocsProcessed:     ds.Docs,
+		DocsBeforeInstall: ds.BeforePartition,
+		NotifiedDocs:      ds.NotifiedDocs,
+		Notifications:     ds.Notifications,
+		UncoveredDocs:     ds.UncoveredDocs,
+		Communication:     ds.Communication(),
+		LoadGini:          ds.LoadGini(),
+		PerCalculator:     ds.PerCalculator,
 
 		Epoch:              epoch,
 		RepartitionPending: pending,
-		Repartitions:       agg.Repartitions,
-		RepartitionsComm:   agg.CauseComm,
-		RepartitionsLoad:   agg.CauseLoad,
-		RepartitionsBoth:   agg.CauseBoth,
-		SingleAdditions:    agg.AdditionsAsked,
+		Repartitions:       ds.Repartitions,
+		RepartitionsComm:   ds.CauseComm,
+		RepartitionsLoad:   ds.CauseLoad,
+		RepartitionsBoth:   ds.CauseBoth,
+		SingleAdditions:    ds.AdditionsAsked,
 		Merges:             p.merger.MergeCount(),
 
 		Periods:               periods,
@@ -234,18 +225,17 @@ func (p *Pipeline) liveStats() Stats {
 // with the number of retained coefficients or periods.
 func (p *Pipeline) Snapshot(k int) *Snapshot {
 	top, periods, ts := p.tracker.ConsistentView(k)
-	s := &Snapshot{
-		TakenAt:    time.Now(),
-		TopK:       top,
-		Stats:      p.stats(periods, ts),
-		Partitions: p.merger.PartitionsSnapshot(),
-	}
+	takenAt := time.Now()
+	// The trends view is read before stats: the first Observe bumps the
+	// scored counter before publishing its period, so a view with a latest
+	// period always comes with TrendStats.Scored >= 1.
+	var trends *TrendsView
 	if p.trends != nil {
-		v := &TrendsView{}
-		// Check the latest-period sentinel itself, not Scored: the first
-		// Observe bumps the scored counter before publishing its period.
+		trends = &TrendsView{}
+		// Check the latest-period sentinel itself, not Scored, for the
+		// same reason.
 		if latest := p.trends.LatestPeriod(); latest != math.MinInt64 {
-			v.LatestPeriod = latest
+			trends.LatestPeriod = latest
 			// Clamp to the detector's maintained heap bound so the view is
 			// always served from the per-period heaps, never the
 			// full-gather fallback — the Tracker top-k gets the same
@@ -253,11 +243,16 @@ func (p *Pipeline) Snapshot(k int) *Snapshot {
 			if bound := p.trends.Config().TopK; k <= 0 || k > bound {
 				k = bound
 			}
-			v.Top = p.trends.TopTrends(latest, k)
+			trends.Top = p.trends.TopTrends(latest, k)
 		}
-		s.Trends = v
 	}
-	return s
+	return &Snapshot{
+		TakenAt:    takenAt,
+		TopK:       top,
+		Stats:      p.stats(periods, ts),
+		Partitions: p.merger.PartitionsSnapshot(),
+		Trends:     trends,
+	}
 }
 
 // StageLatency summarises one end-to-end stage-latency histogram for the
@@ -310,8 +305,8 @@ type Handle struct {
 }
 
 // Start launches the pipeline on the concurrent executor without blocking
-// and returns a handle. Like Run and RunConcurrent it must be called at
-// most once per pipeline, and not combined with them.
+// and returns a handle. Like Run it must be called at most once per
+// pipeline, and not combined with it.
 func (p *Pipeline) Start() *Handle {
 	return &Handle{p: p, run: p.topo.StartConcurrent()}
 }

@@ -8,7 +8,7 @@ import (
 // stormComponents lists the topology's component names for the per-bolt
 // dataflow metrics ("trend" is appended when the detector runs).
 var stormComponents = []string{
-	"source", "parser", "partitioner", "merger", "disseminator", "calculator", "tracker",
+	"source", "partitioner", "merger", "disseminator", "calculator", "tracker",
 }
 
 // RegisterMetrics wires the pipeline into a telemetry registry under the
@@ -68,7 +68,7 @@ func (p *Pipeline) registerStormMetrics(reg *telemetry.Registry, s *Stats) {
 
 func (p *Pipeline) registerDissemMetrics(reg *telemetry.Registry, s *Stats) {
 	reg.CounterFunc("tagcorr_dissem_docs_total",
-		"Parsed documents seen by the Disseminators.",
+		"Parsed documents seen by the Disseminator.",
 		nil, func() int64 { return s.DocsProcessed })
 	reg.CounterFunc("tagcorr_dissem_notifications_total",
 		"Calculator notifications sent.",

@@ -404,6 +404,16 @@ func (r *Recorder) maybeRotate(id uint64) {
 	r.finalizeThrough((w - 1) * uint64(r.cfg.Window))
 }
 
+// FlushAll finalizes every active trace immediately, ignoring the
+// rotation grace. A drained run calls it: no later document opens the
+// windows that would decide its last traces.
+func (r *Recorder) FlushAll() {
+	if r == nil {
+		return
+	}
+	r.finalizeThrough(^uint64(0))
+}
+
 // finalizeThrough removes every active trace with ID <= cut and decides
 // its fate: head-sampled traces are always retained; of the rest, the
 // slowest K at or above the slow threshold survive; everything else is

@@ -8,15 +8,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// FlushAll finalizes every active trace immediately, ignoring the
-// rotation grace, so a test can read every verdict of a finished run.
-func (r *Recorder) FlushAll() {
-	if r == nil {
-		return
-	}
-	r.finalizeThrough(^uint64(0))
-}
-
 // TestNilRecorder: every method must be a safe no-op on a nil receiver,
 // because operators thread a possibly-nil *Recorder without guards.
 func TestNilRecorder(t *testing.T) {

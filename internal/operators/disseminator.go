@@ -83,31 +83,6 @@ func (s *DissemStats) Communication() float64 {
 // notifications — the paper's Processing Load metric (Section 8.2.2).
 func (s *DissemStats) LoadGini() float64 { return quality.GiniInts(s.PerCalculator) }
 
-// Merge adds another Disseminator instance's counters into s: with
-// Config.Disseminators > 1 each instance routes a fraction of the traffic,
-// and Communication/LoadGini are only meaningful over the sum. The figure
-// time series are per-instance and are not merged.
-func (s *DissemStats) Merge(o DissemStats) {
-	s.Docs += o.Docs
-	s.BeforePartition += o.BeforePartition
-	s.NotifiedDocs += o.NotifiedDocs
-	s.Notifications += o.Notifications
-	s.UncoveredDocs += o.UncoveredDocs
-	s.Repartitions += o.Repartitions
-	s.CauseComm += o.CauseComm
-	s.CauseLoad += o.CauseLoad
-	s.CauseBoth += o.CauseBoth
-	s.AdditionsAsked += o.AdditionsAsked
-	// Grow by length, not presence: a live read racing Prepare can see one
-	// instance's slice sized and another's still empty.
-	if len(o.PerCalculator) > len(s.PerCalculator) {
-		s.PerCalculator = append(s.PerCalculator, make([]int64, len(o.PerCalculator)-len(s.PerCalculator))...)
-	}
-	for i, n := range o.PerCalculator {
-		s.PerCalculator[i] += n
-	}
-}
-
 // Disseminator forwards parsed documents to the Calculators holding their
 // tags (via an inverted tag index and direct grouping), requests Single
 // Additions for repeatedly-uncovered tagsets, and monitors partition

@@ -1,12 +1,14 @@
 // Package operators implements the paper's operator topology (Figure 2,
 // Sections 3, 6.2 and 7) on top of the storm substrate:
 //
-//	Source ─shuffle→ Parser ─shuffle→ Disseminator ─direct→ Calculator ─→ Tracker
-//	                   └─fields→ Partitioner ─→ Merger ─all→ Disseminator
+//	Source ─shuffle→ Disseminator ─direct→ Calculator ─fields(route)→ Tracker ─shuffle→ Trend
+//	  └─fields(tagset)→ Partitioner ─→ Merger ─all→ Disseminator
 //	 Disseminator ─all→ Partitioner (repartition requests)
 //	 Disseminator ─→ Merger (Single-Addition requests)
 //	 Merger ─all→ Disseminator (partitions, Single-Addition results)
-//	 Tracker ─fields(route)→ Trend (accepted reports; Config.Trend only)
+//
+// The paper's Parser is a step of the Source, not a task of its own. The
+// Trend task exists only with Config.Trend.
 //
 // Tuples carry one typed message in Values[0]; the Stream field names the
 // logical stream.
@@ -28,7 +30,7 @@ import (
 
 // Stream names used by the topology.
 const (
-	StreamDoc         = "doc"         // Parser → Disseminator, Partitioner
+	StreamDoc         = "doc"         // Source → Disseminator, Partitioner
 	StreamPartial     = "partial"     // Partitioner → Merger
 	StreamPartitions  = "partitions"  // Merger → Disseminator
 	StreamRepartition = "repartition" // Disseminator → Partitioner
@@ -62,7 +64,7 @@ type PartialMsg struct {
 }
 
 // PartitionsMsg announces freshly merged partitions together with the
-// reference quality statistics the Disseminators monitor against
+// reference quality statistics the Disseminator monitors against
 // (Section 7.2).
 type PartitionsMsg struct {
 	Epoch   int
@@ -75,7 +77,7 @@ type AdditionReq struct {
 	Tags tagset.Set
 }
 
-// AdditionRes tells every Disseminator which partition (Calculator index)
+// AdditionRes tells the Disseminator which partition (Calculator index)
 // an added tagset went to.
 type AdditionRes struct {
 	Tags tagset.Set
@@ -176,11 +178,8 @@ type Config struct {
 	StatsEvery  int           // quality statistics batch size z (paper: 1000)
 	ReportEvery stream.Millis // Calculator reporting period y (paper: 5 min)
 	WindowSpan  stream.Millis // Partitioner window W (paper: 5 min)
-	MaxTags     int           // Parser tag cap (paper observes < 10)
+	MaxTags     int           // tag cap of the Source's Parser step (paper observes < 10)
 	Seed        int64         //vet:ok configparity -- SCI randomness; every int64 is a valid seed
-
-	Parsers       int // Parser instances (paper experiments: 1)
-	Disseminators int // Disseminator instances (paper experiments: 1)
 
 	// WindowCount switches the Partitioners to a count-based sliding
 	// window of the given capacity instead of the time-based WindowSpan
@@ -190,7 +189,7 @@ type Config struct {
 	// AutoScaleLoad enables topology scaling (Section 7.3): when > 0 the
 	// Merger sizes the number of active partitions as
 	// ceil(windowLoad / AutoScaleLoad), capped at K. Only Calculators
-	// assigned a partition are indexed by the Disseminators and receive
+	// assigned a partition are indexed by the Disseminator and receive
 	// documents; the rest idle.
 	AutoScaleLoad int64
 
@@ -319,9 +318,6 @@ func DefaultConfig() Config {
 		WindowSpan:  stream.Minutes(5),
 		MaxTags:     10,
 		Seed:        1,
-
-		Parsers:       1,
-		Disseminators: 1,
 	}
 }
 
@@ -346,10 +342,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("operators: windowSpan = %d", c.WindowSpan)
 	case c.MaxTags < 1:
 		return fmt.Errorf("operators: maxTags = %d", c.MaxTags)
-	case c.Parsers < 1:
-		return fmt.Errorf("operators: parsers = %d", c.Parsers)
-	case c.Disseminators < 1:
-		return fmt.Errorf("operators: disseminators = %d", c.Disseminators)
 	case c.WindowCount < 0:
 		return fmt.Errorf("operators: windowCount = %d", c.WindowCount)
 	case c.AutoScaleLoad < 0:
@@ -498,10 +490,14 @@ func groupByRoute(coeffs []jaccard.Coefficient, folds []tagset.Fold, route []int
 func routeOf(f tagset.Fold) uint64 { return f.A >> 32 }
 
 // Source adapts any document iterator (generator, slice, JSONL reader) to a
-// storm spout. The next function returns false when the stream ends.
+// storm spout, and does the paper's Parser step on the way (Section 6.2):
+// untagged documents are dropped and oversized tagsets cut to maxTags (the
+// paper notes tweets carry fewer than 10 tags). The next function returns
+// false when the stream ends.
 type Source struct {
-	next   func() (stream.Document, bool)
-	flight *flight.Recorder
+	next    func() (stream.Document, bool)
+	maxTags int
+	flight  *flight.Recorder
 }
 
 // SetFlight attaches the flight recorder: every emitted document gets a
@@ -509,62 +505,29 @@ type Source struct {
 // DocMsg.Trace). Call before the run starts.
 func (s *Source) SetFlight(rec *flight.Recorder) { s.flight = rec }
 
-// NewSource wraps next into a spout.
-func NewSource(next func() (stream.Document, bool)) *Source {
-	return &Source{next: next}
-}
-
-// SliceSource returns a Source over a fixed document slice.
-func SliceSource(docs []stream.Document) *Source {
-	i := 0
-	return NewSource(func() (stream.Document, bool) {
-		if i >= len(docs) {
-			return stream.Document{}, false
-		}
-		d := docs[i]
-		i++
-		return d, true
-	})
+// NewSource wraps next into a spout that caps tagsets at maxTags.
+func NewSource(next func() (stream.Document, bool), maxTags int) *Source {
+	return &Source{next: next, maxTags: maxTags}
 }
 
 // Open implements storm.Spout.
 func (s *Source) Open(*storm.TaskContext) {}
 
-// NextTuple implements storm.Spout.
+// NextTuple implements storm.Spout. A dropped document emits nothing and
+// is never traced: the drop comes before the flight recorder's Begin.
 func (s *Source) NextTuple(out storm.Collector) bool {
 	d, ok := s.next()
 	if !ok {
 		return false
 	}
+	if d.Tags.IsEmpty() {
+		return true
+	}
+	if d.Tags.Len() > s.maxTags {
+		d.Tags = tagset.New(d.Tags[:s.maxTags]...)
+	}
 	ingest := telemetry.Now()
 	trace := s.flight.Begin(ingest) // nil-safe; 0 when untraced
 	out.Emit(storm.Tuple{Stream: StreamDoc, Values: []interface{}{DocMsg{Time: d.Time, Tags: d.Tags, Ingest: ingest, Trace: trace}}})
 	return true
-}
-
-// Parser extracts canonical tagsets from raw documents: untagged documents
-// are dropped and oversized tagsets truncated to MaxTags (Section 6.2; the
-// paper notes tweets carry fewer than 10 tags).
-type Parser struct {
-	MaxTags int
-	Dropped int64 // untagged documents discarded
-}
-
-// NewParser returns a parser with the given tag cap.
-func NewParser(maxTags int) *Parser { return &Parser{MaxTags: maxTags} }
-
-// Prepare implements storm.Bolt.
-func (p *Parser) Prepare(*storm.TaskContext) {}
-
-// Execute implements storm.Bolt.
-func (p *Parser) Execute(t storm.Tuple, out storm.Collector) {
-	msg := t.Values[0].(DocMsg)
-	if msg.Tags.IsEmpty() {
-		p.Dropped++
-		return
-	}
-	if msg.Tags.Len() > p.MaxTags {
-		msg.Tags = tagset.New(msg.Tags[:p.MaxTags]...)
-	}
-	out.Emit(storm.Tuple{Stream: StreamDoc, Values: []interface{}{msg}})
 }

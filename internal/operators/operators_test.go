@@ -58,8 +58,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero reportEvery", func(c *Config) { c.ReportEvery = 0 }, false},
 		{"zero windowSpan", func(c *Config) { c.WindowSpan = 0 }, false},
 		{"zero maxTags", func(c *Config) { c.MaxTags = 0 }, false},
-		{"zero parsers", func(c *Config) { c.Parsers = 0 }, false},
-		{"zero disseminators", func(c *Config) { c.Disseminators = 0 }, false},
 		{"negative windowCount", func(c *Config) { c.WindowCount = -1 }, false},
 		{"negative autoScaleLoad", func(c *Config) { c.AutoScaleLoad = -1 }, false},
 		{"negative keepPeriods", func(c *Config) { c.KeepPeriods = -1 }, false},
@@ -141,23 +139,6 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		})
-	}
-}
-
-func TestParserDropsAndTruncates(t *testing.T) {
-	p := NewParser(3)
-	out := newCollector()
-	p.Execute(docTuple(0), out) // empty
-	if len(out.emitted) != 0 || p.Dropped != 1 {
-		t.Errorf("empty doc not dropped: %d emitted, %d dropped", len(out.emitted), p.Dropped)
-	}
-	p.Execute(docTuple(1, 5, 1, 9, 7, 3), out)
-	if len(out.emitted) != 1 {
-		t.Fatalf("emitted %d", len(out.emitted))
-	}
-	got := out.emitted[0].Values[0].(DocMsg).Tags
-	if got.Len() != 3 {
-		t.Errorf("truncated to %d tags, want 3", got.Len())
 	}
 }
 
@@ -244,7 +225,7 @@ func TestMergerWaitsForAllPartials(t *testing.T) {
 		t.Errorf("msg = %+v", msg)
 	}
 	// Overlapping sets {1,2} and {2,3} must merge into one DS component.
-	if m.Current() == nil || m.Merges != 1 {
+	if m.current == nil || m.Merges != 1 {
 		t.Error("merger state not updated")
 	}
 	covered := false
@@ -277,7 +258,7 @@ func TestMergerSingleAddition(t *testing.T) {
 		t.Fatalf("addition results = %d", len(res))
 	}
 	ar := res[0].Values[0].(AdditionRes)
-	if !m.Current().Parts[ar.Part].Tags.Contains(9) {
+	if !m.current.Parts[ar.Part].Tags.Contains(9) {
 		t.Error("added tags not applied to merger's partitions")
 	}
 	if m.Additions != 1 {
@@ -285,7 +266,8 @@ func TestMergerSingleAddition(t *testing.T) {
 	}
 
 	// Requesting an already-covered tagset answers idempotently without a
-	// new placement.
+	// new placement: the Disseminator asks twice when an install reset its
+	// pending requests while one was in flight.
 	m.Execute(storm.Tuple{Stream: StreamAddition, Values: []interface{}{AdditionReq{Tags: tagset.New(2, 9)}}}, out)
 	if m.Additions != 1 {
 		t.Errorf("idempotent re-add counted: %d", m.Additions)
@@ -617,23 +599,63 @@ func TestCauseString(t *testing.T) {
 	}
 }
 
-func TestSourceEmitsDocs(t *testing.T) {
-	docs := []stream.Document{
-		{ID: 1, Time: 5, Tags: tagset.New(1)},
-		{ID: 2, Time: 6, Tags: tagset.New(2)},
-	}
-	s := SliceSource(docs)
+// drainSource runs a Source over docs to the end of the stream and returns
+// what it emitted and how many NextTuple calls returned true.
+func drainSource(docs []stream.Document, maxTags int) (*collector, int) {
+	i := 0
+	s := NewSource(func() (stream.Document, bool) {
+		if i == len(docs) {
+			return stream.Document{}, false
+		}
+		i++
+		return docs[i-1], true
+	}, maxTags)
 	s.Open(&storm.TaskContext{})
 	out := newCollector()
 	n := 0
 	for s.NextTuple(out) {
 		n++
 	}
+	return out, n
+}
+
+// TestSourceEmitsDocs: the Source emits every tagged document in order.
+func TestSourceEmitsDocs(t *testing.T) {
+	out, n := drainSource([]stream.Document{
+		{ID: 1, Time: 5, Tags: tagset.New(1)},
+		{ID: 2, Time: 6, Tags: tagset.New(2)},
+	}, 3)
 	if n != 2 || len(out.emitted) != 2 {
-		t.Errorf("emitted %d tuples over %d calls", len(out.emitted), n)
+		t.Fatalf("emitted %d tuples over %d calls", len(out.emitted), n)
 	}
-	if got := out.emitted[0].Values[0].(DocMsg); got.Time != 5 {
-		t.Errorf("first = %+v", got)
+	for k, want := range []stream.Millis{5, 6} {
+		if got := out.emitted[k].Values[0].(DocMsg); got.Time != want {
+			t.Errorf("tuple %d = %+v, want time %d", k, got, want)
+		}
+	}
+}
+
+// TestParserDropsAndTruncates: the Source's Parser step drops an untagged
+// document without ending the stream and cuts a tagset longer than maxTags
+// to its first maxTags tags.
+func TestParserDropsAndTruncates(t *testing.T) {
+	out, n := drainSource([]stream.Document{
+		{ID: 1, Time: 5},
+		{ID: 2, Time: 6, Tags: tagset.New(5, 1, 9, 7, 3)},
+		{ID: 3, Time: 7, Tags: tagset.New(2)},
+	}, 3)
+	if n != 3 || len(out.emitted) != 2 {
+		t.Fatalf("emitted %d tuples over %d calls, want 2 over 3", len(out.emitted), n)
+	}
+	want := []DocMsg{
+		{Time: 6, Tags: tagset.New(1, 3, 5)},
+		{Time: 7, Tags: tagset.New(2)},
+	}
+	for k, w := range want {
+		got := out.emitted[k].Values[0].(DocMsg)
+		if got.Time != w.Time || got.Tags.Key() != w.Tags.Key() {
+			t.Errorf("tuple %d = %+v, want time %d tags %v", k, got, w.Time, w.Tags)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func (p *Partitioner) emitPartial(epoch int, out storm.Collector) {
 
 // Merger combines the partial results of all P Partitioners of one epoch
 // into the final k partitions using the same algorithm, announces them to
-// the Disseminators together with the reference quality statistics, and
+// the Disseminator together with the reference quality statistics, and
 // serves Single-Addition requests against its copy of the current
 // partitions (Sections 6.2 and 7.1).
 //
@@ -138,15 +138,6 @@ func NewMerger(cfg Config) *Merger {
 
 // Prepare implements storm.Bolt.
 func (m *Merger) Prepare(ctx *storm.TaskContext) { m.ctx = ctx }
-
-// Current returns the Merger's view of the current partitions (nil before
-// the first merge). The result is live state — use PartitionsSnapshot for
-// a copy that is safe to read while a concurrent run is in flight.
-func (m *Merger) Current() *partition.Result {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.current
-}
 
 // PartitionsSnapshot returns a deep copy of the current partitions (nil
 // before the first merge), taken under the bolt's lock.
@@ -257,8 +248,10 @@ func (m *Merger) addSingle(tags tagset.Set, out storm.Collector) {
 	if m.current == nil || tags.IsEmpty() {
 		return
 	}
-	// Idempotency: if meanwhile covered (e.g. duplicate requests from
-	// several Disseminators), answer with the covering partition.
+	// Idempotency: if meanwhile covered, answer with the covering
+	// partition. The one Disseminator can still ask twice: an install
+	// resets its pendingAdd while a request may be in flight, and a merge
+	// can cover the tagset before the request arrives.
 	for i, p := range m.current.Parts {
 		if tags.SubsetOf(p.Tags) {
 			out.Emit(storm.Tuple{Stream: StreamAdditionRes, Values: []interface{}{

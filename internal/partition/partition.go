@@ -216,7 +216,7 @@ func (in *Input) LoadOfTags(s tagset.Set) int64 {
 }
 
 // Quality is the pair of reference statistics the Merger hands to the
-// Disseminators when new partitions are installed (Section 7.2).
+// Disseminator when new partitions are installed (Section 7.2).
 type Quality struct {
 	AvgCom   float64 // mean notifications per tagset that notified anyone
 	MaxLoad  float64 // largest single-Calculator share of notifications
