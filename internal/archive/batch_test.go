@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/jaccard"
 	"repro/internal/tagset"
-	"repro/internal/trend"
 )
 
 // segmentHeader returns the magic + period header of a fresh segment.
@@ -168,7 +167,10 @@ func rawRecord(kind byte, payload []byte) []byte { return appendRecord(nil, kind
 // period, beside a well-formed neighbour, and requires every period's
 // decoded compacted segment to be DeepEqual to decodeSegment of its raw
 // bytes with Torn cleared: compaction by copy keeps exactly the records a
-// decode keeps, in order, so the last record still wins per tagset.
+// decode keeps, in order, so the last record still wins per tagset. The
+// fuzzed segment runs first in its batch, then second, where it is read
+// into the compactor's reused buffer still holding the larger neighbour's
+// bytes.
 func FuzzCompactBatch(f *testing.F) {
 	real := realSegment(f)
 	pair := tagset.New(1, 2)
@@ -193,40 +195,46 @@ func FuzzCompactBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append(segmentHeader(fuzzPeriod+5), real[16:]...)) // another period's header
 
-	neighbour := append(segmentHeader(fuzzPeriod+1), referenceRecords([]jaccard.Coefficient{
-		coeff(1, 2, 0.25, 1), coeff(3, 4, 0.5, 2), coeff(1, 2, 0.75, 3),
-	})...)
-	neighbour = append(neighbour, trendRecord(trend.Event{Tags: pair, Period: fuzzPeriod + 1, Score: 1.5, CN: 3})...)
+	neighbours := []int64{fuzzPeriod + 1, fuzzPeriod - 1}
+	neighbourSegs := make(map[int64][]byte)
+	for _, p := range neighbours {
+		neighbourSegs[p] = rawSegment(p, 64)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		raw := map[int64][]byte{fuzzPeriod: data, fuzzPeriod + 1: neighbour}
-		dir := t.TempDir()
-		for p, b := range raw {
-			if err := os.WriteFile(filepath.Join(dir, segmentName(p)), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c := NewCompactor(dir, CompactorConfig{FanIn: 2})
-		if err := c.RunOnce(); err != nil {
-			t.Fatalf("compaction: %v", err)
-		}
-		if st := c.Stats(); st.CompactedPeriods != 2 {
-			t.Fatalf("compacted %d periods, want 2", st.CompactedPeriods)
-		}
-		rd := OpenReader(dir)
-		for p, b := range raw {
-			if _, err := os.Stat(filepath.Join(dir, segmentName(p))); !os.IsNotExist(err) {
-				t.Fatalf("raw segment of period %d still present (%v)", p, err)
-			}
-			got, err := rd.Segment(p)
-			if err != nil || got == nil {
-				t.Fatalf("compacted period %d: %v", p, err)
-			}
-			want := decodeSegment(b, p)
-			want.Torn = false
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("period %d: compacted segment differs from the raw decode\n got %+v\nwant %+v", p, got, want)
-			}
+		for _, np := range neighbours {
+			compactFuzzed(t, map[int64][]byte{fuzzPeriod: data, np: neighbourSegs[np]})
 		}
 	})
+}
+
+// compactFuzzed compacts raw, two periods' segments, in one batch and
+// requires each period's decoded compacted segment to equal the decode of
+// its raw bytes with Torn cleared.
+func compactFuzzed(t *testing.T, raw map[int64][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	writeRawSegments(t, dir, raw)
+	c := NewCompactor(dir, CompactorConfig{FanIn: 2})
+	if err := c.RunOnce(); err != nil {
+		t.Fatalf("compaction: %v", err)
+	}
+	if st := c.Stats(); st.CompactedPeriods != 2 {
+		t.Fatalf("compacted %d periods, want 2", st.CompactedPeriods)
+	}
+	rd := OpenReader(dir)
+	for p, b := range raw {
+		if _, err := os.Stat(filepath.Join(dir, segmentName(p))); !os.IsNotExist(err) {
+			t.Fatalf("raw segment of period %d still present (%v)", p, err)
+		}
+		got, err := rd.Segment(p)
+		if err != nil || got == nil {
+			t.Fatalf("compacted period %d: %v", p, err)
+		}
+		want := decodeSegment(b, p)
+		want.Torn = false
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("period %d: compacted segment differs from the raw decode\n got %+v\nwant %+v", p, got, want)
+		}
+	}
 }

@@ -214,12 +214,22 @@ func (w *Writer) WriteCheckpointFrom(build func(*SectionCache) *Checkpoint) erro
 // section is then cached under the count its build read before gathering
 // it. The dictionary section encodes only the strings appended since the
 // last checkpoint, and its CRC continues from the cached one.
+//
+// The recycle rule: the buffers of the sections an encode drops (pruned
+// periods) go onto a free list, and a section encoded afresh whose own
+// buffer is too small takes a free one that is large enough before a new
+// one is allocated. The list is bounded by the previous encode's drops:
+// it holds only those, and what the current encode does not take is
+// released at its end, when the list is refilled with the current drops.
+// A dropped section's bytes were last written by an earlier checkpoint,
+// which ckptMu has finished, so no part still being written is reused.
 type SectionCache struct {
 	sections map[sectionKey]*section
 	order    []*section // the sections of the checkpoint being encoded, in file order
 	dict     []string   // the strings the dictionary section holds
 	out      []byte     // the frame and section table
 	parts    [][]byte   // out, then the sections' bytes
+	free     [][]byte   // the buffers of the sections the previous encode dropped
 }
 
 type sectionKey struct {
@@ -284,9 +294,26 @@ func (c *SectionCache) put(id uint16, period int64, size int, enc func([]byte) [
 	if s.reuse {
 		return
 	}
-	s.data = enc(reserve(s.data, size))
+	s.data = enc(c.buffer(s.data, size))
 	s.crc = crc32.ChecksumIEEE(s.data)
 	s.writes, s.cached = s.next, s.asked
+}
+
+// buffer returns b emptied with room for size bytes: b itself when it has
+// the room, else a free buffer that has it, else reserve's new one.
+func (c *SectionCache) buffer(b []byte, size int) []byte {
+	if cap(b) >= size {
+		return b[:0]
+	}
+	for i, f := range c.free {
+		if cap(f) >= size {
+			last := len(c.free) - 1
+			c.free[i], c.free[last] = c.free[last], nil
+			c.free = c.free[:last]
+			return f[:0]
+		}
+	}
+	return reserve(b, size)
 }
 
 // putDict adds the dictionary section, encoding only the strings appended
@@ -316,7 +343,7 @@ func (c *SectionCache) putDict(dict []string) {
 // parts, to be written in order: the frame and section table, in the
 // cache's reused output buffer, then each section's bytes, which the cache
 // owns. The parts stay valid until the next encode. It then drops the
-// sections cp does not hold.
+// sections cp does not hold and keeps their buffers for the next encode.
 func (c *SectionCache) encode(cp *Checkpoint) [][]byte {
 	c.order = c.order[:0]
 	c.put(secCursor, 0, 0, func(b []byte) []byte {
@@ -385,9 +412,14 @@ func (c *SectionCache) encode(cp *Checkpoint) [][]byte {
 			})
 		}
 	}
+	clear(c.free)
+	c.free = c.free[:0]
 	for k, s := range c.sections {
 		if !s.used {
 			delete(c.sections, k)
+			if cap(s.data) > 0 {
+				c.free = append(c.free, s.data)
+			}
 		}
 		s.asked, s.reuse, s.used = false, false, false
 	}

@@ -100,3 +100,66 @@ func TestSectionReuseDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestSectionCacheRecyclesPrunedPeriods encodes a checkpoint sequence in
+// which every checkpoint prunes the oldest of 8 equal Tracker periods and
+// opens a new one, the other 7 written from cache. After two warm-up
+// checkpoints the opened period's section takes the buffer of the one the
+// previous checkpoint pruned, so a checkpoint allocates less than half a
+// period section. The free list never holds more buffers than the last
+// encode dropped, and an encode that drops nothing leaves it empty.
+func TestSectionCacheRecyclesPrunedPeriods(t *testing.T) {
+	const keep = 8
+	coeffs := make([]jaccard.Coefficient, 4000)
+	for i := range coeffs {
+		coeffs[i] = coeff(tagset.Tag(i), tagset.Tag(len(coeffs)+i), 0.5, int64(1+i))
+	}
+	var c SectionCache
+	keys := make([]sectionKey, 0, 2*keep)
+	encode := func(first, last int64) {
+		cp := &Checkpoint{ReplayPeriod: last + 1}
+		for p := first; p <= last; p++ {
+			pc := operators.PeriodCoefficients{Period: p}
+			if !c.TrackerPeriod(p, 1) {
+				pc.Coeffs = coeffs
+			}
+			cp.Tracker.Periods = append(cp.Tracker.Periods, pc)
+		}
+		keys = keys[:0]
+		for k := range c.sections {
+			keys = append(keys, k)
+		}
+		c.encode(cp)
+		dropped := 0
+		for _, k := range keys {
+			if c.sections[k] == nil {
+				dropped++
+			}
+		}
+		if len(c.free) > dropped {
+			t.Fatalf("periods %d to %d: %d free buffers after an encode that dropped %d sections",
+				first, last, len(c.free), dropped)
+		}
+	}
+	encode(1, keep)
+	encode(2, keep+1)
+	section := len(c.sections[sectionKey{secPeriod, 2}].data)
+	const rotations = 6
+	got := allocatedBytes(func() {
+		for i := int64(3); i < 3+rotations; i++ {
+			encode(i, i+keep-1)
+		}
+	})
+	if got/rotations >= uint64(section/2) {
+		t.Errorf("a rotating checkpoint allocates %d bytes, want under half a period section (%d bytes)", got/rotations, section)
+	}
+	first, last := int64(2+rotations), int64(2+rotations+keep-1) // the periods of the last encode
+	encode(first+3, last)
+	if len(c.free) != 3 {
+		t.Errorf("%d free buffers after an encode that pruned 3 periods", len(c.free))
+	}
+	encode(first+3, last)
+	if len(c.free) != 0 {
+		t.Errorf("%d free buffers after an encode that dropped none", len(c.free))
+	}
+}

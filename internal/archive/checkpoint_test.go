@@ -168,40 +168,63 @@ func benchCheckpointState() (periods [][]jaccard.Coefficient, preds []trend.Tren
 }
 
 // BenchmarkWriteCheckpoint writes checkpoints of benchCheckpointState
-// through one Writer as the pipeline's checkpoint writer does: before each
-// write 2 of the 8 Tracker periods take writes, so their sections are
-// encoded afresh and the other 6 are written from the section cache; the
-// predictors, encoded in full every time, and the fsync are included.
+// through one Writer as the pipeline's checkpoint writer does, in two
+// cases. steady: before each write 2 of the 8 Tracker periods take writes,
+// so their sections are encoded afresh and the other 6 are written from
+// the section cache. rotating: before each write the oldest period is
+// pruned and a new one opened, which is encoded afresh while the other 7
+// come from cache. The predictors, encoded in full every time, and the
+// fsync are included.
 func BenchmarkWriteCheckpoint(b *testing.B) {
 	periods, preds, dict := benchCheckpointState()
-	w, err := OpenWriter(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	writes := make([]uint64, len(periods))
-	build := func(c *SectionCache) *Checkpoint {
-		cp := &Checkpoint{ReplayPeriod: int64(len(periods) + 1), Dict: dict,
-			Trend: &trend.StreamState{Predictors: preds}}
-		for i, coeffs := range periods {
-			pc := operators.PeriodCoefficients{Period: int64(i + 1)}
-			if !c.TrackerPeriod(pc.Period, writes[i]) {
-				pc.Coeffs = coeffs
+	for _, rotating := range []bool{false, true} {
+		name := "steady"
+		if rotating {
+			name = "rotating"
+		}
+		b.Run(name, func(b *testing.B) {
+			w, err := OpenWriter(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
 			}
-			cp.Tracker.Periods = append(cp.Tracker.Periods, pc)
-		}
-		return cp
-	}
-	if err := w.WriteCheckpointFrom(build); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		writes[(2*i)%len(periods)]++
-		writes[(2*i+1)%len(periods)]++
-		if err := w.WriteCheckpointFrom(build); err != nil {
-			b.Fatal(err)
-		}
+			defer w.Close()
+			writes := make([]uint64, len(periods))
+			first := int64(1) // the oldest period held
+			build := func(c *SectionCache) *Checkpoint {
+				cp := &Checkpoint{ReplayPeriod: first + int64(len(periods)), Dict: dict,
+					Trend: &trend.StreamState{Predictors: preds}}
+				for p := first; p < first+int64(len(periods)); p++ {
+					i := int(p) % len(periods)
+					pc := operators.PeriodCoefficients{Period: p}
+					if !c.TrackerPeriod(p, writes[i]) {
+						pc.Coeffs = periods[i]
+					}
+					cp.Tracker.Periods = append(cp.Tracker.Periods, pc)
+				}
+				return cp
+			}
+			write := func(i int) {
+				if rotating {
+					first++
+				} else {
+					writes[(2*i)%len(periods)]++
+					writes[(2*i+1)%len(periods)]++
+				}
+				if err := w.WriteCheckpointFrom(build); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Two warm-up writes: the second prunes a period, whose buffer
+			// the first timed rotating write recycles.
+			if err := w.WriteCheckpointFrom(build); err != nil {
+				b.Fatal(err)
+			}
+			write(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				write(i)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -231,6 +232,11 @@ type Compactor struct {
 
 	runMu sync.Mutex // serializes RunOnce vs the background loop
 
+	// raw and out, under runMu, are compactBatch's buffers, reused across
+	// batches and passes: the raw segment being compacted and its
+	// compacted records.
+	raw, out []byte
+
 	startOnce sync.Once
 	stopOnce  sync.Once
 	stop      chan struct{}
@@ -405,30 +411,20 @@ func (c *Compactor) eligiblePeriods(m *manifest) ([]int64, error) {
 	return out, nil
 }
 
-// compactBatch folds the given raw periods (ascending) into one compacted
-// file, publishes the manifest entry, then deletes the raw segments.
+// compactBatch streams the given raw periods (ascending) into one
+// compacted file, publishes the manifest entry, then deletes the raw
+// segments.
 func (c *Compactor) compactBatch(m *manifest, periods []int64) error {
 	if len(periods) == 0 {
 		return nil
 	}
 	from, to := periods[0], periods[len(periods)-1]
-	buf := make([]byte, 0, 64*1024)
-	buf = append(buf, cmpMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(from))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(to))
-	for _, p := range periods {
-		data, err := os.ReadFile(filepath.Join(c.dir, segmentName(p)))
-		if err != nil {
-			return fmt.Errorf("archive: %w", err)
-		}
-		buf = appendCompacted(buf, data, p)
-	}
-
 	name := compactName(from, to)
 	final := filepath.Join(c.dir, name)
 	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
-		return err
+	if err := c.writeCompacted(tmp, periods); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("archive: %w", err)
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
@@ -453,6 +449,67 @@ func (c *Compactor) compactBatch(m *manifest, periods []int64) error {
 	c.stats.CompactedPeriods += int64(len(periods))
 	c.mu.Unlock()
 	return nil
+}
+
+// writeCompacted writes the compacted file of periods to path and fsyncs
+// it. It goes period by period: each raw segment is read into c.raw and
+// its compacted records, appended to c.out, are written before the next
+// is read, so the file is never whole in memory.
+func (c *Compactor) writeCompacted(path string, periods []int64) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	out := append(c.out[:0], cmpMagic...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(periods[0]))
+	out = binary.LittleEndian.AppendUint64(out, uint64(periods[len(periods)-1]))
+	for _, p := range periods {
+		if c.raw, err = readFileInto(c.raw, filepath.Join(c.dir, segmentName(p))); err != nil {
+			break
+		}
+		out = appendCompacted(out, c.raw, p)
+		if _, err = f.Write(out); err != nil {
+			break
+		}
+		out = out[:0]
+	}
+	c.out = out
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// readFileInto reads the file at path into buf's storage, which it grows
+// only for a file larger than its capacity, and returns the bytes read.
+func readFileInto(buf []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf[:0], err
+	}
+	// A byte beyond the size leaves room for the read that returns io.EOF.
+	buf = slices.Grow(buf[:0], int(fi.Size())+1)
+	for {
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+	}
 }
 
 // appendCompacted copies the records of one raw segment's bytes to buf as

@@ -1,14 +1,20 @@
 package archive
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/jaccard"
 	"repro/internal/tagset"
+	"repro/internal/trend"
 )
 
 // populateArchive writes n sealed periods (1..n) of coefficients and trend
@@ -457,5 +463,158 @@ func TestCompactFileCorruption(t *testing.T) {
 	}
 	if _, err := OpenReader(dir).Segment(2); err == nil {
 		t.Error("corrupt compacted file decoded without error")
+	}
+}
+
+// rawSegment returns a raw segment of period: n coefficient records, the
+// last a CN upgrade of the first pair, then a trend event.
+func rawSegment(period int64, n int) []byte {
+	cs := make([]jaccard.Coefficient, n)
+	for i := range cs {
+		cs[i] = coeff(tagset.Tag(i), tagset.Tag(n+1+i), float64(i%8)/8, int64(1+i))
+	}
+	if n > 1 {
+		cs[n-1] = coeff(0, tagset.Tag(n+1), 0.5, int64(n+1))
+	}
+	seg := append(segmentHeader(period), referenceRecords(cs)...)
+	return append(seg, trendRecord(trend.Event{Tags: tagset.New(1, 2), Period: period, Score: 1.5, CN: 3})...)
+}
+
+// writeRawSegments writes each period's bytes as its raw segment in dir.
+func writeRawSegments(tb testing.TB, dir string, raw map[int64][]byte) {
+	tb.Helper()
+	for p, b := range raw {
+		if err := os.WriteFile(filepath.Join(dir, segmentName(p)), b, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// allocatedBytes returns the bytes f allocates, counted with the collector
+// off.
+func allocatedBytes(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCompactBatchByteIdentical compacts one batch of raw segments of
+// different sizes, large ones before small ones, with one segment torn
+// mid-record and one under another period's header. The compacted file
+// must equal, byte for byte, its header followed by each period's records
+// compacted on their own into a fresh buffer: streaming the batch through
+// reused buffers carries nothing of one period into the next.
+func TestCompactBatchByteIdentical(t *testing.T) {
+	torn := rawSegment(4, 300)
+	torn = torn[:len(torn)-40] // inside its last record
+	raw := map[int64][]byte{
+		2: rawSegment(2, 2000),
+		3: rawSegment(3, 5),
+		4: torn,
+		5: append(segmentHeader(9), rawSegment(5, 40)[16:]...),
+		6: rawSegment(6, 700),
+		7: rawSegment(7, 1),
+	}
+	if !decodeSegment(torn, 4).Torn {
+		t.Fatal("the torn segment decodes whole")
+	}
+	if n := len(appendCompacted(nil, raw[5], 5)); n != 0 {
+		t.Fatalf("the segment under another period's header compacts to %d bytes", n)
+	}
+	dir := t.TempDir()
+	writeRawSegments(t, dir, raw)
+	c := NewCompactor(dir, CompactorConfig{FanIn: len(raw)})
+	if err := c.RunOnce(); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(cmpMagic), make([]byte, 16)...)
+	binary.LittleEndian.PutUint64(want[8:], 2)
+	binary.LittleEndian.PutUint64(want[16:], 7)
+	for p := int64(2); p <= 7; p++ {
+		want = append(want, appendCompacted(nil, raw[p], p)...)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, compactName(2, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("compacted file (%d bytes) differs from its periods compacted one by one (%d bytes)", len(got), len(want))
+	}
+}
+
+// growAllocs is how many times slices.Grow allocates the room it adds to
+// a buffer: once, and twice in a -race build (race_test.go).
+var growAllocs = 1
+
+// TestCompactBatchAllocations compacts n raw segments of one size S in one
+// batch and requires the pass to allocate about 2·S, one raw segment and
+// its compacted copy, for n = 2 and n = 8 alike. A second pass over n new
+// segments of the same size reuses both buffers and allocates a small
+// fraction of S.
+func TestCompactBatchAllocations(t *testing.T) {
+	for _, n := range []int{2, 8} {
+		dir := t.TempDir()
+		c := NewCompactor(dir, CompactorConfig{FanIn: n})
+		size := 0
+		pass := func(first int64) uint64 {
+			raw := make(map[int64][]byte, n)
+			for p := first; p < first+int64(n); p++ {
+				raw[p] = rawSegment(p, 7000)
+				size = len(raw[p])
+			}
+			writeRawSegments(t, dir, raw)
+			return allocatedBytes(func() {
+				if err := c.RunOnce(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if got := pass(1); got > uint64(growAllocs*5*size/2) {
+			t.Errorf("%d segments of %d bytes: the first pass allocated %d bytes, want at most 2.5 segments", n, size, got)
+		}
+		if got := pass(1 + int64(n)); got > uint64(size/4) {
+			t.Errorf("%d segments of %d bytes: the second pass allocated %d bytes, want at most a quarter segment", n, size, got)
+		}
+		if st := c.Stats(); st.CompactedPeriods != int64(2*n) {
+			t.Fatalf("%d segments: compacted %d periods in two passes", n, st.CompactedPeriods)
+		}
+	}
+}
+
+// BenchmarkCompactBatch compacts 8 raw segments of about 2.2 MB each, the
+// size of an ingest-durable period segment (2.0–2.5 MB at seed 7), into
+// one file per iteration, fsync included, on one Compactor whose buffers a
+// first, untimed batch has warmed, as in a long-running pipeline.
+func BenchmarkCompactBatch(b *testing.B) {
+	const fan = 8
+	raw := make(map[int64][]byte, fan)
+	for p := int64(1); p <= fan; p++ {
+		raw[p] = rawSegment(p, 63000)
+	}
+	dir := filepath.Join(b.TempDir(), "archive")
+	c := NewCompactor(dir, CompactorConfig{FanIn: fan})
+	compact := func() {
+		b.StopTimer()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		writeRawSegments(b, dir, raw)
+		b.StartTimer()
+		if err := c.RunOnce(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	compact() // warms the buffers
+	b.ReportAllocs()
+	b.SetBytes(int64(fan * len(raw[1])))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compact()
 	}
 }

@@ -126,7 +126,7 @@ func TestFlightTraceConcurrentPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := pipe.Start()
-	h.Wait()
+	res := h.Wait()
 
 	st := frec.Snapshot()
 	if st.DocsSeen != 20000 {
@@ -152,6 +152,11 @@ func TestFlightTraceConcurrentPipeline(t *testing.T) {
 		}
 	}
 	if complete == 0 {
-		t.Error("no complete trace under the concurrent executor")
+		// Which cause: rotation finalizing traces before their calculate
+		// span lands (late spans), or no partitioning installed before the
+		// stream ended (no merge, every document before install).
+		t.Errorf("no complete trace under the concurrent executor: late spans %d, dropped full %d; "+
+			"uncovered docs %d, docs before install %d; partitionings installed %d (epoch %d)",
+			st.LateSpans, st.DroppedFull, res.UncoveredDocs, res.DocsBeforeInstall, res.Merges, res.Epoch)
 	}
 }
